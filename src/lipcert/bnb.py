@@ -12,10 +12,6 @@ integrality gap sound.
 When a Lipschitz problem context is available, fixing a binary also re-runs
 interval propagation with that neuron pinned and tightens every affected
 variable bound in the child (optional, default on).
-
-Node exploration is sequential; ``threads`` is accepted for interface
-stability and treated as 1 (results are deterministic for fixed inputs
-regardless).
 """
 
 from __future__ import annotations
@@ -36,6 +32,8 @@ NODE_LIMIT = "node_limit"
 
 _INT_TOL = 1e-6
 _EXACT_GAP = 1e-8
+_PRUNE_TOL = 1e-9  # relative slack when comparing a bound to the incumbent
+_EPS_GAP = 1e-9  # floor of the gap's denominator near a zero incumbent
 
 
 class SolverNumericalError(RuntimeError):
@@ -53,13 +51,8 @@ class SolveOptions:
     target_gap: float = 0.0
     timeout_seconds: float = float("inf")
     node_limit: int = 10 ** 9
-    deterministic: bool = True
-    threads: int = 1
     tighten_bounds: bool = True
-    prune_tol: float = 1e-9
-    eps_gap: float = 1e-9
     keep_events: bool = False
-    branch_rule: str = "most_fractional"  # or "layer_most_fractional"
 
     def __post_init__(self):
         if self.target_gap < 0:
@@ -90,10 +83,10 @@ class MIPResult:
     events: list[NodeEvent] = field(default_factory=list)
 
 
-def _gap(upper: float, incumbent: float, eps: float) -> float:
+def _gap(upper: float, incumbent: float) -> float:
     if upper <= incumbent:
         return 0.0
-    return (upper - incumbent) / max(abs(incumbent), eps)
+    return (upper - incumbent) / max(abs(incumbent), _EPS_GAP)
 
 
 def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
@@ -157,13 +150,11 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             if b not in fixes and min(sol.x[b], 1.0 - sol.x[b]) > _INT_TOL
         ]
         if not fractional:
-            point = (
-                [sol.x[v] for v in context.input_vars] if context is not None else sol.x
-            )
+            point = sol.x[context.input_vars] if context is not None else sol.x
             update_incumbent(bound, point)
             return bound
         inc = state["incumbent"]
-        if np.isfinite(inc) and bound <= inc * (1.0 + opts.prune_tol):
+        if np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL):
             return bound
         state["counter"] += 1
         heapq.heappush(heap, (-bound, state["counter"], fixes, lo, hi, sol.x, depth))
@@ -179,9 +170,9 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         upper = max(bound, inc) if np.isfinite(inc) else bound
         if opts.keep_events:
             events.append(NodeEvent(state["nodes"], upper, inc, depth))
-        if np.isfinite(inc) and bound <= inc * (1.0 + opts.prune_tol):
+        if np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL):
             continue  # stale: incumbent improved after insertion
-        gap = _gap(upper, inc, opts.eps_gap) if np.isfinite(inc) else np.inf
+        gap = _gap(upper, inc) if np.isfinite(inc) else np.inf
         if gap <= _EXACT_GAP:
             return _finish(EXACT, upper, state, gap, start, events)
         if opts.target_gap > 0 and gap <= opts.target_gap:
@@ -191,22 +182,12 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if state["nodes"] >= opts.node_limit:
             return _finish(NODE_LIMIT, upper, state, gap, start, events)
 
-        # most-fractional branching, ties to the lowest variable id; the
-        # layer-aware variant prefers the earliest network layer first, where
-        # a decision collapses the most downstream structure
-        if opts.branch_rule == "layer_most_fractional" and context is not None:
-            cand = [
-                (context.binary_map.get(b, (10 ** 6, 0))[0], abs(x[b] - 0.5), b)
-                for b in binaries
-                if b not in fixes and min(x[b], 1.0 - x[b]) > _INT_TOL
-            ]
-            branch_var = min(cand)[2]
-        else:
-            cand = [
-                (abs(x[b] - 0.5), b) for b in binaries
-                if b not in fixes and min(x[b], 1.0 - x[b]) > _INT_TOL
-            ]
-            branch_var = min(cand)[1]
+        # most-fractional branching, ties to the lowest variable id
+        cand = [
+            (abs(x[b] - 0.5), b) for b in binaries
+            if b not in fixes and min(x[b], 1.0 - x[b]) > _INT_TOL
+        ]
+        branch_var = min(cand)[1]
         for val in (1, 0):
             child_fixes = dict(fixes)
             child_fixes[branch_var] = val
@@ -224,7 +205,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
                     for v, c in model.objective.items()
                 )
                 inc = state["incumbent"]
-                if np.isfinite(inc) and ibound <= inc * (1.0 + opts.prune_tol):
+                if np.isfinite(inc) and ibound <= inc * (1.0 + _PRUNE_TOL):
                     continue
             solve_node(child_fixes, child_lo, child_hi, depth + 1)
 

@@ -114,9 +114,17 @@ def estimate(
     gap: float = 0.0,
     timeout: float = float("inf"),
     node_limit: int = 10 ** 9,
-    threads: int = 1,
 ) -> EstimateRecord:
-    """Run one named estimator and wrap its result in an EstimateRecord."""
+    """Run one named estimator and wrap its result in an EstimateRecord.
+
+    Every method bounds the Lipschitz constant of a scalar network; a
+    multi-output network is rejected (see ``vector_ext.lipmip_vector``).
+    """
+    if net.output_dim != 1:
+        raise ValueError(
+            f"estimate needs a scalar network, got {net.output_dim} outputs; "
+            "use vector_ext.lipmip_vector for multi-output networks"
+        )
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     if norm not in norms.INPUT_NORMS:
@@ -135,9 +143,7 @@ def estimate(
     if method == "liplp":
         value = bnb.solve_liplp(problem)
         return EstimateRecord("liplp", value, UPPER, time.perf_counter() - start)
-    opts = bnb.SolveOptions(
-        target_gap=gap, timeout_seconds=timeout, node_limit=node_limit, threads=threads
-    )
+    opts = bnb.SolveOptions(target_gap=gap, timeout_seconds=timeout, node_limit=node_limit)
     res = bnb.solve_mip(problem, opts)
     elapsed = time.perf_counter() - start
     if res.status == bnb.EXACT:

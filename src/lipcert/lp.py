@@ -27,10 +27,9 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"  # unreachable with finite bounds; kept for the API
 NUMERICAL_FAILURE = "numerical_failure"
 
-DEFAULT_FEAS_TOL = 1e-7
+FEAS_TOL = 1e-7
 DEFAULT_PIVOT_TOL = 1e-9
 
 #: Degenerate pivots tolerated (per variable) before switching to Bland's rule.
@@ -288,7 +287,6 @@ class SimplexSolver:
         lo=None,
         hi=None,
         objective=None,
-        feas_tol: float = DEFAULT_FEAS_TOL,
         pivot_tol: float = DEFAULT_PIVOT_TOL,
         from_scratch: bool = False,
         _second_try: bool = False,
@@ -315,37 +313,34 @@ class SimplexSolver:
         state = {"bland": _second_try, "degen": 0, "pivots": 0}
         max_pivots = 200 * (self.n_total + 10) + 20000
 
-        status = self._solve_phases(costs, wlo, whi, state, feas_tol, pivot_tol, max_pivots)
+        status = self._solve_phases(costs, wlo, whi, state, pivot_tol, max_pivots)
         if status == OPTIMAL:
             x = self._extract(wlo, whi)
-            if self._feasible(x, lo, hi, feas_tol):
+            if self._feasible(x, lo, hi):
                 return LPSolution(OPTIMAL, x[: self.n_struct], float(cobj @ x[: self.n_struct]), state["pivots"])
             status = NUMERICAL_FAILURE
         if status == INFEASIBLE:
             if warm:
                 # never trust infeasibility claimed from a reused basis
                 return self.solve(
-                    lo, hi, cobj, feas_tol, pivot_tol,
-                    from_scratch=True, _second_try=_second_try,
+                    lo, hi, cobj, pivot_tol, from_scratch=True, _second_try=_second_try
                 )
             return LPSolution(INFEASIBLE, None, np.nan, state["pivots"])
         if not _second_try:
             # one retry: cold start under Bland's rule from the first pivot
             self._have_state = False
-            return self.solve(
-                lo, hi, cobj, feas_tol, pivot_tol, from_scratch=True, _second_try=True
-            )
+            return self.solve(lo, hi, cobj, pivot_tol, from_scratch=True, _second_try=True)
         self._have_state = False
         return LPSolution(NUMERICAL_FAILURE, None, np.nan, state["pivots"])
 
-    def _solve_phases(self, costs, wlo, whi, state, feas_tol, pivot_tol, max_pivots):
+    def _solve_phases(self, costs, wlo, whi, state, pivot_tol, max_pivots):
         # working copies; phase 1 may extend them
         ext_lo = wlo.copy()
         ext_hi = whi.copy()
         xb = self._basic_values(wlo, whi)
 
-        below = xb < wlo[self._basis] - feas_tol
-        above = xb > whi[self._basis] + feas_tol
+        below = xb < wlo[self._basis] - FEAS_TOL
+        above = xb > whi[self._basis] + FEAS_TOL
         if below.any() or above.any():
             phase_costs = np.zeros(self.n_total)
             for r in np.flatnonzero(above):
@@ -371,7 +366,7 @@ class SimplexSolver:
                 changed = False
                 for v in extended:
                     val = xb[pos[v]] if pos[v] >= 0 else vals[v]
-                    if wlo[v] - feas_tol <= val <= whi[v] + feas_tol:
+                    if wlo[v] - FEAS_TOL <= val <= whi[v] + FEAS_TOL:
                         gamma = phase_costs[v]
                         phase_costs[v] = 0.0
                         ext_lo[v] = wlo[v]
@@ -406,17 +401,17 @@ class SimplexSolver:
         x[self._basis] = self._basic_values(wlo, whi)
         return x
 
-    def _feasible(self, v, lo, hi, feas_tol) -> bool:
+    def _feasible(self, v, lo, hi) -> bool:
         p = self.problem
         x = v[: self.n_struct]
         scale = 1.0 + np.abs(p.rhs) if p.rhs.size else 1.0
-        if np.any(x < lo - feas_tol) or np.any(x > hi + feas_tol):
+        if np.any(x < lo - FEAS_TOL) or np.any(x > hi + FEAS_TOL):
             return False
         if p.num_constraints == 0:
             return True
         act = p.a @ x
         for i, rel in enumerate(p.relations):
-            tol = feas_tol * scale[i]
+            tol = FEAS_TOL * scale[i]
             if rel == "<=" and act[i] > p.rhs[i] + tol:
                 return False
             if rel == ">=" and act[i] < p.rhs[i] - tol:
@@ -426,10 +421,15 @@ class SimplexSolver:
         return True
 
 
-def solve_lp(
-    problem: LPProblem,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
-) -> LPSolution:
+def solve_lp(problem: LPProblem) -> LPSolution:
     """Solve one LP from scratch; deterministic for identical inputs."""
-    return SimplexSolver(problem).solve(feas_tol=feas_tol, pivot_tol=pivot_tol)
+    return SimplexSolver(problem).solve()
+
+
+def box_witness(a, rhs, lo, hi) -> np.ndarray | None:
+    """Some x with lo <= x <= hi and a @ x >= rhs, or None when the LP finds none."""
+    prob = LPProblem(
+        objective=np.zeros(len(lo)), a=a, relations=(">=",) * len(rhs), rhs=rhs, lo=lo, hi=hi,
+    )
+    sol = solve_lp(prob)
+    return sol.x if sol.status == OPTIMAL else None

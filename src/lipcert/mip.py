@@ -11,16 +11,41 @@ for vector-valued networks over linear output norms).
 
 All big-M constants come from interval propagation, which is what keeps each
 operator encodable with a constant number of inequalities.
+
+Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
+order: the inputs; per hidden layer, its pre-activations and then, neuron by
+neuron, the neuron's binary (when its sign is undecided) and its forward
+switch; the dual ball (vector-valued networks only); per hidden layer from
+the last down to the first, the backward values and then the backward
+switches; the gradient; per gradient entry, the sign binary (when undecided)
+and the absolute value; and for alpha = "l1" the max folds.  Rows follow the
+same order.  ``LipMIPProblem`` records each block as an int id array, and
+``LipMIPProblem.propagation_bounds`` is the one map from interval boxes onto
+those ids.  The order is load-bearing: branch-and-bound breaks branching
+ties by the lowest variable id and the simplex prices columns in id order,
+so a reordered but otherwise equal model searches differently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import interval, lp, norms
-from .network import ALWAYS_ZERO, ReLUNetwork, ZeroRule, chain_rule_jacobian, pattern_at, preactivations
+from .network import (
+    ALWAYS_ZERO,
+    OFF,
+    ON,
+    ReLUNetwork,
+    ZeroRule,
+    chain_rule_jacobian,
+    jacobian_from_multipliers,
+    next_layer_affine,
+    pattern_at,
+    pattern_multipliers,
+)
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -28,18 +53,6 @@ BINARY = "binary"
 
 class ModelError(ValueError):
     """Raised when a model cannot be built (unbounded domain, bad bounds)."""
-
-
-@dataclass(frozen=True)
-class LinExpr:
-    """Sparse linear expression: coefficient map over variable ids + constant."""
-
-    coefs: dict[int, float]
-    const: float = 0.0
-
-    def value(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        return self.const + sum(c * point[v] for v, c in self.coefs.items())
 
 
 @dataclass
@@ -193,20 +206,10 @@ class MIPModel:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class EncodingContext:
-    """Model under construction plus the per-variable bound records."""
-
-    model: MIPModel = field(default_factory=MIPModel)
-
-    def bounds(self, var: int) -> tuple[float, float]:
-        return self.model.lo[var], self.model.hi[var]
-
-
 # -- operator encodings -------------------------------------------------------
 
 
-def encode_affine(ctx: EncodingContext, in_vars, w, b=None, prefix: str = "aff") -> list[int]:
+def encode_affine(model: MIPModel, in_vars, w, b=None, prefix: str = "aff") -> list[int]:
     """Fresh out variables constrained to equal W @ in + b; bounds by
     interval arithmetic over the input variables' bounds."""
     w = np.asarray(w, dtype=float)
@@ -214,78 +217,78 @@ def encode_affine(ctx: EncodingContext, in_vars, w, b=None, prefix: str = "aff")
     if w.ndim != 2 or w.shape[1] != len(in_vars):
         raise ModelError(f"affine: matrix {w.shape} does not accept {len(in_vars)} inputs")
     bvec = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=float).reshape(-1)
-    in_lo = np.array([ctx.model.lo[v] for v in in_vars])
-    in_hi = np.array([ctx.model.hi[v] for v in in_vars])
+    in_lo = np.array([model.lo[v] for v in in_vars])
+    in_hi = np.array([model.hi[v] for v in in_vars])
     box = interval.push_affine(interval.Hyperbox(in_lo, in_hi), w, bvec)
     out = []
     for r in range(w.shape[0]):
-        y = ctx.model.add_var(box.l[r], box.u[r], name=f"{prefix}{r}")
+        y = model.add_var(box.l[r], box.u[r], name=f"{prefix}{r}")
         coefs = {y: 1.0}
         for c, v in enumerate(in_vars):
             if w[r, c] != 0.0:
                 coefs[v] = coefs.get(v, 0.0) - w[r, c]
-        ctx.model.add_constraint(coefs, "=", bvec[r])
+        model.add_constraint(coefs, "=", bvec[r])
         out.append(y)
     return out
 
 
-def encode_conditional(ctx: EncodingContext, x_var: int, name: str = "a") -> BinDecision:
+def encode_conditional(model: MIPModel, x_var: int, name: str = "a") -> BinDecision:
     """Binary a with a=1 <=> x >= 0 (both signs allowed at x = 0).
 
     Fixed outright when the variable's bounds decide the sign.  The free case
     uses the sound pair x >= l(1-a), x <= u a.
     """
-    l, u = ctx.bounds(x_var)
+    l, u = model.lo[x_var], model.hi[x_var]
     if l > u:
         raise ModelError("conditional: inverted bounds")
     if l > 0:
         return BinDecision(fixed=1)
     if u < 0:
         return BinDecision(fixed=0)
-    a = ctx.model.add_binary(name)
+    a = model.add_binary(name)
     # x >= l(1-a)  <=>  x + l a >= l
-    ctx.model.add_constraint({x_var: 1.0, a: l}, ">=", l)
+    model.add_constraint({x_var: 1.0, a: l}, ">=", l)
     # x <= u a     <=>  x - u a <= 0
-    ctx.model.add_constraint({x_var: 1.0, a: -u}, "<=", 0.0)
+    model.add_constraint({x_var: 1.0, a: -u}, "<=", 0.0)
     return BinDecision(var=a)
 
 
-def encode_switch(ctx: EncodingContext, x_var: int, dec: BinDecision, name: str = "s") -> int:
+def encode_switch(model: MIPModel, x_var: int, dec: BinDecision, name: str = "s") -> int:
     """y = x * a for a shared binary; collapses to y=x or y=0 when fixed."""
-    l, u = ctx.bounds(x_var)
+    l, u = model.lo[x_var], model.hi[x_var]
     if dec.is_fixed:
         if dec.fixed == 1:
-            y = ctx.model.add_var(l, u, name=name)
-            ctx.model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
+            y = model.add_var(l, u, name=name)
+            model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
         else:
-            y = ctx.model.add_var(0.0, 0.0, name=name)
-            ctx.model.add_constraint({y: 1.0}, "=", 0.0)
+            y = model.add_var(0.0, 0.0, name=name)
+            model.add_constraint({y: 1.0}, "=", 0.0)
         return y
     a = dec.var
     lhat, uhat = min(l, 0.0), max(u, 0.0)
-    y = ctx.model.add_var(lhat, uhat, name=name)
+    y = model.add_var(lhat, uhat, name=name)
     # y >= x - u(1-a)   <=>  y - x - u a >= -u
-    ctx.model.add_constraint({y: 1.0, x_var: -1.0, a: -u}, ">=", -u)
+    model.add_constraint({y: 1.0, x_var: -1.0, a: -u}, ">=", -u)
     # y <= x - l(1-a)   <=>  y - x - l a <= -l
-    ctx.model.add_constraint({y: 1.0, x_var: -1.0, a: -l}, "<=", -l)
+    model.add_constraint({y: 1.0, x_var: -1.0, a: -l}, "<=", -l)
     # y >= lhat a ; y <= uhat a
-    ctx.model.add_constraint({y: 1.0, a: -lhat}, ">=", 0.0)
-    ctx.model.add_constraint({y: 1.0, a: -uhat}, "<=", 0.0)
+    model.add_constraint({y: 1.0, a: -lhat}, ">=", 0.0)
+    model.add_constraint({y: 1.0, a: -uhat}, "<=", 0.0)
     return y
 
 
-def encode_switch_const(ctx: EncodingContext, value: float, dec: BinDecision,
+def encode_switch_const(model: MIPModel, value: float, dec: BinDecision,
                         name: str = "s") -> int:
     """Switch applied to a known constant: y = value * a."""
     if dec.is_fixed:
         v = value if dec.fixed == 1 else 0.0
-        return ctx.model.add_var(v, v, name=name)
-    y = ctx.model.add_var(min(value, 0.0), max(value, 0.0), name=name)
-    ctx.model.add_constraint({y: 1.0, dec.var: -value}, "=", 0.0)
+        return model.add_var(v, v, name=name)
+    y = model.add_var(min(value, 0.0), max(value, 0.0), name=name)
+    model.add_constraint({y: 1.0, dec.var: -value}, "=", 0.0)
     return y
 
 
-def encode_abs(ctx: EncodingContext, x_var: int, name: str = "t") -> tuple[int, int | None]:
+def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int | None]:
     """y = |x| via the four-inequality piecewise encoding; returns (y, sign).
 
     The two branch systems y = x (a=0) and y = -x (a=1) are glued with
@@ -293,51 +296,51 @@ def encode_abs(ctx: EncodingContext, x_var: int, name: str = "t") -> tuple[int, 
     branch, so the feasible set is exactly the graph of |.| (a free at 0).
     A sign fixed by the bounds degenerates to a single equality, no binary.
     """
-    l, u = ctx.bounds(x_var)
+    l, u = model.lo[x_var], model.hi[x_var]
     if l >= 0:
-        y = ctx.model.add_var(l, u, name=name)
-        ctx.model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
+        y = model.add_var(l, u, name=name)
+        model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
         return y, None
     if u <= 0:
-        y = ctx.model.add_var(-u, -l, name=name)
-        ctx.model.add_constraint({y: 1.0, x_var: 1.0}, "=", 0.0)
+        y = model.add_var(-u, -l, name=name)
+        model.add_constraint({y: 1.0, x_var: 1.0}, "=", 0.0)
         return y, None
-    a = ctx.model.add_binary(f"{name}_sign")
-    y = ctx.model.add_var(0.0, max(-l, u), name=name)
+    a = model.add_binary(f"{name}_sign")
+    y = model.add_var(0.0, max(-l, u), name=name)
     # y >= x - 2u a ; y <= x - 2l a ; y >= -x + 2l(1-a) ; y <= -x + 2u(1-a)
-    ctx.model.add_constraint({y: 1.0, x_var: -1.0, a: 2 * u}, ">=", 0.0)
-    ctx.model.add_constraint({y: 1.0, x_var: -1.0, a: 2 * l}, "<=", 0.0)
-    ctx.model.add_constraint({y: 1.0, x_var: 1.0, a: 2 * l}, ">=", 2 * l)
-    ctx.model.add_constraint({y: 1.0, x_var: 1.0, a: 2 * u}, "<=", 2 * u)
+    model.add_constraint({y: 1.0, x_var: -1.0, a: 2 * u}, ">=", 0.0)
+    model.add_constraint({y: 1.0, x_var: -1.0, a: 2 * l}, "<=", 0.0)
+    model.add_constraint({y: 1.0, x_var: 1.0, a: 2 * l}, ">=", 2 * l)
+    model.add_constraint({y: 1.0, x_var: 1.0, a: 2 * u}, "<=", 2 * u)
     return y, a
 
 
-def _encode_relu_expr(ctx: EncodingContext, coefs: dict[int, float], const: float,
+def _encode_relu_expr(model: MIPModel, coefs: dict[int, float], const: float,
                       l: float, u: float, name: str) -> tuple[int, int | None]:
     """s = relu(expr) for an affine expression with known bounds [l, u]."""
     if l >= 0:
-        s = ctx.model.add_var(l, u, name=name)
+        s = model.add_var(l, u, name=name)
         row = {s: 1.0}
         for v, c in coefs.items():
             row[v] = row.get(v, 0.0) - c
-        ctx.model.add_constraint(row, "=", const)
+        model.add_constraint(row, "=", const)
         return s, None
     if u <= 0:
-        return ctx.model.add_var(0.0, 0.0, name=name), None
-    a = ctx.model.add_binary(f"{name}_on")
-    s = ctx.model.add_var(0.0, u, name=name)
+        return model.add_var(0.0, 0.0, name=name), None
+    a = model.add_binary(f"{name}_on")
+    s = model.add_var(0.0, u, name=name)
     row = {s: 1.0}
     for v, c in coefs.items():
         row[v] = row.get(v, 0.0) - c
-    ctx.model.add_constraint(dict(row), ">=", const)  # s >= expr
+    model.add_constraint(dict(row), ">=", const)  # s >= expr
     row_up = dict(row)
     row_up[a] = row_up.get(a, 0.0) - l
-    ctx.model.add_constraint(row_up, "<=", const - l)  # s <= expr - l(1-a)
-    ctx.model.add_constraint({s: 1.0, a: -u}, "<=", 0.0)  # s <= u a
+    model.add_constraint(row_up, "<=", const - l)  # s <= expr - l(1-a)
+    model.add_constraint({s: 1.0, a: -u}, "<=", 0.0)  # s <= u a
     return s, a
 
 
-def encode_max(ctx: EncodingContext, x_vars, name: str = "mx"):
+def encode_max(model: MIPModel, x_vars, name: str = "mx"):
     """t = max(x_1..x_k) via pairwise folds max(x, y) = x + relu(y - x).
 
     Returns (t_var, fold_steps) where fold_steps lists
@@ -349,41 +352,48 @@ def encode_max(ctx: EncodingContext, x_vars, name: str = "mx"):
     cur = x_vars[0]
     steps = []
     for step, nxt in enumerate(x_vars[1:]):
-        lc, uc = ctx.bounds(cur)
-        ln, un = ctx.bounds(nxt)
+        lc, uc = model.lo[cur], model.hi[cur]
+        ln, un = model.lo[nxt], model.hi[nxt]
         s, a = _encode_relu_expr(
-            ctx, {nxt: 1.0, cur: -1.0}, 0.0, ln - uc, un - lc, f"{name}_r{step}"
+            model, {nxt: 1.0, cur: -1.0}, 0.0, ln - uc, un - lc, f"{name}_r{step}"
         )
-        t = ctx.model.add_var(max(lc, ln), max(uc, un), name=f"{name}{step}")
-        ctx.model.add_constraint({t: 1.0, cur: -1.0, s: -1.0}, "=", 0.0)
+        t = model.add_var(max(lc, ln), max(uc, un), name=f"{name}{step}")
+        model.add_constraint({t: 1.0, cur: -1.0, s: -1.0}, "=", 0.0)
         steps.append((nxt, s, a, t))
         cur = t
     return cur, steps
 
 
-def encode_cross_norm_ball(ctx: EncodingContext, m: int, name: str = "z"):
+def _encode_split(model: MIPModel, m: int, name: str):
+    """Variables z = z+ - z- with z+, z- in [0, 1]^m and z in [-1, 1]^m;
+    the caller adds the rows that shape the ball.  Returns (z, z+, z-)."""
+    zp = [model.add_var(0.0, 1.0, name=f"{name}p{i}") for i in range(m)]
+    zn = [model.add_var(0.0, 1.0, name=f"{name}n{i}") for i in range(m)]
+    z = []
+    for i in range(m):
+        zi = model.add_var(-1.0, 1.0, name=f"{name}{i}")
+        model.add_constraint({zi: 1.0, zp[i]: -1.0, zn[i]: 1.0}, "=", 0.0)
+        z.append(zi)
+    return z, zp, zn
+
+
+def encode_cross_norm_ball(model: MIPModel, m: int, name: str = "z"):
     """z ranging over the polytope hull of {e_i} and {e_i - e_j}.
 
     Split z = z+ - z- with z+, z- >= 0, sum z+ <= 1, sum z- <= 1 and
     sum z+ >= sum z-.  Returns (z_vars, pos_vars, neg_vars).
     """
-    zp = [ctx.model.add_var(0.0, 1.0, name=f"{name}p{i}") for i in range(m)]
-    zn = [ctx.model.add_var(0.0, 1.0, name=f"{name}n{i}") for i in range(m)]
-    z = []
-    for i in range(m):
-        zi = ctx.model.add_var(-1.0, 1.0, name=f"{name}{i}")
-        ctx.model.add_constraint({zi: 1.0, zp[i]: -1.0, zn[i]: 1.0}, "=", 0.0)
-        z.append(zi)
-    ctx.model.add_constraint({v: 1.0 for v in zp}, "<=", 1.0)
-    ctx.model.add_constraint({v: 1.0 for v in zn}, "<=", 1.0)
+    z, zp, zn = _encode_split(model, m, name)
+    model.add_constraint({v: 1.0 for v in zp}, "<=", 1.0)
+    model.add_constraint({v: 1.0 for v in zn}, "<=", 1.0)
     row = {v: 1.0 for v in zp}
     for v in zn:
         row[v] = -1.0
-    ctx.model.add_constraint(row, ">=", 0.0)
+    model.add_constraint(row, ">=", 0.0)
     return z, zp, zn
 
 
-def encode_dual_ball(ctx: EncodingContext, m: int, output_norm: str):
+def encode_dual_ball(model: MIPModel, m: int, output_norm: str):
     """Variables z with ||z||_{beta*} <= 1 for a linear output norm beta.
 
     Returns (z_vars, pos_vars, neg_vars); the split lists are empty for the
@@ -391,66 +401,121 @@ def encode_dual_ball(ctx: EncodingContext, m: int, output_norm: str):
     """
     if output_norm == "l1":
         # dual ball of l1 is the linf box: plain variable bounds suffice
-        return [ctx.model.add_var(-1.0, 1.0, name=f"z{i}") for i in range(m)], [], []
+        return [model.add_var(-1.0, 1.0, name=f"z{i}") for i in range(m)], [], []
     if output_norm == "linf":
-        # dual ball of linf is the l1 ball: positive/negative split
-        zp = [ctx.model.add_var(0.0, 1.0, name=f"zp{i}") for i in range(m)]
-        zn = [ctx.model.add_var(0.0, 1.0, name=f"zn{i}") for i in range(m)]
-        z = []
-        for i in range(m):
-            zi = ctx.model.add_var(-1.0, 1.0, name=f"z{i}")
-            ctx.model.add_constraint({zi: 1.0, zp[i]: -1.0, zn[i]: 1.0}, "=", 0.0)
-            z.append(zi)
+        # dual ball of linf is the l1 ball: sum z+ + sum z- <= 1
+        z, zp, zn = _encode_split(model, m, "z")
         row = {v: 1.0 for v in zp}
         row.update({v: 1.0 for v in zn})
-        ctx.model.add_constraint(row, "<=", 1.0)
+        model.add_constraint(row, "<=", 1.0)
         return z, zp, zn
     if output_norm == "cross":
-        return encode_cross_norm_ball(ctx, m)
+        return encode_cross_norm_ball(model, m)
     raise ModelError(f"unsupported output norm {output_norm!r}")
 
 
 # -- whole-model construction --------------------------------------------------
 
 
+def _ids(vars_) -> np.ndarray:
+    return np.array(vars_, dtype=np.intp)
+
+
 @dataclass
 class LipMIPProblem:
-    """A built model plus everything the solver needs to interpret it."""
+    """A built model plus the layout of its variables.
+
+    Every id field holds model variable ids.  The per-neuron blocks are lists
+    indexed by hidden layer i, each an int array with one entry per neuron:
+    ``pre_vars`` (pre-activations), ``neuron_bins`` (the binary shared by the
+    neuron's forward and backward switch, -1 where interval analysis fixed
+    the sign at build time), ``fwd_switch_vars`` (post-activations),
+    ``bwd_value_vars`` (backward values entering the layer's switch; empty
+    for the last layer of a scalar network, whose backward seed is the
+    constant head row) and ``bwd_switch_vars``.  ``abs_sign_vars`` also uses
+    -1 for a sign fixed at build time.  Together with the relu, binary and
+    fold ids of ``max_fold_steps`` these blocks partition the model's
+    variables; the order in which they were declared is given in the module
+    docstring and is load-bearing for search determinism.
+    """
 
     model: MIPModel
     net: ReLUNetwork
     domain: interval.Hyperbox
     alpha: str
     output_norm: str | None
-    input_vars: list[int]
-    z_ball_vars: list[int]
-    z_pos_vars: list[int]
-    z_neg_vars: list[int]
-    grad_vars: list[int]
-    abs_vars: list[int]
-    abs_sign_vars: list[int | None]
-    max_fold_steps: list
-    binary_map: dict[int, tuple[int, int]]  # binary var -> (layer, neuron)
-    pre_vars: list[list[int]]
-    fwd_switch_vars: list[list[int]]
-    bwd_value_vars: list[list[int]]  # per layer, the backward switch inputs
-    bwd_switch_vars: list[list[int]]
-    fixed_on: list[np.ndarray] = field(default_factory=list)  # bounds-fixed ON neurons
+    input_vars: np.ndarray
+    z_ball_vars: np.ndarray
+    z_pos_vars: np.ndarray
+    z_neg_vars: np.ndarray
+    grad_vars: np.ndarray
+    abs_vars: np.ndarray
+    abs_sign_vars: np.ndarray
+    max_fold_steps: list  # (next_var, relu_var, relu_binary | None, fold_var) per fold
+    pre_vars: list[np.ndarray]
+    neuron_bins: list[np.ndarray]
+    fwd_switch_vars: list[np.ndarray]
+    bwd_value_vars: list[np.ndarray]
+    bwd_switch_vars: list[np.ndarray]
+
+    @cached_property
+    def binary_map(self) -> dict[int, tuple[int, int]]:
+        """Neuron binary variable -> (layer, neuron), in variable order."""
+        return {
+            int(v): (i, j)
+            for i, bins in enumerate(self.neuron_bins)
+            for j, v in enumerate(bins)
+            if v >= 0
+        }
+
+    def propagation_bounds(self, prop: interval.PropagationResult):
+        """Per-variable (lo, hi) arrays bounding each network quantity by its box.
+
+        Pre-activations take their box, cut at 0 on the side their ON/OFF
+        state excludes; switches take the switch image of their input box;
+        absolute values take the image of the gradient box.  Variables no
+        box describes (inputs, binaries, dual ball, max folds) get -inf/+inf.
+        On a point input the result is the point's own value at every bounded
+        variable.
+        """
+        lo = np.full(self.model.num_vars, -np.inf)
+        hi = np.full(self.model.num_vars, np.inf)
+
+        def put(ids, box):
+            lo[ids] = box.l
+            hi[ids] = box.u
+
+        d = self.net.depth
+        for i in range(d):
+            zbox = prop.pre_activation_boxes[i]
+            states = prop.activation_boolboxes[i]
+            lo[self.pre_vars[i]] = np.where(states.v == ON, np.maximum(zbox.l, 0.0), zbox.l)
+            hi[self.pre_vars[i]] = np.where(states.v == OFF, np.minimum(zbox.u, 0.0), zbox.u)
+            put(self.fwd_switch_vars[i], interval.push_switch(zbox, states))
+            # backward_boxes[k] bounds the backward value entering layer d-1-k
+            vbox = prop.backward_boxes[d - 1 - i]
+            if self.bwd_value_vars[i].size:
+                put(self.bwd_value_vars[i], vbox)
+            put(self.bwd_switch_vars[i], interval.push_switch(vbox, states))
+        gbox = prop.gradient_box
+        put(self.grad_vars, gbox)
+        gl, gu = np.abs(gbox.l), np.abs(gbox.u)
+        lo[self.abs_vars] = np.where((gbox.l <= 0) & (gbox.u >= 0), 0.0, np.minimum(gl, gu))
+        hi[self.abs_vars] = np.maximum(gl, gu)
+        return lo, hi
 
     def tightened_bounds(self, fixes: dict[int, int]):
         """Variable bounds implied by forcing the given binaries.
 
-        Re-runs interval propagation with the corresponding neurons pinned
-        and maps the fresh boxes onto the model variables.  Returns
-        (lo, hi, fixed_binaries) or None when the fixes contradict the
-        interval analysis outright.
+        Re-runs interval propagation over the domain with the corresponding
+        neurons pinned and intersects the fresh boxes with the model bounds.
+        Returns (lo, hi, fixed_binaries) or None when the fixes contradict
+        the interval analysis outright.
         """
         forced = {
             self.binary_map[v]: val for v, val in fixes.items() if v in self.binary_map
         }
-        seed = None
-        if self.output_norm is not None:
-            seed = interval.head_seed_box(self.net, self.output_norm)
+        seed = interval.head_seed_box(self.net, self.output_norm)
         prop = interval.propagate(self.net, self.domain, backward_seed=seed, forced=forced)
         for (layer, idx), val in forced.items():
             zbox = prop.pre_activation_boxes[layer]
@@ -458,50 +523,14 @@ class LipMIPProblem:
                 return None
             if val == 0 and zbox.l[idx] > 0:
                 return None
-        lo = np.array(self.model.lo)
-        hi = np.array(self.model.hi)
-
-        def clamp(var, lov, hiv):
-            lo[var] = max(lo[var], lov)
-            hi[var] = min(hi[var], hiv)
-
-        d = self.net.depth
-        for i in range(d):
-            zbox = prop.pre_activation_boxes[i]
-            sbox = interval.push_switch(zbox, prop.activation_boolboxes[i])
-            for j, v in enumerate(self.pre_vars[i]):
-                lov, hiv = zbox.l[j], zbox.u[j]
-                if forced.get((i, j)) == 1:
-                    lov = max(lov, 0.0)
-                elif forced.get((i, j)) == 0:
-                    hiv = min(hiv, 0.0)
-                clamp(v, lov, hiv)
-            for j, v in enumerate(self.fwd_switch_vars[i]):
-                clamp(v, sbox.l[j], sbox.u[j])
-        # backward_boxes[k] bounds the backward value entering layer d-1-k
-        for k in range(d):
-            layer = d - 1 - k
-            vbox = prop.backward_boxes[k]
-            sbox = interval.push_switch(vbox, prop.activation_boolboxes[layer])
-            for j, v in enumerate(self.bwd_value_vars[layer]):
-                clamp(v, vbox.l[j], vbox.u[j])
-            for j, v in enumerate(self.bwd_switch_vars[layer]):
-                clamp(v, sbox.l[j], sbox.u[j])
-        gbox = prop.gradient_box
-        for j, v in enumerate(self.grad_vars):
-            clamp(v, gbox.l[j], gbox.u[j])
-        for j, v in enumerate(self.abs_vars):
-            gl, gu = gbox.l[j], gbox.u[j]
-            lov = 0.0 if gl <= 0 <= gu else min(abs(gl), abs(gu))
-            clamp(v, lov, max(abs(gl), abs(gu)))
+        box_lo, box_hi = self.propagation_bounds(prop)
+        lo = np.maximum(box_lo, self.model.lo)
+        hi = np.minimum(box_hi, self.model.hi)
         fixed_bins = {}
-        for bvar, (layer, idx) in self.binary_map.items():
-            state = prop.activation_boolboxes[layer].v[idx]
-            if state != interval.UNKNOWN:
-                fixed_bins[bvar] = int(state)
-        for v, val in fixes.items():
-            lo[v] = hi[v] = float(val)
-        for v, val in fixed_bins.items():
+        for bins, states in zip(self.neuron_bins, prop.activation_boolboxes):
+            known = (bins >= 0) & (states.v != interval.UNKNOWN)
+            fixed_bins.update(zip(bins[known].tolist(), states.v[known].tolist()))
+        for v, val in (fixes | fixed_bins).items():
             lo[v] = hi[v] = float(val)
         if np.any(lo > hi + 1e-9):
             return None
@@ -518,40 +547,27 @@ class LipMIPProblem:
         its dual norm is an attainable objective value.
         """
         net = self.net
+        model_lo = np.asarray(self.model.lo)
         mults = []
-        for i in range(net.depth):
-            lam = np.zeros(net.layer_sizes[i])
-            mults.append(lam)
-        for bvar, (i, j) in self.binary_map.items():
-            mults[i][j] = 1.0 if point[bvar] >= 0.5 else 0.0
-        for i in range(net.depth):
-            mults[i][self.fixed_on[i]] = 1.0
+        for pre, bins in zip(self.pre_vars, self.neuron_bins):
+            on = model_lo[pre] > 0  # neurons fixed ON at build time
+            free = bins >= 0
+            on[free] = point[bins[free]] >= 0.5
+            mults.append(on.astype(float))
         # witness LP: layer-by-layer affine maps under the proposed pattern
         rows, rhs = [], []
-        m = net.weights[0]
-        v = net.biases[0]
-        for i in range(net.depth):
-            signs = 2.0 * mults[i] - 1.0  # +1 on, -1 off
+        m, v = net.weights[0], net.biases[0]
+        for i, lam in enumerate(mults):
+            signs = 2.0 * lam - 1.0  # +1 on, -1 off
             rows.extend(signs.reshape(-1, 1) * m)
             rhs.extend(signs * -v)
             if i + 1 < net.depth:
-                m = net.weights[i + 1] @ (mults[i].reshape(-1, 1) * m)
-                v = net.weights[i + 1] @ (mults[i] * v) + net.biases[i + 1]
-        prob = lp.LPProblem(
-            objective=np.zeros(net.input_dim),
-            a=np.array(rows),
-            relations=tuple(">=" for _ in rows),
-            rhs=np.array(rhs),
-            lo=self.domain.l,
-            hi=self.domain.u,
-        )
-        sol = lp.solve_lp(prob)
-        if sol.status != lp.OPTIMAL:
+                m, v = next_layer_affine(net, i, lam, m, v)
+        x = lp.box_witness(rows, rhs, self.domain.l, self.domain.u)
+        if x is None:
             return None
-        from .network import jacobian_from_multipliers
-
         jac = jacobian_from_multipliers(net, mults)
-        return norms.operator_dual_value(jac, self.alpha, self.output_norm), sol.x
+        return norms.operator_dual_value(jac, self.alpha, self.output_norm), x
 
     def incumbent_from_point(self, point) -> tuple[float, np.ndarray]:
         """Exact objective of the chain-rule Jacobian at the LP point's x part.
@@ -560,13 +576,11 @@ class LipMIPProblem:
         yields a genuinely attainable gradient value, hence a certified lower
         bound for the maximization.
         """
-        x = np.array([point[v] for v in self.input_vars])
-        x = np.minimum(np.maximum(x, self.domain.l), self.domain.u)
+        x = np.minimum(np.maximum(point[self.input_vars], self.domain.l), self.domain.u)
         jac = chain_rule_jacobian(self.net, x, ALWAYS_ZERO)
         if self.output_norm is None:
             return norms.dual_vec_norm(jac[0], self.alpha), x
-        z = np.array([point[v] for v in self.z_ball_vars])
-        z = norms.project_to_dual_ball(z, self.output_norm)
+        z = norms.project_to_dual_ball(point[self.z_ball_vars], self.output_norm)
         return norms.dual_vec_norm(jac.T @ z, self.alpha), x
 
 
@@ -591,8 +605,7 @@ def build_lipmip_model(
         raise ModelError("domain dimension does not match the network")
     if output_norm is None and net.output_dim != 1:
         raise ModelError("multi-output network needs an output norm")
-    ctx = EncodingContext()
-    model = ctx.model
+    model = MIPModel()
 
     input_vars = [
         model.add_var(domain.l[j], domain.u[j], name=f"x{j}") for j in range(domain.dim)
@@ -602,28 +615,20 @@ def build_lipmip_model(
 
     d = net.depth
     decisions: list[list[BinDecision]] = []
-    binary_map: dict[int, tuple[int, int]] = {}
     pre_vars: list[list[int]] = []
     fwd_switch_vars: list[list[int]] = []
-    fixed_on: list[np.ndarray] = []
     cur = input_vars
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z_vars = encode_affine(ctx, cur, w, b, prefix=f"z{i}_")
+        z_vars = encode_affine(model, cur, w, b, prefix=f"z{i}_")
         layer_dec = []
         s_vars = []
-        on_mask = np.zeros(len(z_vars), dtype=bool)
         for j, zv in enumerate(z_vars):
-            dec = encode_conditional(ctx, zv, name=f"a{i}_{j}")
-            if not dec.is_fixed:
-                binary_map[dec.var] = (i, j)
-            elif dec.fixed == 1:
-                on_mask[j] = True
+            dec = encode_conditional(model, zv, name=f"a{i}_{j}")
             layer_dec.append(dec)
-            s_vars.append(encode_switch(ctx, zv, dec, name=f"p{i}_{j}"))
+            s_vars.append(encode_switch(model, zv, dec, name=f"p{i}_{j}"))
         decisions.append(layer_dec)
         pre_vars.append(z_vars)
         fwd_switch_vars.append(s_vars)
-        fixed_on.append(on_mask)
         cur = s_vars
 
     # backward pass; reuses each neuron's binary in its switch
@@ -635,40 +640,40 @@ def build_lipmip_model(
     if output_norm is None:
         head_row = net.head[0]
         sw = [
-            encode_switch_const(ctx, float(head_row[j]), decisions[d - 1][j],
+            encode_switch_const(model, float(head_row[j]), decisions[d - 1][j],
                                 name=f"q{d-1}_{j}")
             for j in range(len(head_row))
         ]
     else:
-        z_ball_vars, z_pos, z_neg = encode_dual_ball(ctx, net.output_dim, output_norm)
-        v_vars = encode_affine(ctx, z_ball_vars, net.head.T, prefix=f"y{d-1}_")
+        z_ball_vars, z_pos, z_neg = encode_dual_ball(model, net.output_dim, output_norm)
+        v_vars = encode_affine(model, z_ball_vars, net.head.T, prefix=f"y{d-1}_")
         bwd_value_vars[d - 1] = v_vars
         sw = [
-            encode_switch(ctx, v, decisions[d - 1][j], name=f"q{d-1}_{j}")
+            encode_switch(model, v, decisions[d - 1][j], name=f"q{d-1}_{j}")
             for j, v in enumerate(v_vars)
         ]
     bwd_switch_vars[d - 1] = sw
     for i in range(d - 1, 0, -1):
-        v_vars = encode_affine(ctx, sw, net.weights[i].T, prefix=f"y{i-1}_")
+        v_vars = encode_affine(model, sw, net.weights[i].T, prefix=f"y{i-1}_")
         bwd_value_vars[i - 1] = v_vars
         sw = [
-            encode_switch(ctx, v, decisions[i - 1][j], name=f"q{i-1}_{j}")
+            encode_switch(model, v, decisions[i - 1][j], name=f"q{i-1}_{j}")
             for j, v in enumerate(v_vars)
         ]
         bwd_switch_vars[i - 1] = sw
-    grad_vars = encode_affine(ctx, sw, net.weights[0].T, prefix="g")
+    grad_vars = encode_affine(model, sw, net.weights[0].T, prefix="g")
 
     abs_vars: list[int] = []
-    abs_signs: list[int | None] = []
+    abs_signs: list[int] = []
     for j, g in enumerate(grad_vars):
-        y, sign = encode_abs(ctx, g, name=f"ag{j}")
+        y, sign = encode_abs(model, g, name=f"ag{j}")
         abs_vars.append(y)
-        abs_signs.append(sign)
+        abs_signs.append(-1 if sign is None else sign)
     fold_steps = []
     if alpha == "linf":
         model.set_objective({v: 1.0 for v in abs_vars})
     else:
-        t, fold_steps = encode_max(ctx, abs_vars, name="gmax")
+        t, fold_steps = encode_max(model, abs_vars, name="gmax")
         model.set_objective({t: 1.0})
 
     return LipMIPProblem(
@@ -677,26 +682,22 @@ def build_lipmip_model(
         domain=domain,
         alpha=alpha,
         output_norm=output_norm,
-        input_vars=input_vars,
-        z_ball_vars=z_ball_vars,
-        z_pos_vars=z_pos,
-        z_neg_vars=z_neg,
-        grad_vars=grad_vars,
-        abs_vars=abs_vars,
-        abs_sign_vars=abs_signs,
+        input_vars=_ids(input_vars),
+        z_ball_vars=_ids(z_ball_vars),
+        z_pos_vars=_ids(z_pos),
+        z_neg_vars=_ids(z_neg),
+        grad_vars=_ids(grad_vars),
+        abs_vars=_ids(abs_vars),
+        abs_sign_vars=_ids(abs_signs),
         max_fold_steps=fold_steps,
-        binary_map=binary_map,
-        pre_vars=pre_vars,
-        fwd_switch_vars=fwd_switch_vars,
-        bwd_value_vars=bwd_value_vars,
-        bwd_switch_vars=bwd_switch_vars,
-        fixed_on=fixed_on,
+        pre_vars=[_ids(vs) for vs in pre_vars],
+        neuron_bins=[
+            _ids([-1 if dec.is_fixed else dec.var for dec in layer]) for layer in decisions
+        ],
+        fwd_switch_vars=[_ids(vs) for vs in fwd_switch_vars],
+        bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
+        bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],
     )
-
-
-def lp_relaxation(model: MIPModel) -> MIPModel:
-    """Every binary re-typed continuous in [0, 1]."""
-    return model.lp_relaxation()
 
 
 def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
@@ -706,65 +707,36 @@ def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
     Used to validate the feasible set: the returned point must satisfy every
     model constraint, and the model objective at it must equal the dual norm
     of the corresponding chain-rule Jacobian (contracted with z when vector
-    valued).
+    valued).  The values come from interval propagation over the point box
+    {x}, with tied neurons forced by ``rule``; they are never clamped to the
+    model bounds.
     """
     net = problem.net
-    model = problem.model
-    point = np.zeros(model.num_vars)
     x = np.asarray(x, dtype=float).reshape(-1)
-    for j, v in enumerate(problem.input_vars):
-        point[v] = x[j]
     pattern = pattern_at(net, x, tie_tol=0.0)
-    mults = []
-    for i, lay in enumerate(pattern.layers):
-        lam = np.zeros(lay.shape[0])
-        for j in range(lay.shape[0]):
-            if lay[j] == 1:
-                lam[j] = 1.0
-            elif lay[j] == -1:
-                lam[j] = rule.value_at(i, j)
-        mults.append(lam)
-    zs = preactivations(net, x)
-    for i in range(net.depth):
-        for j, v in enumerate(problem.pre_vars[i]):
-            point[v] = zs[i][j]
-        for j, v in enumerate(problem.fwd_switch_vars[i]):
-            point[v] = zs[i][j] * mults[i][j]
-    for bvar, (i, j) in problem.binary_map.items():
-        point[bvar] = mults[i][j]
-    d = net.depth
-    if problem.output_norm is None:
-        y = net.head[0].astype(float).copy()
-    else:
+    mults = pattern_multipliers(pattern, rule)
+    forced = {(i, j): int(mults[i][j]) for i, j in pattern.tie_positions()}
+    seed = None
+    if problem.output_norm is not None:
         if z is None:
             raise ValueError("vector-valued assignment needs a dual vector z")
         z = np.asarray(z, dtype=float).reshape(-1)
-        for j, v in enumerate(problem.z_ball_vars):
-            point[v] = z[j]
-        for j, v in enumerate(problem.z_pos_vars):
-            point[v] = max(z[j], 0.0)
-        for j, v in enumerate(problem.z_neg_vars):
-            point[v] = max(-z[j], 0.0)
-        y = net.head.T @ z
-        for j, v in enumerate(problem.bwd_value_vars[d - 1]):
-            point[v] = y[j]
-    sw = y * mults[d - 1]
-    for j, v in enumerate(problem.bwd_switch_vars[d - 1]):
-        point[v] = sw[j]
-    for i in range(d - 1, 0, -1):
-        y = net.weights[i].T @ sw
-        for j, v in enumerate(problem.bwd_value_vars[i - 1]):
-            point[v] = y[j]
-        sw = y * mults[i - 1]
-        for j, v in enumerate(problem.bwd_switch_vars[i - 1]):
-            point[v] = sw[j]
-    g = net.weights[0].T @ sw
-    for j, v in enumerate(problem.grad_vars):
-        point[v] = g[j]
-    for j, (v, sign) in enumerate(zip(problem.abs_vars, problem.abs_sign_vars)):
-        point[v] = abs(g[j])
-        if sign is not None:
-            point[sign] = 1.0 if g[j] < 0 else 0.0
+        seed = interval.Hyperbox.point(net.head.T @ z)
+    prop = interval.propagate(net, interval.Hyperbox.point(x), backward_seed=seed,
+                              forced=forced)
+    point, _ = problem.propagation_bounds(prop)  # lo == hi on a point box
+    point[problem.input_vars] = x
+    for bins, lam in zip(problem.neuron_bins, mults):
+        free = bins >= 0
+        point[bins[free]] = lam[free]
+    if problem.output_norm is not None:
+        point[problem.z_ball_vars] = z
+        if problem.z_pos_vars.size:
+            point[problem.z_pos_vars] = np.maximum(z, 0.0)
+            point[problem.z_neg_vars] = np.maximum(-z, 0.0)
+    g = point[problem.grad_vars]
+    signed = problem.abs_sign_vars >= 0
+    point[problem.abs_sign_vars[signed]] = (g[signed] < 0).astype(float)
     cur = abs(g[0]) if len(g) else 0.0
     for (nxt_var, relu_var, relu_bin, fold_var) in problem.max_fold_steps:
         nxt = point[nxt_var]

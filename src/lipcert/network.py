@@ -202,7 +202,8 @@ def pattern_at(net: ReLUNetwork, x, tie_tol: float = DEFAULT_TIE_TOL) -> Activat
     return ActivationPattern(tuple(layers))
 
 
-def _multipliers(pattern: ActivationPattern, rule: ZeroRule) -> list[np.ndarray]:
+def pattern_multipliers(pattern: ActivationPattern, rule: ZeroRule) -> list[np.ndarray]:
+    """sigma' per neuron, layer by layer: 1 ON, 0 OFF, ``rule`` at ties."""
     if rule.kind == "per_neuron":
         covered = {k for k, _ in rule.assignment}
         ties = set(pattern.tie_positions())
@@ -229,7 +230,7 @@ def chain_rule_jacobian(net: ReLUNetwork, x, rule: ZeroRule = ALWAYS_ZERO) -> np
     diagonal mask with the layer transposes.
     """
     pattern = pattern_at(net, x, tie_tol=0.0)
-    return jacobian_from_multipliers(net, _multipliers(pattern, rule))
+    return jacobian_from_multipliers(net, pattern_multipliers(pattern, rule))
 
 
 def jacobian_from_multipliers(net: ReLUNetwork, multipliers) -> np.ndarray:
@@ -240,11 +241,11 @@ def jacobian_from_multipliers(net: ReLUNetwork, multipliers) -> np.ndarray:
     return y.T
 
 
-def region_jacobian(net: ReLUNetwork, pattern: ActivationPattern) -> np.ndarray:
-    """Jacobian of the linear region given by an ON/OFF pattern (TIEs -> OFF)."""
-    return jacobian_from_multipliers(
-        net, [(lay == ON).astype(float) for lay in pattern.layers]
-    )
+def next_layer_affine(net: ReLUNetwork, layer: int, lam, m, v):
+    """Pre-activations of layer ``layer + 1`` as an affine map ``M x + V`` of
+    the input, given layer ``layer``'s map ``m x + v`` and its sigma' vector."""
+    w = net.weights[layer + 1]
+    return w @ (lam.reshape(-1, 1) * m), w @ (lam * v) + net.biases[layer + 1]
 
 
 def random_he(arch, seed: int) -> ReLUNetwork:

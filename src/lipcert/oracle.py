@@ -9,8 +9,9 @@ once the signs of earlier layers are fixed, every pre-activation of the next
 layer is affine in the input, so each partial sign assignment is an LP
 feasibility question and infeasible prefixes prune whole subtrees.
 
-This path shares nothing with the MIP pipeline -- no interval analysis, no
-big-M encodings -- which is what makes it a meaningful cross-check.
+This path shares no interval analysis and no big-M encoding with the MIP
+pipeline (only the LP solver and the per-pattern affine maps), which is what
+makes it a meaningful cross-check.
 
 Deliberately capped: the region count is exponential in neurons.  Boundary
 (lower-dimensional) regions are excluded by construction; chain-rule values
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import lp, norms
 from .interval import Hyperbox
-from .network import ReLUNetwork, jacobian_from_multipliers, preactivations
+from .network import ReLUNetwork, jacobian_from_multipliers, next_layer_affine, preactivations
 
 DEFAULT_INTERIOR_EPS = 1e-6
 DEFAULT_NEURON_CAP = 24
@@ -68,25 +69,9 @@ def enumerate_regions(
         )
     if domain.dim != net.input_dim:
         raise ValueError("domain dimension does not match the network")
-    n0 = net.input_dim
     # running LP: box bounds plus one >= row per decided neuron
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-
-    def feasible_point(extra_row=None, extra_rhs=None):
-        all_rows = rows if extra_row is None else rows + [extra_row]
-        all_rhs = rhs if extra_row is None else rhs + [extra_rhs]
-        a = np.array(all_rows) if all_rows else np.zeros((0, n0))
-        prob = lp.LPProblem(
-            objective=np.zeros(n0),
-            a=a,
-            relations=tuple(">=" for _ in all_rows),
-            rhs=np.array(all_rhs),
-            lo=domain.l,
-            hi=domain.u,
-        )
-        sol = lp.solve_lp(prob)
-        return sol.x if sol.status == lp.OPTIMAL else None
 
     # flattened neuron order: layer by layer
     sizes = net.layer_sizes
@@ -111,7 +96,9 @@ def enumerate_regions(
             if witness is not None and extra_row @ witness >= extra_rhs:
                 new_witness = witness
             else:
-                new_witness = feasible_point(extra_row, extra_rhs)
+                new_witness = lp.box_witness(
+                    rows + [extra_row], rhs + [extra_rhs], domain.l, domain.u
+                )
                 if new_witness is None:
                     continue
             rows.append(extra_row)
@@ -122,8 +109,7 @@ def enumerate_regions(
                     yield from recurse(d, 0, None, None, signs_so_far, new_witness)
                 else:
                     signs = signs_so_far[layer].astype(float)
-                    nm = net.weights[layer + 1] @ (signs.reshape(-1, 1) * m)
-                    nv = net.weights[layer + 1] @ (signs * v) + net.biases[layer + 1]
+                    nm, nv = next_layer_affine(net, layer, signs, m, v)
                     yield from recurse(layer + 1, 0, nm, nv, signs_so_far, new_witness)
             else:
                 yield from recurse(layer, idx + 1, m, v, signs_so_far, new_witness)
@@ -134,7 +120,7 @@ def enumerate_regions(
     signs0 = [np.zeros(s, dtype=np.int8) for s in sizes]
     m0 = net.weights[0].copy()
     v0 = net.biases[0].copy()
-    root_witness = feasible_point(None, None)
+    root_witness = lp.box_witness(rows, rhs, domain.l, domain.u)
     yield from recurse(0, 0, m0, v0, signs0, root_witness)
 
 

@@ -72,6 +72,15 @@ def test_estimate_unknown_method_lists_names():
         estimate(net, Hyperbox([-1.0], [1.0]), "linf", "clever")
 
 
+@pytest.mark.parametrize("method", estimators.METHODS)
+def test_estimate_rejects_multi_output_network(method):
+    # every method used to read output 0 only, or failed deep inside the solver
+    net = random_he((3, 4, 2), 0)
+    box = Hyperbox.from_center_radius(np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="lipmip_vector"):
+        estimate(net, box, "linf", method)
+
+
 def test_estimator_chain_ordering():
     for seed in (0, 1):
         net = random_he([3, 6, 5, 1], seed=seed)

@@ -5,7 +5,6 @@ from lipcert import lp, mip, norms
 from lipcert.interval import Hyperbox
 from lipcert.mip import (
     BinDecision,
-    EncodingContext,
     MIPModel,
     build_lipmip_model,
     encode_abs,
@@ -66,122 +65,122 @@ def value_range(model, var, fixed, tol=1e-9):
 
 
 def test_encode_affine_identity():
-    ctx = EncodingContext()
-    xs = [ctx.model.add_var(-1, 1, name=f"x{i}") for i in range(2)]
-    out = encode_affine(ctx, xs, np.eye(2))
-    assert feasible(ctx.model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.3, out[1]: -0.7})
-    assert not feasible(ctx.model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.4, out[1]: -0.7})
+    model = MIPModel()
+    xs = [model.add_var(-1, 1, name=f"x{i}") for i in range(2)]
+    out = encode_affine(model, xs, np.eye(2))
+    assert feasible(model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.3, out[1]: -0.7})
+    assert not feasible(model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.4, out[1]: -0.7})
 
 
 def test_encode_affine_bounds_by_interval():
-    ctx = EncodingContext()
-    xs = [ctx.model.add_var(0, 1, name=f"x{i}") for i in range(2)]
-    out = encode_affine(ctx, xs, np.array([[1.0, 1.0]]), np.array([-1.0]))
-    assert ctx.model.lo[out[0]] == pytest.approx(-1.0)
-    assert ctx.model.hi[out[0]] == pytest.approx(1.0)
+    model = MIPModel()
+    xs = [model.add_var(0, 1, name=f"x{i}") for i in range(2)]
+    out = encode_affine(model, xs, np.array([[1.0, 1.0]]), np.array([-1.0]))
+    assert model.lo[out[0]] == pytest.approx(-1.0)
+    assert model.hi[out[0]] == pytest.approx(1.0)
 
 
 def test_encode_affine_lp_feasibility_oracle():
     rng = np.random.Generator(np.random.Philox(key=1))
-    ctx = EncodingContext()
-    xs = [ctx.model.add_var(-2, 2, name=f"x{i}") for i in range(3)]
+    model = MIPModel()
+    xs = [model.add_var(-2, 2, name=f"x{i}") for i in range(3)]
     w = rng.normal(size=(2, 3))
     b = rng.normal(size=2)
-    out = encode_affine(ctx, xs, w, b)
+    out = encode_affine(model, xs, w, b)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=3)
         y = w @ x + b
         good = dict(zip(xs, x)) | dict(zip(out, y))
-        assert feasible(ctx.model, good)
+        assert feasible(model, good)
         bad = dict(good)
         bad[out[0]] = y[0] + 1e-3
-        assert not feasible(ctx.model, bad, tol=1e-5)
+        assert not feasible(model, bad, tol=1e-5)
 
 
 # -- conditional ----------------------------------------------------------
 
 
 def test_conditional_fixed_positive():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(1.0, 2.0, name="x")
-    before = ctx.model.num_constraints
-    dec = encode_conditional(ctx, x)
+    model = MIPModel()
+    x = model.add_var(1.0, 2.0, name="x")
+    before = model.num_constraints
+    dec = encode_conditional(model, x)
     assert dec.is_fixed and dec.fixed == 1
-    assert ctx.model.num_constraints == before  # no new rows
+    assert model.num_constraints == before  # no new rows
 
 
 def test_conditional_fixed_negative():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(-2.0, -1.0, name="x")
-    dec = encode_conditional(ctx, x)
+    model = MIPModel()
+    x = model.add_var(-2.0, -1.0, name="x")
+    dec = encode_conditional(model, x)
     assert dec.is_fixed and dec.fixed == 0
 
 
 def test_conditional_free_semantics():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(-1.0, 1.0, name="x")
-    dec = encode_conditional(ctx, x)
+    model = MIPModel()
+    x = model.add_var(-1.0, 1.0, name="x")
+    dec = encode_conditional(model, x)
     a = dec.var
-    assert feasible(ctx.model, {x: 0.5, a: 1})
-    assert not feasible(ctx.model, {x: 0.5, a: 0})
-    assert feasible(ctx.model, {x: 0.0, a: 0})
-    assert feasible(ctx.model, {x: 0.0, a: 1})
-    assert not feasible(ctx.model, {x: -0.5, a: 1})
-    assert feasible(ctx.model, {x: -0.5, a: 0})
+    assert feasible(model, {x: 0.5, a: 1})
+    assert not feasible(model, {x: 0.5, a: 0})
+    assert feasible(model, {x: 0.0, a: 0})
+    assert feasible(model, {x: 0.0, a: 1})
+    assert not feasible(model, {x: -0.5, a: 1})
+    assert feasible(model, {x: -0.5, a: 0})
 
 
 # -- switch ----------------------------------------------------------------
 
 
-def switch_ctx(l, u):
-    ctx = EncodingContext()
-    x = ctx.model.add_var(l, u, name="x")
-    a = ctx.model.add_binary("a")
-    y = encode_switch(ctx, x, BinDecision(var=a), name="y")
-    return ctx, x, a, y
+def switch_model(l, u):
+    model = MIPModel()
+    x = model.add_var(l, u, name="x")
+    a = model.add_binary("a")
+    y = encode_switch(model, x, BinDecision(var=a), name="y")
+    return model, x, a, y
 
 
 def test_switch_free_semantics():
-    ctx, x, a, y = switch_ctx(-2.0, 3.0)
-    assert feasible(ctx.model, {x: 2.0, a: 1, y: 2.0})
-    assert not feasible(ctx.model, {x: 2.0, a: 1, y: 0.0})
-    assert feasible(ctx.model, {x: 2.0, a: 0, y: 0.0})
-    assert not feasible(ctx.model, {x: -1.0, a: 0, y: -1.0})
-    assert feasible(ctx.model, {x: -1.0, a: 0, y: 0.0})
-    assert feasible(ctx.model, {x: -1.0, a: 1, y: -1.0})
+    model, x, a, y = switch_model(-2.0, 3.0)
+    assert feasible(model, {x: 2.0, a: 1, y: 2.0})
+    assert not feasible(model, {x: 2.0, a: 1, y: 0.0})
+    assert feasible(model, {x: 2.0, a: 0, y: 0.0})
+    assert not feasible(model, {x: -1.0, a: 0, y: -1.0})
+    assert feasible(model, {x: -1.0, a: 0, y: 0.0})
+    assert feasible(model, {x: -1.0, a: 1, y: -1.0})
 
 
 def test_switch_fixed_single_equality():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(0.5, 2.0, name="x")
-    n0 = ctx.model.num_constraints
-    y = encode_switch(ctx, x, BinDecision(fixed=1), name="y")
-    assert ctx.model.num_constraints == n0 + 1
-    assert feasible(ctx.model, {x: 1.5, y: 1.5})
-    assert not feasible(ctx.model, {x: 1.5, y: 0.0})
-    y0 = encode_switch(ctx, x, BinDecision(fixed=0), name="y0")
-    assert feasible(ctx.model, {x: 1.5, y: 1.5, y0: 0.0})
+    model = MIPModel()
+    x = model.add_var(0.5, 2.0, name="x")
+    n0 = model.num_constraints
+    y = encode_switch(model, x, BinDecision(fixed=1), name="y")
+    assert model.num_constraints == n0 + 1
+    assert feasible(model, {x: 1.5, y: 1.5})
+    assert not feasible(model, {x: 1.5, y: 0.0})
+    y0 = encode_switch(model, x, BinDecision(fixed=0), name="y0")
+    assert feasible(model, {x: 1.5, y: 1.5, y0: 0.0})
 
 
 # -- abs --------------------------------------------------------------------
 
 
 def test_abs_at_zero_both_branches():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(-1.0, 1.0, name="x")
-    y, a = encode_abs(ctx, x)
-    assert feasible(ctx.model, {x: 0.0, y: 0.0, a: 0})
-    assert feasible(ctx.model, {x: 0.0, y: 0.0, a: 1})
-    assert not feasible(ctx.model, {x: 0.0, y: 0.5, a: 0})
+    model = MIPModel()
+    x = model.add_var(-1.0, 1.0, name="x")
+    y, a = encode_abs(model, x)
+    assert feasible(model, {x: 0.0, y: 0.0, a: 0})
+    assert feasible(model, {x: 0.0, y: 0.0, a: 1})
+    assert not feasible(model, {x: 0.0, y: 0.5, a: 0})
 
 
 def test_abs_unique_value_by_enumeration():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(-3.0, 2.0, name="x")
-    y, a = encode_abs(ctx, x)
+    model = MIPModel()
+    x = model.add_var(-3.0, 2.0, name="x")
+    y, a = encode_abs(model, x)
     vals = []
     for av in (0.0, 1.0):
-        rng = value_range(ctx.model, y, {x: -1.5, a: av})
+        rng = value_range(model, y, {x: -1.5, a: av})
         if rng is not None:
             lo, hi = rng
             assert lo == pytest.approx(hi, abs=1e-8)
@@ -190,57 +189,57 @@ def test_abs_unique_value_by_enumeration():
 
 
 def test_abs_sign_fixed_degenerates():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(0.0, 2.0, name="x")
-    nbin = len(ctx.model.binary_vars)
-    y, a = encode_abs(ctx, x)
+    model = MIPModel()
+    x = model.add_var(0.0, 2.0, name="x")
+    nbin = len(model.binary_vars)
+    y, a = encode_abs(model, x)
     assert a is None
-    assert len(ctx.model.binary_vars) == nbin
-    assert feasible(ctx.model, {x: 1.2, y: 1.2})
-    assert not feasible(ctx.model, {x: 1.2, y: -1.2})
+    assert len(model.binary_vars) == nbin
+    assert feasible(model, {x: 1.2, y: 1.2})
+    assert not feasible(model, {x: 1.2, y: -1.2})
 
 
 def test_abs_random_graph_check():
     rng = np.random.Generator(np.random.Philox(key=9))
-    ctx = EncodingContext()
-    x = ctx.model.add_var(-2.0, 5.0, name="x")
-    y, a = encode_abs(ctx, x)
+    model = MIPModel()
+    x = model.add_var(-2.0, 5.0, name="x")
+    y, a = encode_abs(model, x)
     for _ in range(50):
         xv = float(rng.uniform(-2, 5))
         av = 1.0 if xv < 0 else 0.0
-        assert feasible(ctx.model, {x: xv, y: abs(xv), a: av})
-        assert not feasible(ctx.model, {x: xv, y: abs(xv) + 0.01, a: av}, tol=1e-5)
+        assert feasible(model, {x: xv, y: abs(xv), a: av})
+        assert not feasible(model, {x: xv, y: abs(xv) + 0.01, a: av}, tol=1e-5)
         if xv != 0:
-            assert not feasible(ctx.model, {x: xv, y: -abs(xv), a: 1 - av}, tol=1e-5)
+            assert not feasible(model, {x: xv, y: -abs(xv), a: 1 - av}, tol=1e-5)
 
 
 # -- max ---------------------------------------------------------------------
 
 
 def test_max_single_var_is_identity():
-    ctx = EncodingContext()
-    x = ctx.model.add_var(0.0, 3.0, name="x")
-    t, steps = encode_max(ctx, [x])
+    model = MIPModel()
+    x = model.add_var(0.0, 3.0, name="x")
+    t, steps = encode_max(model, [x])
     assert t == x and steps == []
 
 
 def test_max_fixed_pair():
-    ctx = EncodingContext()
-    xs = [ctx.model.add_var(0.0, 5.0, name=f"x{i}") for i in range(2)]
-    t, _ = encode_max(ctx, xs)
-    rng = value_range(ctx.model, t, {xs[0]: 1.0, xs[1]: 3.0})
+    model = MIPModel()
+    xs = [model.add_var(0.0, 5.0, name=f"x{i}") for i in range(2)]
+    t, _ = encode_max(model, xs)
+    rng = value_range(model, t, {xs[0]: 1.0, xs[1]: 3.0})
     assert rng[0] == pytest.approx(3.0, abs=1e-8)
     assert rng[1] == pytest.approx(3.0, abs=1e-8)
 
 
 def test_max_random_triples_lp_oracle():
     rng = np.random.Generator(np.random.Philox(key=11))
-    ctx = EncodingContext()
-    xs = [ctx.model.add_var(-4.0, 4.0, name=f"x{i}") for i in range(3)]
-    t, _ = encode_max(ctx, xs)
+    model = MIPModel()
+    xs = [model.add_var(-4.0, 4.0, name=f"x{i}") for i in range(3)]
+    t, _ = encode_max(model, xs)
     for _ in range(15):
         vals = rng.uniform(-4, 4, size=3)
-        lo, hi = value_range(ctx.model, t, dict(zip(xs, vals)))
+        lo, hi = value_range(model, t, dict(zip(xs, vals)))
         assert lo == pytest.approx(max(vals), abs=1e-7)
         assert hi == pytest.approx(max(vals), abs=1e-7)
 
@@ -249,9 +248,9 @@ def test_max_random_triples_lp_oracle():
 
 
 def cross_ball_feasible(z):
-    ctx = EncodingContext()
-    zv, zp, zn = encode_cross_norm_ball(ctx, len(z))
-    prob = ctx.model.to_lp_problem()
+    model = MIPModel()
+    zv, zp, zn = encode_cross_norm_ball(model, len(z))
+    prob = model.to_lp_problem()
     lo = prob.lo.copy()
     hi = prob.hi.copy()
     for var, val in zip(zv, z):
@@ -314,6 +313,71 @@ def test_feasible_set_tie_rules_at_identity_zero():
             point = feasible_assignment(prob, [0.0], rule)
             assert prob.model.check_point(point, tol=1e-9) == []
             assert prob.model.objective_at(point) == pytest.approx(2.0 - a - b)
+
+
+LAYOUT_CASES = [
+    ([3, 5, 4, 1], 0, "linf", None),
+    ([3, 5, 4, 1], 1, "l1", None),
+    ([3, 4, 4, 4, 1], 2, "linf", None),
+    ([3, 6, 5, 3], 4, "linf", "cross"),
+    ([2, 5, 4, 2], 3, "l1", "linf"),
+    ([2, 5, 4, 2], 5, "linf", "l1"),
+]
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", LAYOUT_CASES)
+def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.zeros(arch[0]), 1.0)
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    blocks = [prob.input_vars, prob.z_ball_vars, prob.z_pos_vars, prob.z_neg_vars,
+              prob.grad_vars, prob.abs_vars, prob.abs_sign_vars]
+    for name in ("pre_vars", "neuron_bins", "fwd_switch_vars", "bwd_value_vars",
+                 "bwd_switch_vars"):
+        layers = getattr(prob, name)
+        assert len(layers) == net.depth
+        blocks.extend(layers)
+    blocks.append([v for step in prob.max_fold_steps for v in step[1:] if v is not None])
+    ids = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
+    ids = ids[ids >= 0]
+    assert sorted(ids.tolist()) == list(range(prob.model.num_vars))
+    for v, (i, j) in prob.binary_map.items():
+        assert prob.neuron_bins[i][j] == v and v in prob.model.binary_vars
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", [
+    ([3, 5, 4, 1], 2, "linf", None),
+    ([3, 5, 4, 1], 1, "l1", None),
+    ([3, 6, 5, 3], 3, "linf", "cross"),
+])
+def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_norm):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    bins = sorted(prob.binary_map)
+    first_layer = [v for v in bins if prob.binary_map[v][0] == 0]
+    gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
+    refuted = 0
+    for _ in range(30):
+        x = rng.uniform(box.l, box.u)
+        z = None if gens is None else gens[rng.integers(len(gens))]
+        point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
+        chosen = rng.choice(bins, size=int(rng.integers(1, len(bins) + 1)), replace=False)
+        for subset in (chosen, first_layer):
+            fixes = {int(v): int(round(point[v])) for v in subset}
+            lo, hi, implied = prob.tightened_bounds(fixes)
+            assert np.all(point >= lo - 1e-9) and np.all(point <= hi + 1e-9)
+            for v, val in (fixes | implied).items():
+                assert point[v] == val == lo[v] == hi[v]
+                i, j = prob.binary_map[v]
+                pre = prob.pre_vars[i][j]
+                assert (lo[pre] >= 0.0) if val else (hi[pre] <= 0.0)
+            # an interval-decided neuron fixed the other way is refuted outright
+            for v in implied.keys() - fixes.keys():
+                assert prob.tightened_bounds(fixes | {v: 1 - implied[v]}) is None
+                refuted += 1
+    assert refuted > 0
 
 
 def test_identity_lp_relaxation_bounds_mip():

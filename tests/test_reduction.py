@@ -1,0 +1,60 @@
+import itertools
+
+import pytest
+
+from lipcert.reduction import Graph, brute_force_mis, random_gnp, verify_reduction
+
+
+def mis_by_subsets(g: Graph) -> int:
+    best = 0
+    for k in range(g.n + 1):
+        for subset in itertools.combinations(range(g.n), k):
+            chosen = set(subset)
+            if all(not (u in chosen and v in chosen) for u, v in g.edges):
+                best = k
+    return best
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_brute_force_mis_matches_subset_enumeration(n):
+    for seed in range(3):
+        for p in (0.2, 0.5, 0.8):
+            g = random_gnp(n, p, seed)
+            assert brute_force_mis(g) == mis_by_subsets(g)
+
+
+EDGE = Graph.from_edges(2, [(0, 1)])
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+# Small graphs only: the exact solve grows quickly with the vertex count (a
+# 5-cycle already takes about a thousand nodes).
+LINF_GRAPHS = [
+    EDGE,
+    PATH3,
+    random_gnp(3, 0.5, 0),
+    random_gnp(3, 0.5, 2),
+    random_gnp(4, 0.5, 1),
+    random_gnp(4, 0.5, 2),
+    random_gnp(5, 0.5, 2),
+    Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
+    Graph.from_edges(5, [(0, i) for i in range(1, 5)]),
+    Graph.from_edges(5, []),
+]
+
+
+def graph_id(g: Graph) -> str:
+    return f"n{g.n}-" + "-".join(f"{u}{v}" for u, v in sorted(g.edges))
+
+
+@pytest.mark.parametrize("g", LINF_GRAPHS, ids=graph_id)
+def test_reduction_linf_matches_mis(g):
+    report = verify_reduction(g, variant="linf")
+    assert report.match, report
+
+
+# The l1 variant needs far more nodes: thousands already on 3 vertices with a
+# single edge, so only the two smallest connected graphs run here.
+@pytest.mark.parametrize("g", [EDGE, PATH3], ids=["edge", "path3"])
+def test_reduction_l1_matches_mis(g):
+    report = verify_reduction(g, variant="l1")
+    assert report.match, report

@@ -3,7 +3,7 @@ import pytest
 
 from lipcert import bnb, lp, norms, oracle
 from lipcert.interval import Hyperbox
-from lipcert.mip import EncodingContext, build_lipmip_model, encode_cross_norm_ball
+from lipcert.mip import MIPModel, build_lipmip_model, encode_cross_norm_ball
 from lipcert.network import ReLUNetwork, forward, random_he
 from lipcert.vector_ext import (
     cross_norm_value,
@@ -25,12 +25,12 @@ def affine_vector_network(a, bound=4.0):
 
 
 def lp_max_over_cross_polytope(v):
-    ctx = EncodingContext()
-    z, _, _ = encode_cross_norm_ball(ctx, len(v))
-    prob = ctx.model.to_lp_problem()
+    model = MIPModel()
+    z, _, _ = encode_cross_norm_ball(model, len(v))
+    prob = model.to_lp_problem()
     best = -np.inf
     for sign in (1.0, -1.0):
-        c = np.zeros(ctx.model.num_vars)
+        c = np.zeros(model.num_vars)
         for var, coef in zip(z, v):
             c[var] = sign * coef
         sol = lp.SimplexSolver(prob).solve(objective=c)
