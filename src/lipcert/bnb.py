@@ -1,13 +1,17 @@
 """Best-first branch-and-bound over the in-repo LP solver.
 
-Nodes carry a set of binary fixes; every node's LP relaxation is solved once,
-at creation, so the heap always holds true subtree upper bounds and the best
-open bound is a certified global upper bound.  Lower bounds come from a
-structure-aware primal heuristic: the x part of any node LP solution is a
-real network input, so its exact chain-rule gradient norm is an attainable
-objective value.  Incumbent and upper bound therefore sandwich the true
-optimum at every moment, which is what makes early stopping at a target
-integrality gap sound.
+Nodes carry a set of binary fixes.  A child's LP relaxation is re-solved
+once, at creation, by dual simplex from its parent's optimal basis, whose
+snapshot the parent's heap entry keeps.  With the incumbent as cutoff, that
+solve stops before the LP optimum once it certifies that the child cannot
+beat the incumbent; such a node is pruned and never enters the heap.  Every
+node in the heap therefore has a fully solved LP, the heap holds true subtree
+upper bounds, and the best open bound is a certified global upper bound.
+Lower bounds come from a structure-aware primal heuristic: the x part of any
+node LP solution is a real network input, so its exact chain-rule gradient
+norm is an attainable objective value.  Incumbent and upper bound therefore
+sandwich the true optimum at every moment, which is what makes early
+stopping at a target integrality gap sound.
 
 When a Lipschitz problem context is available, fixing a binary also re-runs
 interval propagation with that neuron pinned and tightens every affected
@@ -114,30 +118,33 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         "counter": 0,
     }
     events: list[NodeEvent] = []
-    heap: list = []  # entries (-bound, counter, fixes, lo, hi, x, depth)
+    heap: list = []  # entries (-bound, counter, fixes, branch_var, depth, basis)
 
     def update_incumbent(value, point):
         if value > state["incumbent"]:
             state["incumbent"] = value
             state["point"] = None if point is None else np.array(point)
 
-    def solve_node(fixes, lo, hi, depth):
-        """LP-solve one node; push it if still interesting. Returns bound."""
+    def solve_node(fixes, lo, hi, depth, basis=None):
+        """LP-solve one node (from its parent's basis) and push it if still
+        interesting."""
         if lo is None:
             lo = np.array(model.lo)
             hi = np.array(model.hi)
             for v, val in fixes.items():
                 lo[v] = hi[v] = float(val)
-        sol = solver.solve(lo=lo, hi=hi)
+        inc = state["incumbent"]
+        cutoff = inc * (1.0 + _PRUNE_TOL) - model.objective_const if np.isfinite(inc) else np.inf
+        sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff)
         if sol.status == lp.NUMERICAL_FAILURE:
-            sol = solver.solve(lo=lo, hi=hi, pivot_tol=1e-11, from_scratch=True)
+            sol = solver.solve(lo=lo, hi=hi, pivot_tol=1e-11)
             if sol.status == lp.NUMERICAL_FAILURE:
                 raise SolverNumericalError(
                     f"LP failed twice at node depth {depth} ({len(fixes)} fixes)"
                 )
         state["nodes"] += 1
-        if sol.status == lp.INFEASIBLE:
-            return None
+        if sol.status in (lp.INFEASIBLE, lp.CUTOFF):
+            return
         bound = sol.objective_value + model.objective_const
         if context is not None:
             val, x = context.incumbent_from_point(sol.x)
@@ -152,19 +159,20 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if not fractional:
             point = sol.x[context.input_vars] if context is not None else sol.x
             update_incumbent(bound, point)
-            return bound
+            return
         inc = state["incumbent"]
         if np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL):
-            return bound
+            return
+        # most-fractional branching, ties to the lowest variable id
+        branch_var = min((abs(sol.x[b] - 0.5), b) for b in fractional)[1]
         state["counter"] += 1
-        heapq.heappush(heap, (-bound, state["counter"], fixes, lo, hi, sol.x, depth))
-        return bound
+        heapq.heappush(heap, (-bound, state["counter"], fixes, branch_var, depth, sol.basis))
 
     solve_node({}, None, None, 0)
 
     status = EXACT
     while heap:
-        neg_bound, _, fixes, lo, hi, x, depth = heapq.heappop(heap)
+        neg_bound, _, fixes, branch_var, depth, basis = heapq.heappop(heap)
         bound = -neg_bound
         inc = state["incumbent"]
         upper = max(bound, inc) if np.isfinite(inc) else bound
@@ -182,12 +190,6 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if state["nodes"] >= opts.node_limit:
             return _finish(NODE_LIMIT, upper, state, gap, start, events)
 
-        # most-fractional branching, ties to the lowest variable id
-        cand = [
-            (abs(x[b] - 0.5), b) for b in binaries
-            if b not in fixes and min(x[b], 1.0 - x[b]) > _INT_TOL
-        ]
-        branch_var = min(cand)[1]
         for val in (1, 0):
             child_fixes = dict(fixes)
             child_fixes[branch_var] = val
@@ -207,7 +209,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
                 inc = state["incumbent"]
                 if np.isfinite(inc) and ibound <= inc * (1.0 + _PRUNE_TOL):
                     continue
-            solve_node(child_fixes, child_lo, child_hi, depth + 1)
+            solve_node(child_fixes, child_lo, child_hi, depth + 1, basis)
 
     if not np.isfinite(state["incumbent"]):
         raise InfeasibleModelError("no feasible integral point")

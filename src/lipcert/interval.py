@@ -143,11 +143,15 @@ class PropagationResult:
     pre_activation_boxes[i] bounds Z_{i+1}; activation_boolboxes[i] abstracts
     the layer's on/off states; backward_boxes runs from the head seed down to
     the input, so backward_boxes[-1] bounds the chain-rule gradient rows.
+    switch_boxes[i] and backward_switch_boxes[i] are layer i's forward and
+    backward switch images, both indexed by hidden layer in forward order.
     """
 
     pre_activation_boxes: tuple[Hyperbox, ...]
     activation_boolboxes: tuple[BoolBox, ...]
     backward_boxes: tuple[Hyperbox, ...]
+    switch_boxes: tuple[Hyperbox, ...]
+    backward_switch_boxes: tuple[Hyperbox, ...]
 
     @property
     def gradient_box(self) -> Hyperbox:
@@ -187,6 +191,7 @@ def propagate(
         raise ValueError(f"domain dim {domain.dim} != input dim {net.input_dim}")
     pre_boxes: list[Hyperbox] = []
     bool_boxes: list[BoolBox] = []
+    switch_boxes: list[Hyperbox] = []
     cur = domain
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z_box = push_affine(cur, w, b)
@@ -200,6 +205,7 @@ def propagate(
         pre_boxes.append(z_box)
         bool_boxes.append(states)
         cur = push_switch(z_box, states)
+        switch_boxes.append(cur)
 
     if backward_seed is None:
         seed = head_seed_box(net, None)
@@ -208,11 +214,16 @@ def propagate(
         if seed.dim != net.layer_sizes[-1]:
             raise ValueError("backward seed dimension must match the last layer")
     back: list[Hyperbox] = [seed]
+    back_switch: list[Hyperbox] = []
     y_box = seed
     for w, states in zip(reversed(net.weights), reversed(bool_boxes)):
-        y_box = push_affine(push_switch(y_box, states), w.T)
+        back_switch.append(push_switch(y_box, states))
+        y_box = push_affine(back_switch[-1], w.T)
         back.append(y_box)
-    return PropagationResult(tuple(pre_boxes), tuple(bool_boxes), tuple(back))
+    return PropagationResult(
+        tuple(pre_boxes), tuple(bool_boxes), tuple(back),
+        tuple(switch_boxes), tuple(reversed(back_switch)),
+    )
 
 
 def max_norm_over_box(box: Hyperbox, grad_norm: str) -> float:

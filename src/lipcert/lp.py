@@ -1,17 +1,43 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable simplex: cold primal solves, dual re-solves.
 
 Solves  max c.x  s.t.  A x (<=,=,>=) b,  lo <= x <= hi  with finite bounds on
 every variable.  Each row gets a slack with bounds derived from interval
-arithmetic, so the working problem is an equality system over an all-finite
-box and genuine unboundedness cannot occur.
+arithmetic, so the working problem is an equality system [A I] v = b over an
+all-finite box and genuine unboundedness cannot occur.
 
-Phase 1 restores feasibility by temporarily extending the bounds of violated
-basic variables and maximizing a +-1 objective that pulls them back; a bound
-is snapped to its true value the moment its variable re-enters range.  Phase 2
-then optimizes the real objective.  Pricing is Dantzig (most negative-ish
-reduced cost) until a run of degenerate pivots exceeds ``BLAND_STALL_FACTOR``
-times the variable count, after which Bland's least-index rule takes over
-permanently, which guarantees termination on degenerate instances.
+Cold solves (the branch-and-bound root, ``solve_lp``, witness LPs) run the
+primal simplex from the slack basis.  Phase 1 restores feasibility by
+temporarily extending the bounds of violated basic variables and maximizing a
++-1 objective that pulls them back; a bound is snapped to its true value the
+moment its variable re-enters range.  Phase 2 then optimizes the real
+objective.  Pricing is Dantzig (most negative-ish reduced cost) until a run
+of degenerate pivots exceeds ``BLAND_STALL_FACTOR`` times the variable count,
+after which Bland's least-index rule takes over permanently, which guarantees
+termination on degenerate instances.
+
+A re-solve under changed bounds (a branch-and-bound child) passes the
+``Basis`` snapshot of an optimal solve (its parent's) instead.  Changing
+bounds leaves that basis dual feasible, so a bounded dual simplex
+re-optimizes it: a basic variable outside its bounds, chosen by dual steepest
+edge pricing, leaves at its violated bound and a ratio test over the reduced
+costs (Harris tolerance, largest pivot among near-ties) picks the entering
+column.  The solver keeps the factorized tableau of the last snapshot it
+restored, so sibling re-solves from one snapshot refactorize once.  A
+snapshot that is malformed, singular or not dual feasible falls back to the
+cold primal.  Reference: A. Koberstein, *The dual simplex method, techniques
+for a fast and stable implementation*, PhD thesis, Paderborn 2005.
+
+When no column can enter, row r of B^-1 is a Farkas certificate y: every
+point of the working box satisfying the rows has y.[A I] v = y.b.  The dual
+path recomputes g = y.[A I] and y.b from the original data and returns
+INFEASIBLE only if y.b lies outside the range of g.v over the box by more
+than the feasibility tolerances could explain; otherwise it falls back to the
+cold primal.  With a finite ``cutoff``, the dual path stops with status
+CUTOFF once the objective of a dual-feasible iterate, which bounds the LP
+optimum from above, falls below it and the weak-duality bound
+y.b + sum_j max(r_j lo_j, r_j hi_j), with y = c_B B^-1 and r = c - y.[A I]
+recomputed from the original data, confirms it.  Every OPTIMAL answer of
+either method passes a primal feasibility check against the original data.
 
 The tableau is dense and kept explicitly; this is deliberate.  Target scale
 is a few thousand variables and the branch-and-bound driver re-solves the
@@ -27,6 +53,7 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
+CUTOFF = "cutoff"
 NUMERICAL_FAILURE = "numerical_failure"
 
 FEAS_TOL = 1e-7
@@ -38,6 +65,11 @@ BLAND_STALL_FACTOR = 10
 _DEGEN_STEP = 1e-11
 _RATIO_TIE = 1e-9
 _REFRESH_EVERY = 256  # pivots between full recomputations of costs/values
+#: Largest wrong-signed reduced cost a restored basis may have; smaller ones
+#: are repaired by moving the variable to its other bound.
+_DUAL_TOL = 1e-7
+#: Relative rounding allowance of the certificate and cutoff checks.
+_CERT_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,11 +121,25 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
+class Basis:
+    """Snapshot of an optimal basis: the basic column of each row (int32) and,
+    per column (structurals, then slacks), whether it rests at its upper
+    bound when nonbasic."""
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
+@dataclass(frozen=True)
 class LPSolution:
+    """``basis`` is set on OPTIMAL answers; on CUTOFF, ``objective_value`` is
+    the certified upper bound on the LP optimum that fell below the cutoff."""
+
     status: str
     x: np.ndarray | None
     objective_value: float
     iterations: int
+    basis: Basis | None = None
 
 
 class SimplexSolver:
@@ -101,9 +147,9 @@ class SimplexSolver:
 
     The constraint matrix, relations and right-hand side are fixed at
     construction; ``solve`` may override variable bounds and objective, which
-    is exactly what branch-and-bound needs.  The internal basis persists
-    between calls, so a solve after a small bound change usually takes only a
-    few pivots.
+    is exactly what branch-and-bound needs.  A solve given the ``basis`` of an
+    earlier optimal answer re-optimizes it by dual simplex, usually in a few
+    pivots; a solve without one starts cold.
     """
 
     def __init__(self, problem: LPProblem):
@@ -121,6 +167,8 @@ class SimplexSolver:
         s_hi = problem.rhs - row_lo
         self._slack_lo = s_lo.copy()
         self._slack_hi = s_hi.copy()
+        self._le = np.array([rel == "<=" for rel in problem.relations], dtype=bool)
+        self._ge = np.array([rel == ">=" for rel in problem.relations], dtype=bool)
         self._row_infeasible = False
         for i, rel in enumerate(problem.relations):
             if rel == "<=":
@@ -136,13 +184,17 @@ class SimplexSolver:
             else:
                 self._slack_lo[i] = 0.0
                 self._slack_hi[i] = 0.0
-        self._r = np.hstack([problem.a, np.eye(m)])
-        self._have_state = False
+        # [A I | b]: the equality system and its right-hand side
+        self._r_rhs = np.hstack([problem.a, np.eye(m), problem.rhs[:, None]])
+        self._r = self._r_rhs[:, :-1]
         self._tab = None
         self._beta0 = None
         self._basis = None
         self._at_upper = None
-        self._pivots_since_refactor = 0
+        # the last restored snapshot and its factorized tableau
+        self._snap = None
+        self._snap_tab = None
+        self._snap_beta0 = None
         # reusable workspaces for the hot loop
         self._wlo = np.empty(self.n_total)
         self._whi = np.empty(self.n_total)
@@ -153,34 +205,73 @@ class SimplexSolver:
 
     def _cold_start(self, wlo, whi):
         self._tab = self._r.copy()
-        self._beta0 = self.problem.rhs.astype(float).copy()
+        self._beta0 = self.problem.rhs.copy()
         self._basis = np.arange(self.n_struct, self.n_total)
         # nonbasic structurals rest at the bound of smaller magnitude
         self._at_upper = np.zeros(self.n_total, dtype=bool)
         self._at_upper[: self.n_struct] = np.abs(whi[: self.n_struct]) < np.abs(
             wlo[: self.n_struct]
         )
-        self._have_state = True
 
     def _refactorize(self) -> bool:
         """Recompute the tableau from the basis columns of the original data.
 
-        Rank-one pivot updates accumulate error over long warm-started runs;
-        refactorizing at every reuse restores full accuracy for the cost of
-        one dense solve.  Returns False on a (near-)singular basis.
+        Basic slacks are unit columns, so only the square block of A in the
+        basic structural columns and the rows whose slack is nonbasic needs a
+        factorization; the rows of basic slacks follow by substitution.
+        Returns False on a (near-)singular basis.
         """
-        bmat = self._r[:, self._basis]
-        rhs = np.hstack([self._r, self.problem.rhs[:, None]])
+        n, a = self.n_struct, self.problem.a
+        is_struct = self._basis < n
+        cols = self._basis[is_struct]
+        slack_rows = self._basis[~is_struct] - n  # rows whose slack is basic
+        free_rows = np.ones(a.shape[0], dtype=bool)
+        free_rows[slack_rows] = False
         try:
-            fac = np.linalg.solve(bmat, rhs)
+            top = np.linalg.solve(a[np.ix_(free_rows, cols)], self._r_rhs[free_rows])
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.isfinite(fac)):
+        bottom = self._r_rhs[slack_rows] - a[np.ix_(slack_rows, cols)] @ top
+        if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
             return False
-        self._tab = np.ascontiguousarray(fac[:, :-1])
-        self._beta0 = fac[:, -1].copy()
-        self._pivots_since_refactor = 0
+        if self._tab is None:  # no cold solve yet
+            self._tab = np.empty((a.shape[0], self.n_total))
+            self._beta0 = np.empty(a.shape[0])
+        self._tab[is_struct] = top[:, :-1]
+        self._beta0[is_struct] = top[:, -1]
+        self._tab[~is_struct] = bottom[:, :-1]
+        self._beta0[~is_struct] = bottom[:, -1]
         return True
+
+    def _restore(self, basis: Basis) -> bool:
+        """Load a snapshot's basis and tableau; False if it cannot be used."""
+        if basis is not self._snap:
+            m = self.n_total - self.n_struct
+            basic = np.asarray(basis.basic)
+            at_upper = np.asarray(basis.at_upper)
+            if basic.shape != (m,) or at_upper.shape != (self.n_total,):
+                return False
+            if m and (basic.min() < 0 or basic.max() >= self.n_total):
+                return False
+            if np.unique(basic).size != m:
+                return False
+            self._basis = basic.astype(np.intp)
+            if not self._refactorize():
+                return False
+            self._snap = basis
+            self._snap_tab = self._tab.copy()
+            self._snap_beta0 = self._beta0.copy()
+        else:
+            np.copyto(self._tab, self._snap_tab)
+            np.copyto(self._beta0, self._snap_beta0)
+        self._basis = basis.basic.astype(np.intp)
+        self._at_upper = np.array(basis.at_upper, dtype=bool)
+        return True
+
+    def _nonbasic(self):
+        mask = np.ones(self.n_total, dtype=bool)
+        mask[self._basis] = False
+        return mask
 
     def _nonbasic_values(self, wlo, whi):
         vals = np.where(self._at_upper, whi, wlo)
@@ -207,7 +298,6 @@ class SimplexSolver:
         beta0[row] = pbeta
         tab[:, col] = 0.0
         tab[row, col] = 1.0
-        self._pivots_since_refactor += 1
         if d is not None:
             d -= d[col] * prow
             d[col] = 0.0
@@ -218,8 +308,7 @@ class SimplexSolver:
     def _iterate(self, costs, wlo, whi, xb, d, state, pivot_tol):
         """One priced pivot.  Returns "optimal", "pivoted", or "stalled"."""
         free = whi - wlo > 0
-        nonbasic = np.ones(self.n_total, dtype=bool)
-        nonbasic[self._basis] = False
+        nonbasic = self._nonbasic()
         up = d > pivot_tol
         down = d < -pivot_tol
         eligible = nonbasic & free & ((~self._at_upper & up) | (self._at_upper & down))
@@ -288,9 +377,18 @@ class SimplexSolver:
         hi=None,
         objective=None,
         pivot_tol: float = DEFAULT_PIVOT_TOL,
-        from_scratch: bool = False,
+        basis: Basis | None = None,
+        cutoff: float = np.inf,
         _second_try: bool = False,
     ) -> LPSolution:
+        """Maximize under the given bounds and objective (default: the problem's).
+
+        With ``basis`` (from an earlier OPTIMAL answer) the solve runs the dual
+        simplex from that snapshot and may stop early with CUTOFF when the LP
+        optimum is certified to lie below ``cutoff``; an answer it cannot
+        certify is recomputed by a nested cold solve.  Without one it runs the
+        primal simplex from the slack basis and ignores ``cutoff``.
+        """
         p = self.problem
         if self._row_infeasible:
             return LPSolution(INFEASIBLE, None, np.nan, 0)
@@ -305,33 +403,37 @@ class SimplexSolver:
         whi[: self.n_struct] = hi
         whi[self.n_struct:] = self._slack_hi
         costs[: self.n_struct] = cobj
-        warm = self._have_state and not from_scratch
-        if warm and self._pivots_since_refactor >= 128:
-            warm = self._refactorize()
-        if not warm:
-            self._cold_start(wlo, whi)
+        if basis is not None:
+            sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol)
+            if sol is not None:
+                return sol
+            # uncertified or failed: a nested cold solve gives the answer
+            return self.solve(lo, hi, cobj, pivot_tol)
+        self._cold_start(wlo, whi)
         state = {"bland": _second_try, "degen": 0, "pivots": 0}
         max_pivots = 200 * (self.n_total + 10) + 20000
 
         status = self._solve_phases(costs, wlo, whi, state, pivot_tol, max_pivots)
         if status == OPTIMAL:
-            x = self._extract(wlo, whi)
-            if self._feasible(x, lo, hi):
-                return LPSolution(OPTIMAL, x[: self.n_struct], float(cobj @ x[: self.n_struct]), state["pivots"])
+            sol = self._optimal(lo, hi, cobj, state["pivots"])
+            if sol is not None:
+                return sol
             status = NUMERICAL_FAILURE
         if status == INFEASIBLE:
-            if warm:
-                # never trust infeasibility claimed from a reused basis
-                return self.solve(
-                    lo, hi, cobj, pivot_tol, from_scratch=True, _second_try=_second_try
-                )
             return LPSolution(INFEASIBLE, None, np.nan, state["pivots"])
         if not _second_try:
             # one retry: cold start under Bland's rule from the first pivot
-            self._have_state = False
-            return self.solve(lo, hi, cobj, pivot_tol, from_scratch=True, _second_try=True)
-        self._have_state = False
+            return self.solve(lo, hi, cobj, pivot_tol, _second_try=True)
         return LPSolution(NUMERICAL_FAILURE, None, np.nan, state["pivots"])
+
+    def _optimal(self, lo, hi, cobj, pivots) -> LPSolution | None:
+        """The OPTIMAL answer at the current basis, if its point checks out."""
+        x = self._extract(self._wlo, self._whi)
+        if not self._feasible(x, lo, hi):
+            return None
+        xs = x[: self.n_struct]
+        basis = Basis(self._basis.astype(np.int32), self._at_upper.copy())
+        return LPSolution(OPTIMAL, xs, float(cobj @ xs), pivots, basis)
 
     def _solve_phases(self, costs, wlo, whi, state, pivot_tol, max_pivots):
         # working copies; phase 1 may extend them
@@ -396,6 +498,144 @@ class SimplexSolver:
             if outcome == "stalled":
                 return NUMERICAL_FAILURE
 
+    # -- dual simplex from a snapshot ----------------------------------------
+
+    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol) -> LPSolution | None:
+        """Bounded dual simplex from ``basis``; None when the answer must come
+        from a cold solve (unusable snapshot, uncertified infeasibility,
+        iteration limit, or an optimum that fails the feasibility check)."""
+        if not self._restore(basis):
+            return None
+        wlo, whi, costs = self._wlo, self._whi, self._costs
+        free = whi > wlo
+        d = self._reduced_costs(costs)
+        if self._repair_dual(d, free, _DUAL_TOL) is None:
+            return None
+        xb = self._basic_values(wlo, whi)
+        pivots = 0
+        max_pivots = 2 * self.n_total + 1000
+        while pivots <= max_pivots:
+            if cutoff < np.inf:
+                bound = self._cutoff_bound(xb, cutoff)
+                if bound is not None:
+                    return LPSolution(CUTOFF, None, bound, pivots)
+            basic_lo = wlo[self._basis]
+            basic_hi = whi[self._basis]
+            infeas = np.maximum(basic_lo - xb, xb - basic_hi)
+            r = self._leaving_row(infeas)
+            if r < 0:
+                # primal feasible: confirm on fresh values and reduced costs
+                xb = self._basic_values(wlo, whi)
+                infeas = np.maximum(basic_lo - xb, xb - basic_hi)
+                if (infeas > FEAS_TOL).any():
+                    continue
+                d = self._reduced_costs(costs)
+                if not self._repair_dual(d, free, np.inf):
+                    return self._optimal(lo, hi, cobj, pivots)
+                xb = self._basic_values(wlo, whi)
+                continue
+            q = self._dual_ratio_test(r, xb[r] < basic_lo[r], d, free, pivot_tol)
+            if q < 0:
+                if self._certified_infeasible(r):
+                    return LPSolution(INFEASIBLE, None, np.nan, pivots)
+                return None
+            leaving = self._basis[r]
+            target = basic_lo[r] if xb[r] < basic_lo[r] else basic_hi[r]
+            alpha = self._tab[:, q]
+            step = (xb[r] - target) / alpha[r]
+            xb -= step * alpha
+            xb[r] = (whi[q] if self._at_upper[q] else wlo[q]) + step
+            self._at_upper[leaving] = target == basic_hi[r]
+            self._basis[r] = q
+            self._pivot(r, q, d)
+            pivots += 1
+            if pivots % _REFRESH_EVERY == 0:
+                d = self._reduced_costs(costs)
+                xb = self._basic_values(wlo, whi)
+        return None
+
+    def _leaving_row(self, infeas) -> int:
+        """Dual steepest edge: the row with the largest squared infeasibility
+        per squared norm of its row of B^-1 (the tableau's slack columns), or
+        -1 when every basic variable is within FEAS_TOL of its bounds."""
+        bad = infeas > FEAS_TOL
+        if not bad.any():
+            return -1
+        binv = self._tab[:, self.n_struct:]
+        norms = np.einsum("ij,ij->i", binv, binv)
+        return int(np.argmax(np.where(bad, infeas**2 / norms, -1.0)))
+
+    def _repair_dual(self, d, free, limit) -> int | None:
+        """Move each nonbasic column whose reduced cost has the wrong sign
+        (beyond the pivot tolerance) to its other bound, which restores dual
+        feasibility.  Returns how many moved, or None, changing nothing, when
+        a wrong-signed reduced cost exceeds ``limit``."""
+        nonbasic = self._nonbasic()
+        wrong = nonbasic & free & np.where(self._at_upper, d < -DEFAULT_PIVOT_TOL,
+                                           d > DEFAULT_PIVOT_TOL)
+        if not wrong.any():
+            return 0
+        if np.abs(d[wrong]).max() > limit:
+            return None
+        self._at_upper[wrong] = ~self._at_upper[wrong]
+        return int(wrong.sum())
+
+    def _dual_ratio_test(self, r, increase, d, free, pivot_tol) -> int:
+        """Entering column for leaving row ``r``, or -1 if none exists.
+
+        The leaving variable must rise (``increase``) or fall to its violated
+        bound; a nonbasic column qualifies if moving it off its bound does
+        that.  Among the columns whose dual ratio |d_j / alpha_rj| is within
+        the Harris tolerance of the smallest, the largest |alpha_rj| enters.
+        """
+        row = self._tab[r]
+        nonbasic = self._nonbasic()
+        direction = np.where(self._at_upper, -1.0, 1.0)
+        if increase:
+            direction = -direction
+        eligible = nonbasic & free & (direction * row > pivot_tol)
+        idx = np.flatnonzero(eligible)
+        if idx.size == 0:
+            return -1
+        slack = np.maximum(np.where(self._at_upper[idx], d[idx], -d[idx]), 0.0)
+        mag = np.abs(row[idx])
+        bound = np.min((slack + DEFAULT_PIVOT_TOL) / mag)
+        near = slack / mag <= bound
+        return int(idx[near][np.argmax(mag[near])])
+
+    def _certified_infeasible(self, r) -> bool:
+        """Whether row r of B^-1 proves the working box infeasible, checked
+        on the original data with room for the feasibility tolerances."""
+        p = self.problem
+        y = self._tab[r, self.n_struct:]
+        g = y @ self._r
+        yb = float(y @ p.rhs)
+        gl, gh = g * self._wlo, g * self._whi
+        g_min = float(np.minimum(gl, gh).sum())
+        g_max = float(np.maximum(gl, gh).sum())
+        mag = np.maximum(np.abs(self._wlo), np.abs(self._whi))
+        margin = FEAS_TOL * float(np.abs(y) @ (1.0 + np.abs(p.rhs)) + np.abs(g).sum())
+        margin += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(g) @ mag)
+        return yb < g_min - margin or yb > g_max + margin
+
+    def _cutoff_bound(self, xb, cutoff) -> float | None:
+        """A certified upper bound on the LP optimum below ``cutoff``, or None.
+
+        The current iterate's objective triggers the check; the bound itself
+        is the weak-duality bound of y = c_B B^-1 on the original data, valid
+        whatever the accuracy of y."""
+        wlo, whi, costs = self._wlo, self._whi, self._costs
+        estimate = costs[self._basis] @ xb + costs @ self._nonbasic_values(wlo, whi)
+        if not estimate < cutoff:
+            return None
+        y = costs[self._basis] @ self._tab[:, self.n_struct:]
+        red = costs - y @ self._r
+        rl, rh = red * wlo, red * whi
+        bound = float(y @ self.problem.rhs + np.maximum(rl, rh).sum())
+        mag = np.maximum(np.abs(wlo), np.abs(whi))
+        slack = _CERT_REL * float(np.abs(y) @ np.abs(self.problem.rhs) + np.abs(red) @ mag)
+        return bound if bound + slack < cutoff else None
+
     def _extract(self, wlo, whi):
         x = self._nonbasic_values(wlo, whi)
         x[self._basis] = self._basic_values(wlo, whi)
@@ -404,21 +644,15 @@ class SimplexSolver:
     def _feasible(self, v, lo, hi) -> bool:
         p = self.problem
         x = v[: self.n_struct]
-        scale = 1.0 + np.abs(p.rhs) if p.rhs.size else 1.0
         if np.any(x < lo - FEAS_TOL) or np.any(x > hi + FEAS_TOL):
             return False
-        if p.num_constraints == 0:
-            return True
         act = p.a @ x
-        for i, rel in enumerate(p.relations):
-            tol = FEAS_TOL * scale[i]
-            if rel == "<=" and act[i] > p.rhs[i] + tol:
-                return False
-            if rel == ">=" and act[i] < p.rhs[i] - tol:
-                return False
-            if rel == "=" and abs(act[i] - p.rhs[i]) > tol:
-                return False
-        return True
+        tol = FEAS_TOL * (1.0 + np.abs(p.rhs))
+        bad = np.where(
+            self._le, act > p.rhs + tol,
+            np.where(self._ge, act < p.rhs - tol, np.abs(act - p.rhs) > tol),
+        )
+        return not bad.any()
 
 
 def solve_lp(problem: LPProblem) -> LPSolution:

@@ -472,7 +472,7 @@ class LipMIPProblem:
         """Per-variable (lo, hi) arrays bounding each network quantity by its box.
 
         Pre-activations take their box, cut at 0 on the side their ON/OFF
-        state excludes; switches take the switch image of their input box;
+        state excludes; switches take their switch image box;
         absolute values take the image of the gradient box.  Variables no
         box describes (inputs, binaries, dual ball, max folds) get -inf/+inf.
         On a point input the result is the point's own value at every bounded
@@ -491,12 +491,11 @@ class LipMIPProblem:
             states = prop.activation_boolboxes[i]
             lo[self.pre_vars[i]] = np.where(states.v == ON, np.maximum(zbox.l, 0.0), zbox.l)
             hi[self.pre_vars[i]] = np.where(states.v == OFF, np.minimum(zbox.u, 0.0), zbox.u)
-            put(self.fwd_switch_vars[i], interval.push_switch(zbox, states))
-            # backward_boxes[k] bounds the backward value entering layer d-1-k
-            vbox = prop.backward_boxes[d - 1 - i]
+            put(self.fwd_switch_vars[i], prop.switch_boxes[i])
             if self.bwd_value_vars[i].size:
-                put(self.bwd_value_vars[i], vbox)
-            put(self.bwd_switch_vars[i], interval.push_switch(vbox, states))
+                # backward_boxes[k] bounds the backward value entering layer d-1-k
+                put(self.bwd_value_vars[i], prop.backward_boxes[d - 1 - i])
+            put(self.bwd_switch_vars[i], prop.backward_switch_boxes[i])
         gbox = prop.gradient_box
         put(self.grad_vars, gbox)
         gl, gu = np.abs(gbox.l), np.abs(gbox.u)

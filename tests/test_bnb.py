@@ -6,6 +6,7 @@ from lipcert.bnb import MIPResult, SolveOptions, solve_liplp, solve_mip
 from lipcert.interval import Hyperbox, fastlip
 from lipcert.mip import MIPModel, build_lipmip_model
 from lipcert.network import affine_network, identity_network, random_he
+from lipcert.oracle import exact_lipschitz_bruteforce
 
 
 def lipmip(net, box, alpha="linf", **kw):
@@ -143,3 +144,30 @@ def test_event_log_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "node,upper_bound,incumbent,depth"
     assert len(lines) == len(res.events) + 1
+
+
+@pytest.mark.parametrize("tighten", [True, False])
+@pytest.mark.parametrize("arch,seed,alpha", [
+    ([3, 6, 6, 1], 8, "linf"),
+    ([2, 7, 5, 1], 3, "l1"),
+    ([3, 5, 5, 5, 1], 6, "linf"),
+])
+def test_exact_matches_oracle_and_repeats(arch, seed, alpha, tighten):
+    # node LPs are re-solved by dual simplex from the parent's basis, with
+    # the incumbent as cutoff; the value must match the region oracle and
+    # repeat runs must search identically
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    ref = exact_lipschitz_bruteforce(net, box, alpha)
+    runs = [lipmip(net, box, alpha=alpha, tighten_bounds=tighten, keep_events=True)
+            for _ in range(2)]
+    for res in runs:
+        assert res.status == bnb.EXACT
+        assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
+        assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    r1, r2 = runs
+    assert r1.nodes_explored == r2.nodes_explored
+    assert r1.upper_bound == r2.upper_bound
+    assert [(e.node, e.upper_bound, e.incumbent) for e in r1.events] == \
+        [(e.node, e.upper_bound, e.incumbent) for e in r2.events]
+    assert r1.incumbent_point.tobytes() == r2.incumbent_point.tobytes()

@@ -111,8 +111,10 @@ def test_propagate_sampling_soundness_all_rules():
         res = propagate(net, box)
         xs = box.sample(rng, 1000)
         for x in xs:
-            for z, zbox in zip(preactivations(net, x), res.pre_activation_boxes):
+            for z, zbox, sbox in zip(preactivations(net, x), res.pre_activation_boxes,
+                                     res.switch_boxes):
                 assert np.all(z >= zbox.l - 1e-9) and np.all(z <= zbox.u + 1e-9)
+                assert sbox.contains(np.maximum(z, 0.0), tol=1e-9)
             for rule in (ALWAYS_ZERO, ALWAYS_ONE):
                 jac = chain_rule_jacobian(net, x, rule)[0]
                 gb = res.gradient_box
@@ -142,6 +144,12 @@ def test_propagate_monotone_in_domain():
         assert bo.contains_box(bi, tol=1e-12)
     for bi, bo in zip(rin.backward_boxes, rout.backward_boxes):
         assert bo.contains_box(bi, tol=1e-12)
+    for i, (sbox, bbox) in enumerate(zip(rout.switch_boxes, rout.backward_switch_boxes)):
+        states = rout.activation_boolboxes[i]
+        back_in = rout.backward_boxes[net.depth - 1 - i]
+        for got, want in ((sbox, push_switch(rout.pre_activation_boxes[i], states)),
+                          (bbox, push_switch(back_in, states))):
+            assert got.l.tobytes() == want.l.tobytes() and got.u.tobytes() == want.u.tobytes()
 
 
 def test_fastlip_affine_closed_form():

@@ -126,30 +126,29 @@ def test_beale_cycling_example():
     assert sol.objective_value == pytest.approx(0.05, abs=1e-9)
 
 
+def random_feasible_lp(rng, n_range=(2, 6), m_range=(1, 5)):
+    """A random LP with mixed relations, kept feasible by an anchor point."""
+    n = int(rng.integers(*n_range))
+    m = int(rng.integers(*m_range))
+    a = rng.normal(size=(m, n))
+    lo = -rng.uniform(0.5, 2.0, size=n)
+    hi = rng.uniform(0.5, 2.0, size=n)
+    x0 = rng.uniform(lo, hi)
+    rels, b = [], []
+    for i in range(m):
+        r = ["<=", ">=", "="][int(rng.integers(0, 3))]
+        slack = float(rng.uniform(0.0, 1.0))
+        v = float(a[i] @ x0)
+        b.append(v + slack if r == "<=" else v - slack if r == ">=" else v)
+        rels.append(r)
+    return make_problem(rng.normal(size=n), a, rels, b, lo, hi)
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.Generator(np.random.Philox(key=12345))
     solved = 0
     for trial in range(50):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 5))
-        a = rng.normal(size=(m, n))
-        lo = -rng.uniform(0.5, 2.0, size=n)
-        hi = rng.uniform(0.5, 2.0, size=n)
-        x0 = rng.uniform(lo, hi)  # anchor point keeps the instance feasible
-        rels, b = [], []
-        for i in range(m):
-            r = ["<=", ">=", "="][int(rng.integers(0, 3))]
-            slack = float(rng.uniform(0.0, 1.0))
-            v = float(a[i] @ x0)
-            if r == "<=":
-                b.append(v + slack)
-            elif r == ">=":
-                b.append(v - slack)
-            else:
-                b.append(v)
-            rels.append(r)
-        c = rng.normal(size=n)
-        p = make_problem(c, a, rels, b, lo, hi)
+        p = random_feasible_lp(rng)
         sol = lp.solve_lp(p)
         oracle = vertex_enumeration_max(p)
         assert sol.status == lp.OPTIMAL
@@ -228,3 +227,168 @@ def test_solver_reuse_with_changed_bounds():
     cold = lp.solve_lp(make_problem(c, a, ["<="] * 4, b, lo, hi))
     assert warm.status == cold.status == lp.OPTIMAL
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+
+
+# -- dual re-solves from a basis snapshot ------------------------------------
+
+
+def child_bounds(rng, p):
+    """Tighten some bounds of p and pin others, as a branch-and-bound child."""
+    lo, hi = p.lo.copy(), p.hi.copy()
+    for j in range(p.num_vars):
+        u = rng.uniform()
+        if u < 0.3:
+            lo[j] = hi[j] = rng.uniform(p.lo[j], p.hi[j])
+        elif u < 0.6:
+            lo[j], hi[j] = np.sort(rng.uniform(p.lo[j], p.hi[j], size=2))
+    return lo, hi
+
+
+def with_bounds(p, lo, hi):
+    return make_problem(p.objective, p.a, p.relations, p.rhs, lo, hi)
+
+
+def count_cold_starts(monkeypatch, solver):
+    """Counts the solver's cold starts from here on."""
+    calls = []
+    original = solver._cold_start
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_cold_start", counted)
+    return calls
+
+
+def test_dual_resolve_matches_cold_and_vertex_enumeration(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    statuses = set()
+    for trial in range(40):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        root = solver.solve()
+        assert root.status == lp.OPTIMAL and root.basis is not None
+        cold_starts = count_cold_starts(monkeypatch, solver)
+        for _ in range(3):  # siblings share the parent's snapshot
+            lo, hi = child_bounds(rng, p)
+            sol = solver.solve(lo=lo, hi=hi, basis=root.basis)
+            cold = lp.solve_lp(with_bounds(p, lo, hi))
+            oracle = vertex_enumeration_max(with_bounds(p, lo, hi))
+            assert sol.status == cold.status
+            assert (oracle is None) == (sol.status == lp.INFEASIBLE)
+            if sol.status == lp.OPTIMAL:
+                assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+                assert sol.objective_value == pytest.approx(oracle, abs=1e-8)
+            statuses.add(sol.status)
+        assert not cold_starts
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_dual_resolve_chain_of_snapshots():
+    # each solve starts from the previous child's basis, as deeper nodes do
+    rng = np.random.Generator(np.random.Philox(key=7))
+    p = random_feasible_lp(rng, n_range=(12, 13), m_range=(8, 9))
+    solver = lp.SimplexSolver(p)
+    sol = solver.solve()
+    lo, hi = p.lo.copy(), p.hi.copy()
+    for j in rng.permutation(p.num_vars)[:6]:
+        trial_lo, trial_hi = lo.copy(), hi.copy()
+        trial_lo[j] = trial_hi[j] = rng.uniform(lo[j], hi[j])
+        child = solver.solve(lo=trial_lo, hi=trial_hi, basis=sol.basis)
+        cold = lp.solve_lp(with_bounds(p, trial_lo, trial_hi))
+        assert child.status == cold.status
+        if child.status == lp.OPTIMAL:
+            assert child.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+            sol, lo, hi = child, trial_lo, trial_hi
+
+
+def pinned_pair():
+    """max x + y s.t. x + y <= 1 over [0, 1]^2, and its optimal basis."""
+    p = make_problem([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0, 0], [1, 1])
+    solver = lp.SimplexSolver(p)
+    root = solver.solve()
+    assert root.status == lp.OPTIMAL
+    return p, solver, root
+
+
+def test_infeasible_child_certified_without_cold_solve(monkeypatch):
+    p, solver, root = pinned_pair()
+    cold_starts = count_cold_starts(monkeypatch, solver)
+    sol = solver.solve(lo=[1.0, 0.5], hi=[1.0, 1.0], basis=root.basis)
+    assert sol.status == lp.INFEASIBLE
+    assert not cold_starts
+
+
+def test_failed_certificate_falls_back_to_cold_primal(monkeypatch):
+    p, solver, root = pinned_pair()
+    monkeypatch.setattr(lp.SimplexSolver, "_certified_infeasible", lambda self, r: False)
+    cold_starts = count_cold_starts(monkeypatch, solver)
+    sol = solver.solve(lo=[1.0, 0.5], hi=[1.0, 1.0], basis=root.basis)
+    assert sol.status == lp.INFEASIBLE
+    assert cold_starts
+    # still correct on random children, infeasible or not
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for _ in range(20):
+        q = random_feasible_lp(rng)
+        qsolver = lp.SimplexSolver(q)
+        qroot = qsolver.solve()
+        lo, hi = child_bounds(rng, q)
+        got = qsolver.solve(lo=lo, hi=hi, basis=qroot.basis)
+        cold = lp.solve_lp(with_bounds(q, lo, hi))
+        assert got.status == cold.status
+        if got.status == lp.OPTIMAL:
+            assert got.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+
+
+def test_unusable_snapshot_falls_back_to_cold_primal(monkeypatch):
+    # column 2 duplicates column 0, so a basis holding both is singular
+    p = make_problem([1.0, 2.0, 1.0], [[1.0, 1.0, 1.0], [2.0, -1.0, 2.0]], ["<=", "<="],
+                     [2.0, 1.0], [0, 0, 0], [1, 1, 1])
+    solver = lp.SimplexSolver(p)
+    root = solver.solve()
+    lo, hi = p.lo.copy(), p.hi.copy()
+    hi[1] = 0.5
+    expected = lp.solve_lp(with_bounds(p, lo, hi))
+    n_total = p.num_vars + p.num_constraints
+    garbage = [
+        lp.Basis(np.array([0, 2], dtype=np.int32), np.zeros(n_total, dtype=bool)),  # singular
+        lp.Basis(np.array([1, 1], dtype=np.int32), np.zeros(n_total, dtype=bool)),  # repeated
+        lp.Basis(np.array([0, 9], dtype=np.int32), np.zeros(n_total, dtype=bool)),  # out of range
+        lp.Basis(np.array([0], dtype=np.int32), np.zeros(n_total, dtype=bool)),  # wrong length
+        lp.Basis(root.basis.basic, np.zeros(2, dtype=bool)),  # wrong length
+        # slack basis with every column at its lower bound: nonsingular, but the
+        # positive costs make it far from dual feasible
+        lp.Basis(np.array([3, 4], dtype=np.int32), np.zeros(n_total, dtype=bool)),
+    ]
+    for basis in garbage:
+        cold_starts = count_cold_starts(monkeypatch, solver)
+        sol = solver.solve(lo=lo, hi=hi, basis=basis)
+        assert cold_starts
+        assert sol.status == expected.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
+
+
+def test_cutoff_only_below_true_optimum():
+    rng = np.random.Generator(np.random.Philox(key=99))
+    cut = 0
+    for trial in range(40):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        root = solver.solve()
+        lo, hi = child_bounds(rng, p)
+        cold = lp.solve_lp(with_bounds(p, lo, hi))
+        if cold.status != lp.OPTIMAL:
+            continue
+        opt = cold.objective_value
+        for delta in (-1.0, -1e-3, 1e-3, 1.0):
+            sol = solver.solve(lo=lo, hi=hi, basis=root.basis, cutoff=opt + delta)
+            if delta > 0:  # at the latest, the optimal basis proves it
+                assert sol.status == lp.CUTOFF
+                # the reported value is a valid upper bound below the cutoff
+                assert opt - 1e-9 <= sol.objective_value < opt + delta
+                cut += 1
+            else:
+                assert sol.status == lp.OPTIMAL
+                assert sol.objective_value == pytest.approx(opt, abs=1e-8)
+    assert cut > 0

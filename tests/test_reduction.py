@@ -26,8 +26,8 @@ def test_brute_force_mis_matches_subset_enumeration(n):
 EDGE = Graph.from_edges(2, [(0, 1)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
-# Small graphs only: the exact solve grows quickly with the vertex count (a
-# 5-cycle already takes about a thousand nodes).
+# Small graphs only: the exact solve grows quickly with the vertex count (the
+# 5-cycle already takes about a thousand nodes, a few seconds).
 LINF_GRAPHS = [
     EDGE,
     PATH3,
@@ -39,6 +39,7 @@ LINF_GRAPHS = [
     Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
     Graph.from_edges(5, [(0, i) for i in range(1, 5)]),
     Graph.from_edges(5, []),
+    Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
 ]
 
 
@@ -52,9 +53,11 @@ def test_reduction_linf_matches_mis(g):
     assert report.match, report
 
 
-# The l1 variant needs far more nodes: thousands already on 3 vertices with a
-# single edge, so only the two smallest connected graphs run here.
-@pytest.mark.parametrize("g", [EDGE, PATH3], ids=["edge", "path3"])
+# The l1 variant needs far more nodes than the linf one on the same graph:
+# about a thousand on 3 vertices with a single edge (a few seconds), so only
+# graphs with at most 3 vertices run here.
+@pytest.mark.parametrize("g", [EDGE, PATH3, Graph.from_edges(3, [(0, 1)])],
+                         ids=["edge", "path3", "edge-isolated"])
 def test_reduction_l1_matches_mis(g):
     report = verify_reduction(g, variant="l1")
     assert report.match, report
