@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
+from .lp import SolverNumericalError
 from .mip import LipMIPProblem, MIPModel
 
 EXACT = "exact"
@@ -38,10 +39,6 @@ _INT_TOL = 1e-6
 _EXACT_GAP = 1e-8
 _PRUNE_TOL = 1e-9  # relative slack when comparing a bound to the incumbent
 _EPS_GAP = 1e-9  # floor of the gap's denominator near a zero incumbent
-
-
-class SolverNumericalError(RuntimeError):
-    """LP engine failed twice at a node; results would not be trustworthy."""
 
 
 class InfeasibleModelError(RuntimeError):

@@ -1,43 +1,45 @@
-"""Dense bounded-variable simplex: cold primal solves, dual re-solves.
+"""Dense bounded-variable dual simplex.
 
 Solves  max c.x  s.t.  A x (<=,=,>=) b,  lo <= x <= hi  with finite bounds on
 every variable.  Each row gets a slack with bounds derived from interval
 arithmetic, so the working problem is an equality system [A I] v = b over an
 all-finite box and genuine unboundedness cannot occur.
 
-Cold solves (the branch-and-bound root, ``solve_lp``, witness LPs) run the
-primal simplex from the slack basis.  Phase 1 restores feasibility by
-temporarily extending the bounds of violated basic variables and maximizing a
-+-1 objective that pulls them back; a bound is snapped to its true value the
-moment its variable re-enters range.  Phase 2 then optimizes the real
-objective.  Pricing is Dantzig (most negative-ish reduced cost) until a run
-of degenerate pivots exceeds ``BLAND_STALL_FACTOR`` times the variable count,
-after which Bland's least-index rule takes over permanently, which guarantees
-termination on degenerate instances.
+Every solve runs one method, a bounded dual simplex.  It needs a dual
+feasible start: a basis whose nonbasic columns each rest at the bound their
+reduced cost prefers (upper for d_j > 0, lower for d_j < 0).  Because every
+column is boxed, any basis can be made dual feasible by moving each
+wrong-signed nonbasic column to its other bound, so the dual needs no phase 1.
+A cold solve (the branch-and-bound root, ``solve_lp``, witness LPs) starts
+from the slack basis, nonbasic columns at their bound of smaller magnitude
+and then repaired that way.  A re-solve under changed bounds (a
+branch-and-bound child) passes the ``Basis`` snapshot of an optimal solve
+(its parent's) instead; changing bounds leaves that basis dual feasible, and
+the dual usually re-optimizes it in a few pivots.  The solver keeps the
+factorized tableau of the last snapshot it restored, so sibling re-solves
+from one snapshot refactorize once.  A snapshot that is malformed, singular
+or not dual feasible, and any warm answer the dual cannot certify, is
+recomputed by a nested cold solve.
 
-A re-solve under changed bounds (a branch-and-bound child) passes the
-``Basis`` snapshot of an optimal solve (its parent's) instead.  Changing
-bounds leaves that basis dual feasible, so a bounded dual simplex
-re-optimizes it: a basic variable outside its bounds, chosen by dual steepest
-edge pricing, leaves at its violated bound and a ratio test over the reduced
-costs (Harris tolerance, largest pivot among near-ties) picks the entering
-column.  The solver keeps the factorized tableau of the last snapshot it
-restored, so sibling re-solves from one snapshot refactorize once.  A
-snapshot that is malformed, singular or not dual feasible falls back to the
-cold primal.  Reference: A. Koberstein, *The dual simplex method, techniques
-for a fast and stable implementation*, PhD thesis, Paderborn 2005.
+Each pivot takes as leaving variable the basic variable outside its bounds
+chosen by dual steepest edge pricing; it leaves at its violated bound, and a
+ratio test over the reduced costs (Harris tolerance, largest pivot among
+near-ties) picks the entering column.  Reference: A. Koberstein, *The dual
+simplex method, techniques for a fast and stable implementation*, PhD
+thesis, Paderborn 2005.
 
 When no column can enter, row r of B^-1 is a Farkas certificate y: every
-point of the working box satisfying the rows has y.[A I] v = y.b.  The dual
-path recomputes g = y.[A I] and y.b from the original data and returns
-INFEASIBLE only if y.b lies outside the range of g.v over the box by more
-than the feasibility tolerances could explain; otherwise it falls back to the
-cold primal.  With a finite ``cutoff``, the dual path stops with status
+point of the working box satisfying the rows has y.[A I] v = y.b.  The solve
+recomputes g = y.[A I] and y.b from the original data and returns INFEASIBLE
+only if y.b lies outside the range of g.v over the box by more than the
+feasibility tolerances could explain.  An infeasibility the certificate
+cannot confirm is a NUMERICAL_FAILURE, never INFEASIBLE, as is a solve that
+hits the pivot cap.  With a finite ``cutoff``, the solve stops with status
 CUTOFF once the objective of a dual-feasible iterate, which bounds the LP
 optimum from above, falls below it and the weak-duality bound
 y.b + sum_j max(r_j lo_j, r_j hi_j), with y = c_B B^-1 and r = c - y.[A I]
-recomputed from the original data, confirms it.  Every OPTIMAL answer of
-either method passes a primal feasibility check against the original data.
+recomputed from the original data, confirms it.  Every OPTIMAL answer passes
+a primal feasibility check against the original data.
 
 The tableau is dense and kept explicitly; this is deliberate.  Target scale
 is a few thousand variables and the branch-and-bound driver re-solves the
@@ -59,17 +61,16 @@ NUMERICAL_FAILURE = "numerical_failure"
 FEAS_TOL = 1e-7
 DEFAULT_PIVOT_TOL = 1e-9
 
-#: Degenerate pivots tolerated (per variable) before switching to Bland's rule.
-BLAND_STALL_FACTOR = 10
-
-_DEGEN_STEP = 1e-11
-_RATIO_TIE = 1e-9
 _REFRESH_EVERY = 256  # pivots between full recomputations of costs/values
 #: Largest wrong-signed reduced cost a restored basis may have; smaller ones
 #: are repaired by moving the variable to its other bound.
 _DUAL_TOL = 1e-7
 #: Relative rounding allowance of the certificate and cutoff checks.
 _CERT_REL = 1e-12
+
+
+class SolverNumericalError(RuntimeError):
+    """An LP answer needed for a result could not be trusted."""
 
 
 @dataclass(frozen=True)
@@ -143,13 +144,13 @@ class LPSolution:
 
 
 class SimplexSolver:
-    """Reusable simplex over one constraint matrix and varying bounds.
+    """Reusable dual simplex over one constraint matrix and varying bounds.
 
     The constraint matrix, relations and right-hand side are fixed at
     construction; ``solve`` may override variable bounds and objective, which
     is exactly what branch-and-bound needs.  A solve given the ``basis`` of an
-    earlier optimal answer re-optimizes it by dual simplex, usually in a few
-    pivots; a solve without one starts cold.
+    earlier optimal answer re-optimizes it, usually in a few pivots; a solve
+    without one starts cold from the slack basis.
     """
 
     def __init__(self, problem: LPProblem):
@@ -203,11 +204,13 @@ class SimplexSolver:
 
     # -- state management ---------------------------------------------------
 
-    def _cold_start(self, wlo, whi):
+    def _cold_start(self):
+        """The slack basis, nonbasic structurals at their bound of smaller
+        magnitude (``_dual`` then repairs its dual feasibility)."""
+        wlo, whi = self._wlo, self._whi
         self._tab = self._r.copy()
         self._beta0 = self.problem.rhs.copy()
         self._basis = np.arange(self.n_struct, self.n_total)
-        # nonbasic structurals rest at the bound of smaller magnitude
         self._at_upper = np.zeros(self.n_total, dtype=bool)
         self._at_upper[: self.n_struct] = np.abs(whi[: self.n_struct]) < np.abs(
             wlo[: self.n_struct]
@@ -298,71 +301,8 @@ class SimplexSolver:
         beta0[row] = pbeta
         tab[:, col] = 0.0
         tab[row, col] = 1.0
-        if d is not None:
-            d -= d[col] * prow
-            d[col] = 0.0
-        return prow
-
-    # -- core iteration -----------------------------------------------------
-
-    def _iterate(self, costs, wlo, whi, xb, d, state, pivot_tol):
-        """One priced pivot.  Returns "optimal", "pivoted", or "stalled"."""
-        free = whi - wlo > 0
-        nonbasic = self._nonbasic()
-        up = d > pivot_tol
-        down = d < -pivot_tol
-        eligible = nonbasic & free & ((~self._at_upper & up) | (self._at_upper & down))
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
-            return "optimal"
-        if state["bland"]:
-            e = int(idx[0])
-        else:
-            e = int(idx[np.argmax(np.abs(d[idx]))])
-        sigma = -1.0 if self._at_upper[e] else 1.0
-        y = self._tab[:, e]
-        sy = sigma * y
-        t_flip = whi[e] - wlo[e]
-        lo_b = wlo[self._basis]
-        hi_b = whi[self._basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                sy > pivot_tol,
-                (xb - lo_b) / sy,
-                np.where(sy < -pivot_tol, (hi_b - xb) / (-sy), np.inf),
-            )
-        np.maximum(ratio, 0.0, out=ratio)
-        rmin = ratio.min() if ratio.size else np.inf
-        if t_flip <= rmin:  # entering variable flips to its other bound
-            self._at_upper[e] = ~self._at_upper[e]
-            xb -= t_flip * sy
-            state["degen"] = state["degen"] + 1 if t_flip <= _DEGEN_STEP else 0
-            return "pivoted"
-        cands = np.flatnonzero(ratio <= rmin + _RATIO_TIE)
-        if cands.size == 0:
-            return "stalled"
-        if state["bland"]:
-            r = int(cands[np.argmin(self._basis[cands])])
-        else:
-            r = int(cands[np.argmax(np.abs(y[cands]))])
-        if abs(y[r]) < pivot_tol:
-            return "stalled"
-        t = max(ratio[r], 0.0)
-        leaving = self._basis[r]
-        self._at_upper[leaving] = sy[r] < 0  # hit its upper bound iff moving up
-        xb -= t * sy
-        xb[r] = (whi[e] if self._at_upper[e] else wlo[e]) + sigma * t
-        self._basis[r] = e
-        self._pivot(r, e, d)
-        state["degen"] = state["degen"] + 1 if t <= _DEGEN_STEP else 0
-        if state["degen"] > BLAND_STALL_FACTOR * self.n_total:
-            state["bland"] = True
-        state["pivots"] += 1
-        if state["pivots"] % _REFRESH_EVERY == 0:
-            d[:] = costs - costs[self._basis] @ self._tab
-            d[self._basis] = 0.0
-            xb[:] = self._basic_values(wlo, whi)
-        return "pivoted"
+        d -= d[col] * prow
+        d[col] = 0.0
 
     def _reduced_costs(self, costs):
         d = costs - costs[self._basis] @ self._tab
@@ -379,15 +319,15 @@ class SimplexSolver:
         pivot_tol: float = DEFAULT_PIVOT_TOL,
         basis: Basis | None = None,
         cutoff: float = np.inf,
-        _second_try: bool = False,
     ) -> LPSolution:
         """Maximize under the given bounds and objective (default: the problem's).
 
-        With ``basis`` (from an earlier OPTIMAL answer) the solve runs the dual
-        simplex from that snapshot and may stop early with CUTOFF when the LP
-        optimum is certified to lie below ``cutoff``; an answer it cannot
-        certify is recomputed by a nested cold solve.  Without one it runs the
-        primal simplex from the slack basis and ignores ``cutoff``.
+        The dual simplex starts from ``basis`` (from an earlier OPTIMAL
+        answer) when one is given, else from the slack basis.  With a finite
+        ``cutoff`` it may stop early with CUTOFF once the LP optimum is
+        certified to lie below it.  A warm answer it cannot certify is
+        recomputed by a nested cold solve.  A cold solve that cannot certify
+        infeasibility, or hits the pivot cap, returns NUMERICAL_FAILURE.
         """
         p = self.problem
         if self._row_infeasible:
@@ -397,122 +337,48 @@ class SimplexSolver:
         if np.any(lo > hi):
             return LPSolution(INFEASIBLE, None, np.nan, 0)
         cobj = p.objective if objective is None else np.asarray(objective, dtype=float)
-        wlo, whi, costs = self._wlo, self._whi, self._costs
-        wlo[: self.n_struct] = lo
-        wlo[self.n_struct:] = self._slack_lo
-        whi[: self.n_struct] = hi
-        whi[self.n_struct:] = self._slack_hi
-        costs[: self.n_struct] = cobj
-        if basis is not None:
-            sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol)
-            if sol is not None:
-                return sol
+        self._wlo[: self.n_struct] = lo
+        self._wlo[self.n_struct:] = self._slack_lo
+        self._whi[: self.n_struct] = hi
+        self._whi[self.n_struct:] = self._slack_hi
+        self._costs[: self.n_struct] = cobj
+        sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol)
+        if sol.status == NUMERICAL_FAILURE and basis is not None:
             # uncertified or failed: a nested cold solve gives the answer
-            return self.solve(lo, hi, cobj, pivot_tol)
-        self._cold_start(wlo, whi)
-        state = {"bland": _second_try, "degen": 0, "pivots": 0}
-        max_pivots = 200 * (self.n_total + 10) + 20000
+            return self.solve(lo, hi, cobj, pivot_tol, cutoff=cutoff)
+        return sol
 
-        status = self._solve_phases(costs, wlo, whi, state, pivot_tol, max_pivots)
-        if status == OPTIMAL:
-            sol = self._optimal(lo, hi, cobj, state["pivots"])
-            if sol is not None:
-                return sol
-            status = NUMERICAL_FAILURE
-        if status == INFEASIBLE:
-            return LPSolution(INFEASIBLE, None, np.nan, state["pivots"])
-        if not _second_try:
-            # one retry: cold start under Bland's rule from the first pivot
-            return self.solve(lo, hi, cobj, pivot_tol, _second_try=True)
-        return LPSolution(NUMERICAL_FAILURE, None, np.nan, state["pivots"])
-
-    def _optimal(self, lo, hi, cobj, pivots) -> LPSolution | None:
-        """The OPTIMAL answer at the current basis, if its point checks out."""
+    def _optimal(self, lo, hi, cobj, pivots) -> LPSolution:
+        """The OPTIMAL answer at the current basis, or NUMERICAL_FAILURE when
+        its point fails the feasibility check."""
         x = self._extract(self._wlo, self._whi)
         if not self._feasible(x, lo, hi):
-            return None
+            return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         xs = x[: self.n_struct]
         basis = Basis(self._basis.astype(np.int32), self._at_upper.copy())
         return LPSolution(OPTIMAL, xs, float(cobj @ xs), pivots, basis)
 
-    def _solve_phases(self, costs, wlo, whi, state, pivot_tol, max_pivots):
-        # working copies; phase 1 may extend them
-        ext_lo = wlo.copy()
-        ext_hi = whi.copy()
-        xb = self._basic_values(wlo, whi)
+    # -- the dual simplex ------------------------------------------------------
 
-        below = xb < wlo[self._basis] - FEAS_TOL
-        above = xb > whi[self._basis] + FEAS_TOL
-        if below.any() or above.any():
-            phase_costs = np.zeros(self.n_total)
-            for r in np.flatnonzero(above):
-                v = self._basis[r]
-                ext_hi[v] = xb[r]
-                phase_costs[v] = -1.0  # pull it down
-            for r in np.flatnonzero(below):
-                v = self._basis[r]
-                ext_lo[v] = xb[r]
-                phase_costs[v] = 1.0  # pull it up
-            d = self._reduced_costs(phase_costs)
-            while True:
-                if state["pivots"] > max_pivots:
-                    return NUMERICAL_FAILURE
-                outcome = self._iterate(phase_costs, ext_lo, ext_hi, xb, d, state, pivot_tol)
-                if outcome == "stalled":
-                    return NUMERICAL_FAILURE
-                # snap every extended variable that is back inside its range
-                extended = np.flatnonzero(phase_costs != 0.0)
-                vals = self._nonbasic_values(ext_lo, ext_hi)
-                pos = np.full(self.n_total, -1)
-                pos[self._basis] = np.arange(self._basis.size)
-                changed = False
-                for v in extended:
-                    val = xb[pos[v]] if pos[v] >= 0 else vals[v]
-                    if wlo[v] - FEAS_TOL <= val <= whi[v] + FEAS_TOL:
-                        gamma = phase_costs[v]
-                        phase_costs[v] = 0.0
-                        ext_lo[v] = wlo[v]
-                        ext_hi[v] = whi[v]
-                        if pos[v] >= 0:
-                            d += gamma * self._tab[pos[v]]
-                            d[v] = 0.0
-                        else:
-                            d[v] -= gamma
-                        changed = True
-                if changed:
-                    xb = self._basic_values(ext_lo, ext_hi)
-                if not np.any(phase_costs != 0.0):
-                    break
-                if outcome == "optimal":
-                    if changed:
-                        continue  # snaps altered the objective; re-price
-                    return INFEASIBLE
-        # phase 2
-        d = self._reduced_costs(costs)
-        while True:
-            if state["pivots"] > max_pivots:
-                return NUMERICAL_FAILURE
-            outcome = self._iterate(costs, wlo, whi, xb, d, state, pivot_tol)
-            if outcome == "optimal":
-                return OPTIMAL
-            if outcome == "stalled":
-                return NUMERICAL_FAILURE
-
-    # -- dual simplex from a snapshot ----------------------------------------
-
-    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol) -> LPSolution | None:
-        """Bounded dual simplex from ``basis``; None when the answer must come
-        from a cold solve (unusable snapshot, uncertified infeasibility,
-        iteration limit, or an optimum that fails the feasibility check)."""
-        if not self._restore(basis):
-            return None
+    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol) -> LPSolution:
+        """Bounded dual simplex from ``basis``, or from the slack basis when it
+        is None.  NUMERICAL_FAILURE when the snapshot is unusable, an
+        infeasibility is uncertified, the pivot cap is hit, or an optimum
+        fails the feasibility check."""
+        pivots = 0
+        if basis is None:
+            self._cold_start()
+            limit = np.inf
+        elif self._restore(basis):
+            limit = _DUAL_TOL
+        else:
+            return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         wlo, whi, costs = self._wlo, self._whi, self._costs
         free = whi > wlo
         d = self._reduced_costs(costs)
-        if self._repair_dual(d, free, _DUAL_TOL) is None:
-            return None
+        if self._repair_dual(d, free, limit) is None:
+            return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         xb = self._basic_values(wlo, whi)
-        pivots = 0
         max_pivots = 2 * self.n_total + 1000
         while pivots <= max_pivots:
             if cutoff < np.inf:
@@ -536,9 +402,8 @@ class SimplexSolver:
                 continue
             q = self._dual_ratio_test(r, xb[r] < basic_lo[r], d, free, pivot_tol)
             if q < 0:
-                if self._certified_infeasible(r):
-                    return LPSolution(INFEASIBLE, None, np.nan, pivots)
-                return None
+                status = INFEASIBLE if self._certified_infeasible(r) else NUMERICAL_FAILURE
+                return LPSolution(status, None, np.nan, pivots)
             leaving = self._basis[r]
             target = basic_lo[r] if xb[r] < basic_lo[r] else basic_hi[r]
             alpha = self._tab[:, q]
@@ -552,7 +417,7 @@ class SimplexSolver:
             if pivots % _REFRESH_EVERY == 0:
                 d = self._reduced_costs(costs)
                 xb = self._basic_values(wlo, whi)
-        return None
+        return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
 
     def _leaving_row(self, infeas) -> int:
         """Dual steepest edge: the row with the largest squared infeasibility
@@ -661,9 +526,15 @@ def solve_lp(problem: LPProblem) -> LPSolution:
 
 
 def box_witness(a, rhs, lo, hi) -> np.ndarray | None:
-    """Some x with lo <= x <= hi and a @ x >= rhs, or None when the LP finds none."""
+    """Some x with lo <= x <= hi and a @ x >= rhs, or None when there is none.
+
+    Raises SolverNumericalError when the LP fails, so that a failure is never
+    read as proof that no such x exists.
+    """
     prob = LPProblem(
         objective=np.zeros(len(lo)), a=a, relations=(">=",) * len(rhs), rhs=rhs, lo=lo, hi=hi,
     )
     sol = solve_lp(prob)
+    if sol.status == NUMERICAL_FAILURE:
+        raise SolverNumericalError("witness LP failed")
     return sol.x if sol.status == OPTIMAL else None

@@ -562,7 +562,10 @@ class LipMIPProblem:
             rhs.extend(signs * -v)
             if i + 1 < net.depth:
                 m, v = next_layer_affine(net, i, lam, m, v)
-        x = lp.box_witness(rows, rhs, self.domain.l, self.domain.u)
+        try:
+            x = lp.box_witness(rows, rhs, self.domain.l, self.domain.u)
+        except lp.SolverNumericalError:
+            return None  # a failed witness LP is a heuristic miss
         if x is None:
             return None
         jac = jacobian_from_multipliers(net, mults)

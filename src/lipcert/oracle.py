@@ -60,7 +60,8 @@ def enumerate_regions(
 
     Each certificate's witness satisfies all its sign constraints with slack
     >= interior_eps.  Full-dimensional regions intersecting the domain deeply
-    enough are produced exactly once; thinner slivers are skipped.
+    enough are produced exactly once; thinner slivers are skipped.  A witness
+    LP that fails raises ``lp.SolverNumericalError`` rather than pruning.
     """
     if net.total_neurons > neuron_cap:
         raise NeuronCapExceeded(

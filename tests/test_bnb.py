@@ -171,3 +171,41 @@ def test_exact_matches_oracle_and_repeats(arch, seed, alpha, tighten):
     assert [(e.node, e.upper_bound, e.incumbent) for e in r1.events] == \
         [(e.node, e.upper_bound, e.incumbent) for e in r2.events]
     assert r1.incumbent_point.tobytes() == r2.incumbent_point.tobytes()
+
+
+def failing_solves(monkeypatch, fails):
+    """Makes ``SimplexSolver.solve`` report NUMERICAL_FAILURE whenever
+    ``fails(call_index, kwargs)`` is true; returns the recorded calls."""
+    original = lp.SimplexSolver.solve
+    calls = []
+
+    def solve(self, *args, **kwargs):
+        calls.append(kwargs)
+        if fails(len(calls) - 1, kwargs):
+            return lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, 0)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(lp.SimplexSolver, "solve", solve)
+    return calls
+
+
+def test_failed_warm_node_solve_retried_cold(monkeypatch):
+    net = random_he([3, 6, 6, 1], seed=8)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    ref = exact_lipschitz_bruteforce(net, box, "linf")
+    calls = failing_solves(monkeypatch, lambda i, kw: kw.get("basis") is not None)
+    res = lipmip(net, box)
+    assert res.status == bnb.EXACT
+    assert res.nodes_explored > 1
+    assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    retries = [kw for kw in calls if kw.get("pivot_tol") == 1e-11]
+    assert retries and all(kw.get("basis") is None for kw in retries)
+
+
+def test_node_solve_failing_twice_raises(monkeypatch):
+    net = random_he([3, 6, 6, 1], seed=8)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    failing_solves(monkeypatch, lambda i, kw: i > 0)  # every solve after the root
+    with pytest.raises(bnb.SolverNumericalError):
+        lipmip(net, box)

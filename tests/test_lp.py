@@ -58,6 +58,28 @@ def vertex_enumeration_max(problem, tol=1e-9):
     return best
 
 
+def highs_max(problem):
+    """Independent oracle for larger instances: scipy's HiGHS, None when it
+    finds the LP infeasible.  Skips the test without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rel = np.array(problem.relations)
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ineq = rel != "="
+    res = linprog(
+        -problem.objective,
+        A_ub=(sign[:, None] * problem.a)[ineq] if ineq.any() else None,
+        b_ub=(sign * problem.rhs)[ineq] if ineq.any() else None,
+        A_eq=problem.a[~ineq] if (~ineq).any() else None,
+        b_eq=problem.rhs[~ineq] if (~ineq).any() else None,
+        bounds=list(zip(problem.lo, problem.hi)),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    return -res.fun
+
+
 def test_single_variable_cap():
     p = make_problem([1.0], [[1.0]], ["<="], [1.0], [0.0], [10.0])
     sol = lp.solve_lp(p)
@@ -227,6 +249,8 @@ def test_solver_reuse_with_changed_bounds():
     cold = lp.solve_lp(make_problem(c, a, ["<="] * 4, b, lo, hi))
     assert warm.status == cold.status == lp.OPTIMAL
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+    oracle = vertex_enumeration_max(make_problem(c, a, ["<="] * 4, b, lo, hi))
+    assert warm.objective_value == pytest.approx(oracle, abs=1e-8)
 
 
 # -- dual re-solves from a basis snapshot ------------------------------------
@@ -297,9 +321,12 @@ def test_dual_resolve_chain_of_snapshots():
         trial_lo[j] = trial_hi[j] = rng.uniform(lo[j], hi[j])
         child = solver.solve(lo=trial_lo, hi=trial_hi, basis=sol.basis)
         cold = lp.solve_lp(with_bounds(p, trial_lo, trial_hi))
+        ref = highs_max(with_bounds(p, trial_lo, trial_hi))
         assert child.status == cold.status
+        assert (ref is None) == (child.status == lp.INFEASIBLE)
         if child.status == lp.OPTIMAL:
             assert child.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+            assert child.objective_value == pytest.approx(ref, rel=1e-7, abs=1e-7)
             sol, lo, hi = child, trial_lo, trial_hi
 
 
@@ -320,28 +347,35 @@ def test_infeasible_child_certified_without_cold_solve(monkeypatch):
     assert not cold_starts
 
 
-def test_failed_certificate_falls_back_to_cold_primal(monkeypatch):
+def test_uncertified_infeasibility_is_a_failure(monkeypatch):
+    # an infeasibility the Farkas certificate cannot confirm is never reported
+    # as INFEASIBLE: the warm solve makes one cold start, which fails too
     p, solver, root = pinned_pair()
     monkeypatch.setattr(lp.SimplexSolver, "_certified_infeasible", lambda self, r: False)
     cold_starts = count_cold_starts(monkeypatch, solver)
     sol = solver.solve(lo=[1.0, 0.5], hi=[1.0, 1.0], basis=root.basis)
-    assert sol.status == lp.INFEASIBLE
-    assert cold_starts
-    # still correct on random children, infeasible or not
+    assert sol.status == lp.NUMERICAL_FAILURE
+    assert len(cold_starts) == 1
+    # random children: feasible ones are still solved, infeasible ones fail
     rng = np.random.Generator(np.random.Philox(key=11))
+    statuses = set()
     for _ in range(20):
         q = random_feasible_lp(rng)
         qsolver = lp.SimplexSolver(q)
         qroot = qsolver.solve()
         lo, hi = child_bounds(rng, q)
         got = qsolver.solve(lo=lo, hi=hi, basis=qroot.basis)
-        cold = lp.solve_lp(with_bounds(q, lo, hi))
-        assert got.status == cold.status
-        if got.status == lp.OPTIMAL:
-            assert got.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+        oracle = vertex_enumeration_max(with_bounds(q, lo, hi))
+        if oracle is None:
+            assert got.status == lp.NUMERICAL_FAILURE
+        else:
+            assert got.status == lp.OPTIMAL
+            assert got.objective_value == pytest.approx(oracle, abs=1e-8)
+        statuses.add(got.status)
+    assert statuses == {lp.OPTIMAL, lp.NUMERICAL_FAILURE}
 
 
-def test_unusable_snapshot_falls_back_to_cold_primal(monkeypatch):
+def test_unusable_snapshot_falls_back_to_cold_start(monkeypatch):
     # column 2 duplicates column 0, so a basis holding both is singular
     p = make_problem([1.0, 2.0, 1.0], [[1.0, 1.0, 1.0], [2.0, -1.0, 2.0]], ["<=", "<="],
                      [2.0, 1.0], [0, 0, 0], [1, 1, 1])
@@ -370,6 +404,7 @@ def test_unusable_snapshot_falls_back_to_cold_primal(monkeypatch):
 
 
 def test_cutoff_only_below_true_optimum():
+    # from the parent's snapshot and from a cold start alike
     rng = np.random.Generator(np.random.Philox(key=99))
     cut = 0
     for trial in range(40):
@@ -381,8 +416,9 @@ def test_cutoff_only_below_true_optimum():
         if cold.status != lp.OPTIMAL:
             continue
         opt = cold.objective_value
-        for delta in (-1.0, -1e-3, 1e-3, 1.0):
-            sol = solver.solve(lo=lo, hi=hi, basis=root.basis, cutoff=opt + delta)
+        assert opt == pytest.approx(vertex_enumeration_max(with_bounds(p, lo, hi)), abs=1e-8)
+        for delta, start in itertools.product((-1.0, -1e-3, 1e-3, 1.0), (root.basis, None)):
+            sol = solver.solve(lo=lo, hi=hi, basis=start, cutoff=opt + delta)
             if delta > 0:  # at the latest, the optimal basis proves it
                 assert sol.status == lp.CUTOFF
                 # the reported value is a valid upper bound below the cutoff

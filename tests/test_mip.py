@@ -315,6 +315,17 @@ def test_feasible_set_tie_rules_at_identity_zero():
             assert prob.model.objective_at(point) == pytest.approx(2.0 - a - b)
 
 
+def test_rounded_pattern_value_treats_failed_lp_as_miss(monkeypatch):
+    net = random_he([3, 5, 4, 1], seed=0)
+    box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
+    prob = build_lipmip_model(net, box, alpha="linf")
+    point = feasible_assignment(prob, np.full(3, 0.3), ALWAYS_ZERO)
+    assert prob.rounded_pattern_value(point) is not None
+    monkeypatch.setattr(lp.SimplexSolver, "solve", lambda self, *args, **kwargs:
+                        lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, 0))
+    assert prob.rounded_pattern_value(point) is None
+
+
 LAYOUT_CASES = [
     ([3, 5, 4, 1], 0, "linf", None),
     ([3, 5, 4, 1], 1, "l1", None),

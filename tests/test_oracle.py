@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipcert import bnb, oracle
+from lipcert import bnb, lp, oracle
 from lipcert.interval import Hyperbox, fastlip
 from lipcert.mip import build_lipmip_model
 from lipcert.network import (
@@ -117,3 +117,22 @@ def test_fastlip_dominates_oracle():
         box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
         exact = exact_lipschitz_bruteforce(net, box, "linf")
         assert fastlip(net, box, "l1") >= exact - 1e-7 * max(1.0, exact)
+
+
+def test_failed_witness_lp_raises_instead_of_pruning(monkeypatch):
+    # a failed LP proves nothing: dropping its subtree would under-count regions
+    net = random_he([2, 8, 8, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(2, 0.5), 0.5)
+    assert region_count(net, box) == 10
+    original = lp.SimplexSolver.solve
+    calls = []
+
+    def every_third_fails(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            return lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, 0)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(lp.SimplexSolver, "solve", every_third_fails)
+    with pytest.raises(lp.SolverNumericalError):
+        region_count(net, box)
