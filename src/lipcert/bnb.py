@@ -13,22 +13,31 @@ norm is an attainable objective value.  Incumbent and upper bound therefore
 sandwich the true optimum at every moment, which is what makes early
 stopping at a target integrality gap sound.
 
-When a Lipschitz problem context is available, fixing a binary also re-runs
-interval propagation with that neuron pinned and tightens every affected
-variable bound in the child (optional, default on).
+When a Lipschitz problem context is available, bound tightening (optional,
+default on) works at two points.  Before branching, ``tighten_root``
+maximizes and minimizes each undecided pre-activation over the LP relaxation
+of the layers below it, layer by layer, and rebuilds the model from the
+tighter boxes: smaller big-Ms, and neurons whose sign the boxes decide lose
+their binary.  During the search, fixing a binary re-runs interval
+propagation with that neuron pinned, intersected with those boxes, and
+tightens every affected variable bound in the child.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
+from .interval import Hyperbox
 from .lp import SolverNumericalError
 from .mip import LipMIPProblem, MIPModel
+
+logger = logging.getLogger("lipcert")
 
 EXACT = "exact"
 GAP_REACHED = "gap_reached"
@@ -71,8 +80,31 @@ class NodeEvent:
 
 
 @dataclass
+class LayerTightening:
+    """Root tightening of one hidden layer (see ``tighten_root``).
+
+    ``unstable_*`` count the layer's neurons of undecided sign (those with a
+    binary) and ``mean_width_*`` is the mean width of their pre-activation
+    boxes, in the model before the tightening and in the rebuilt model
+    after it.  ``lps`` and ``pivots`` are the LP solves and simplex pivots
+    spent on the layer.
+    """
+
+    layer: int
+    unstable_before: int
+    unstable_after: int
+    mean_width_before: float
+    mean_width_after: float
+    lps: int
+    pivots: int
+
+
+@dataclass
 class MIPResult:
-    """Certified sandwich around the optimum plus run accounting."""
+    """Certified sandwich around the optimum plus run accounting.
+
+    ``root_tightening`` has one record per hidden layer when the solve
+    tightened a LipMIPProblem's root, and is empty otherwise."""
 
     upper_bound: float
     incumbent_value: float
@@ -82,6 +114,7 @@ class MIPResult:
     nodes_explored: int
     wall_time: float
     events: list[NodeEvent] = field(default_factory=list)
+    root_tightening: list[LayerTightening] = field(default_factory=list)
 
 
 def _gap(upper: float, incumbent: float) -> float:
@@ -90,21 +123,116 @@ def _gap(upper: float, incumbent: float) -> float:
     return (upper - incumbent) / max(abs(incumbent), _EPS_GAP)
 
 
+def _unstable_width(problem: LipMIPProblem, layer: int) -> tuple[int, float]:
+    """Undecided neurons of a layer and the mean width of their boxes."""
+    free = problem.neuron_bins[layer] >= 0
+    box = problem.pre_boxes[layer]
+    widths = (box.u - box.l)[free]
+    return int(free.sum()), float(widths.mean()) if widths.size else 0.0
+
+
+def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
+    """Progressive LP bound tightening of the pre-activation boxes.
+
+    For each hidden layer i in order, every neuron whose sign is undecided
+    has its pre-activation maximized and minimized over the LP relaxation of
+    the layers below i; then the model is rebuilt from the tightened boxes
+    before layer i+1 is tightened.  That LP needs no model of its own: the
+    variables and rows are declared in forward order, so the variables up to
+    layer i's pre-activations, with the rows that mention only them, are the
+    LP relaxation of the layers below i.  Each LP starts from the previous
+    optimal basis of the layer.  Each new bound is the certified
+    ``SimplexSolver.dual_bound`` of the final basis, never the raw primal
+    objective; a failed LP keeps that side's bound.  Layer 0's interval
+    boxes are exact over a plain box, so it is tightened only under input
+    constraints.  Past ``deadline`` (a ``time.perf_counter`` value) no
+    further neuron is tightened.
+
+    Returns the rebuilt problem and one LayerTightening per hidden layer.
+    """
+    depth = problem.net.depth
+    spent = [[0, 0] for _ in range(depth)]  # LPs and pivots per layer
+    current = problem
+    first = 0 if problem.input_constraints else 1
+    for i in range(first, depth):
+        free = np.flatnonzero(current.neuron_bins[i] >= 0)
+        if free.size == 0:
+            continue
+        full = current.model.to_lp_problem()
+        pre = current.pre_vars[i]
+        n = int(pre[-1]) + 1
+        rows = ~full.a[:, n:].any(axis=1)
+        solver = lp.SimplexSolver(lp.LPProblem(
+            objective=np.zeros(n), a=full.a[rows, :n],
+            relations=tuple(r for r, keep in zip(full.relations, rows) if keep),
+            rhs=full.rhs[rows],
+            lo=full.lo[:n], hi=full.hi[:n],
+        ))
+        box = current.pre_boxes[i]
+        lo, hi = box.l.copy(), box.u.copy()
+        basis = None
+        for j in free:
+            if time.perf_counter() > deadline:
+                break
+            for sign in (1.0, -1.0):
+                c = np.zeros(n)
+                c[pre[j]] = sign
+                sol = solver.solve(objective=c, basis=basis)
+                spent[i][0] += 1
+                spent[i][1] += sol.iterations
+                if sol.status != lp.OPTIMAL:
+                    continue
+                basis = sol.basis
+                bound = solver.dual_bound()
+                if not np.isfinite(bound):
+                    continue
+                if sign > 0:
+                    hi[j] = min(hi[j], bound)
+                else:
+                    lo[j] = max(lo[j], -bound)
+            if lo[j] > hi[j]:  # only by rounding: keep the interval box
+                lo[j], hi[j] = box.l[j], box.u[j]
+        if np.array_equal(lo, box.l) and np.array_equal(hi, box.u):
+            continue
+        boxes = list(current.pre_boxes)
+        boxes[i] = Hyperbox(lo, hi)
+        current = current.rebuild(boxes)
+    records = []
+    for i in range(depth):
+        before, after = _unstable_width(problem, i), _unstable_width(current, i)
+        records.append(LayerTightening(i, before[0], after[0], before[1], after[1], *spent[i]))
+    return current, records
+
+
 def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     """Branch-and-bound solve of a MIPModel or LipMIPProblem (maximization).
 
     With a LipMIPProblem the solver uses the network-evaluation primal
-    heuristic and interval-based bound tightening; with a bare MIPModel,
-    incumbents come from integral LP solutions only.
+    heuristic and, with ``opts.tighten_bounds``, LP tightening of the root
+    (``tighten_root``, inside the timed window) and interval-based node
+    tightening; with a bare MIPModel, incumbents come from integral LP
+    solutions only.
     """
     opts = opts or SolveOptions()
+    start = time.perf_counter()
+    tightening: list[LayerTightening] = []
     if isinstance(problem, LipMIPProblem):
+        if opts.tighten_bounds:
+            problem, tightening = tighten_root(problem, start + opts.timeout_seconds)
+            logger.debug(
+                "root tightening in %.3f s: %s", time.perf_counter() - start,
+                "; ".join(
+                    f"L{r.layer} unstable {r.unstable_before}->{r.unstable_after} "
+                    f"width {r.mean_width_before:.3g}->{r.mean_width_after:.3g} "
+                    f"({r.lps} LPs, {r.pivots} pivots)"
+                    for r in tightening
+                ),
+            )
         model: MIPModel = problem.model
         context = problem
     else:
         model = problem
         context = None
-    start = time.perf_counter()
     solver = lp.SimplexSolver(model.to_lp_problem())
     binaries = model.binary_vars
 
@@ -113,6 +241,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         "point": None,
         "nodes": 0,
         "counter": 0,
+        "tightening": tightening,
     }
     events: list[NodeEvent] = []
     heap: list = []  # entries (-bound, counter, fixes, branch_var, depth, basis)
@@ -223,17 +352,19 @@ def _finish(status, upper, state, gap, start, events) -> MIPResult:
         nodes_explored=state["nodes"],
         wall_time=time.perf_counter() - start,
         events=events,
+        root_tightening=state["tightening"],
     )
 
 
 def solve_liplp(problem) -> float:
-    """Optimum of the LP relaxation: a certified Lipschitz upper bound."""
+    """Certified Lipschitz upper bound from the LP relaxation: the
+    weak-duality bound of its optimal basis (``SimplexSolver.dual_bound``)."""
     model = problem.model if isinstance(problem, LipMIPProblem) else problem
-    relaxed = model.lp_relaxation().to_lp_problem()
-    sol = lp.solve_lp(relaxed)
+    solver = lp.SimplexSolver(model.lp_relaxation().to_lp_problem())
+    sol = solver.solve()
     if sol.status != lp.OPTIMAL:
         raise SolverNumericalError(f"LP relaxation returned {sol.status}")
-    return sol.objective_value + model.objective_const
+    return solver.dual_bound() + model.objective_const
 
 
 def write_event_log(events, path) -> None:

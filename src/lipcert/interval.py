@@ -179,6 +179,7 @@ def propagate(
     domain: Hyperbox,
     backward_seed: Hyperbox | None = None,
     forced: dict[tuple[int, int], int] | None = None,
+    pre_boxes=None,
 ) -> PropagationResult:
     """Forward + backward interval sweep over the whole gradient recursion.
 
@@ -186,15 +187,22 @@ def propagate(
     objectives).  ``forced`` pins individual neurons to 0/1 before the switch
     pushforwards; the result is then only sound for inputs consistent with
     those branch decisions (used for bound tightening during search).
+    ``pre_boxes``, one box per hidden layer known to enclose its
+    pre-activations over the whole domain (a LipMIP model's tightened
+    boxes), is intersected with each pre-activation box before its sign is
+    read; a box left empty (l > u) means the forced decisions contradict it.
     """
     if domain.dim != net.input_dim:
         raise ValueError(f"domain dim {domain.dim} != input dim {net.input_dim}")
-    pre_boxes: list[Hyperbox] = []
+    z_boxes: list[Hyperbox] = []
     bool_boxes: list[BoolBox] = []
     switch_boxes: list[Hyperbox] = []
     cur = domain
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z_box = push_affine(cur, w, b)
+        if pre_boxes is not None:
+            known = pre_boxes[i]
+            z_box = _box(np.maximum(z_box.l, known.l), np.minimum(z_box.u, known.u))
         states = push_conditional(z_box)
         if forced:
             v = states.v.copy()
@@ -202,7 +210,7 @@ def propagate(
                 if lay == i:
                     v[idx] = ON if val else OFF
             states = _bools(v)
-        pre_boxes.append(z_box)
+        z_boxes.append(z_box)
         bool_boxes.append(states)
         cur = push_switch(z_box, states)
         switch_boxes.append(cur)
@@ -221,7 +229,7 @@ def propagate(
         y_box = push_affine(back_switch[-1], w.T)
         back.append(y_box)
     return PropagationResult(
-        tuple(pre_boxes), tuple(bool_boxes), tuple(back),
+        tuple(z_boxes), tuple(bool_boxes), tuple(back),
         tuple(switch_boxes), tuple(reversed(back_switch)),
     )
 

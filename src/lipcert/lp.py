@@ -18,8 +18,11 @@ branch-and-bound child) passes the ``Basis`` snapshot of an optimal solve
 the dual usually re-optimizes it in a few pivots.  The solver keeps the
 factorized tableau of the last snapshot it restored, so sibling re-solves
 from one snapshot refactorize once.  A snapshot that is malformed, singular
-or not dual feasible, and any warm answer the dual cannot certify, is
-recomputed by a nested cold solve.
+or, under the problem's own objective, not dual feasible, and any warm answer
+the dual cannot certify, is recomputed by a nested cold solve.  A solve with
+an explicit objective (root bound tightening: one LP, many objectives) may
+start from the snapshot of a solve under another objective; its wrong-signed
+reduced costs are then expected and repaired as at a cold start.
 
 Each pivot takes as leaving variable the basic variable outside its bounds
 chosen by dual steepest edge pricing; it leaves at its violated bound, and a
@@ -38,8 +41,10 @@ hits the pivot cap.  With a finite ``cutoff``, the solve stops with status
 CUTOFF once the objective of a dual-feasible iterate, which bounds the LP
 optimum from above, falls below it and the weak-duality bound
 y.b + sum_j max(r_j lo_j, r_j hi_j), with y = c_B B^-1 and r = c - y.[A I]
-recomputed from the original data, confirms it.  Every OPTIMAL answer passes
-a primal feasibility check against the original data.
+recomputed from the original data, confirms it.  ``SimplexSolver.dual_bound``
+is that bound, and after an OPTIMAL answer it is the certified value callers
+report.  Every OPTIMAL answer passes a primal feasibility check against the
+original data.
 
 The tableau is dense and kept explicitly; this is deliberate.  Target scale
 is a few thousand variables and the branch-and-bound driver re-solves the
@@ -62,8 +67,9 @@ FEAS_TOL = 1e-7
 DEFAULT_PIVOT_TOL = 1e-9
 
 _REFRESH_EVERY = 256  # pivots between full recomputations of costs/values
-#: Largest wrong-signed reduced cost a restored basis may have; smaller ones
-#: are repaired by moving the variable to its other bound.
+#: Largest wrong-signed reduced cost a restored basis may have under the
+#: problem's own objective; smaller ones are repaired by moving the variable
+#: to its other bound.
 _DUAL_TOL = 1e-7
 #: Relative rounding allowance of the certificate and cutoff checks.
 _CERT_REL = 1e-12
@@ -323,7 +329,9 @@ class SimplexSolver:
         """Maximize under the given bounds and objective (default: the problem's).
 
         The dual simplex starts from ``basis`` (from an earlier OPTIMAL
-        answer) when one is given, else from the slack basis.  With a finite
+        answer) when one is given, else from the slack basis; with an
+        explicit ``objective`` that snapshot may come from a solve under
+        another objective.  With a finite
         ``cutoff`` it may stop early with CUTOFF once the LP optimum is
         certified to lie below it.  A warm answer it cannot certify is
         recomputed by a nested cold solve.  A cold solve that cannot certify
@@ -342,7 +350,8 @@ class SimplexSolver:
         self._whi[: self.n_struct] = hi
         self._whi[self.n_struct:] = self._slack_hi
         self._costs[: self.n_struct] = cobj
-        sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol)
+        limit = _DUAL_TOL if objective is None else np.inf
+        sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol, limit)
         if sol.status == NUMERICAL_FAILURE and basis is not None:
             # uncertified or failed: a nested cold solve gives the answer
             return self.solve(lo, hi, cobj, pivot_tol, cutoff=cutoff)
@@ -360,18 +369,17 @@ class SimplexSolver:
 
     # -- the dual simplex ------------------------------------------------------
 
-    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol) -> LPSolution:
+    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol, limit) -> LPSolution:
         """Bounded dual simplex from ``basis``, or from the slack basis when it
-        is None.  NUMERICAL_FAILURE when the snapshot is unusable, an
-        infeasibility is uncertified, the pivot cap is hit, or an optimum
-        fails the feasibility check."""
+        is None.  NUMERICAL_FAILURE when the snapshot is unusable (or has a
+        wrong-signed reduced cost beyond ``limit``), an infeasibility is
+        uncertified, the pivot cap is hit, or an optimum fails the
+        feasibility check."""
         pivots = 0
         if basis is None:
             self._cold_start()
             limit = np.inf
-        elif self._restore(basis):
-            limit = _DUAL_TOL
-        else:
+        elif not self._restore(basis):
             return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         wlo, whi, costs = self._wlo, self._whi, self._costs
         free = whi > wlo
@@ -487,19 +495,31 @@ class SimplexSolver:
         """A certified upper bound on the LP optimum below ``cutoff``, or None.
 
         The current iterate's objective triggers the check; the bound itself
-        is the weak-duality bound of y = c_B B^-1 on the original data, valid
-        whatever the accuracy of y."""
+        is ``dual_bound``, valid whatever the accuracy of the iterate."""
         wlo, whi, costs = self._wlo, self._whi, self._costs
         estimate = costs[self._basis] @ xb + costs @ self._nonbasic_values(wlo, whi)
         if not estimate < cutoff:
             return None
+        bound = self.dual_bound()
+        return bound if bound < cutoff else None
+
+    def dual_bound(self) -> float:
+        """Certified upper bound on the optimum of the last solve's LP.
+
+        The weak-duality bound y.b + sum_j max(r_j lo_j, r_j hi_j) of
+        y = c_B B^-1 at the basis the solve ended at, with r = c - y.[A I]
+        recomputed from the original data over that solve's bounds and rounded
+        up by a relative allowance.  Every column is boxed, so it holds for any
+        y, however inaccurate.  Read it after an OPTIMAL answer; it is not
+        finite when the tableau is not.
+        """
+        wlo, whi, costs = self._wlo, self._whi, self._costs
         y = costs[self._basis] @ self._tab[:, self.n_struct:]
         red = costs - y @ self._r
         rl, rh = red * wlo, red * whi
         bound = float(y @ self.problem.rhs + np.maximum(rl, rh).sum())
         mag = np.maximum(np.abs(wlo), np.abs(whi))
-        slack = _CERT_REL * float(np.abs(y) @ np.abs(self.problem.rhs) + np.abs(red) @ mag)
-        return bound if bound + slack < cutoff else None
+        return bound + _CERT_REL * float(np.abs(y) @ np.abs(self.problem.rhs) + np.abs(red) @ mag)
 
     def _extract(self, wlo, whi):
         x = self._nonbasic_values(wlo, whi)

@@ -9,8 +9,13 @@ choice at ties.  Maximizing the dual norm of the gradient variables therefore
 yields the local Lipschitz constant exactly (for the scalar l1/linf cases and
 for vector-valued networks over linear output norms).
 
-All big-M constants come from interval propagation, which is what keeps each
-operator encodable with a constant number of inequalities.
+All big-M constants come from the bounds of the encoded quantities, which is
+what keeps each operator encodable with a constant number of inequalities.
+Those bounds come from interval propagation, each layer's pre-activations
+intersected with boxes known to enclose them when the model is rebuilt
+(``LipMIPProblem.rebuild``): branch-and-bound rebuilds it from LP-tightened
+boxes before branching, which shrinks every big-M downstream and fixes the
+neurons, and with them the backward switches, whose sign the boxes decide.
 
 Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
 order: the inputs; per hidden layer, its pre-activations and then, neuron by
@@ -23,7 +28,9 @@ same order.  ``LipMIPProblem`` records each block as an int id array, and
 ``LipMIPProblem.propagation_bounds`` is the one map from interval boxes onto
 those ids.  The order is load-bearing: branch-and-bound breaks branching
 ties by the lowest variable id and the simplex prices columns in id order,
-so a reordered but otherwise equal model searches differently.
+so a reordered but otherwise equal model searches differently; and root
+tightening reads the layers below layer i off this order, as the variables
+up to layer i's pre-activations with the rows that mention only them.
 """
 
 from __future__ import annotations
@@ -209,9 +216,12 @@ class MIPModel:
 # -- operator encodings -------------------------------------------------------
 
 
-def encode_affine(model: MIPModel, in_vars, w, b=None, prefix: str = "aff") -> list[int]:
+def encode_affine(model: MIPModel, in_vars, w, b=None, prefix: str = "aff",
+                  known: interval.Hyperbox | None = None) -> list[int]:
     """Fresh out variables constrained to equal W @ in + b; bounds by
-    interval arithmetic over the input variables' bounds."""
+    interval arithmetic over the input variables' bounds, intersected with
+    ``known`` (a box known to enclose the outputs) where that leaves them
+    nonempty."""
     w = np.asarray(w, dtype=float)
     in_vars = list(in_vars)
     if w.ndim != 2 or w.shape[1] != len(in_vars):
@@ -220,6 +230,10 @@ def encode_affine(model: MIPModel, in_vars, w, b=None, prefix: str = "aff") -> l
     in_lo = np.array([model.lo[v] for v in in_vars])
     in_hi = np.array([model.hi[v] for v in in_vars])
     box = interval.push_affine(interval.Hyperbox(in_lo, in_hi), w, bvec)
+    if known is not None:
+        l, u = np.maximum(box.l, known.l), np.minimum(box.u, known.u)
+        empty = l > u  # only by rounding: both boxes enclose the outputs
+        box = interval.Hyperbox(np.where(empty, box.l, l), np.where(empty, box.u, u))
     out = []
     for r in range(w.shape[0]):
         y = model.add_var(box.l[r], box.u[r], name=f"{prefix}{r}")
@@ -437,6 +451,13 @@ class LipMIPProblem:
     fold ids of ``max_fold_steps`` these blocks partition the model's
     variables; the order in which they were declared is given in the module
     docstring and is load-bearing for search determinism.
+
+    ``pre_boxes[i]`` is the box that bounds layer i's pre-activation
+    variables, from which its big-Ms and fixed signs were derived: interval
+    propagation over the domain, intersected with the boxes the model was
+    built from (``rebuild``).  Node tightening intersects its propagation
+    with them too.  ``input_constraints`` keeps the rows that cut the domain
+    box down to a polytope, so that a rebuild keeps them.
     """
 
     model: MIPModel
@@ -457,6 +478,15 @@ class LipMIPProblem:
     fwd_switch_vars: list[np.ndarray]
     bwd_value_vars: list[np.ndarray]
     bwd_switch_vars: list[np.ndarray]
+    pre_boxes: list[interval.Hyperbox]
+    input_constraints: tuple
+
+    def rebuild(self, pre_boxes) -> "LipMIPProblem":
+        """The same problem built again with each layer's pre-activation box
+        intersected with ``pre_boxes`` (boxes that enclose the
+        pre-activations of every feasible point)."""
+        return build_lipmip_model(self.net, self.domain, self.alpha, self.output_norm,
+                                  self.input_constraints, pre_boxes)
 
     @cached_property
     def binary_map(self) -> dict[int, tuple[int, int]]:
@@ -507,7 +537,8 @@ class LipMIPProblem:
         """Variable bounds implied by forcing the given binaries.
 
         Re-runs interval propagation over the domain with the corresponding
-        neurons pinned and intersects the fresh boxes with the model bounds.
+        neurons pinned and each pre-activation box intersected with
+        ``pre_boxes``, and intersects the fresh boxes with the model bounds.
         Returns (lo, hi, fixed_binaries) or None when the fixes contradict
         the interval analysis outright.
         """
@@ -515,7 +546,8 @@ class LipMIPProblem:
             self.binary_map[v]: val for v, val in fixes.items() if v in self.binary_map
         }
         seed = interval.head_seed_box(self.net, self.output_norm)
-        prop = interval.propagate(self.net, self.domain, backward_seed=seed, forced=forced)
+        prop = interval.propagate(self.net, self.domain, backward_seed=seed, forced=forced,
+                                  pre_boxes=self.pre_boxes)
         for (layer, idx), val in forced.items():
             zbox = prop.pre_activation_boxes[layer]
             if val == 1 and zbox.u[idx] < 0:
@@ -541,7 +573,8 @@ class LipMIPProblem:
 
         Rounding the LP's activation binaries proposes a sign pattern; a tiny
         feasibility LP over the inputs checks whether some x in the domain
-        realizes it (ties allowed on the boundary).  If so, the pattern's
+        realizes it (ties allowed on the boundary), within the input
+        constraints when there are any.  If so, the pattern's
         constant Jacobian is a legitimate chain-rule outcome at that x, so
         its dual norm is an attainable objective value.
         """
@@ -562,6 +595,13 @@ class LipMIPProblem:
             rhs.extend(signs * -v)
             if i + 1 < net.depth:
                 m, v = next_layer_affine(net, i, lam, m, v)
+        for coefs, rel, b in self.input_constraints:
+            row = np.zeros(net.input_dim)
+            for j, c in coefs.items():
+                row[j] = c
+            for sign in {"<=": (-1.0,), ">=": (1.0,), "=": (1.0, -1.0)}[rel]:
+                rows.append(sign * row)
+                rhs.append(sign * b)
         try:
             x = lp.box_witness(rows, rhs, self.domain.l, self.domain.u)
         except lp.SolverNumericalError:
@@ -592,6 +632,7 @@ def build_lipmip_model(
     alpha: str = "linf",
     output_norm: str | None = None,
     input_constraints=None,
+    pre_boxes=None,
 ) -> LipMIPProblem:
     """Assemble the full model whose optimum is L^alpha (or L^(alpha,beta)).
 
@@ -600,6 +641,10 @@ def build_lipmip_model(
     vector-valued formulation with the head contracted against a dual-ball
     variable z.  ``input_constraints`` may add linear rows (coefs, rel, rhs)
     over the input variables to cut the box down to a polytope.
+    ``pre_boxes`` (one box per hidden layer, each enclosing the layer's
+    pre-activations at every feasible point) is intersected with the interval
+    bounds of the pre-activations, so tighter boxes give smaller big-Ms and
+    more neurons of fixed sign.
     """
     if alpha not in ("linf", "l1"):
         raise ModelError(f"alpha must be 'linf' or 'l1', got {alpha!r}")
@@ -612,7 +657,10 @@ def build_lipmip_model(
     input_vars = [
         model.add_var(domain.l[j], domain.u[j], name=f"x{j}") for j in range(domain.dim)
     ]
-    for coefs, rel, rhs in input_constraints or []:
+    input_constraints = tuple(
+        (dict(coefs), rel, float(rhs)) for coefs, rel, rhs in input_constraints or ()
+    )
+    for coefs, rel, rhs in input_constraints:
         model.add_constraint({input_vars[j]: c for j, c in coefs.items()}, rel, rhs)
 
     d = net.depth
@@ -621,7 +669,8 @@ def build_lipmip_model(
     fwd_switch_vars: list[list[int]] = []
     cur = input_vars
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z_vars = encode_affine(model, cur, w, b, prefix=f"z{i}_")
+        z_vars = encode_affine(model, cur, w, b, prefix=f"z{i}_",
+                               known=None if pre_boxes is None else pre_boxes[i])
         layer_dec = []
         s_vars = []
         for j, zv in enumerate(z_vars):
@@ -678,6 +727,7 @@ def build_lipmip_model(
         t, fold_steps = encode_max(model, abs_vars, name="gmax")
         model.set_objective({t: 1.0})
 
+    lo, hi = np.array(model.lo), np.array(model.hi)
     return LipMIPProblem(
         model=model,
         net=net,
@@ -699,6 +749,8 @@ def build_lipmip_model(
         fwd_switch_vars=[_ids(vs) for vs in fwd_switch_vars],
         bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
         bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],
+        pre_boxes=[interval.Hyperbox(lo[vs], hi[vs]) for vs in pre_vars],
+        input_constraints=input_constraints,
     )
 
 

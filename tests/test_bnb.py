@@ -1,16 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 
 from lipcert import bnb, lp
-from lipcert.bnb import MIPResult, SolveOptions, solve_liplp, solve_mip
-from lipcert.interval import Hyperbox, fastlip
+from lipcert.bnb import MIPResult, SolveOptions, solve_liplp, solve_mip, tighten_root
+from lipcert.interval import Hyperbox, fastlip, head_seed_box, propagate
 from lipcert.mip import MIPModel, build_lipmip_model
 from lipcert.network import affine_network, identity_network, random_he
 from lipcert.oracle import exact_lipschitz_bruteforce
 
 
-def lipmip(net, box, alpha="linf", **kw):
-    return solve_mip(build_lipmip_model(net, box, alpha=alpha), SolveOptions(**kw))
+def lipmip(net, box, alpha="linf", output_norm=None, **kw):
+    return solve_mip(build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm),
+                     SolveOptions(**kw))
 
 
 def test_affine_model_solved_at_root():
@@ -146,20 +149,32 @@ def test_event_log_csv(tmp_path):
     assert len(lines) == len(res.events) + 1
 
 
+EXACT_CASES = [
+    ([3, 6, 6, 1], 8, "linf", None),
+    ([2, 7, 5, 1], 3, "l1", None),
+    ([3, 5, 5, 5, 1], 6, "linf", None),
+    ([3, 6, 6, 6, 1], 1, "linf", None),
+    ([3, 6, 6, 6, 1], 1, "l1", None),
+    ([3, 6, 5, 3], 1, "linf", "cross"),
+    ([2, 5, 4, 2], 3, "l1", "linf"),
+]
+
+
 @pytest.mark.parametrize("tighten", [True, False])
-@pytest.mark.parametrize("arch,seed,alpha", [
-    ([3, 6, 6, 1], 8, "linf"),
-    ([2, 7, 5, 1], 3, "l1"),
-    ([3, 5, 5, 5, 1], 6, "linf"),
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES, ids=[
+    "arch0-8-linf", "arch1-3-l1", "arch2-6-linf", "arch3-1-linf", "arch4-1-l1",
+    "arch5-1-linf-cross", "arch6-3-l1-linf",
 ])
-def test_exact_matches_oracle_and_repeats(arch, seed, alpha, tighten):
+def test_exact_matches_oracle_and_repeats(arch, seed, alpha, output_norm, tighten):
     # node LPs are re-solved by dual simplex from the parent's basis, with
-    # the incumbent as cutoff; the value must match the region oracle and
-    # repeat runs must search identically
+    # the incumbent as cutoff, and with tightening the root is LP-tightened
+    # and rebuilt first; the value must match the region oracle and repeat
+    # runs must search identically
     net = random_he(arch, seed=seed)
     box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
-    ref = exact_lipschitz_bruteforce(net, box, alpha)
-    runs = [lipmip(net, box, alpha=alpha, tighten_bounds=tighten, keep_events=True)
+    ref = exact_lipschitz_bruteforce(net, box, alpha, output_norm)
+    runs = [lipmip(net, box, alpha=alpha, output_norm=output_norm, tighten_bounds=tighten,
+                   keep_events=True)
             for _ in range(2)]
     for res in runs:
         assert res.status == bnb.EXACT
@@ -206,6 +221,102 @@ def test_failed_warm_node_solve_retried_cold(monkeypatch):
 def test_node_solve_failing_twice_raises(monkeypatch):
     net = random_he([3, 6, 6, 1], seed=8)
     box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
-    failing_solves(monkeypatch, lambda i, kw: i > 0)  # every solve after the root
+    node_solves = []
+
+    def fails(i, kw):
+        if kw.get("objective") is not None:
+            return False  # a root tightening LP
+        node_solves.append(i)
+        return len(node_solves) > 1  # every solve after the root
+
+    failing_solves(monkeypatch, fails)
     with pytest.raises(bnb.SolverNumericalError):
         lipmip(net, box)
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES)
+def test_root_tightening_boxes_are_sound(arch, seed, alpha, output_norm):
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    plain = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    tight, records = tighten_root(plain)
+    # the plain build keeps its interval boxes
+    prop = propagate(net, box, backward_seed=head_seed_box(net, output_norm))
+    for mine, ref in zip(plain.pre_boxes, prop.pre_activation_boxes):
+        assert np.array_equal(mine.l, ref.l) and np.array_equal(mine.u, ref.u)
+    xs = box.sample(np.random.Generator(np.random.Philox(key=seed)), 3000)
+    acts = xs.T
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = w @ acts + b[:, None]
+        inner, outer = tight.pre_boxes[i], plain.pre_boxes[i]
+        assert np.all(inner.l >= outer.l) and np.all(inner.u <= outer.u)
+        assert np.all(pre >= inner.l[:, None] - 1e-9) and np.all(pre <= inner.u[:, None] + 1e-9)
+        acts = np.maximum(pre, 0.0)
+    assert len(records) == net.depth
+    assert records[0].lps == 0  # interval bounds are exact on layer 0 of a box
+    for i, r in enumerate(records):
+        assert r.layer == i
+        assert r.unstable_after == int(np.sum(tight.neuron_bins[i] >= 0)) <= r.unstable_before
+        assert r.lps <= 2 * r.unstable_before
+    assert sum(r.lps for r in records) > 0
+    assert sum(r.mean_width_after < r.mean_width_before for r in records) > 0
+
+
+def test_root_tightening_survives_failed_lps(monkeypatch):
+    # every tightening LP (the only solves with an explicit objective) fails:
+    # each side keeps its interval bound and the solve is still exact
+    net = random_he([3, 6, 6, 6, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    ref = exact_lipschitz_bruteforce(net, box, "linf")
+    calls = failing_solves(monkeypatch, lambda i, kw: kw.get("objective") is not None)
+    plain = build_lipmip_model(net, box)
+    tight, records = tighten_root(plain)
+    assert calls and sum(r.lps for r in records) == len(calls)
+    for mine, ref_box in zip(tight.pre_boxes, plain.pre_boxes):
+        assert np.array_equal(mine.l, ref_box.l) and np.array_equal(mine.u, ref_box.u)
+    assert [r.unstable_after for r in records] == [r.unstable_before for r in records]
+    res = lipmip(net, box)
+    assert res.status == bnb.EXACT
+    assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+
+def test_root_tightening_reported(caplog):
+    net = random_he([3, 6, 6, 1], seed=8)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    with caplog.at_level(logging.DEBUG, logger="lipcert"):
+        res = lipmip(net, box)
+    assert [r.layer for r in res.root_tightening] == [0, 1]
+    assert res.root_tightening[1].lps > 0 and res.root_tightening[1].pivots > 0
+    lines = [r.getMessage() for r in caplog.records if "root tightening" in r.getMessage()]
+    assert len(lines) == 1 and "L1 unstable" in lines[0]
+    assert lipmip(net, box, tighten_bounds=False).root_tightening == []
+    model = MIPModel()
+    b = model.add_binary()
+    model.set_objective({b: 1.0})
+    assert solve_mip(model).root_tightening == []
+
+
+# bench/workloads.py BOUNDS_SWEEP at seed 0: (arch, net seed, radius), both norms
+BOUNDS_SWEEP = (
+    ((2, 8, 8, 1), 1, 0.5),
+    ((4, 8, 8, 1), 12, 0.5),
+    ((3, 8, 8, 1), 1, 0.5),
+    ((4, 6, 6, 1), 2, 0.5),
+    ((2, 12, 12, 1), 6, 0.5),
+    ((6, 12, 12, 1), 5, 0.25),
+    ((10, 32, 32, 1), 3, 0.1),
+)
+
+
+def test_liplp_is_certified_and_tight():
+    for arch, seed, radius in BOUNDS_SWEEP:
+        net = random_he(arch, seed=seed)
+        box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+        for alpha in ("linf", "l1"):
+            prob = build_lipmip_model(net, box, alpha=alpha)
+            raw = lp.solve_lp(prob.model.to_lp_problem())
+            assert raw.status == lp.OPTIMAL
+            value = raw.objective_value + prob.model.objective_const
+            certified = solve_liplp(prob)
+            assert value <= certified <= value + 1e-9 * abs(value)

@@ -1,0 +1,42 @@
+import json
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from lipcert import bnb, cli, network
+from lipcert.interval import Hyperbox
+from lipcert.mip import build_lipmip_model
+
+
+def test_solve_prints_the_solve_as_json(tmp_path, capsys):
+    net = network.random_he([3, 6, 6, 1], seed=8)
+    path = tmp_path / "net.json"
+    network.save(net, path)
+    assert cli.main(["solve", str(path), "--center", "0.5", "--radius", "0.5",
+                     "--norm", "l1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    ref = bnb.solve_mip(build_lipmip_model(net, box, alpha="l1"))
+    assert out["status"] == ref.status == bnb.EXACT
+    assert out["upper_bound"] == ref.upper_bound
+    assert out["incumbent"] == ref.incumbent_value
+    assert out["gap"] == ref.gap
+    assert out["nodes"] == ref.nodes_explored
+    assert out["wall_time_s"] > 0
+    assert out["root_tightening"] == [asdict(r) for r in ref.root_tightening]
+
+
+def test_solve_rejects_bad_arguments(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    network.save(network.random_he([3, 4, 1], seed=0), path)
+    for argv in (
+        ["solve", str(tmp_path / "missing.json"), "--center", "0", "--radius", "1"],
+        ["solve", str(path), "--center", "0", "0", "--radius", "1"],
+        ["solve", str(path), "--center", "0", "--radius", "-1"],
+        ["solve", str(path), "--center", "0", "--radius", "1", "--gap", "-0.5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err

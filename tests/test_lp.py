@@ -428,3 +428,38 @@ def test_cutoff_only_below_true_optimum():
                 assert sol.status == lp.OPTIMAL
                 assert sol.objective_value == pytest.approx(opt, abs=1e-8)
     assert cut > 0
+
+
+def test_dual_bound_certifies_the_optimum():
+    # the weak-duality bound of the final basis, recomputed on the original
+    # data, is what callers report: never below the optimum, and tight
+    rng = np.random.Generator(np.random.Philox(key=404))
+    for trial in range(50):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        sol = solver.solve()
+        oracle = vertex_enumeration_max(p)
+        assert sol.status == lp.OPTIMAL
+        bound = solver.dual_bound()
+        assert bound >= oracle
+        assert bound - oracle <= 1e-9 * max(1.0, abs(oracle))
+
+
+def test_snapshot_reused_under_another_objective(monkeypatch):
+    # one LP, many objectives (root bound tightening): each solve starts from
+    # the previous optimal basis, whose wrong-signed reduced costs are
+    # repaired by bound flips rather than a cold start
+    rng = np.random.Generator(np.random.Philox(key=505))
+    for trial in range(20):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        basis = solver.solve().basis
+        cold_starts = count_cold_starts(monkeypatch, solver)
+        for _ in range(4):
+            c = rng.normal(size=p.num_vars)
+            sol = solver.solve(objective=c, basis=basis)
+            q = make_problem(c, p.a, p.relations, p.rhs, p.lo, p.hi)
+            assert sol.status == lp.OPTIMAL
+            assert sol.objective_value == pytest.approx(vertex_enumeration_max(q), abs=1e-8)
+            basis = sol.basis
+        assert not cold_starts

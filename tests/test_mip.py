@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lipcert import lp, mip, norms
+from lipcert import bnb, lp, mip, norms
+from lipcert.bnb import tighten_root
 from lipcert.interval import Hyperbox
 from lipcert.mip import (
     BinDecision,
@@ -365,30 +366,32 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
     rng = np.random.Generator(np.random.Philox(key=seed))
     net = random_he(arch, seed=seed)
     box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
-    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
-    bins = sorted(prob.binary_map)
-    first_layer = [v for v in bins if prob.binary_map[v][0] == 0]
-    gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
-    refuted = 0
-    for _ in range(30):
-        x = rng.uniform(box.l, box.u)
-        z = None if gens is None else gens[rng.integers(len(gens))]
-        point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
-        chosen = rng.choice(bins, size=int(rng.integers(1, len(bins) + 1)), replace=False)
-        for subset in (chosen, first_layer):
-            fixes = {int(v): int(round(point[v])) for v in subset}
-            lo, hi, implied = prob.tightened_bounds(fixes)
-            assert np.all(point >= lo - 1e-9) and np.all(point <= hi + 1e-9)
-            for v, val in (fixes | implied).items():
-                assert point[v] == val == lo[v] == hi[v]
-                i, j = prob.binary_map[v]
-                pre = prob.pre_vars[i][j]
-                assert (lo[pre] >= 0.0) if val else (hi[pre] <= 0.0)
-            # an interval-decided neuron fixed the other way is refuted outright
-            for v in implied.keys() - fixes.keys():
-                assert prob.tightened_bounds(fixes | {v: 1 - implied[v]}) is None
-                refuted += 1
-    assert refuted > 0
+    plain = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    # also on the root-tightened rebuild, whose boxes node tightening intersects
+    for prob in (plain, tighten_root(plain)[0]):
+        bins = sorted(prob.binary_map)
+        first_layer = [v for v in bins if prob.binary_map[v][0] == 0]
+        gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
+        refuted = 0
+        for _ in range(30):
+            x = rng.uniform(box.l, box.u)
+            z = None if gens is None else gens[rng.integers(len(gens))]
+            point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
+            chosen = rng.choice(bins, size=int(rng.integers(1, len(bins) + 1)), replace=False)
+            for subset in (chosen, first_layer):
+                fixes = {int(v): int(round(point[v])) for v in subset}
+                lo, hi, implied = prob.tightened_bounds(fixes)
+                assert np.all(point >= lo - 1e-9) and np.all(point <= hi + 1e-9)
+                for v, val in (fixes | implied).items():
+                    assert point[v] == val == lo[v] == hi[v]
+                    i, j = prob.binary_map[v]
+                    pre = prob.pre_vars[i][j]
+                    assert (lo[pre] >= 0.0) if val else (hi[pre] <= 0.0)
+                # an interval-decided neuron fixed the other way is refuted outright
+                for v in implied.keys() - fixes.keys():
+                    assert prob.tightened_bounds(fixes | {v: 1 - implied[v]}) is None
+                    refuted += 1
+        assert refuted > 0
 
 
 def test_identity_lp_relaxation_bounds_mip():
@@ -430,6 +433,42 @@ def test_input_constraints_shrink_optimum():
     v_free = lp.solve_lp(free.model.lp_relaxation().to_lp_problem()).objective_value
     v_cut = lp.solve_lp(cut.model.lp_relaxation().to_lp_problem()).objective_value
     assert v_cut <= v_free + 1e-9
+
+
+def test_input_constraints_survive_root_tightening():
+    # a rebuild keeps the polytope, and layer 0 is LP-tightened over it
+    net = random_he([2, 4, 1], seed=3)
+    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
+    cons = [({0: 1.0, 1: 1.0}, "<=", -1.5)]
+    plain = build_lipmip_model(net, box, alpha="linf", input_constraints=cons)
+    tight, records = tighten_root(plain)
+    assert tight.input_constraints == plain.input_constraints
+    assert records[0].lps > 0 and records[0].mean_width_after < records[0].mean_width_before
+    values = [bnb.solve_mip(plain, bnb.SolveOptions(tighten_bounds=t)) for t in (True, False)]
+    assert [r.status for r in values] == [bnb.EXACT, bnb.EXACT]
+    assert values[0].incumbent_value == pytest.approx(values[1].incumbent_value, rel=1e-9)
+    inside = feasible_assignment(tight, np.array([-0.9, -0.8]), ALWAYS_ZERO)
+    assert tight.model.check_point(inside, tol=1e-7) == []
+    outside = feasible_assignment(tight, np.array([0.5, 0.5]), ALWAYS_ZERO)
+    assert any(v.startswith("row 0:") for v in tight.model.check_point(outside, tol=1e-7))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_input_constraints_bound_the_heuristics(seed):
+    # incumbents must come from inside the polytope: the witness LP of the
+    # rounded-pattern heuristic carries the input constraints too
+    net = random_he([2, 6, 6, 1], seed=seed)
+    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
+    prob = build_lipmip_model(net, box, alpha="linf",
+                              input_constraints=[({0: 1.0, 1: 1.0}, "<=", -1.2)])
+    xs = np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, size=(20000, 2))
+    xs = xs[xs.sum(axis=1) <= -1.2]
+    sampled = max(np.abs(chain_rule_jacobian(net, x, ALWAYS_ZERO)[0]).sum() for x in xs)
+    for tighten in (True, False):
+        res = bnb.solve_mip(prob, bnb.SolveOptions(tighten_bounds=tighten))
+        assert res.status == bnb.EXACT
+        assert res.incumbent_point.sum() <= -1.2 + 1e-7
+        assert res.incumbent_value == pytest.approx(sampled, rel=1e-9)
 
 
 def test_lp_format_export_deterministic():
