@@ -4,7 +4,9 @@ Nodes carry a set of binary fixes.  A child's LP relaxation is re-solved
 once, at creation, by dual simplex from its parent's optimal basis, whose
 snapshot the parent's heap entry keeps.  With the incumbent as cutoff, that
 solve stops before the LP optimum once it certifies that the child cannot
-beat the incumbent; such a node is pruned and never enters the heap.  Every
+beat the incumbent; such a node is pruned and never enters the heap.  A
+node's bound is the certified ``SimplexSolver.dual_bound`` of its final
+basis, not the LP's raw value.  Every
 node in the heap therefore has a fully solved LP, the heap holds true subtree
 upper bounds, and the best open bound is a certified global upper bound.
 Lower bounds come from a structure-aware primal heuristic: the x part of any
@@ -271,7 +273,11 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         state["nodes"] += 1
         if sol.status in (lp.INFEASIBLE, lp.CUTOFF):
             return
-        bound = sol.objective_value + model.objective_const
+        value = sol.objective_value + model.objective_const
+        # the heap keeps the certified bound; an unreadable one weakens to inf
+        bound = solver.dual_bound() + model.objective_const
+        if not np.isfinite(bound):
+            bound = np.inf
         if context is not None:
             val, x = context.incumbent_from_point(sol.x)
             update_incumbent(val, x)
@@ -283,8 +289,9 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             if b not in fixes and min(sol.x[b], 1.0 - sol.x[b]) > _INT_TOL
         ]
         if not fractional:
+            # an incumbent must be attainable: the LP's own value at its point
             point = sol.x[context.input_vars] if context is not None else sol.x
-            update_incumbent(bound, point)
+            update_incumbent(value, point)
             return
         inc = state["incumbent"]
         if np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL):

@@ -1,11 +1,12 @@
 """Hyperbox / boolean-box bound propagation through ReLU networks.
 
-A forward pass pushes an input box through affine, conditional and switch
-pushforwards to bound every pre-activation; a backward pass pushes the head
-row (or a dual-ball box, for vector-valued networks) through the gradient
-recursion to bound every chain-rule Jacobian entry.  Maximizing a norm over
-the final gradient box gives the FastLip upper bound; the intermediate boxes
-supply the finite big-M constants the MIP encodings need.
+A forward pass pushes an input box through affine maps, the sign abstraction
+and the ReLU image to bound every pre- and post-activation; a backward pass
+pushes the head row (or a dual-ball box, for vector-valued networks) through
+the gradient recursion, whose switches y * a take the neurons' signs, to bound
+every chain-rule Jacobian entry.  Maximizing a norm over the final gradient
+box gives the FastLip upper bound; the intermediate boxes supply the finite
+big-M constants the MIP encodings need.
 """
 
 from __future__ import annotations
@@ -127,6 +128,17 @@ def push_conditional(box: Hyperbox) -> BoolBox:
     return _bools(v)
 
 
+def push_relu(box: Hyperbox, bools: BoolBox) -> Hyperbox:
+    """Image box of relu(x) for x in the box under the given sign abstraction:
+    [max(l,0), max(u,0)], or [0, 0] where the neuron is OFF.  A neuron forced
+    ON with l < 0 has x >= 0, so its image is [0, u]."""
+    if bools.v.shape[0] != box.dim:
+        raise ValueError("relu: box and bool vector dimensions differ")
+    off = bools.v == OFF
+    return _box(np.where(off, 0.0, np.maximum(box.l, 0.0)),
+                np.where(off, 0.0, np.maximum(box.u, 0.0)))
+
+
 def push_switch(box: Hyperbox, bools: BoolBox) -> Hyperbox:
     """Image box of (x, a) -> x * a under the given sign abstraction."""
     if bools.v.shape[0] != box.dim:
@@ -143,14 +155,15 @@ class PropagationResult:
     pre_activation_boxes[i] bounds Z_{i+1}; activation_boolboxes[i] abstracts
     the layer's on/off states; backward_boxes runs from the head seed down to
     the input, so backward_boxes[-1] bounds the chain-rule gradient rows.
-    switch_boxes[i] and backward_switch_boxes[i] are layer i's forward and
-    backward switch images, both indexed by hidden layer in forward order.
+    post_activation_boxes[i] is the ReLU image of layer i (``push_relu``) and
+    backward_switch_boxes[i] the image of its backward switch, both indexed
+    by hidden layer in forward order.
     """
 
     pre_activation_boxes: tuple[Hyperbox, ...]
     activation_boolboxes: tuple[BoolBox, ...]
     backward_boxes: tuple[Hyperbox, ...]
-    switch_boxes: tuple[Hyperbox, ...]
+    post_activation_boxes: tuple[Hyperbox, ...]
     backward_switch_boxes: tuple[Hyperbox, ...]
 
     @property
@@ -184,9 +197,10 @@ def propagate(
     """Forward + backward interval sweep over the whole gradient recursion.
 
     ``backward_seed`` overrides the scalar head seed (used for dual-ball
-    objectives).  ``forced`` pins individual neurons to 0/1 before the switch
-    pushforwards; the result is then only sound for inputs consistent with
-    those branch decisions (used for bound tightening during search).
+    objectives).  ``forced`` pins individual neurons to 0/1 before the ReLU
+    and switch pushforwards; the result is then only sound for inputs
+    consistent with those branch decisions (used for bound tightening during
+    search).
     ``pre_boxes``, one box per hidden layer known to enclose its
     pre-activations over the whole domain (a LipMIP model's tightened
     boxes), is intersected with each pre-activation box before its sign is
@@ -196,7 +210,7 @@ def propagate(
         raise ValueError(f"domain dim {domain.dim} != input dim {net.input_dim}")
     z_boxes: list[Hyperbox] = []
     bool_boxes: list[BoolBox] = []
-    switch_boxes: list[Hyperbox] = []
+    post_boxes: list[Hyperbox] = []
     cur = domain
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z_box = push_affine(cur, w, b)
@@ -212,8 +226,8 @@ def propagate(
             states = _bools(v)
         z_boxes.append(z_box)
         bool_boxes.append(states)
-        cur = push_switch(z_box, states)
-        switch_boxes.append(cur)
+        cur = push_relu(z_box, states)
+        post_boxes.append(cur)
 
     if backward_seed is None:
         seed = head_seed_box(net, None)
@@ -230,7 +244,7 @@ def propagate(
         back.append(y_box)
     return PropagationResult(
         tuple(z_boxes), tuple(bool_boxes), tuple(back),
-        tuple(switch_boxes), tuple(reversed(back_switch)),
+        tuple(post_boxes), tuple(reversed(back_switch)),
     )
 
 

@@ -3,11 +3,12 @@
 The model unrolls both passes of a ReLU network over a box domain: forward
 variables reproduce every pre-activation and post-activation, backward
 variables reproduce the gradient recursion, and one binary per neuron is
-shared between its forward sign constraint and its backward switch, so every
-feasible point corresponds to an input x together with a legitimate chain-rule
-choice at ties.  Maximizing the dual norm of the gradient variables therefore
-yields the local Lipschitz constant exactly (for the scalar l1/linf cases and
-for vector-valued networks over linear output norms).
+shared between its ReLU encoding (``encode_relu``, the standard big-M rows)
+and its backward switch, so every feasible point corresponds to an input x
+together with a legitimate chain-rule choice at ties.  Maximizing the dual
+norm of the gradient variables therefore yields the local Lipschitz constant
+exactly (for the scalar l1/linf cases and for vector-valued networks over
+linear output norms).
 
 All big-M constants come from the bounds of the encoded quantities, which is
 what keeps each operator encodable with a constant number of inequalities.
@@ -19,12 +20,12 @@ neurons, and with them the backward switches, whose sign the boxes decide.
 
 Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
 order: the inputs; per hidden layer, its pre-activations and then, neuron by
-neuron, the neuron's binary (when its sign is undecided) and its forward
-switch; the dual ball (vector-valued networks only); per hidden layer from
-the last down to the first, the backward values and then the backward
-switches; the gradient; per gradient entry, the sign binary (when undecided)
-and the absolute value; and for alpha = "l1" the max folds.  Rows follow the
-same order.  ``LipMIPProblem`` records each block as an int id array, and
+neuron, the neuron's binary (when its sign is undecided) and its
+post-activation; the dual ball (vector-valued networks only); per hidden
+layer from the last down to the first, the backward values and then the
+backward switches; the gradient; per gradient entry, the sign binary (when
+undecided) and the absolute value; and for alpha = "l1" the max folds.  Rows
+follow the same order.  ``LipMIPProblem`` records each block as an int id array, and
 ``LipMIPProblem.propagation_bounds`` is the one map from interval boxes onto
 those ids.  The order is load-bearing: branch-and-bound breaks branching
 ties by the lowest variable id and the simplex prices columns in id order,
@@ -64,7 +65,7 @@ class ModelError(ValueError):
 
 @dataclass
 class BinDecision:
-    """A conditional's outcome: either a model binary or a fixed 0/1."""
+    """A ReLU's sign: either a model binary or a fixed 0/1."""
 
     var: int | None = None
     fixed: int | None = None
@@ -246,27 +247,6 @@ def encode_affine(model: MIPModel, in_vars, w, b=None, prefix: str = "aff",
     return out
 
 
-def encode_conditional(model: MIPModel, x_var: int, name: str = "a") -> BinDecision:
-    """Binary a with a=1 <=> x >= 0 (both signs allowed at x = 0).
-
-    Fixed outright when the variable's bounds decide the sign.  The free case
-    uses the sound pair x >= l(1-a), x <= u a.
-    """
-    l, u = model.lo[x_var], model.hi[x_var]
-    if l > u:
-        raise ModelError("conditional: inverted bounds")
-    if l > 0:
-        return BinDecision(fixed=1)
-    if u < 0:
-        return BinDecision(fixed=0)
-    a = model.add_binary(name)
-    # x >= l(1-a)  <=>  x + l a >= l
-    model.add_constraint({x_var: 1.0, a: l}, ">=", l)
-    # x <= u a     <=>  x - u a <= 0
-    model.add_constraint({x_var: 1.0, a: -u}, "<=", 0.0)
-    return BinDecision(var=a)
-
-
 def encode_switch(model: MIPModel, x_var: int, dec: BinDecision, name: str = "s") -> int:
     """y = x * a for a shared binary; collapses to y=x or y=0 when fixed."""
     l, u = model.lo[x_var], model.hi[x_var]
@@ -329,29 +309,34 @@ def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int |
     return y, a
 
 
-def _encode_relu_expr(model: MIPModel, coefs: dict[int, float], const: float,
-                      l: float, u: float, name: str) -> tuple[int, int | None]:
-    """s = relu(expr) for an affine expression with known bounds [l, u]."""
-    if l >= 0:
-        s = model.add_var(l, u, name=name)
-        row = {s: 1.0}
-        for v, c in coefs.items():
-            row[v] = row.get(v, 0.0) - c
-        model.add_constraint(row, "=", const)
-        return s, None
-    if u <= 0:
-        return model.add_var(0.0, 0.0, name=name), None
-    a = model.add_binary(f"{name}_on")
-    s = model.add_var(0.0, u, name=name)
-    row = {s: 1.0}
+def encode_relu(model: MIPModel, coefs: dict[int, float], const: float,
+                l: float, u: float, name: str) -> tuple[int, BinDecision]:
+    """p = relu(expr) for an affine expression with known bounds [l, u].
+
+    The standard big-M encoding: a binary a (declared before p) with p in
+    [0, u], p >= expr, p <= expr - l(1-a) and p <= u a, whose LP relaxation
+    keeps the triangle p >= max(0, expr).  The sign is fixed outright only
+    when the bounds decide it strictly (l > 0: p = expr; u < 0: p = 0), so an
+    expression whose bounds touch 0 keeps its binary and both choices at 0.
+    Returns p and the decision.
+    """
+    if l > u:
+        raise ModelError(f"relu {name}: inverted bounds")
+    row = {}
     for v, c in coefs.items():
         row[v] = row.get(v, 0.0) - c
-    model.add_constraint(dict(row), ">=", const)  # s >= expr
-    row_up = dict(row)
-    row_up[a] = row_up.get(a, 0.0) - l
-    model.add_constraint(row_up, "<=", const - l)  # s <= expr - l(1-a)
-    model.add_constraint({s: 1.0, a: -u}, "<=", 0.0)  # s <= u a
-    return s, a
+    if l > 0:
+        p = model.add_var(l, u, name=name)
+        model.add_constraint({p: 1.0} | row, "=", const)
+        return p, BinDecision(fixed=1)
+    if u < 0:
+        return model.add_var(0.0, 0.0, name=name), BinDecision(fixed=0)
+    a = model.add_binary(f"{name}_on")
+    p = model.add_var(0.0, u, name=name)
+    model.add_constraint({p: 1.0} | row, ">=", const)  # p >= expr
+    model.add_constraint({p: 1.0} | row | {a: -l}, "<=", const - l)  # p <= expr - l(1-a)
+    model.add_constraint({p: 1.0, a: -u}, "<=", 0.0)  # p <= u a
+    return p, BinDecision(var=a)
 
 
 def encode_max(model: MIPModel, x_vars, name: str = "mx"):
@@ -368,12 +353,12 @@ def encode_max(model: MIPModel, x_vars, name: str = "mx"):
     for step, nxt in enumerate(x_vars[1:]):
         lc, uc = model.lo[cur], model.hi[cur]
         ln, un = model.lo[nxt], model.hi[nxt]
-        s, a = _encode_relu_expr(
+        s, dec = encode_relu(
             model, {nxt: 1.0, cur: -1.0}, 0.0, ln - uc, un - lc, f"{name}_r{step}"
         )
         t = model.add_var(max(lc, ln), max(uc, un), name=f"{name}{step}")
         model.add_constraint({t: 1.0, cur: -1.0, s: -1.0}, "=", 0.0)
-        steps.append((nxt, s, a, t))
+        steps.append((nxt, s, dec.var, t))
         cur = t
     return cur, steps
 
@@ -442,8 +427,8 @@ class LipMIPProblem:
     Every id field holds model variable ids.  The per-neuron blocks are lists
     indexed by hidden layer i, each an int array with one entry per neuron:
     ``pre_vars`` (pre-activations), ``neuron_bins`` (the binary shared by the
-    neuron's forward and backward switch, -1 where interval analysis fixed
-    the sign at build time), ``fwd_switch_vars`` (post-activations),
+    neuron's ReLU encoding and its backward switch, -1 where interval
+    analysis fixed the sign at build time), ``post_vars`` (post-activations),
     ``bwd_value_vars`` (backward values entering the layer's switch; empty
     for the last layer of a scalar network, whose backward seed is the
     constant head row) and ``bwd_switch_vars``.  ``abs_sign_vars`` also uses
@@ -475,7 +460,7 @@ class LipMIPProblem:
     max_fold_steps: list  # (next_var, relu_var, relu_binary | None, fold_var) per fold
     pre_vars: list[np.ndarray]
     neuron_bins: list[np.ndarray]
-    fwd_switch_vars: list[np.ndarray]
+    post_vars: list[np.ndarray]
     bwd_value_vars: list[np.ndarray]
     bwd_switch_vars: list[np.ndarray]
     pre_boxes: list[interval.Hyperbox]
@@ -502,9 +487,10 @@ class LipMIPProblem:
         """Per-variable (lo, hi) arrays bounding each network quantity by its box.
 
         Pre-activations take their box, cut at 0 on the side their ON/OFF
-        state excludes; switches take their switch image box;
-        absolute values take the image of the gradient box.  Variables no
-        box describes (inputs, binaries, dual ball, max folds) get -inf/+inf.
+        state excludes; post-activations take their ReLU image box and
+        backward values and switches their backward boxes; absolute values
+        take the image of the gradient box.  Variables no box describes
+        (inputs, binaries, dual ball, max folds) get -inf/+inf.
         On a point input the result is the point's own value at every bounded
         variable.
         """
@@ -521,7 +507,7 @@ class LipMIPProblem:
             states = prop.activation_boolboxes[i]
             lo[self.pre_vars[i]] = np.where(states.v == ON, np.maximum(zbox.l, 0.0), zbox.l)
             hi[self.pre_vars[i]] = np.where(states.v == OFF, np.minimum(zbox.u, 0.0), zbox.u)
-            put(self.fwd_switch_vars[i], prop.switch_boxes[i])
+            put(self.post_vars[i], prop.post_activation_boxes[i])
             if self.bwd_value_vars[i].size:
                 # backward_boxes[k] bounds the backward value entering layer d-1-k
                 put(self.bwd_value_vars[i], prop.backward_boxes[d - 1 - i])
@@ -666,21 +652,22 @@ def build_lipmip_model(
     d = net.depth
     decisions: list[list[BinDecision]] = []
     pre_vars: list[list[int]] = []
-    fwd_switch_vars: list[list[int]] = []
+    post_vars: list[list[int]] = []
     cur = input_vars
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z_vars = encode_affine(model, cur, w, b, prefix=f"z{i}_",
                                known=None if pre_boxes is None else pre_boxes[i])
         layer_dec = []
-        s_vars = []
+        p_vars = []
         for j, zv in enumerate(z_vars):
-            dec = encode_conditional(model, zv, name=f"a{i}_{j}")
+            p, dec = encode_relu(model, {zv: 1.0}, 0.0, model.lo[zv], model.hi[zv],
+                                 name=f"p{i}_{j}")
             layer_dec.append(dec)
-            s_vars.append(encode_switch(model, zv, dec, name=f"p{i}_{j}"))
+            p_vars.append(p)
         decisions.append(layer_dec)
         pre_vars.append(z_vars)
-        fwd_switch_vars.append(s_vars)
-        cur = s_vars
+        post_vars.append(p_vars)
+        cur = p_vars
 
     # backward pass; reuses each neuron's binary in its switch
     z_ball_vars: list[int] = []
@@ -746,7 +733,7 @@ def build_lipmip_model(
         neuron_bins=[
             _ids([-1 if dec.is_fixed else dec.var for dec in layer]) for layer in decisions
         ],
-        fwd_switch_vars=[_ids(vs) for vs in fwd_switch_vars],
+        post_vars=[_ids(vs) for vs in post_vars],
         bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
         bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],
         pre_boxes=[interval.Hyperbox(lo[vs], hi[vs]) for vs in pre_vars],

@@ -11,6 +11,7 @@ from lipcert.interval import (
     propagate,
     push_affine,
     push_conditional,
+    push_relu,
     push_switch,
 )
 from lipcert.network import (
@@ -87,6 +88,22 @@ def test_push_switch_cases():
     assert (on.l[0], on.u[0]) == (2.0, 3.0)
 
 
+def test_push_relu_cases():
+    box = Hyperbox([1.0, -2.0, -1.0, 0.0, -3.0, -2.0, -2.0], [2.0, -1.0, 1.0, 2.0, 0.0, 3.0, 3.0])
+    bools = BoolBox(np.array([ON, OFF, UNKNOWN, UNKNOWN, UNKNOWN, ON, OFF], dtype=np.int8))
+    out = push_relu(box, bools)
+    # the last two are forced: ON with l < 0 passes [0, u], OFF with u > 0 passes 0
+    assert out.l.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert out.u.tolist() == [2.0, 0.0, 1.0, 2.0, 0.0, 3.0, 0.0]
+    rng = np.random.Generator(np.random.Philox(key=3))
+    xs = rng.uniform(box.l, box.u, size=(1000, box.dim))
+    unknown = bools.v == UNKNOWN
+    assert np.all(np.maximum(xs, 0.0)[:, unknown] >= out.l[unknown])
+    assert np.all(np.maximum(xs, 0.0)[:, unknown] <= out.u[unknown])
+    with pytest.raises(ValueError):
+        push_relu(box, BoolBox(np.array([ON], dtype=np.int8)))
+
+
 def test_propagate_all_on_degenerates_to_jacobian():
     net = affine_network([2.0, -1.0], b=0.5, bound=3.0)
     res = propagate(net, Hyperbox([-1, -1], [1, 1]))
@@ -112,7 +129,7 @@ def test_propagate_sampling_soundness_all_rules():
         xs = box.sample(rng, 1000)
         for x in xs:
             for z, zbox, sbox in zip(preactivations(net, x), res.pre_activation_boxes,
-                                     res.switch_boxes):
+                                     res.post_activation_boxes):
                 assert np.all(z >= zbox.l - 1e-9) and np.all(z <= zbox.u + 1e-9)
                 assert sbox.contains(np.maximum(z, 0.0), tol=1e-9)
             for rule in (ALWAYS_ZERO, ALWAYS_ONE):
@@ -142,14 +159,19 @@ def test_propagate_monotone_in_domain():
     rout = propagate(net, outer)
     for bi, bo in zip(rin.pre_activation_boxes, rout.pre_activation_boxes):
         assert bo.contains_box(bi, tol=1e-12)
+    for bi, bo in zip(rin.post_activation_boxes, rout.post_activation_boxes):
+        assert bo.contains_box(bi, tol=1e-12)
     for bi, bo in zip(rin.backward_boxes, rout.backward_boxes):
         assert bo.contains_box(bi, tol=1e-12)
-    for i, (sbox, bbox) in enumerate(zip(rout.switch_boxes, rout.backward_switch_boxes)):
+    # the forward image is the ReLU's, the backward one the switch's
+    for i, (pbox, bbox) in enumerate(zip(rout.post_activation_boxes,
+                                         rout.backward_switch_boxes)):
         states = rout.activation_boolboxes[i]
         back_in = rout.backward_boxes[net.depth - 1 - i]
-        for got, want in ((sbox, push_switch(rout.pre_activation_boxes[i], states)),
+        for got, want in ((pbox, push_relu(rout.pre_activation_boxes[i], states)),
                           (bbox, push_switch(back_in, states))):
             assert got.l.tobytes() == want.l.tobytes() and got.u.tobytes() == want.u.tobytes()
+        assert np.all(pbox.l >= 0.0)
 
 
 def test_fastlip_affine_closed_form():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from lipcert.mip import (
     build_lipmip_model,
     encode_abs,
     encode_affine,
-    encode_conditional,
     encode_cross_norm_ball,
     encode_max,
+    encode_relu,
     encode_switch,
     feasible_assignment,
 )
@@ -38,8 +40,6 @@ def feasible(model, assignment, tol=1e-7):
 def value_range(model, var, fixed, tol=1e-9):
     """Min and max of one variable over the exact mixed-integer feasible set
     with some variables pinned; enumerates every free binary (tiny models)."""
-    import itertools
-
     free_bins = [b for b in model.binary_vars if b not in fixed]
     prob = model.to_lp_problem()
     cmax = np.zeros(model.num_vars)
@@ -98,36 +98,83 @@ def test_encode_affine_lp_feasibility_oracle():
         assert not feasible(model, bad, tol=1e-5)
 
 
-# -- conditional ----------------------------------------------------------
+# -- relu -------------------------------------------------------------------
 
 
-def test_conditional_fixed_positive():
+def relu_model(l, u):
     model = MIPModel()
-    x = model.add_var(1.0, 2.0, name="x")
+    z = model.add_var(l, u, name="z")
     before = model.num_constraints
-    dec = encode_conditional(model, x)
-    assert dec.is_fixed and dec.fixed == 1
-    assert model.num_constraints == before  # no new rows
+    p, dec = encode_relu(model, {z: 1.0}, 0.0, l, u, name="p")
+    return model, z, p, dec, model.num_constraints - before
 
 
-def test_conditional_fixed_negative():
-    model = MIPModel()
-    x = model.add_var(-2.0, -1.0, name="x")
-    dec = encode_conditional(model, x)
-    assert dec.is_fixed and dec.fixed == 0
+def test_relu_integral_graph():
+    # with the binary fixed, the feasible p at each z is exactly {relu(z)}
+    model, z, p, dec, rows = relu_model(-2.0, 3.0)
+    assert rows == 3 and model.binary_vars == [dec.var] == [p - 1]
+    assert (model.lo[p], model.hi[p]) == (0.0, 3.0)
+    for zv in np.linspace(-2.0, 3.0, 11):
+        seen = []
+        for av in (0.0, 1.0):
+            rng = value_range(model, p, {z: zv, dec.var: av})
+            if rng is None:
+                assert (av == 1.0 and zv < 0) or (av == 0.0 and zv > 0)
+                continue
+            assert rng[0] == pytest.approx(max(zv, 0.0), abs=1e-9)
+            assert rng[1] == pytest.approx(max(zv, 0.0), abs=1e-9)
+            seen.append(av)
+        assert seen == ([0.0, 1.0] if zv == 0 else [float(zv > 0)])
 
 
-def test_conditional_free_semantics():
-    model = MIPModel()
-    x = model.add_var(-1.0, 1.0, name="x")
-    dec = encode_conditional(model, x)
-    a = dec.var
-    assert feasible(model, {x: 0.5, a: 1})
-    assert not feasible(model, {x: 0.5, a: 0})
-    assert feasible(model, {x: 0.0, a: 0})
-    assert feasible(model, {x: 0.0, a: 1})
-    assert not feasible(model, {x: -0.5, a: 1})
-    assert feasible(model, {x: -0.5, a: 0})
+def test_relu_relaxation_keeps_the_triangle():
+    # at a fractional binary every LP point has p >= max(0, z)
+    model, z, p, dec, _ = relu_model(-2.0, 3.0)
+    prob = model.to_lp_problem()
+    cmin = np.zeros(model.num_vars)
+    cmin[p] = -1.0
+    feasible_lps = 0
+    for zv in np.linspace(-2.0, 3.0, 11):
+        for av in (0.1, 0.25, 0.5, 0.75, 0.9):
+            lo, hi = np.array(model.lo), np.array(model.hi)
+            lo[z] = hi[z] = zv
+            lo[dec.var] = hi[dec.var] = av
+            sol = lp.SimplexSolver(lp.LPProblem(prob.objective, prob.a, prob.relations,
+                                                prob.rhs, lo, hi)).solve(objective=cmin)
+            if sol.status == lp.OPTIMAL:
+                feasible_lps += 1
+                assert -sol.objective_value >= max(zv, 0.0) - 1e-9
+    assert feasible_lps > 0
+
+
+def test_relu_fixed_signs():
+    # l > 0: p = z without a binary; u < 0: p = 0 without a row
+    model, z, p, dec, rows = relu_model(1.0, 2.0)
+    assert dec.is_fixed and dec.fixed == 1 and rows == 1 and model.binary_vars == []
+    assert (model.lo[p], model.hi[p]) == (1.0, 2.0)
+    assert feasible(model, {z: 1.5, p: 1.5})
+    assert not feasible(model, {z: 1.5, p: 0.0})
+    model, z, p, dec, rows = relu_model(-2.0, -1.0)
+    assert dec.is_fixed and dec.fixed == 0 and rows == 0 and model.binary_vars == []
+    assert (model.lo[p], model.hi[p]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("l,u", [(0.0, 2.0), (-2.0, 0.0), (0.0, 0.0)])
+def test_relu_touching_zero_keeps_both_choices(l, u):
+    # the sign test is strict: a box touching 0 keeps its binary, and z = 0
+    # is feasible under both choices
+    model, z, p, dec, rows = relu_model(l, u)
+    assert not dec.is_fixed and rows == 3
+    assert feasible(model, {z: 0.0, p: 0.0, dec.var: 0})
+    assert feasible(model, {z: 0.0, p: 0.0, dec.var: 1})
+    if u > 0:
+        assert feasible(model, {z: u, p: u, dec.var: 1})
+        assert not feasible(model, {z: u, p: u, dec.var: 0})
+        assert not feasible(model, {z: u, p: 0.0, dec.var: 1})
+    if l < 0:
+        assert feasible(model, {z: l, p: 0.0, dec.var: 0})
+        assert not feasible(model, {z: l, p: 0.0, dec.var: 1})
+        assert not feasible(model, {z: l, p: l, dec.var: 0})
 
 
 # -- switch ----------------------------------------------------------------
@@ -274,7 +321,7 @@ def test_cross_ball_members():
 
 
 def test_lipmip_model_affine_lp_equals_norm():
-    # all conditionals fixed -> pure LP, optimum = ||w||_1 for alpha = linf
+    # every ReLU sign fixed -> pure LP, optimum = ||w||_1 for alpha = linf
     w = np.array([1.0, -2.5, 0.5])
     net = affine_network(w, b=0.3, bound=2.0)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
@@ -344,7 +391,7 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
     prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
     blocks = [prob.input_vars, prob.z_ball_vars, prob.z_pos_vars, prob.z_neg_vars,
               prob.grad_vars, prob.abs_vars, prob.abs_sign_vars]
-    for name in ("pre_vars", "neuron_bins", "fwd_switch_vars", "bwd_value_vars",
+    for name in ("pre_vars", "neuron_bins", "post_vars", "bwd_value_vars",
                  "bwd_switch_vars"):
         layers = getattr(prob, name)
         assert len(layers) == net.depth
@@ -357,12 +404,16 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
         assert prob.neuron_bins[i][j] == v and v in prob.model.binary_vars
 
 
-@pytest.mark.parametrize("arch,seed,alpha,output_norm", [
-    ([3, 5, 4, 1], 2, "linf", None),
-    ([3, 5, 4, 1], 1, "l1", None),
-    ([3, 6, 5, 3], 3, "linf", "cross"),
-])
-def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_norm):
+# ``refutes``: whether the draws reach a neuron that interval analysis
+# decides beyond the fixes.  On the l1 net every such neuron is already
+# decided at build time by the exact ReLU image.
+@pytest.mark.parametrize("arch,seed,alpha,output_norm,refutes", [
+    ([3, 5, 4, 1], 2, "linf", None, True),
+    ([3, 5, 4, 1], 1, "l1", None, False),
+    ([3, 6, 5, 3], 3, "linf", "cross", True),
+], ids=["arch0-2-linf-None", "arch1-1-l1-None", "arch2-3-linf-cross"])
+def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_norm,
+                                                    refutes):
     rng = np.random.Generator(np.random.Philox(key=seed))
     net = random_he(arch, seed=seed)
     box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
@@ -372,7 +423,8 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
         bins = sorted(prob.binary_map)
         first_layer = [v for v in bins if prob.binary_map[v][0] == 0]
         gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
-        refuted = 0
+        refuted = narrowed = 0
+        continuous = np.array(prob.model.kinds) != mip.BINARY
         for _ in range(30):
             x = rng.uniform(box.l, box.u)
             z = None if gens is None else gens[rng.integers(len(gens))]
@@ -382,6 +434,7 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
                 fixes = {int(v): int(round(point[v])) for v in subset}
                 lo, hi, implied = prob.tightened_bounds(fixes)
                 assert np.all(point >= lo - 1e-9) and np.all(point <= hi + 1e-9)
+                narrowed += bool(np.any(((lo > prob.model.lo) | (hi < prob.model.hi))[continuous]))
                 for v, val in (fixes | implied).items():
                     assert point[v] == val == lo[v] == hi[v]
                     i, j = prob.binary_map[v]
@@ -391,7 +444,8 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
                 for v in implied.keys() - fixes.keys():
                     assert prob.tightened_bounds(fixes | {v: 1 - implied[v]}) is None
                     refuted += 1
-        assert refuted > 0
+        assert narrowed > 0  # the fixes tighten some continuous bound
+        assert (refuted > 0) == refutes
 
 
 def test_identity_lp_relaxation_bounds_mip():
