@@ -147,13 +147,17 @@ def test_relu_relaxation_keeps_the_triangle():
     assert feasible_lps > 0
 
 
-def test_relu_fixed_signs():
-    # l > 0: p = z without a binary; u < 0: p = 0 without a row
+def test_conditional_fixed_positive():
+    # l > 0 fixes the forward sign ON: p = z without a binary, one row
     model, z, p, dec, rows = relu_model(1.0, 2.0)
     assert dec.is_fixed and dec.fixed == 1 and rows == 1 and model.binary_vars == []
     assert (model.lo[p], model.hi[p]) == (1.0, 2.0)
     assert feasible(model, {z: 1.5, p: 1.5})
     assert not feasible(model, {z: 1.5, p: 0.0})
+
+
+def test_conditional_fixed_negative():
+    # u < 0 fixes the forward sign OFF: p = 0 without a binary or a row
     model, z, p, dec, rows = relu_model(-2.0, -1.0)
     assert dec.is_fixed and dec.fixed == 0 and rows == 0 and model.binary_vars == []
     assert (model.lo[p], model.hi[p]) == (0.0, 0.0)
