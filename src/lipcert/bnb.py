@@ -1,19 +1,39 @@
 """Best-first branch-and-bound over the in-repo LP solver.
 
-Nodes carry a set of binary fixes.  A child's LP relaxation is re-solved
-once, at creation, by dual simplex from its parent's optimal basis, whose
-snapshot the parent's heap entry keeps.  With the incumbent as cutoff, that
-solve stops before the LP optimum once it certifies that the child cannot
-beat the incumbent; such a node is pruned and never enters the heap.  A
-node's bound is the certified ``SimplexSolver.dual_bound`` of its final
-basis, not the LP's raw value.  Every
-node in the heap therefore has a fully solved LP, the heap holds true subtree
-upper bounds, and the best open bound is a certified global upper bound.
-Lower bounds come from a structure-aware primal heuristic: the x part of any
-node LP solution is a real network input, so its exact chain-rule gradient
-norm is an attainable objective value.  Incumbent and upper bound therefore
-sandwich the true optimum at every moment, which is what makes early
-stopping at a target integrality gap sound.
+Nodes carry a set of binary fixes.  A child's LP relaxation is solved once,
+at creation, by dual simplex from its parent's optimal basis.  With the
+incumbent as cutoff, that solve stops before the LP optimum once it
+certifies that the child cannot beat the incumbent; such a node is pruned
+and never enters the heap.  A node's bound is the certified
+``SimplexSolver.dual_bound`` of its final basis, not the LP's raw value.
+Every node in the heap therefore has a fully solved LP, the heap holds true
+subtree upper bounds, and the best open bound is a certified global upper
+bound.  Lower bounds come from a structure-aware primal heuristic: the x
+part of any node LP solution is a real network input, so its exact
+chain-rule gradient norm is an attainable objective value.  Incumbent and
+upper bound therefore sandwich the true optimum at every moment, which is
+what makes early stopping at a target integrality gap sound.
+
+The branch binary is chosen when a node is popped, not when it is pushed,
+so a node the incumbent prunes while it waits in the heap costs nothing;
+its heap entry keeps the node's LP point and basis snapshot instead.  The
+rule is reliability branching (T. Achterberg, T. Koch and A. Martin,
+"Branching rules revisited", Oper. Res. Letters 33, 2005).  Each binary
+keeps a pseudocost per direction: the mean drop of the certified bound per
+unit of fractionality over the child LPs that fixed it that way, updated by
+every child LP the search solves anyway.  Fractional binaries are ranked by
+the product of their estimated down and up drops.  Those with fewer than
+``_RELIABLE`` observations on a side are strong-branched in that order, at
+most ``_STRONG_MAX`` of them and none after ``_STRONG_LOOKAHEAD`` in a row
+that do not improve the best score: both children are built exactly as real
+children (node tightening, the box-bound prune, a dual simplex solve from
+the node's basis with the incumbent as cutoff), and the measured drops
+replace the estimates.  Because the candidate children are real, the
+winner's two solves become the node's children and are never solved again.
+A candidate whose child is refuted, infeasible or cut off is taken at once:
+the binary is in effect fixed at the node, whose only child is the other
+side, if that one lives.  All candidates restore the one basis snapshot of
+the node, so the solver refactorizes once per popped node.
 
 When a Lipschitz problem context is available, bound tightening (optional,
 default on) works at two points.  Before branching, ``tighten_root``
@@ -50,6 +70,14 @@ _INT_TOL = 1e-6
 _EXACT_GAP = 1e-8
 _PRUNE_TOL = 1e-9  # relative slack when comparing a bound to the incumbent
 _EPS_GAP = 1e-9  # floor of the gap's denominator near a zero incumbent
+#: Observations a binary's pseudocost needs on each side to be reliable.
+_RELIABLE = 4
+#: Most unreliable candidates strong-branched at one node.
+_STRONG_MAX = 8
+#: Strong branching stops after this many candidates in a row that do not
+#: improve the best score.
+_STRONG_LOOKAHEAD = 4
+_SCORE_EPS = 1e-6  # floor of each side's bound drop in the product score
 
 
 class InfeasibleModelError(RuntimeError):
@@ -105,6 +133,18 @@ class LayerTightening:
 class MIPResult:
     """Certified sandwich around the optimum plus run accounting.
 
+    ``nodes_explored`` counts the root and every child LP solve that became
+    a node: both children of each branched binary, solved then or taken
+    over from strong branching, whether or not their LP pruned them; a
+    binary strong branching found with a dead side gets its live side only.
+    Strong-branch solves of candidates that were not chosen are not nodes.
+
+    ``strong_branch_lps`` and ``strong_branch_pivots`` count every LP solve
+    of strong branching (retries included), the chosen candidate's too, and
+    their simplex pivots.  ``strong_branch_fixes`` counts the nodes where a
+    candidate had a dead side (refuted, infeasible or cut off), which fixed
+    the binary at the node.
+
     ``root_tightening`` has one record per hidden layer when the solve
     tightened a LipMIPProblem's root, and is empty otherwise."""
 
@@ -115,8 +155,54 @@ class MIPResult:
     status: str
     nodes_explored: int
     wall_time: float
+    strong_branch_lps: int = 0
+    strong_branch_pivots: int = 0
+    strong_branch_fixes: int = 0
     events: list[NodeEvent] = field(default_factory=list)
     root_tightening: list[LayerTightening] = field(default_factory=list)
+
+
+@dataclass
+class _Node:
+    """An open node: its certified bound, binary fixes, depth, and the
+    point and basis of its optimal LP."""
+
+    bound: float
+    fixes: dict
+    depth: int
+    x: np.ndarray
+    basis: lp.Basis
+
+
+class _Pseudocosts:
+    """Per binary and direction (0 down, 1 up), the summed drop of the
+    certified bound per unit of fractionality and the number of child LPs
+    it was observed in."""
+
+    def __init__(self, num_vars: int):
+        self.sum = np.zeros((2, num_vars))
+        self.count = np.zeros((2, num_vars), dtype=np.intp)
+
+    def update(self, var: int, val: int, drop: float, frac: float) -> None:
+        self.sum[val, var] += max(drop, 0.0) / frac
+        self.count[val, var] += 1
+
+    def scores(self, cands, xs):
+        """Estimated product scores of binaries ``cands`` at LP values
+        ``xs``, and whether each one's pseudocosts are reliable.  A side
+        never observed takes the mean over all observations of its
+        direction, or 1 before the first."""
+        observed = self.count.sum(axis=1)
+        mean = np.where(observed > 0, self.sum.sum(axis=1) / np.maximum(observed, 1), 1.0)
+        counts = self.count[:, cands]
+        unit = np.where(counts > 0, self.sum[:, cands] / np.maximum(counts, 1), mean[:, None])
+        return _score(unit[0] * xs, unit[1] * (1.0 - xs)), counts.min(axis=0) >= _RELIABLE
+
+
+def _score(down, up):
+    """Product score of a branching candidate from the bound drops of its
+    two children."""
+    return np.maximum(down, _SCORE_EPS) * np.maximum(up, _SCORE_EPS)
 
 
 def _gap(upper: float, incumbent: float) -> float:
@@ -236,7 +322,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         model = problem
         context = None
     solver = lp.SimplexSolver(model.to_lp_problem())
-    binaries = model.binary_vars
+    binaries = np.array(model.binary_vars, dtype=np.intp)
 
     state = {
         "incumbent": -np.inf,
@@ -244,18 +330,30 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         "nodes": 0,
         "counter": 0,
         "tightening": tightening,
+        "lps": 0,  # node and candidate LP solves, retries included
+        "pivots": 0,
+        "sb_lps": 0,  # strong-branch LP solves, their pivots, fixed binaries
+        "sb_pivots": 0,
+        "sb_fixes": 0,
     }
+    pseudocosts = _Pseudocosts(model.num_vars)
     events: list[NodeEvent] = []
-    heap: list = []  # entries (-bound, counter, fixes, branch_var, depth, basis)
+    # entries (-bound, counter, _Node): a node keeps its LP point and basis,
+    # and its branch binary is chosen only when it is popped
+    heap: list = []
 
     def update_incumbent(value, point):
         if value > state["incumbent"]:
             state["incumbent"] = value
             state["point"] = None if point is None else np.array(point)
 
-    def solve_node(fixes, lo, hi, depth, basis=None):
-        """LP-solve one node (from its parent's basis) and push it if still
-        interesting."""
+    def pruned(bound) -> bool:
+        inc = state["incumbent"]
+        return bool(np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL))
+
+    def solve_lp(fixes, lo, hi, depth, basis=None):
+        """LP of one node, from its parent's basis, with the incumbent as
+        cutoff: the solution and its certified bound (None unless OPTIMAL)."""
         if lo is None:
             lo = np.array(model.lo)
             hi = np.array(model.hi)
@@ -264,54 +362,122 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         inc = state["incumbent"]
         cutoff = inc * (1.0 + _PRUNE_TOL) - model.objective_const if np.isfinite(inc) else np.inf
         sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff)
+        state["lps"] += 1
+        state["pivots"] += sol.iterations
         if sol.status == lp.NUMERICAL_FAILURE:
             sol = solver.solve(lo=lo, hi=hi, pivot_tol=1e-11)
+            state["lps"] += 1
+            state["pivots"] += sol.iterations
             if sol.status == lp.NUMERICAL_FAILURE:
                 raise SolverNumericalError(
                     f"LP failed twice at node depth {depth} ({len(fixes)} fixes)"
                 )
-        state["nodes"] += 1
-        if sol.status in (lp.INFEASIBLE, lp.CUTOFF):
-            return
-        value = sol.objective_value + model.objective_const
+        if sol.status != lp.OPTIMAL:
+            return sol, None
         # the heap keeps the certified bound; an unreadable one weakens to inf
         bound = solver.dual_bound() + model.objective_const
-        if not np.isfinite(bound):
-            bound = np.inf
+        return sol, bound if np.isfinite(bound) else np.inf
+
+    def add_node(fixes, depth, sol, bound):
+        """Count a solved node, try its point as an incumbent and push it
+        while some binary is fractional and it may beat the incumbent."""
+        state["nodes"] += 1
+        if bound is None:
+            return  # infeasible or cut off
         if context is not None:
             val, x = context.incumbent_from_point(sol.x)
             update_incumbent(val, x)
             rounded = context.rounded_pattern_value(sol.x)
             if rounded is not None:
                 update_incumbent(*rounded)
-        fractional = [
-            b for b in binaries
-            if b not in fixes and min(sol.x[b], 1.0 - sol.x[b]) > _INT_TOL
-        ]
-        if not fractional:
+        node = _Node(bound, fixes, depth, sol.x, sol.basis)
+        if not fractional(node).size:
             # an incumbent must be attainable: the LP's own value at its point
             point = sol.x[context.input_vars] if context is not None else sol.x
-            update_incumbent(value, point)
+            update_incumbent(sol.objective_value + model.objective_const, point)
             return
-        inc = state["incumbent"]
-        if np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL):
+        if pruned(bound):
             return
-        # most-fractional branching, ties to the lowest variable id
-        branch_var = min((abs(sol.x[b] - 0.5), b) for b in fractional)[1]
         state["counter"] += 1
-        heapq.heappush(heap, (-bound, state["counter"], fixes, branch_var, depth, sol.basis))
+        heapq.heappush(heap, (-bound, state["counter"], node))
 
-    solve_node({}, None, None, 0)
+    def fractional(node) -> np.ndarray:
+        """The node's unfixed binaries whose LP value is fractional."""
+        x = node.x[binaries]
+        frac = binaries[np.minimum(x, 1.0 - x) > _INT_TOL]
+        return np.array([b for b in frac.tolist() if b not in node.fixes], dtype=np.intp)
+
+    def child(node, var, val):
+        """The child fixing ``var`` to ``val``, built, tightened and solved
+        as ``(fixes, sol, bound)``; ``sol`` is None when interval analysis
+        refutes it or its box bound prunes it.  A child solved to optimality
+        adds its bound drop to ``var``'s pseudocost."""
+        fixes = dict(node.fixes)
+        fixes[var] = val
+        lo = hi = None
+        if context is not None and opts.tighten_bounds:
+            tightened = context.tightened_bounds(fixes)
+            if tightened is None:
+                return fixes, None, None  # interval analysis refutes this branch
+            lo, hi, implied = tightened
+            fixes.update(implied)
+            # objective bound from the tightened boxes alone: prunes the
+            # child without an LP solve when it cannot beat the incumbent
+            ibound = model.objective_const + sum(
+                c * (hi[v] if c > 0 else lo[v]) for v, c in model.objective.items()
+            )
+            if pruned(ibound):
+                return fixes, None, None
+        sol, bound = solve_lp(fixes, lo, hi, node.depth + 1, node.basis)
+        if bound is not None and np.isfinite(bound) and np.isfinite(node.bound):
+            frac = 1.0 - node.x[var] if val == 1 else node.x[var]
+            pseudocosts.update(var, val, node.bound - bound, frac)
+        return fixes, sol, bound
+
+    def branch(node):
+        """Reliability branching: the binary to branch on and, when strong
+        branching solved them, the node's children, else None.
+
+        Fractional binaries are ranked by the product score of their
+        pseudocost estimates; unreliable ones are strong-branched in that
+        order, within ``_STRONG_MAX`` candidates and ``_STRONG_LOOKAHEAD``
+        in a row that do not improve the best score.  A candidate with a
+        dead side is taken at once, with its live side as the only child."""
+        cands = fractional(node)
+        scores, reliable = pseudocosts.scores(cands, node.x[cands])
+        best_var, best_score, best_children = None, -np.inf, None
+        tried = stale = 0
+        for k in np.lexsort((cands, -scores)):  # by score, ties to the lowest id
+            var, score, children = int(cands[k]), scores[k], None
+            if not reliable[k] and tried < _STRONG_MAX and stale < _STRONG_LOOKAHEAD:
+                lps, pivots = state["lps"], state["pivots"]
+                children = [child(node, var, val) for val in (1, 0)]
+                state["sb_lps"] += state["lps"] - lps
+                state["sb_pivots"] += state["pivots"] - pivots
+                tried += 1
+                live = [(fixes, sol, bound) for fixes, sol, bound in children
+                        if bound is not None and not pruned(bound)]
+                if len(live) < 2:
+                    state["sb_fixes"] += 1
+                    return var, live
+                (_, _, up), (_, _, down) = children
+                score = _score(node.bound - down, node.bound - up)
+                stale = 0 if score > best_score else stale + 1
+            if score > best_score:
+                best_var, best_score, best_children = var, score, children
+        return best_var, best_children
+
+    add_node({}, 0, *solve_lp({}, None, None, 0))
 
     status = EXACT
     while heap:
-        neg_bound, _, fixes, branch_var, depth, basis = heapq.heappop(heap)
-        bound = -neg_bound
+        _, _, node = heapq.heappop(heap)
+        bound = node.bound
         inc = state["incumbent"]
         upper = max(bound, inc) if np.isfinite(inc) else bound
         if opts.keep_events:
-            events.append(NodeEvent(state["nodes"], upper, inc, depth))
-        if np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL):
+            events.append(NodeEvent(state["nodes"], upper, inc, node.depth))
+        if pruned(bound):
             continue  # stale: incumbent improved after insertion
         gap = _gap(upper, inc) if np.isfinite(inc) else np.inf
         if gap <= _EXACT_GAP:
@@ -323,26 +489,12 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if state["nodes"] >= opts.node_limit:
             return _finish(NODE_LIMIT, upper, state, gap, start, events)
 
-        for val in (1, 0):
-            child_fixes = dict(fixes)
-            child_fixes[branch_var] = val
-            child_lo = child_hi = None
-            if context is not None and opts.tighten_bounds:
-                tightened = context.tightened_bounds(child_fixes)
-                if tightened is None:
-                    continue  # interval analysis refutes this branch
-                child_lo, child_hi, implied = tightened
-                child_fixes.update(implied)
-                # objective bound from the tightened boxes alone: prunes the
-                # child without an LP solve when it cannot beat the incumbent
-                ibound = model.objective_const + sum(
-                    c * (child_hi[v] if c > 0 else child_lo[v])
-                    for v, c in model.objective.items()
-                )
-                inc = state["incumbent"]
-                if np.isfinite(inc) and ibound <= inc * (1.0 + _PRUNE_TOL):
-                    continue
-            solve_node(child_fixes, child_lo, child_hi, depth + 1, basis)
+        var, children = branch(node)
+        if children is None:
+            children = [child(node, var, val) for val in (1, 0)]
+        for fixes, sol, bound in children:
+            if sol is not None:
+                add_node(fixes, node.depth + 1, sol, bound)
 
     if not np.isfinite(state["incumbent"]):
         raise InfeasibleModelError("no feasible integral point")
@@ -350,6 +502,12 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
 
 
 def _finish(status, upper, state, gap, start, events) -> MIPResult:
+    logger.debug(
+        "%s after %d nodes: %d LPs (%d pivots), of which strong branching %d LPs "
+        "(%d pivots), %d binaries fixed by a dead side",
+        status, state["nodes"], state["lps"], state["pivots"],
+        state["sb_lps"], state["sb_pivots"], state["sb_fixes"],
+    )
     return MIPResult(
         upper_bound=float(upper),
         incumbent_value=float(state["incumbent"]),
@@ -358,6 +516,9 @@ def _finish(status, upper, state, gap, start, events) -> MIPResult:
         status=status,
         nodes_explored=state["nodes"],
         wall_time=time.perf_counter() - start,
+        strong_branch_lps=state["sb_lps"],
+        strong_branch_pivots=state["sb_pivots"],
+        strong_branch_fixes=state["sb_fixes"],
         events=events,
         root_tightening=state["tightening"],
     )

@@ -71,6 +71,9 @@ def main(argv=None) -> int:
         "gap": res.gap,
         "status": res.status,
         "nodes": res.nodes_explored,
+        "strong_branch_lps": res.strong_branch_lps,
+        "strong_branch_pivots": res.strong_branch_pivots,
+        "strong_branch_fixes": res.strong_branch_fixes,
         "wall_time_s": res.wall_time,
         "root_tightening": [asdict(r) for r in res.root_tightening],
     }

@@ -216,7 +216,10 @@ def test_highs_agrees_with_oracle(arch, seed, alpha, output_norm):
 def test_node_bounds_are_the_certified_dual_bound(monkeypatch):
     # the heap holds dual_bound(), so the bound a node-limited solve reports
     # moves by exactly the offset added to it; without root tightening (whose
-    # boxes the offset would widen) the search visits the same nodes
+    # boxes the offset would widen) the search visits the same nodes.  The
+    # LP's own cutoff check keeps the unshifted bound: shifted, it would turn
+    # some strong-branch children from CUTOFF into OPTIMAL and change their
+    # scores, so only the bound the search reads moves
     net = random_he([4, 8, 8, 1], seed=12)
     box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
     prob = build_lipmip_model(net, box)
@@ -225,12 +228,117 @@ def test_node_bounds_are_the_certified_dual_bound(monkeypatch):
     assert plain.status == bnb.NODE_LIMIT and plain.upper_bound > plain.incumbent_value
     offset = 0.25
     original = lp.SimplexSolver.dual_bound
+    original_cutoff = lp.SimplexSolver._cutoff_bound
+
+    def unshifted_cutoff(self, xb, cutoff):
+        with monkeypatch.context() as m:
+            m.setattr(lp.SimplexSolver, "dual_bound", original)
+            return original_cutoff(self, xb, cutoff)
+
+    monkeypatch.setattr(lp.SimplexSolver, "_cutoff_bound", unshifted_cutoff)
     monkeypatch.setattr(lp.SimplexSolver, "dual_bound", lambda self: original(self) + offset)
     moved = solve_mip(prob, opts)
     assert moved.status == bnb.NODE_LIMIT
     assert moved.nodes_explored == plain.nodes_explored
     assert moved.upper_bound - plain.upper_bound == pytest.approx(offset, abs=1e-12)
     assert moved.incumbent_value == plain.incumbent_value
+
+
+def solve_statuses(monkeypatch):
+    """Records the status of every B&B LP answer (calls by keyword only,
+    which leaves out the solver's nested cold re-solves)."""
+    original = lp.SimplexSolver.solve
+    statuses = []
+
+    def solve(self, *args, **kwargs):
+        sol = original(self, *args, **kwargs)
+        if not args:
+            statuses.append((kwargs.get("basis") is not None, sol.status))
+        return sol
+
+    monkeypatch.setattr(lp.SimplexSolver, "solve", solve)
+    return statuses
+
+
+def test_strong_branch_infeasible_side_leaves_one_child(monkeypatch):
+    # max a + y s.t. 2a <= 1, y in [0, 1]: the root LP has a = 1/2, and the
+    # child a = 1 is infeasible, so a is fixed at 0 and the root gets the
+    # single child a = 0 (value 1)
+    model = MIPModel()
+    a = model.add_binary("a")
+    y = model.add_var(0.0, 1.0, name="y")
+    model.add_constraint({a: 2.0}, "<=", 1.0)
+    model.set_objective({a: 1.0, y: 1.0})
+    statuses = solve_statuses(monkeypatch)
+    res = solve_mip(model)
+    assert res.status == bnb.EXACT
+    assert res.incumbent_value == pytest.approx(1.0, abs=1e-9)
+    assert statuses == [(False, lp.OPTIMAL), (True, lp.INFEASIBLE), (True, lp.OPTIMAL)]
+    assert (res.strong_branch_lps, res.strong_branch_fixes) == (2, 1)
+    assert res.nodes_explored == 2  # the root and its live child
+
+
+def test_strong_branch_cut_off_side_leaves_one_child(monkeypatch):
+    # max 2a + 7b + 3c s.t. 2a + 3b + 4c <= 7.5.  The root LP (a = b = 1,
+    # c = 5/8) branches on c: c = 0 is integral (9, the first incumbent),
+    # c = 1 has a = 1/4 (bound 10.5).  Below it, a = 1 (b = 1/2, bound 8.5)
+    # is cut off by the incumbent, so a is fixed at 0 and the node gets the
+    # single child a = 0, integral with value 10
+    model = MIPModel()
+    a, b, c = (model.add_binary(name) for name in "abc")
+    model.add_constraint({a: 2.0, b: 3.0, c: 4.0}, "<=", 7.5)
+    model.set_objective({a: 2.0, b: 7.0, c: 3.0})
+    statuses = solve_statuses(monkeypatch)
+    res = solve_mip(model)
+    assert res.status == bnb.EXACT
+    assert res.incumbent_value == pytest.approx(10.0, abs=1e-9)
+    assert [s for _, s in statuses] == [lp.OPTIMAL] * 3 + [lp.CUTOFF, lp.OPTIMAL]
+    assert (res.strong_branch_lps, res.strong_branch_fixes) == (4, 1)
+    assert res.nodes_explored == 4  # the root, both children of c, one of a
+
+
+def test_pseudocosts_updated_from_every_child_lp(monkeypatch):
+    # every child LP solved to optimality, strong-branch candidates that do
+    # not become nodes included, adds one observation
+    net = random_he([4, 8, 8, 1], seed=12)
+    box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
+    updates = []
+    original = bnb._Pseudocosts.update
+
+    def update(self, var, val, drop, frac):
+        updates.append((var, val, drop, frac))
+        original(self, var, val, drop, frac)
+
+    monkeypatch.setattr(bnb._Pseudocosts, "update", update)
+    statuses = solve_statuses(monkeypatch)
+    res = lipmip(net, box, tighten_bounds=False)
+    assert res.status == bnb.EXACT
+    assert len(updates) == sum(warm and s == lp.OPTIMAL for warm, s in statuses)
+    assert len(updates) > res.nodes_explored - 1  # discarded candidates count too
+    assert all(val in (0, 1) and 0 < frac < 1 for _, val, _, frac in updates)
+
+
+def test_reliability_branching_halves_the_tree():
+    # most-fractional branching needed 305 nodes here and HiGHS needs 25
+    net = random_he([4, 8, 8, 1], seed=12)
+    box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
+    res = lipmip(net, box)
+    assert res.status == bnb.EXACT
+    assert res.incumbent_value == pytest.approx(exact_lipschitz_bruteforce(net, box, "linf"),
+                                                rel=1e-7)
+    assert res.nodes_explored <= 305 // 2
+
+
+def test_strong_branching_reported(caplog):
+    net = random_he([3, 6, 6, 1], seed=8)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    with caplog.at_level(logging.DEBUG, logger="lipcert"):
+        res = lipmip(net, box)
+    assert res.strong_branch_lps > 0 and res.strong_branch_pivots > 0
+    lines = [r.getMessage() for r in caplog.records if "strong branching" in r.getMessage()]
+    assert len(lines) == 1
+    assert f"strong branching {res.strong_branch_lps} LPs" in lines[0]
+    assert f"{res.strong_branch_fixes} binaries fixed" in lines[0]
 
 
 def failing_solves(monkeypatch, fails):
