@@ -139,6 +139,10 @@ class MIPResult:
     binary strong branching found with a dead side gets its live side only.
     Strong-branch solves of candidates that were not chosen are not nodes.
 
+    ``lp_solves`` and ``lp_pivots`` count every LP solve of the search, node
+    and strong-branch solves and their retries (root tightening's LPs are in
+    ``root_tightening``), and their simplex pivots.
+
     ``strong_branch_lps`` and ``strong_branch_pivots`` count every LP solve
     of strong branching (retries included), the chosen candidate's too, and
     their simplex pivots.  ``strong_branch_fixes`` counts the nodes where a
@@ -155,6 +159,8 @@ class MIPResult:
     status: str
     nodes_explored: int
     wall_time: float
+    lp_solves: int = 0
+    lp_pivots: int = 0
     strong_branch_lps: int = 0
     strong_branch_pivots: int = 0
     strong_branch_fixes: int = 0
@@ -335,6 +341,8 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         "sb_lps": 0,  # strong-branch LP solves, their pivots, fixed binaries
         "sb_pivots": 0,
         "sb_fixes": 0,
+        # LP columns ([A I]) before and after the solver's equality presolve
+        "columns": (solver.problem.num_vars + solver.problem.num_constraints, solver.n_total),
     }
     pseudocosts = _Pseudocosts(model.num_vars)
     events: list[NodeEvent] = []
@@ -504,9 +512,9 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
 def _finish(status, upper, state, gap, start, events) -> MIPResult:
     logger.debug(
         "%s after %d nodes: %d LPs (%d pivots), of which strong branching %d LPs "
-        "(%d pivots), %d binaries fixed by a dead side",
+        "(%d pivots), %d binaries fixed by a dead side; LP columns %d, %d after presolve",
         status, state["nodes"], state["lps"], state["pivots"],
-        state["sb_lps"], state["sb_pivots"], state["sb_fixes"],
+        state["sb_lps"], state["sb_pivots"], state["sb_fixes"], *state["columns"],
     )
     return MIPResult(
         upper_bound=float(upper),
@@ -516,6 +524,8 @@ def _finish(status, upper, state, gap, start, events) -> MIPResult:
         status=status,
         nodes_explored=state["nodes"],
         wall_time=time.perf_counter() - start,
+        lp_solves=state["lps"],
+        lp_pivots=state["pivots"],
         strong_branch_lps=state["sb_lps"],
         strong_branch_pivots=state["sb_pivots"],
         strong_branch_fixes=state["sb_fixes"],

@@ -71,6 +71,8 @@ def main(argv=None) -> int:
         "gap": res.gap,
         "status": res.status,
         "nodes": res.nodes_explored,
+        "lp_solves": res.lp_solves,
+        "lp_pivots": res.lp_pivots,
         "strong_branch_lps": res.strong_branch_lps,
         "strong_branch_pivots": res.strong_branch_pivots,
         "strong_branch_fixes": res.strong_branch_fixes,

@@ -1,7 +1,11 @@
+import importlib.util
 import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipcert import bnb, lp
 from lipcert.bnb import MIPResult, SolveOptions, solve_liplp, solve_mip, tighten_root
@@ -188,14 +192,10 @@ def test_exact_matches_oracle_and_repeats(arch, seed, alpha, output_norm, tighte
     assert r1.incumbent_point.tobytes() == r2.incumbent_point.tobytes()
 
 
-@pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES)
-def test_highs_agrees_with_oracle(arch, seed, alpha, output_norm):
-    # scipy's HiGHS on the exported model: an outside check that the
-    # encoding's mixed-integer optimum is the Lipschitz constant
+def highs_milp_max(model):
+    """scipy's HiGHS ``milp`` optimum of a MIPModel's exported LP data with
+    its binaries integral, objective constant included."""
     opt = pytest.importorskip("scipy.optimize")
-    net = random_he(arch, seed=seed)
-    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
-    model = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm).model
     p = model.to_lp_problem()
     rel = np.array(p.relations)
     integrality = np.zeros(p.num_vars)
@@ -209,8 +209,48 @@ def test_highs_agrees_with_oracle(arch, seed, alpha, output_norm):
         options={"mip_rel_gap": 1e-9},
     )
     assert res.status == 0
+    return -res.fun + model.objective_const
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES)
+def test_highs_agrees_with_oracle(arch, seed, alpha, output_norm):
+    # scipy's HiGHS on the exported model: an outside check that the
+    # encoding's mixed-integer optimum is the Lipschitz constant
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    model = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm).model
     ref = exact_lipschitz_bruteforce(net, box, alpha, output_norm)
-    assert -res.fun + model.objective_const == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    assert highs_milp_max(model) == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+
+@st.composite
+def small_lipschitz_problems(draw):
+    """A random scalar net with at most 16 hidden neurons, a box and a norm."""
+    depth = draw(st.integers(1, 2))
+    hidden = draw(st.lists(st.integers(2, 16 // depth), min_size=depth, max_size=depth))
+    arch = [draw(st.integers(1, 4)), *hidden, 1]
+    net = random_he(arch, seed=draw(st.integers(0, 2**16)))
+    radius = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+    return net, box, draw(st.sampled_from(["linf", "l1"]))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(small_lipschitz_problems())
+def test_bnb_oracle_and_highs_agree(case):
+    # three independent ways to the exact constant: branch and bound, the
+    # region oracle, and HiGHS on the same exported model
+    net, box, alpha = case
+    prob = build_lipmip_model(net, box, alpha=alpha)
+    res = solve_mip(prob)
+    ref = exact_lipschitz_bruteforce(net, box, alpha)
+    assert res.status == bnb.EXACT
+    assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    # HiGHS accepts a binary 1e-6 off integral, which can lift its optimum
+    # by about that much
+    assert highs_milp_max(prob.model) == pytest.approx(ref, rel=1e-5, abs=1e-6)
 
 
 def test_node_bounds_are_the_certified_dual_bound(monkeypatch):
@@ -339,6 +379,12 @@ def test_strong_branching_reported(caplog):
     assert len(lines) == 1
     assert f"strong branching {res.strong_branch_lps} LPs" in lines[0]
     assert f"{res.strong_branch_fixes} binaries fixed" in lines[0]
+    # every search LP and pivot, and the presolve's shrinking of the LP
+    assert f"{res.lp_solves} LPs ({res.lp_pivots} pivots)" in lines[0]
+    assert res.lp_solves > res.strong_branch_lps and res.lp_pivots > res.strong_branch_pivots
+    before, after = map(int, re.search(r"LP columns (\d+), (\d+) after presolve",
+                                       lines[0]).groups())
+    assert 0 < after < before
 
 
 def failing_solves(monkeypatch, fails):

@@ -23,6 +23,8 @@ def test_solve_prints_the_solve_as_json(tmp_path, capsys):
     assert out["incumbent"] == ref.incumbent_value
     assert out["gap"] == ref.gap
     assert out["nodes"] == ref.nodes_explored
+    assert out["lp_solves"] == ref.lp_solves >= ref.nodes_explored
+    assert out["lp_pivots"] == ref.lp_pivots > 0
     assert out["strong_branch_lps"] == ref.strong_branch_lps > 0
     assert out["strong_branch_pivots"] == ref.strong_branch_pivots > 0
     assert out["strong_branch_fixes"] == ref.strong_branch_fixes

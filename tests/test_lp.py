@@ -463,3 +463,193 @@ def test_snapshot_reused_under_another_objective(monkeypatch):
             assert sol.objective_value == pytest.approx(vertex_enumeration_max(q), abs=1e-8)
             basis = sol.basis
         assert not cold_starts
+
+
+# -- equality presolve and condensed tableau ---------------------------------
+
+
+def assert_answer(p, lo, hi, sol, solver, oracle):
+    """``sol`` solves p over [lo, hi] with the optimum ``oracle`` (None when
+    infeasible), its x satisfies the original rows, and an OPTIMAL answer's
+    certified bound is tight."""
+    if oracle is None:
+        assert sol.status == lp.INFEASIBLE
+        return
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(oracle, abs=1e-8)
+    assert sol.x.shape == (p.num_vars,)
+    assert np.all(sol.x >= np.asarray(lo) - 1e-7) and np.all(sol.x <= np.asarray(hi) + 1e-7)
+    act = p.a @ sol.x
+    rel = np.array(p.relations)
+    assert np.all(act[rel == "<="] <= p.rhs[rel == "<="] + 1e-7)
+    assert np.all(act[rel == ">="] >= p.rhs[rel == ">="] - 1e-7)
+    assert np.allclose(act[rel == "="], p.rhs[rel == "="], atol=1e-7)
+    bound = solver.dual_bound()
+    assert oracle - 1e-9 <= bound <= oracle + 1e-8
+
+
+def check_cold_and_warm(p, boxes, eliminated):
+    """Solves p, then each (lo, hi) of ``boxes`` cold and warm from p's
+    optimal basis; every answer must match the oracle, and the presolve must
+    have eliminated ``eliminated`` variables.  Returns the statuses seen."""
+    solver = lp.SimplexSolver(p)
+    assert solver.n_struct == p.num_vars - eliminated
+    root = solver.solve()
+    assert_answer(p, p.lo, p.hi, root, solver, vertex_enumeration_max(p))
+    statuses = {root.status}
+    for lo, hi in boxes:
+        oracle = vertex_enumeration_max(with_bounds(p, lo, hi))
+        for start in (None, root.basis):
+            sol = solver.solve(lo=lo, hi=hi, basis=start)
+            assert_answer(p, lo, hi, sol, solver, oracle)
+            statuses.add(sol.status)
+    return statuses
+
+
+def test_presolve_chained_equalities():
+    # row 1 eliminates x0; row 2 mentions x0, so it is rewritten in x1, x2
+    # and eliminates x1; row 3 mentions both
+    p = make_problem(
+        [0.5, -1.0, 2.0, 1.0, -0.5],
+        [[1.0, -1.0, -1.0, 0.0, 0.0],
+         [-2.0, 0.0, 0.0, 1.0, 0.0],
+         [1.0, 1.0, 0.0, 0.0, 1.0],
+         [0.0, 1.0, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 1.0, -1.0, 0.0]],
+        ["=", "=", "=", "<=", ">="], [0.0, 0.5, 1.0, 1.2, -2.0],
+        [-1, -1, -1, -2, -2], [1, 1, 1, 2, 2],
+    )
+    rng = np.random.Generator(np.random.Philox(key=808))
+    boxes = [child_bounds(rng, p) for _ in range(6)]
+    assert check_cold_and_warm(p, boxes, eliminated=3) == {lp.OPTIMAL, lp.INFEASIBLE}
+    # random bands of overlapping equalities, each row sharing variables
+    # with the rows eliminated before it
+    for trial in range(6):
+        n, k = 5, 3
+        a = np.zeros((k + 1, n))
+        for i in range(k):
+            a[i, i:i + 3] = rng.normal(size=3)
+        a[k] = rng.normal(size=n)
+        lo, hi = -rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
+        x0 = rng.uniform(lo, hi)
+        b = a @ x0 + np.r_[np.zeros(k), rng.uniform(0.0, 1.0)]
+        q = make_problem(rng.normal(size=n), a, ["="] * k + ["<="], b, lo, hi)
+        check_cold_and_warm(q, [child_bounds(rng, q) for _ in range(3)], eliminated=k)
+
+
+def test_presolve_redundant_equality():
+    # the second row is twice the first: it has no usable pivot left and
+    # stays an equality row with a fixed slack
+    p = make_problem([1.0, 2.0, -1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 0.0, -1.0]],
+                     ["=", "=", "<="], [1.0, 2.0, 0.5], [0, 0, 0], [1, 1, 1])
+    boxes = [([0.0, 0.0, 0.0], [0.3, 1.0, 1.0]), ([0.6, 0.0, 0.0], [1.0, 1.0, 0.05]),
+             ([0.0, 0.0, 0.0], [0.4, 0.5, 1.0])]
+    assert check_cold_and_warm(p, boxes, eliminated=1) == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_presolve_inconsistent_equality(monkeypatch):
+    # the second row contradicts the first: INFEASIBLE, and only with a
+    # certificate checked on the original rows
+    p = make_problem([1.0, 2.0, -1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 0.0, -1.0]],
+                     ["=", "=", "<="], [1.0, 2.5, 0.5], [0, 0, 0], [1, 1, 1])
+    assert vertex_enumeration_max(p) is None
+    assert highs_max(p) is None
+    solver = lp.SimplexSolver(p)
+    assert solver.solve().status == lp.INFEASIBLE
+    monkeypatch.setattr(lp.SimplexSolver, "_certified_infeasible", lambda self, r: False)
+    assert lp.SimplexSolver(p).solve().status == lp.NUMERICAL_FAILURE
+
+
+def test_presolve_single_variable_rows():
+    # y = 0 rows, as a switched-off copy makes them, beside a copy y2 = x0
+    p = make_problem(
+        [1.0, -1.0, 3.0, 1.0, 0.5],
+        [[0.0, 0.0, 1.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0, 0.0],
+         [-1.0, 0.0, 0.0, 0.0, 1.0],
+         [1.0, 1.0, 1.0, 1.0, 0.0],
+         [1.0, -1.0, 0.0, 0.0, 1.0]],
+        ["=", "=", "=", "<=", ">="], [0.0, 0.0, 0.0, 1.0, -0.5],
+        [-1, -1, -1, 0, -1], [1, 1, 1, 2, 1],
+    )
+    boxes = [
+        ([-1, -1, 0.2, 0, -1], [1, 1, 1, 2, 1]),  # y = 0 outside the box: infeasible
+        ([-1, -1, -1, 0, -1], [0.5, 1, 0.0, 1, 1]),
+        ([0.3, -1, -1, 0, 0.3], [1, 0.2, 1, 2, 1]),
+    ]
+    assert check_cold_and_warm(p, boxes, eliminated=3) == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+@pytest.mark.parametrize("coef", [3.0, -3.0])
+def test_presolve_objective_on_an_eliminated_variable(coef):
+    # only x0 carries the objective, and the presolve eliminates x0 (its
+    # coefficient is the row's largest), so its cost c / a sits on a slack;
+    # a negative coefficient flips the slack's box
+    p = make_problem([1.0, 0.0, 0.0], [[coef, 1.0, -2.0], [0.0, 1.0, 1.0]],
+                     ["=", "<="], [0.5, 1.0], [-1, 0, 0], [1, 1, 1])
+    boxes = [([-1, 0, 0], [0.2, 1, 1]), ([-1, 0.5, 0], [1, 1, 0.1]), ([0.9, 0, 0], [1, 1, 1])]
+    solver = lp.SimplexSolver(p)
+    assert solver.n_struct == 2 and 0 not in solver._kept
+    assert check_cold_and_warm(p, boxes, eliminated=1) == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_warm_resolve_changes_eliminated_bounds(monkeypatch):
+    # node tightening of a pre-activation: bounds of eliminated variables
+    # change, which the solver turns into slack bound changes of the warm
+    # basis without a cold start
+    rng = np.random.Generator(np.random.Philox(key=909))
+    statuses = set()
+    for trial in range(30):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        eliminated = np.setdiff1d(np.arange(p.num_vars), solver._kept)
+        if eliminated.size == 0:
+            continue
+        root = solver.solve()
+        assert_answer(p, p.lo, p.hi, root, solver, vertex_enumeration_max(p))
+        cold_starts = count_cold_starts(monkeypatch, solver)
+        for _ in range(3):
+            lo, hi = p.lo.copy(), p.hi.copy()
+            for j in eliminated:
+                lo[j], hi[j] = np.sort(rng.uniform(p.lo[j], p.hi[j], size=2))
+            sol = solver.solve(lo=lo, hi=hi, basis=root.basis)
+            assert_answer(p, lo, hi, sol, solver, vertex_enumeration_max(with_bounds(p, lo, hi)))
+            statuses.add(sol.status)
+        assert not cold_starts
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_perturbed_presolve_never_overstates():
+    # an error in the presolved data may cost a bound its tightness or an
+    # answer its status, never its validity: bounds and infeasibility are
+    # checked on the original rows.  Each child is solved over its box and
+    # pinned at a feasible point, which the perturbed rows miss
+    rng = np.random.Generator(np.random.Philox(key=1212))
+    checked = 0
+    for trial in range(60):
+        p = random_feasible_lp(rng, n_range=(3, 6), m_range=(2, 5))
+        solver = lp.SimplexSolver(p)
+        root = solver.solve()
+        assert root.status == lp.OPTIMAL
+        lo, hi = child_bounds(rng, p)
+        ref = lp.solve_lp(with_bounds(p, lo, hi))
+        if ref.status != lp.OPTIMAL:
+            continue
+        for arr in (solver._a, solver._b, solver._rcols):
+            arr += 1e-3 * rng.normal(size=arr.shape)
+        pinned = np.clip(ref.x, lo, hi)
+        for lo, hi in ((lo, hi), (pinned, pinned)):
+            opt = vertex_enumeration_max(with_bounds(p, lo, hi))
+            if opt is None:
+                continue
+            for cutoff, start in itertools.product((opt - 0.1, opt - 1e-4, opt + 1e-4, np.inf),
+                                                   (None, root.basis)):
+                sol = solver.solve(lo=lo, hi=hi, basis=start, cutoff=cutoff)
+                assert sol.status != lp.INFEASIBLE
+                if sol.status == lp.OPTIMAL:
+                    assert solver.dual_bound() >= opt - 1e-8
+                    checked += 1
+                elif sol.status == lp.CUTOFF:
+                    assert sol.objective_value >= opt - 1e-8
+                    checked += 1
+    assert checked > 0
