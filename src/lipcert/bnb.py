@@ -35,14 +35,15 @@ the binary is in effect fixed at the node, whose only child is the other
 side, if that one lives.  All candidates restore the one basis snapshot of
 the node, so the solver refactorizes once per popped node.
 
-When a Lipschitz problem context is available, bound tightening (optional,
-default on) works at two points.  Before branching, ``tighten_root``
-maximizes and minimizes each undecided pre-activation over the LP relaxation
-of the layers below it, layer by layer, and rebuilds the model from the
-tighter boxes: smaller big-Ms, and neurons whose sign the boxes decide lose
-their binary.  During the search, fixing a binary re-runs interval
-propagation with that neuron pinned, intersected with those boxes, and
-tightens every affected variable bound in the child.
+A LipMIPProblem is always bound-tightened, at two points.  Before
+branching, ``tighten_root`` maximizes and minimizes each undecided
+pre-activation over the LP relaxation of the layers below it, layer by
+layer, and rebuilds the model from the tighter boxes: smaller big-Ms, and
+neurons whose sign the boxes decide lose their binary.  During the search,
+fixing a binary re-runs interval propagation with that neuron pinned,
+intersected with those boxes, and tightens every affected variable bound in
+the child.  A bare MIPModel (``LipMIPProblem.model`` included) is searched
+as it stands: no tightening and no network heuristics.
 """
 
 from __future__ import annotations
@@ -91,22 +92,10 @@ class SolveOptions:
     target_gap: float = 0.0
     timeout_seconds: float = float("inf")
     node_limit: int = 10 ** 9
-    tighten_bounds: bool = True
-    keep_events: bool = False
 
     def __post_init__(self):
         if self.target_gap < 0:
             raise ValueError("target_gap must be >= 0")
-
-
-@dataclass
-class NodeEvent:
-    """One row of the optional per-node progress log."""
-
-    node: int
-    upper_bound: float
-    incumbent: float
-    depth: int
 
 
 @dataclass
@@ -149,8 +138,8 @@ class MIPResult:
     candidate had a dead side (refuted, infeasible or cut off), which fixed
     the binary at the node.
 
-    ``root_tightening`` has one record per hidden layer when the solve
-    tightened a LipMIPProblem's root, and is empty otherwise."""
+    ``root_tightening`` has one record per hidden layer for a LipMIPProblem,
+    and is empty for a bare MIPModel."""
 
     upper_bound: float
     incumbent_value: float
@@ -164,7 +153,6 @@ class MIPResult:
     strong_branch_lps: int = 0
     strong_branch_pivots: int = 0
     strong_branch_fixes: int = 0
-    events: list[NodeEvent] = field(default_factory=list)
     root_tightening: list[LayerTightening] = field(default_factory=list)
 
 
@@ -302,26 +290,24 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     """Branch-and-bound solve of a MIPModel or LipMIPProblem (maximization).
 
     With a LipMIPProblem the solver uses the network-evaluation primal
-    heuristic and, with ``opts.tighten_bounds``, LP tightening of the root
-    (``tighten_root``, inside the timed window) and interval-based node
-    tightening; with a bare MIPModel, incumbents come from integral LP
-    solutions only.
+    heuristics, LP tightening of the root (``tighten_root``, inside the
+    timed window) and interval-based node tightening; with a bare MIPModel,
+    incumbents come from integral LP solutions only.
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
     tightening: list[LayerTightening] = []
     if isinstance(problem, LipMIPProblem):
-        if opts.tighten_bounds:
-            problem, tightening = tighten_root(problem, start + opts.timeout_seconds)
-            logger.debug(
-                "root tightening in %.3f s: %s", time.perf_counter() - start,
-                "; ".join(
-                    f"L{r.layer} unstable {r.unstable_before}->{r.unstable_after} "
-                    f"width {r.mean_width_before:.3g}->{r.mean_width_after:.3g} "
-                    f"({r.lps} LPs, {r.pivots} pivots)"
-                    for r in tightening
-                ),
-            )
+        problem, tightening = tighten_root(problem, start + opts.timeout_seconds)
+        logger.debug(
+            "root tightening in %.3f s: %s", time.perf_counter() - start,
+            "; ".join(
+                f"L{r.layer} unstable {r.unstable_before}->{r.unstable_after} "
+                f"width {r.mean_width_before:.3g}->{r.mean_width_after:.3g} "
+                f"({r.lps} LPs, {r.pivots} pivots)"
+                for r in tightening
+            ),
+        )
         model: MIPModel = problem.model
         context = problem
     else:
@@ -345,7 +331,6 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         "columns": (solver.problem.num_vars + solver.problem.num_constraints, solver.n_total),
     }
     pseudocosts = _Pseudocosts(model.num_vars)
-    events: list[NodeEvent] = []
     # entries (-bound, counter, _Node): a node keeps its LP point and basis,
     # and its branch binary is chosen only when it is popped
     heap: list = []
@@ -423,7 +408,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         fixes = dict(node.fixes)
         fixes[var] = val
         lo = hi = None
-        if context is not None and opts.tighten_bounds:
+        if context is not None:
             tightened = context.tightened_bounds(fixes)
             if tightened is None:
                 return fixes, None, None  # interval analysis refutes this branch
@@ -483,19 +468,17 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         bound = node.bound
         inc = state["incumbent"]
         upper = max(bound, inc) if np.isfinite(inc) else bound
-        if opts.keep_events:
-            events.append(NodeEvent(state["nodes"], upper, inc, node.depth))
         if pruned(bound):
             continue  # stale: incumbent improved after insertion
         gap = _gap(upper, inc) if np.isfinite(inc) else np.inf
         if gap <= _EXACT_GAP:
-            return _finish(EXACT, upper, state, gap, start, events)
+            return _finish(EXACT, upper, state, gap, start)
         if opts.target_gap > 0 and gap <= opts.target_gap:
-            return _finish(GAP_REACHED, upper, state, gap, start, events)
+            return _finish(GAP_REACHED, upper, state, gap, start)
         if time.perf_counter() - start > opts.timeout_seconds:
-            return _finish(TIMEOUT, upper, state, gap, start, events)
+            return _finish(TIMEOUT, upper, state, gap, start)
         if state["nodes"] >= opts.node_limit:
-            return _finish(NODE_LIMIT, upper, state, gap, start, events)
+            return _finish(NODE_LIMIT, upper, state, gap, start)
 
         var, children = branch(node)
         if children is None:
@@ -506,10 +489,10 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
 
     if not np.isfinite(state["incumbent"]):
         raise InfeasibleModelError("no feasible integral point")
-    return _finish(status, state["incumbent"], state, 0.0, start, events)
+    return _finish(status, state["incumbent"], state, 0.0, start)
 
 
-def _finish(status, upper, state, gap, start, events) -> MIPResult:
+def _finish(status, upper, state, gap, start) -> MIPResult:
     logger.debug(
         "%s after %d nodes: %d LPs (%d pivots), of which strong branching %d LPs "
         "(%d pivots), %d binaries fixed by a dead side; LP columns %d, %d after presolve",
@@ -529,7 +512,6 @@ def _finish(status, upper, state, gap, start, events) -> MIPResult:
         strong_branch_lps=state["sb_lps"],
         strong_branch_pivots=state["sb_pivots"],
         strong_branch_fixes=state["sb_fixes"],
-        events=events,
         root_tightening=state["tightening"],
     )
 
@@ -538,16 +520,9 @@ def solve_liplp(problem) -> float:
     """Certified Lipschitz upper bound from the LP relaxation: the
     weak-duality bound of its optimal basis (``SimplexSolver.dual_bound``)."""
     model = problem.model if isinstance(problem, LipMIPProblem) else problem
-    solver = lp.SimplexSolver(model.lp_relaxation().to_lp_problem())
+    solver = lp.SimplexSolver(model.to_lp_problem())
     sol = solver.solve()
     if sol.status != lp.OPTIMAL:
         raise SolverNumericalError(f"LP relaxation returned {sol.status}")
     return solver.dual_bound() + model.objective_const
 
-
-def write_event_log(events, path) -> None:
-    """CSV dump of per-node progress (bound, incumbent, depth)."""
-    with open(path, "w") as fh:
-        fh.write("node,upper_bound,incumbent,depth\n")
-        for e in events:
-            fh.write(f"{e.node},{e.upper_bound:.12g},{e.incumbent:.12g},{e.depth}\n")

@@ -113,7 +113,6 @@ def estimate(
     seed: int = 0,
     gap: float = 0.0,
     timeout: float = float("inf"),
-    node_limit: int = 10 ** 9,
 ) -> EstimateRecord:
     """Run one named estimator and wrap its result in an EstimateRecord.
 
@@ -143,7 +142,7 @@ def estimate(
     if method == "liplp":
         value = bnb.solve_liplp(problem)
         return EstimateRecord("liplp", value, UPPER, time.perf_counter() - start)
-    opts = bnb.SolveOptions(target_gap=gap, timeout_seconds=timeout, node_limit=node_limit)
+    opts = bnb.SolveOptions(target_gap=gap, timeout_seconds=timeout)
     res = bnb.solve_mip(problem, opts)
     elapsed = time.perf_counter() - start
     if res.status == bnb.EXACT:

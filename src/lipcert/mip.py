@@ -129,18 +129,6 @@ class MIPModel:
 
     # -- conversions ----------------------------------------------------------
 
-    def lp_relaxation(self) -> "MIPModel":
-        """Copy with every binary re-typed continuous on [0, 1]."""
-        out = MIPModel()
-        out.lo = list(self.lo)
-        out.hi = list(self.hi)
-        out.kinds = [CONTINUOUS for _ in self.kinds]
-        out.names = list(self.names)
-        out.constraints = [(dict(c), r, b) for c, r, b in self.constraints]
-        out.objective = dict(self.objective)
-        out.objective_const = self.objective_const
-        return out
-
     def to_lp_problem(self) -> lp.LPProblem:
         n = self.num_vars
         c = np.zeros(n)

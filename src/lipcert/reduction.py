@@ -63,39 +63,6 @@ class Graph:
         return len(self.neighbors(v))
 
 
-def parse_graph(text: str) -> Graph:
-    """Format: first non-comment line "n m", then m lines "u v"; '#' comments."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for k, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line {k}: expected 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph.from_edges(n, edges)
-
-
-def load_graph(path) -> Graph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
-
-
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {len(g.edges)}\n")
-        for u, v in sorted(g.edges):
-            fh.write(f"{u} {v}\n")
-
-
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from the deterministic Philox stream."""
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -76,29 +76,32 @@ def test_gapped_values_monotone_tighter():
         assert b <= a + 1e-9
 
 
+def search_counters(res):
+    """What two runs of one deterministic search must repeat exactly."""
+    return (res.nodes_explored, res.lp_solves, res.lp_pivots, res.strong_branch_lps,
+            res.upper_bound, res.incumbent_point.tobytes())
+
+
 def test_monotone_progress_event_log():
+    # the search is deterministic, so a run stopped at a node limit is a
+    # prefix of every run with a larger limit: the certified upper bound
+    # never rises and the incumbent never falls along the node limits
     net = random_he([3, 6, 6, 1], seed=5)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    res = lipmip(net, box, keep_events=True)
-    assert res.events
-    ubs = [e.upper_bound for e in res.events]
-    incs = [e.incumbent for e in res.events if np.isfinite(e.incumbent)]
-    for a, b in zip(ubs, ubs[1:]):
-        assert b <= a + 1e-6
-    for a, b in zip(incs, incs[1:]):
-        assert b >= a - 1e-12
+    runs = [lipmip(net, box, node_limit=limit) for limit in (1, 2, 4, 8, 16, 32, 10 ** 9)]
+    assert [r.status for r in runs] == [bnb.NODE_LIMIT] * 6 + [bnb.EXACT]
+    for a, b in zip(runs, runs[1:]):
+        assert b.upper_bound <= a.upper_bound + 1e-6
+        assert b.incumbent_value >= a.incumbent_value
 
 
 def test_deterministic_repeat_runs():
     net = random_he([3, 6, 6, 1], seed=8)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    r1 = lipmip(net, box, keep_events=True)
-    r2 = lipmip(net, box, keep_events=True)
+    r1 = lipmip(net, box)
+    r2 = lipmip(net, box)
     assert r1.incumbent_value == r2.incumbent_value
-    assert r1.upper_bound == r2.upper_bound
-    assert r1.nodes_explored == r2.nodes_explored
-    assert [e.node for e in r1.events] == [e.node for e in r2.events]
-    assert r1.incumbent_point.tobytes() == r2.incumbent_point.tobytes()
+    assert search_counters(r1) == search_counters(r2)
 
 
 def test_node_limit_and_timeout_statuses():
@@ -132,25 +135,15 @@ def test_liplp_affine_equals_exact():
     assert solve_liplp(prob) == pytest.approx(3.0, abs=1e-9)
 
 
-def test_tighten_bounds_consistency():
-    # same answer with and without interval-based node tightening
+def test_tightened_and_bare_searches_agree():
+    # same answer from the tightened LipMIPProblem and from its bare model,
+    # which the search takes without tightening or network heuristics
     net = random_he([3, 7, 6, 1], seed=17)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    on = lipmip(net, box, tighten_bounds=True)
-    off = lipmip(net, box, tighten_bounds=False)
-    assert on.incumbent_value == pytest.approx(off.incumbent_value, rel=1e-9, abs=1e-9)
-    assert on.status == off.status == bnb.EXACT
-
-
-def test_event_log_csv(tmp_path):
-    net = random_he([3, 5, 1], seed=1)
-    box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    res = lipmip(net, box, keep_events=True)
-    path = tmp_path / "events.csv"
-    bnb.write_event_log(res.events, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node,upper_bound,incumbent,depth"
-    assert len(lines) == len(res.events) + 1
+    prob = build_lipmip_model(net, box)
+    tight, bare = solve_mip(prob), solve_mip(prob.model)
+    assert tight.incumbent_value == pytest.approx(bare.incumbent_value, rel=1e-9, abs=1e-9)
+    assert tight.status == bare.status == bnb.EXACT
 
 
 EXACT_CASES = [
@@ -164,32 +157,27 @@ EXACT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("tighten", [True, False])
+@pytest.mark.parametrize("full", [True, False])
 @pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES, ids=[
     "arch0-8-linf", "arch1-3-l1", "arch2-6-linf", "arch3-1-linf", "arch4-1-l1",
     "arch5-1-linf-cross", "arch6-3-l1-linf",
 ])
-def test_exact_matches_oracle_and_repeats(arch, seed, alpha, output_norm, tighten):
+def test_exact_matches_oracle_and_repeats(arch, seed, alpha, output_norm, full):
     # node LPs are re-solved by dual simplex from the parent's basis, with
-    # the incumbent as cutoff, and with tightening the root is LP-tightened
-    # and rebuilt first; the value must match the region oracle and repeat
-    # runs must search identically
+    # the incumbent as cutoff.  The full LipMIPProblem is LP-tightened at the
+    # root and rebuilt first; its bare model is searched without tightening
+    # or network heuristics.  Both values must match the region oracle and
+    # repeat runs must search identically
     net = random_he(arch, seed=seed)
     box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
     ref = exact_lipschitz_bruteforce(net, box, alpha, output_norm)
-    runs = [lipmip(net, box, alpha=alpha, output_norm=output_norm, tighten_bounds=tighten,
-                   keep_events=True)
-            for _ in range(2)]
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    runs = [solve_mip(prob if full else prob.model) for _ in range(2)]
     for res in runs:
         assert res.status == bnb.EXACT
         assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
         assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
-    r1, r2 = runs
-    assert r1.nodes_explored == r2.nodes_explored
-    assert r1.upper_bound == r2.upper_bound
-    assert [(e.node, e.upper_bound, e.incumbent) for e in r1.events] == \
-        [(e.node, e.upper_bound, e.incumbent) for e in r2.events]
-    assert r1.incumbent_point.tobytes() == r2.incumbent_point.tobytes()
+    assert search_counters(runs[0]) == search_counters(runs[1])
 
 
 def highs_milp_max(model):
@@ -263,7 +251,8 @@ def test_node_bounds_are_the_certified_dual_bound(monkeypatch):
     net = random_he([4, 8, 8, 1], seed=12)
     box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
     prob = build_lipmip_model(net, box)
-    opts = SolveOptions(node_limit=20, tighten_bounds=False)
+    monkeypatch.setattr(bnb, "tighten_root", lambda p, d: (p, []))
+    opts = SolveOptions(node_limit=20)
     plain = solve_mip(prob, opts)
     assert plain.status == bnb.NODE_LIMIT and plain.upper_bound > plain.incumbent_value
     offset = 0.25
@@ -351,7 +340,8 @@ def test_pseudocosts_updated_from_every_child_lp(monkeypatch):
 
     monkeypatch.setattr(bnb._Pseudocosts, "update", update)
     statuses = solve_statuses(monkeypatch)
-    res = lipmip(net, box, tighten_bounds=False)
+    monkeypatch.setattr(bnb, "tighten_root", lambda p, d: (p, []))
+    res = lipmip(net, box)
     assert res.status == bnb.EXACT
     assert len(updates) == sum(warm and s == lp.OPTIMAL for warm, s in statuses)
     assert len(updates) > res.nodes_explored - 1  # discarded candidates count too
@@ -493,7 +483,7 @@ def test_root_tightening_reported(caplog):
     assert res.root_tightening[1].lps > 0 and res.root_tightening[1].pivots > 0
     lines = [r.getMessage() for r in caplog.records if "root tightening" in r.getMessage()]
     assert len(lines) == 1 and "L1 unstable" in lines[0]
-    assert lipmip(net, box, tighten_bounds=False).root_tightening == []
+    assert solve_mip(build_lipmip_model(net, box).model).root_tightening == []
     model = MIPModel()
     b = model.add_binary()
     model.set_objective({b: 1.0})

@@ -452,10 +452,10 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
         assert (refuted > 0) == refutes
 
 
-def test_identity_lp_relaxation_bounds_mip():
+def test_identity_relaxation_bounds_mip():
     net = identity_network()
     prob = build_lipmip_model(net, Hyperbox([-1.0], [1.0]), alpha="linf")
-    relaxed = lp.solve_lp(prob.model.lp_relaxation().to_lp_problem())
+    relaxed = lp.solve_lp(prob.model.to_lp_problem())
     assert relaxed.status == lp.OPTIMAL
     # integral optimum is 2 (tie point); the relaxation can only be larger
     assert relaxed.objective_value >= 2.0 - 1e-9
@@ -470,16 +470,6 @@ def test_model_size_linear_in_neurons():
         assert prob.model.num_constraints <= budget
 
 
-def test_lp_relaxation_identity_when_no_binaries():
-    w = np.array([1.0, 1.0])
-    net = affine_network(w, bound=2.0)
-    prob = build_lipmip_model(net, Hyperbox.from_center_radius(np.zeros(2), 1.0))
-    relaxed = prob.model.lp_relaxation()
-    assert relaxed.num_vars == prob.model.num_vars
-    assert relaxed.constraints == prob.model.constraints
-    assert relaxed.binary_vars == []
-
-
 def test_input_constraints_shrink_optimum():
     net = random_he([2, 4, 1], seed=3)
     box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
@@ -488,8 +478,8 @@ def test_input_constraints_shrink_optimum():
         net, box, alpha="linf",
         input_constraints=[({0: 1.0, 1: 1.0}, "<=", -1.5)],
     )
-    v_free = lp.solve_lp(free.model.lp_relaxation().to_lp_problem()).objective_value
-    v_cut = lp.solve_lp(cut.model.lp_relaxation().to_lp_problem()).objective_value
+    v_free = lp.solve_lp(free.model.to_lp_problem()).objective_value
+    v_cut = lp.solve_lp(cut.model.to_lp_problem()).objective_value
     assert v_cut <= v_free + 1e-9
 
 
@@ -502,7 +492,7 @@ def test_input_constraints_survive_root_tightening():
     tight, records = tighten_root(plain)
     assert tight.input_constraints == plain.input_constraints
     assert records[0].lps > 0 and records[0].mean_width_after < records[0].mean_width_before
-    values = [bnb.solve_mip(plain, bnb.SolveOptions(tighten_bounds=t)) for t in (True, False)]
+    values = [bnb.solve_mip(plain), bnb.solve_mip(plain.model)]
     assert [r.status for r in values] == [bnb.EXACT, bnb.EXACT]
     assert values[0].incumbent_value == pytest.approx(values[1].incumbent_value, rel=1e-9)
     inside = feasible_assignment(tight, np.array([-0.9, -0.8]), ALWAYS_ZERO)
@@ -522,11 +512,10 @@ def test_input_constraints_bound_the_heuristics(seed):
     xs = np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, size=(20000, 2))
     xs = xs[xs.sum(axis=1) <= -1.2]
     sampled = max(np.abs(chain_rule_jacobian(net, x, ALWAYS_ZERO)[0]).sum() for x in xs)
-    for tighten in (True, False):
-        res = bnb.solve_mip(prob, bnb.SolveOptions(tighten_bounds=tighten))
-        assert res.status == bnb.EXACT
-        assert res.incumbent_point.sum() <= -1.2 + 1e-7
-        assert res.incumbent_value == pytest.approx(sampled, rel=1e-9)
+    res = bnb.solve_mip(prob)
+    assert res.status == bnb.EXACT
+    assert res.incumbent_point.sum() <= -1.2 + 1e-7
+    assert res.incumbent_value == pytest.approx(sampled, rel=1e-9)
 
 
 def test_lp_format_export_deterministic():
