@@ -58,7 +58,7 @@ import numpy as np
 from . import lp
 from .interval import Hyperbox
 from .lp import SolverNumericalError
-from .mip import LipMIPProblem, MIPModel
+from .mip import LipMIPProblem, MIPModel, ModelError
 
 logger = logging.getLogger("lipcert")
 
@@ -225,10 +225,11 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
     LP relaxation of the layers below i.  Each LP starts from the previous
     optimal basis of the layer.  Each new bound is the certified
     ``SimplexSolver.dual_bound`` of the final basis, never the raw primal
-    objective; a failed LP keeps that side's bound.  Layer 0's interval
-    boxes are exact over a plain box, so it is tightened only under input
-    constraints.  Past ``deadline`` (a ``time.perf_counter`` value) no
-    further neuron is tightened.
+    objective; a failed LP keeps that side's bound, and a rebuild that
+    fails (rounding left a box empty) keeps the model it started from.
+    Layer 0's interval boxes are exact over a plain box, so it is tightened
+    only under input constraints.  Past ``deadline`` (a
+    ``time.perf_counter`` value) no further neuron is tightened.
 
     Returns the rebuilt problem and one LayerTightening per hidden layer.
     """
@@ -278,7 +279,10 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
             continue
         boxes = list(current.pre_boxes)
         boxes[i] = Hyperbox(lo, hi)
-        current = current.rebuild(boxes)
+        try:
+            current = current.rebuild(boxes)
+        except ModelError as exc:  # rounding crossed two enclosures: keep the weaker boxes
+            logger.debug("root tightening keeps layer %d's boxes: %s", i, exc)
     records = []
     for i in range(depth):
         before, after = _unstable_width(problem, i), _unstable_width(current, i)

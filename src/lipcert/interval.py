@@ -1,12 +1,13 @@
-"""Hyperbox / boolean-box bound propagation through ReLU networks.
+"""Hyperbox bound propagation through ReLU networks.
 
 A forward pass pushes an input box through affine maps, the sign abstraction
-and the ReLU image to bound every pre- and post-activation; a backward pass
-pushes the head row (or a dual-ball box, for vector-valued networks) through
-the gradient recursion, whose switches y * a take the neurons' signs, to bound
-every chain-rule Jacobian entry.  Maximizing a norm over the final gradient
+(an int8 state per neuron: ON, OFF or UNKNOWN) and the ReLU image to bound
+every pre- and post-activation; a backward pass pushes the head row (or a
+dual-ball box, for vector-valued networks) through the gradient recursion,
+whose switches y * a take the neurons' signs, to bound every chain-rule
+Jacobian entry.  Maximizing a norm over the final gradient
 box gives the FastLip upper bound; the intermediate boxes supply the finite
-big-M constants the MIP encodings need.
+big-M constants of the LipMIP model (``mip.build_lipmip_model``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import norms
 from .network import OFF, ON, ReLUNetwork
 
-UNKNOWN = -1  # BoolBox entry '?': neuron may be on or off
+UNKNOWN = -1  # sign state '?': neuron may be on or off
 
 
 @dataclass(frozen=True)
@@ -76,31 +77,11 @@ class Hyperbox:
         return rng.uniform(self.l, self.u, size=(n, self.dim))
 
 
-@dataclass(frozen=True)
-class BoolBox:
-    """Vector over {0, 1, ?} abstracting a set of binary vectors."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.int8).reshape(-1)
-        if not np.all(np.isin(v, (ON, OFF, UNKNOWN))):
-            raise ValueError("BoolBox entries must be 0, 1 or ? (-1)")
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-
-
 def _box(l: np.ndarray, u: np.ndarray) -> Hyperbox:
     """Internal constructor for already-consistent bounds (skips validation)."""
     b = object.__new__(Hyperbox)
     object.__setattr__(b, "l", l)
     object.__setattr__(b, "u", u)
-    return b
-
-
-def _bools(v: np.ndarray) -> BoolBox:
-    b = object.__new__(BoolBox)
-    object.__setattr__(b, "v", v)
     return b
 
 
@@ -116,35 +97,35 @@ def push_affine(box: Hyperbox, w, b=None) -> Hyperbox:
     return _box(c - r, c + r)
 
 
-def push_conditional(box: Hyperbox) -> BoolBox:
-    """Sign abstraction: 1 if l > 0, 0 if u < 0, ? otherwise.
+def push_conditional(box: Hyperbox) -> np.ndarray:
+    """Sign abstraction: ON if l > 0, OFF if u < 0, UNKNOWN otherwise.
 
-    Boundary cases l = 0 / u = 0 map to '?', which is always sound for the
+    Boundary cases l = 0 / u = 0 map to UNKNOWN, which is always sound for the
     set-valued sign at zero.
     """
     v = np.full(box.dim, UNKNOWN, dtype=np.int8)
     v[box.l > 0] = ON
     v[box.u < 0] = OFF
-    return _bools(v)
+    return v
 
 
-def push_relu(box: Hyperbox, bools: BoolBox) -> Hyperbox:
-    """Image box of relu(x) for x in the box under the given sign abstraction:
+def push_relu(box: Hyperbox, states: np.ndarray) -> Hyperbox:
+    """Image box of relu(x) for x in the box under the given sign states:
     [max(l,0), max(u,0)], or [0, 0] where the neuron is OFF.  A neuron forced
     ON with l < 0 has x >= 0, so its image is [0, u]."""
-    if bools.v.shape[0] != box.dim:
-        raise ValueError("relu: box and bool vector dimensions differ")
-    off = bools.v == OFF
+    if states.shape[0] != box.dim:
+        raise ValueError("relu: box and sign state dimensions differ")
+    off = states == OFF
     return _box(np.where(off, 0.0, np.maximum(box.l, 0.0)),
                 np.where(off, 0.0, np.maximum(box.u, 0.0)))
 
 
-def push_switch(box: Hyperbox, bools: BoolBox) -> Hyperbox:
-    """Image box of (x, a) -> x * a under the given sign abstraction."""
-    if bools.v.shape[0] != box.dim:
-        raise ValueError("switch: box and bool vector dimensions differ")
-    l = np.where(bools.v == ON, box.l, np.where(bools.v == OFF, 0.0, np.minimum(box.l, 0.0)))
-    u = np.where(bools.v == ON, box.u, np.where(bools.v == OFF, 0.0, np.maximum(box.u, 0.0)))
+def push_switch(box: Hyperbox, states: np.ndarray) -> Hyperbox:
+    """Image box of (x, a) -> x * a under the given sign states."""
+    if states.shape[0] != box.dim:
+        raise ValueError("switch: box and sign state dimensions differ")
+    l = np.where(states == ON, box.l, np.where(states == OFF, 0.0, np.minimum(box.l, 0.0)))
+    u = np.where(states == ON, box.u, np.where(states == OFF, 0.0, np.maximum(box.u, 0.0)))
     return _box(l, u)
 
 
@@ -152,16 +133,17 @@ def push_switch(box: Hyperbox, bools: BoolBox) -> Hyperbox:
 class PropagationResult:
     """All boxes produced by one forward/backward sweep.
 
-    pre_activation_boxes[i] bounds Z_{i+1}; activation_boolboxes[i] abstracts
-    the layer's on/off states; backward_boxes runs from the head seed down to
-    the input, so backward_boxes[-1] bounds the chain-rule gradient rows.
+    pre_activation_boxes[i] bounds Z_{i+1}; activation_states[i] holds the
+    layer's sign states (ON, OFF or UNKNOWN per neuron); backward_boxes runs
+    from the head seed down to the input, so backward_boxes[-1] bounds the
+    chain-rule gradient rows.
     post_activation_boxes[i] is the ReLU image of layer i (``push_relu``) and
     backward_switch_boxes[i] the image of its backward switch, both indexed
     by hidden layer in forward order.
     """
 
     pre_activation_boxes: tuple[Hyperbox, ...]
-    activation_boolboxes: tuple[BoolBox, ...]
+    activation_states: tuple[np.ndarray, ...]
     backward_boxes: tuple[Hyperbox, ...]
     post_activation_boxes: tuple[Hyperbox, ...]
     backward_switch_boxes: tuple[Hyperbox, ...]
@@ -202,14 +184,15 @@ def propagate(
     consistent with those branch decisions (used for bound tightening during
     search).
     ``pre_boxes``, one box per hidden layer known to enclose its
-    pre-activations over the whole domain (a LipMIP model's tightened
-    boxes), is intersected with each pre-activation box before its sign is
-    read; a box left empty (l > u) means the forced decisions contradict it.
+    pre-activations over the whole domain (say, boxes tightened by LP), is
+    intersected with each pre-activation box before its sign is read; a box
+    left empty (l > u) means the forced decisions contradict it, or, with
+    nothing forced, that rounding crossed two enclosures of the same set.
     """
     if domain.dim != net.input_dim:
         raise ValueError(f"domain dim {domain.dim} != input dim {net.input_dim}")
     z_boxes: list[Hyperbox] = []
-    bool_boxes: list[BoolBox] = []
+    sign_states: list[np.ndarray] = []
     post_boxes: list[Hyperbox] = []
     cur = domain
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -218,14 +201,11 @@ def propagate(
             known = pre_boxes[i]
             z_box = _box(np.maximum(z_box.l, known.l), np.minimum(z_box.u, known.u))
         states = push_conditional(z_box)
-        if forced:
-            v = states.v.copy()
-            for (lay, idx), val in forced.items():
-                if lay == i:
-                    v[idx] = ON if val else OFF
-            states = _bools(v)
+        for (lay, idx), val in (forced or {}).items():
+            if lay == i:
+                states[idx] = ON if val else OFF
         z_boxes.append(z_box)
-        bool_boxes.append(states)
+        sign_states.append(states)
         cur = push_relu(z_box, states)
         post_boxes.append(cur)
 
@@ -238,12 +218,12 @@ def propagate(
     back: list[Hyperbox] = [seed]
     back_switch: list[Hyperbox] = []
     y_box = seed
-    for w, states in zip(reversed(net.weights), reversed(bool_boxes)):
+    for w, states in zip(reversed(net.weights), reversed(sign_states)):
         back_switch.append(push_switch(y_box, states))
         y_box = push_affine(back_switch[-1], w.T)
         back.append(y_box)
     return PropagationResult(
-        tuple(z_boxes), tuple(bool_boxes), tuple(back),
+        tuple(z_boxes), tuple(sign_states), tuple(back),
         tuple(post_boxes), tuple(reversed(back_switch)),
     )
 

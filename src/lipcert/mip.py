@@ -12,11 +12,17 @@ linear output norms).
 
 All big-M constants come from the bounds of the encoded quantities, which is
 what keeps each operator encodable with a constant number of inequalities.
-Those bounds come from interval propagation, each layer's pre-activations
-intersected with boxes known to enclose them when the model is rebuilt
-(``LipMIPProblem.rebuild``): branch-and-bound rebuilds it from LP-tightened
-boxes before branching, which shrinks every big-M downstream and fixes the
-neurons, and with them the backward switches, whose sign the boxes decide.
+Those bounds come from one interval pass, ``interval.propagate`` seeded with
+``interval.head_seed_box``: every affine block (pre-activations, backward
+values, gradient) is declared with that pass's box, and the ReLU, switch and
+absolute-value encodings derive theirs from it the same way the pass does.
+So a model's own node tightening (``LipMIPProblem.tightened_bounds`` with no
+fixes) reproduces its bounds exactly.  When the model is rebuilt
+(``LipMIPProblem.rebuild``) the pass intersects each layer's pre-activations
+with boxes known to enclose them: branch-and-bound rebuilds it from
+LP-tightened boxes before branching, which shrinks every big-M downstream
+and fixes the neurons, and with them the backward switches, whose sign the
+boxes decide.
 
 Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
 order: the inputs; per hidden layer, its pre-activations and then, neuron by
@@ -205,24 +211,15 @@ class MIPModel:
 # -- operator encodings -------------------------------------------------------
 
 
-def encode_affine(model: MIPModel, in_vars, w, b=None, prefix: str = "aff",
-                  known: interval.Hyperbox | None = None) -> list[int]:
-    """Fresh out variables constrained to equal W @ in + b; bounds by
-    interval arithmetic over the input variables' bounds, intersected with
-    ``known`` (a box known to enclose the outputs) where that leaves them
-    nonempty."""
+def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox,
+                  prefix: str = "aff") -> list[int]:
+    """Fresh out variables constrained to equal W @ in + b (b may be None),
+    bounded by ``box``, a box that encloses the outputs."""
     w = np.asarray(w, dtype=float)
     in_vars = list(in_vars)
     if w.ndim != 2 or w.shape[1] != len(in_vars):
         raise ModelError(f"affine: matrix {w.shape} does not accept {len(in_vars)} inputs")
     bvec = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=float).reshape(-1)
-    in_lo = np.array([model.lo[v] for v in in_vars])
-    in_hi = np.array([model.hi[v] for v in in_vars])
-    box = interval.push_affine(interval.Hyperbox(in_lo, in_hi), w, bvec)
-    if known is not None:
-        l, u = np.maximum(box.l, known.l), np.minimum(box.u, known.u)
-        empty = l > u  # only by rounding: both boxes enclose the outputs
-        box = interval.Hyperbox(np.where(empty, box.l, l), np.where(empty, box.u, u))
     out = []
     for r in range(w.shape[0]):
         y = model.add_var(box.l[r], box.u[r], name=f"{prefix}{r}")
@@ -426,11 +423,13 @@ class LipMIPProblem:
     docstring and is load-bearing for search determinism.
 
     ``pre_boxes[i]`` is the box that bounds layer i's pre-activation
-    variables, from which its big-Ms and fixed signs were derived: interval
-    propagation over the domain, intersected with the boxes the model was
-    built from (``rebuild``).  Node tightening intersects its propagation
-    with them too.  ``input_constraints`` keeps the rows that cut the domain
-    box down to a polytope, so that a rebuild keeps them.
+    variables, from which its big-Ms and fixed signs were derived: the
+    pre-activation box of the model's interval pass over the domain,
+    intersected with the boxes the model was built from (``rebuild``).  Node
+    tightening intersects its propagation with them too, so with no fixes it
+    returns the model's bounds unchanged.  ``input_constraints`` keeps the
+    rows that cut the domain box down to a polytope, so that a rebuild keeps
+    them.
     """
 
     model: MIPModel
@@ -492,9 +491,9 @@ class LipMIPProblem:
         d = self.net.depth
         for i in range(d):
             zbox = prop.pre_activation_boxes[i]
-            states = prop.activation_boolboxes[i]
-            lo[self.pre_vars[i]] = np.where(states.v == ON, np.maximum(zbox.l, 0.0), zbox.l)
-            hi[self.pre_vars[i]] = np.where(states.v == OFF, np.minimum(zbox.u, 0.0), zbox.u)
+            states = prop.activation_states[i]
+            lo[self.pre_vars[i]] = np.where(states == ON, np.maximum(zbox.l, 0.0), zbox.l)
+            hi[self.pre_vars[i]] = np.where(states == OFF, np.minimum(zbox.u, 0.0), zbox.u)
             put(self.post_vars[i], prop.post_activation_boxes[i])
             if self.bwd_value_vars[i].size:
                 # backward_boxes[k] bounds the backward value entering layer d-1-k
@@ -532,9 +531,9 @@ class LipMIPProblem:
         lo = np.maximum(box_lo, self.model.lo)
         hi = np.minimum(box_hi, self.model.hi)
         fixed_bins = {}
-        for bins, states in zip(self.neuron_bins, prop.activation_boolboxes):
-            known = (bins >= 0) & (states.v != interval.UNKNOWN)
-            fixed_bins.update(zip(bins[known].tolist(), states.v[known].tolist()))
+        for bins, states in zip(self.neuron_bins, prop.activation_states):
+            known = (bins >= 0) & (states != interval.UNKNOWN)
+            fixed_bins.update(zip(bins[known].tolist(), states[known].tolist()))
         for v, val in (fixes | fixed_bins).items():
             lo[v] = hi[v] = float(val)
         if np.any(lo > hi + 1e-9):
@@ -614,11 +613,11 @@ def build_lipmip_model(
     (objective: max |gradient coordinate|).  ``output_norm`` switches to the
     vector-valued formulation with the head contracted against a dual-ball
     variable z.  ``input_constraints`` may add linear rows (coefs, rel, rhs)
-    over the input variables to cut the box down to a polytope.
     ``pre_boxes`` (one box per hidden layer, each enclosing the layer's
-    pre-activations at every feasible point) is intersected with the interval
-    bounds of the pre-activations, so tighter boxes give smaller big-Ms and
-    more neurons of fixed sign.
+    pre-activations at every feasible point) is intersected with the
+    pre-activation boxes of the model's interval pass (module docstring), so
+    tighter boxes give smaller big-Ms and more neurons of fixed sign; should
+    rounding leave an intersection empty, the build raises ModelError.
     """
     if alpha not in ("linf", "l1"):
         raise ModelError(f"alpha must be 'linf' or 'l1', got {alpha!r}")
@@ -638,13 +637,15 @@ def build_lipmip_model(
         model.add_constraint({input_vars[j]: c for j, c in coefs.items()}, rel, rhs)
 
     d = net.depth
+    prop = interval.propagate(net, domain, interval.head_seed_box(net, output_norm),
+                              pre_boxes=pre_boxes)
     decisions: list[list[BinDecision]] = []
     pre_vars: list[list[int]] = []
     post_vars: list[list[int]] = []
     cur = input_vars
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z_vars = encode_affine(model, cur, w, b, prefix=f"z{i}_",
-                               known=None if pre_boxes is None else pre_boxes[i])
+        z_vars = encode_affine(model, cur, w, b, prop.pre_activation_boxes[i],
+                               prefix=f"z{i}_")
         layer_dec = []
         p_vars = []
         for j, zv in enumerate(z_vars):
@@ -672,7 +673,8 @@ def build_lipmip_model(
         ]
     else:
         z_ball_vars, z_pos, z_neg = encode_dual_ball(model, net.output_dim, output_norm)
-        v_vars = encode_affine(model, z_ball_vars, net.head.T, prefix=f"y{d-1}_")
+        v_vars = encode_affine(model, z_ball_vars, net.head.T, None, prop.backward_boxes[0],
+                               prefix=f"y{d-1}_")
         bwd_value_vars[d - 1] = v_vars
         sw = [
             encode_switch(model, v, decisions[d - 1][j], name=f"q{d-1}_{j}")
@@ -680,14 +682,15 @@ def build_lipmip_model(
         ]
     bwd_switch_vars[d - 1] = sw
     for i in range(d - 1, 0, -1):
-        v_vars = encode_affine(model, sw, net.weights[i].T, prefix=f"y{i-1}_")
+        v_vars = encode_affine(model, sw, net.weights[i].T, None, prop.backward_boxes[d - i],
+                               prefix=f"y{i-1}_")
         bwd_value_vars[i - 1] = v_vars
         sw = [
             encode_switch(model, v, decisions[i - 1][j], name=f"q{i-1}_{j}")
             for j, v in enumerate(v_vars)
         ]
         bwd_switch_vars[i - 1] = sw
-    grad_vars = encode_affine(model, sw, net.weights[0].T, prefix="g")
+    grad_vars = encode_affine(model, sw, net.weights[0].T, None, prop.gradient_box, prefix="g")
 
     abs_vars: list[int] = []
     abs_signs: list[int] = []
@@ -702,7 +705,6 @@ def build_lipmip_model(
         t, fold_steps = encode_max(model, abs_vars, name="gmax")
         model.set_objective({t: 1.0})
 
-    lo, hi = np.array(model.lo), np.array(model.hi)
     return LipMIPProblem(
         model=model,
         net=net,
@@ -724,7 +726,7 @@ def build_lipmip_model(
         post_vars=[_ids(vs) for vs in post_vars],
         bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
         bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],
-        pre_boxes=[interval.Hyperbox(lo[vs], hi[vs]) for vs in pre_vars],
+        pre_boxes=list(prop.pre_activation_boxes),
         input_constraints=input_constraints,
     )
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lipcert import bnb, lp
 from lipcert.bnb import MIPResult, SolveOptions, solve_liplp, solve_mip, tighten_root
 from lipcert.interval import Hyperbox, fastlip, head_seed_box, propagate
-from lipcert.mip import MIPModel, build_lipmip_model
+from lipcert.mip import LipMIPProblem, MIPModel, ModelError, build_lipmip_model
 from lipcert.network import affine_network, identity_network, random_he
 from lipcert.oracle import exact_lipschitz_bruteforce
 
@@ -472,6 +472,31 @@ def test_root_tightening_survives_failed_lps(monkeypatch):
     assert res.status == bnb.EXACT
     assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
     assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+
+def test_root_tightening_survives_a_failed_rebuild(monkeypatch):
+    # a rebuild whose intersected boxes rounding left empty raises ModelError:
+    # root tightening keeps the model it has, and the solve stays certified
+    net = random_he([3, 6, 6, 6, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    ref = exact_lipschitz_bruteforce(net, box, "linf")
+    original = LipMIPProblem.rebuild
+    calls = []
+
+    def rebuild_failing_once(self, pre_boxes):
+        calls.append(self)
+        if len(calls) == 1:
+            raise ModelError("variable z1_0: lo 0.5 > hi 0.4999999999999999")
+        return original(self, pre_boxes)
+
+    monkeypatch.setattr(LipMIPProblem, "rebuild", rebuild_failing_once)
+    res = lipmip(net, box)
+    assert len(calls) > 1  # the failed rebuild, then those of later layers
+    first = next(r for r in res.root_tightening if r.lps)
+    assert first.unstable_after == first.unstable_before
+    assert first.mean_width_after == first.mean_width_before
+    assert res.status == bnb.EXACT
+    assert res.incumbent_value <= ref * (1 + 1e-7) and res.upper_bound >= ref * (1 - 1e-7)
 
 
 def test_root_tightening_reported(caplog):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,3 +49,25 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency: with scipy and hypothesis made
+    # unimportable, every lipcert module imports and ``solve`` runs
+    path = tmp_path / "net.json"
+    network.save(network.random_he([3, 6, 6, 1], seed=8), path)
+    script = f"""
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+sys.modules["hypothesis"] = None
+import lipcert
+for info in pkgutil.iter_modules(lipcert.__path__):
+    importlib.import_module("lipcert." + info.name)
+from lipcert import cli
+sys.exit(cli.main(["solve", {str(path)!r}, "--center", "0.5", "--radius", "0.5"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["status"] == bnb.EXACT

@@ -3,7 +3,6 @@ import pytest
 
 from lipcert import interval
 from lipcert.interval import (
-    BoolBox,
     Hyperbox,
     UNKNOWN,
     fastlip,
@@ -69,7 +68,7 @@ def test_push_affine_sampling_soundness():
 
 def test_push_conditional_cases():
     box = Hyperbox([1.0, -2.0, -1.0, 0.0, -3.0], [2.0, -1.0, 1.0, 2.0, 0.0])
-    v = push_conditional(box).v
+    v = push_conditional(box)
     assert v[0] == ON       # [1, 2]
     assert v[1] == OFF      # [-2, -1]
     assert v[2] == UNKNOWN  # [-1, 1]
@@ -79,35 +78,35 @@ def test_push_conditional_cases():
 
 def test_push_switch_cases():
     box = Hyperbox([2.0, -2.0, 2.0], [3.0, 3.0, 3.0])
-    bools = BoolBox(np.array([OFF, UNKNOWN, UNKNOWN], dtype=np.int8))
-    out = push_switch(box, bools)
+    states = np.array([OFF, UNKNOWN, UNKNOWN], dtype=np.int8)
+    out = push_switch(box, states)
     assert (out.l[0], out.u[0]) == (0.0, 0.0)
     assert (out.l[1], out.u[1]) == (-2.0, 3.0)
     assert (out.l[2], out.u[2]) == (0.0, 3.0)
-    on = push_switch(Hyperbox([2.0], [3.0]), BoolBox(np.array([ON], dtype=np.int8)))
+    on = push_switch(Hyperbox([2.0], [3.0]), np.array([ON], dtype=np.int8))
     assert (on.l[0], on.u[0]) == (2.0, 3.0)
 
 
 def test_push_relu_cases():
     box = Hyperbox([1.0, -2.0, -1.0, 0.0, -3.0, -2.0, -2.0], [2.0, -1.0, 1.0, 2.0, 0.0, 3.0, 3.0])
-    bools = BoolBox(np.array([ON, OFF, UNKNOWN, UNKNOWN, UNKNOWN, ON, OFF], dtype=np.int8))
-    out = push_relu(box, bools)
+    states = np.array([ON, OFF, UNKNOWN, UNKNOWN, UNKNOWN, ON, OFF], dtype=np.int8)
+    out = push_relu(box, states)
     # the last two are forced: ON with l < 0 passes [0, u], OFF with u > 0 passes 0
     assert out.l.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     assert out.u.tolist() == [2.0, 0.0, 1.0, 2.0, 0.0, 3.0, 0.0]
     rng = np.random.Generator(np.random.Philox(key=3))
     xs = rng.uniform(box.l, box.u, size=(1000, box.dim))
-    unknown = bools.v == UNKNOWN
+    unknown = states == UNKNOWN
     assert np.all(np.maximum(xs, 0.0)[:, unknown] >= out.l[unknown])
     assert np.all(np.maximum(xs, 0.0)[:, unknown] <= out.u[unknown])
     with pytest.raises(ValueError):
-        push_relu(box, BoolBox(np.array([ON], dtype=np.int8)))
+        push_relu(box, np.array([ON], dtype=np.int8))
 
 
 def test_propagate_all_on_degenerates_to_jacobian():
     net = affine_network([2.0, -1.0], b=0.5, bound=3.0)
     res = propagate(net, Hyperbox([-1, -1], [1, 1]))
-    assert all(np.all(bb.v == ON) for bb in res.activation_boolboxes)
+    assert all(np.all(v == ON) for v in res.activation_states)
     g = res.gradient_box
     assert g.l == pytest.approx([2.0, -1.0], abs=1e-12)
     assert g.u == pytest.approx([2.0, -1.0], abs=1e-12)
@@ -166,7 +165,7 @@ def test_propagate_monotone_in_domain():
     # the forward image is the ReLU's, the backward one the switch's
     for i, (pbox, bbox) in enumerate(zip(rout.post_activation_boxes,
                                          rout.backward_switch_boxes)):
-        states = rout.activation_boolboxes[i]
+        states = rout.activation_states[i]
         back_in = rout.backward_boxes[net.depth - 1 - i]
         for got, want in ((pbox, push_relu(rout.pre_activation_boxes[i], states)),
                           (bbox, push_switch(back_in, states))):
@@ -198,7 +197,7 @@ def test_forced_neurons_tighten():
     base = propagate(net, box)
     free = [
         (0, int(j))
-        for j in np.flatnonzero(base.activation_boolboxes[0].v == UNKNOWN)
+        for j in np.flatnonzero(base.activation_states[0] == UNKNOWN)
     ]
     assert free
     forced = propagate(net, box, forced={free[0]: 0})

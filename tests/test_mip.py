@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lipcert import bnb, lp, mip, norms
+from lipcert import bnb, interval, lp, mip, norms
 from lipcert.bnb import tighten_root
 from lipcert.interval import Hyperbox
 from lipcert.mip import (
@@ -68,7 +68,8 @@ def value_range(model, var, fixed, tol=1e-9):
 def test_encode_affine_identity():
     model = MIPModel()
     xs = [model.add_var(-1, 1, name=f"x{i}") for i in range(2)]
-    out = encode_affine(model, xs, np.eye(2))
+    box = interval.push_affine(Hyperbox([-1, -1], [1, 1]), np.eye(2))
+    out = encode_affine(model, xs, np.eye(2), None, box)
     assert feasible(model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.3, out[1]: -0.7})
     assert not feasible(model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.4, out[1]: -0.7})
 
@@ -76,7 +77,8 @@ def test_encode_affine_identity():
 def test_encode_affine_bounds_by_interval():
     model = MIPModel()
     xs = [model.add_var(0, 1, name=f"x{i}") for i in range(2)]
-    out = encode_affine(model, xs, np.array([[1.0, 1.0]]), np.array([-1.0]))
+    w, b = np.array([[1.0, 1.0]]), np.array([-1.0])
+    out = encode_affine(model, xs, w, b, interval.push_affine(Hyperbox([0, 0], [1, 1]), w, b))
     assert model.lo[out[0]] == pytest.approx(-1.0)
     assert model.hi[out[0]] == pytest.approx(1.0)
 
@@ -87,7 +89,7 @@ def test_encode_affine_lp_feasibility_oracle():
     xs = [model.add_var(-2, 2, name=f"x{i}") for i in range(3)]
     w = rng.normal(size=(2, 3))
     b = rng.normal(size=2)
-    out = encode_affine(model, xs, w, b)
+    out = encode_affine(model, xs, w, b, interval.push_affine(Hyperbox([-2] * 3, [2] * 3), w, b))
     for _ in range(20):
         x = rng.uniform(-2, 2, size=3)
         y = w @ x + b
@@ -450,6 +452,29 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
                     refuted += 1
         assert narrowed > 0  # the fixes tighten some continuous bound
         assert (refuted > 0) == refutes
+
+
+# Every block of the model is declared with the boxes of one interval pass,
+# the same pass node tightening runs, so tightening with no fixes changes no
+# bound.  On the vector cases this needs the model's backward seed to be
+# ``head_seed_box``, strictly inside [-1, 1]^m for the linf and cross balls.
+@pytest.mark.parametrize("arch,alpha,output_norm", [
+    ([3, 5, 4, 1], "linf", None),
+    ([3, 5, 4, 1], "l1", None),
+    ([3, 6, 5, 3], "linf", "l1"),
+    ([3, 6, 5, 3], "linf", "linf"),
+    ([3, 6, 5, 3], "l1", "cross"),
+])
+def test_own_root_tightening_changes_nothing(arch, alpha, output_norm):
+    net = random_he(arch, seed=4)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    plain = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    tight = tighten_root(plain)[0]
+    assert (tight.model.lo, tight.model.hi) != (plain.model.lo, plain.model.hi)
+    for prob in (plain, tight):
+        lo, hi, implied = prob.tightened_bounds({})
+        assert lo.tolist() == prob.model.lo and hi.tolist() == prob.model.hi
+        assert implied == {}
 
 
 def test_identity_relaxation_bounds_mip():
