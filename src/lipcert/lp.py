@@ -32,12 +32,12 @@ branch-and-bound child) passes the ``Basis`` snapshot of an optimal solve
 (its parent's) instead; changing bounds leaves that basis dual feasible, and
 the dual usually re-optimizes it in a few pivots.  The solver keeps the
 factorized tableau of the last snapshot it restored, so sibling re-solves
-from one snapshot refactorize once.  A snapshot that is malformed, singular
-or, under the problem's own objective, not dual feasible, and any warm answer
-the dual cannot certify, is recomputed by a nested cold solve.  A solve with
-an explicit objective (root bound tightening: one LP, many objectives) may
-start from the snapshot of a solve under another objective; its wrong-signed
-reduced costs are then expected and repaired as at a cold start.
+from one snapshot refactorize once.  Every start, cold or warm, is made dual
+feasible by that one rule of bound flips, whatever objective its snapshot was
+solved under, so root bound tightening (one LP, many objectives) starts each
+objective from the previous one's basis.  Only a snapshot that is malformed
+or singular, and a warm answer the dual cannot certify, is recomputed by a
+nested cold solve.
 
 The tableau is condensed: it stores B^-1 N for the nonbasic columns N only,
 one column per tableau position, with an int array mapping each position to
@@ -92,10 +92,6 @@ FEAS_TOL = 1e-7
 DEFAULT_PIVOT_TOL = 1e-9
 
 _REFRESH_EVERY = 256  # pivots between full recomputations of costs/values
-#: Largest wrong-signed reduced cost a restored basis may have under the
-#: problem's own objective; smaller ones are repaired by moving the variable
-#: to its other bound.
-_DUAL_TOL = 1e-7
 #: Relative rounding allowance of the certificate and cutoff checks.
 _CERT_REL = 1e-12
 #: An equality row whose coefficients on the columns not yet eliminated are
@@ -411,13 +407,14 @@ class SimplexSolver:
         """Maximize under the given bounds and objective (default: the problem's).
 
         The dual simplex starts from ``basis`` (from an earlier OPTIMAL
-        answer) when one is given, else from the slack basis; with an
-        explicit ``objective`` that snapshot may come from a solve under
-        another objective.  With a finite
+        answer, under this objective or another) when one is given, else
+        from the slack basis; either start is made dual feasible by moving
+        each wrong-signed nonbasic column to its other bound.  With a finite
         ``cutoff`` it may stop early with CUTOFF once the LP optimum is
-        certified to lie below it.  A warm answer it cannot certify is
-        recomputed by a nested cold solve.  A cold solve that cannot certify
-        infeasibility, or hits the pivot cap, returns NUMERICAL_FAILURE.
+        certified to lie below it.  A malformed or singular snapshot, and a
+        warm answer the dual cannot certify, is recomputed by a nested cold
+        solve.  A cold solve that cannot certify infeasibility, or hits the
+        pivot cap, returns NUMERICAL_FAILURE.
         """
         p = self.problem
         if self._row_infeasible:
@@ -444,8 +441,7 @@ class SimplexSolver:
         self._wlo[rows] = np.minimum(s_lo, s_hi)
         self._whi[rows] = np.maximum(s_lo, s_hi)
         self._costs[rows] = cobj[cols] / coef
-        limit = _DUAL_TOL if objective is None else np.inf
-        sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol, limit)
+        sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol)
         if sol.status == NUMERICAL_FAILURE and basis is not None:
             # uncertified or failed: a nested cold solve gives the answer
             return self.solve(lo, hi, cobj, pivot_tol, cutoff=cutoff)
@@ -462,23 +458,20 @@ class SimplexSolver:
 
     # -- the dual simplex ------------------------------------------------------
 
-    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol, limit) -> LPSolution:
+    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol) -> LPSolution:
         """Bounded dual simplex from ``basis``, or from the slack basis when it
-        is None.  NUMERICAL_FAILURE when the snapshot is unusable (or has a
-        wrong-signed reduced cost beyond ``limit``), an infeasibility is
-        uncertified, the pivot cap is hit, or an optimum fails the
-        feasibility check."""
+        is None.  NUMERICAL_FAILURE when the snapshot is malformed or
+        singular, an infeasibility is uncertified, the pivot cap is hit, or
+        an optimum fails the feasibility check."""
         pivots = 0
         if basis is None:
             self._cold_start()
-            limit = np.inf
         elif not self._restore(basis):
             return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         wlo, whi, costs = self._wlo, self._whi, self._costs
         free = whi > wlo
         d = self._reduced_costs(costs)
-        if self._repair_dual(d, free, limit) is None:
-            return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
+        self._repair_dual(d, free)
         xb = self._basic_values(wlo, whi)
         max_pivots = 2 * self.n_total + 1000
         while pivots <= max_pivots:
@@ -497,7 +490,7 @@ class SimplexSolver:
                 if (infeas > FEAS_TOL).any():
                     continue
                 d = self._reduced_costs(costs)
-                if not self._repair_dual(d, free, np.inf):
+                if not self._repair_dual(d, free):
                     return self._optimal(lo, hi, cobj, pivots)
                 xb = self._basic_values(wlo, whi)
                 continue
@@ -535,20 +528,15 @@ class SimplexSolver:
         norms = (binv * binv) @ (self._nb >= n) + (self._basis[rows] >= n)
         return int(rows[np.argmax(infeas[rows] ** 2 / norms)])
 
-    def _repair_dual(self, d, free, limit) -> int | None:
+    def _repair_dual(self, d, free) -> bool:
         """Move each nonbasic column whose reduced cost has the wrong sign
         (beyond the pivot tolerance) to its other bound, which restores dual
-        feasibility.  Returns how many moved, or None, changing nothing, when
-        a wrong-signed reduced cost exceeds ``limit``."""
+        feasibility.  Returns whether any column moved."""
         nb = self._nb
         at_upper = self._at_upper[nb]
         wrong = free[nb] & np.where(at_upper, d < -DEFAULT_PIVOT_TOL, d > DEFAULT_PIVOT_TOL)
-        if not wrong.any():
-            return 0
-        if np.abs(d[wrong]).max() > limit:
-            return None
         self._at_upper[nb[wrong]] = ~at_upper[wrong]
-        return int(wrong.sum())
+        return bool(wrong.any())
 
     def _dual_ratio_test(self, r, increase, d, free, pivot_tol) -> int:
         """Tableau position of the entering column for leaving row ``r``, or

@@ -175,38 +175,6 @@ class MIPModel:
                 out.append(f"row {k}: {lhs} != {rhs}")
         return out
 
-    def objective_at(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        return self.objective_const + sum(c * point[v] for v, c in self.objective.items())
-
-    def to_lp_format(self) -> str:
-        """Deterministic export in the standard LP text format."""
-        def term(coef, name, first):
-            sign = "" if (first and coef >= 0) else ("+ " if coef >= 0 else "- ")
-            return f"{sign}{abs(coef):.17g} {name}"
-
-        lines = ["Maximize", " obj:"]
-        parts = [
-            term(self.objective[v], self.names[v], i == 0)
-            for i, v in enumerate(sorted(self.objective))
-        ]
-        lines[-1] += " " + (" ".join(parts) if parts else "0")
-        lines.append("Subject To")
-        for k, (coefs, rel, rhs) in enumerate(self.constraints):
-            body = " ".join(
-                term(coefs[v], self.names[v], i == 0) for i, v in enumerate(sorted(coefs))
-            )
-            lines.append(f" c{k}: {body} {rel} {rhs:.17g}")
-        lines.append("Bounds")
-        for i in range(self.num_vars):
-            lines.append(f" {self.lo[i]:.17g} <= {self.names[i]} <= {self.hi[i]:.17g}")
-        bins = self.binary_vars
-        if bins:
-            lines.append("Binary")
-            lines.extend(f" {self.names[v]}" for v in bins)
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
 
 # -- operator encodings -------------------------------------------------------
 
@@ -348,32 +316,16 @@ def encode_max(model: MIPModel, x_vars, name: str = "mx"):
     return cur, steps
 
 
-def _encode_split(model: MIPModel, m: int, name: str):
+def _encode_split(model: MIPModel, m: int):
     """Variables z = z+ - z- with z+, z- in [0, 1]^m and z in [-1, 1]^m;
     the caller adds the rows that shape the ball.  Returns (z, z+, z-)."""
-    zp = [model.add_var(0.0, 1.0, name=f"{name}p{i}") for i in range(m)]
-    zn = [model.add_var(0.0, 1.0, name=f"{name}n{i}") for i in range(m)]
+    zp = [model.add_var(0.0, 1.0, name=f"zp{i}") for i in range(m)]
+    zn = [model.add_var(0.0, 1.0, name=f"zn{i}") for i in range(m)]
     z = []
     for i in range(m):
-        zi = model.add_var(-1.0, 1.0, name=f"{name}{i}")
+        zi = model.add_var(-1.0, 1.0, name=f"z{i}")
         model.add_constraint({zi: 1.0, zp[i]: -1.0, zn[i]: 1.0}, "=", 0.0)
         z.append(zi)
-    return z, zp, zn
-
-
-def encode_cross_norm_ball(model: MIPModel, m: int, name: str = "z"):
-    """z ranging over the polytope hull of {e_i} and {e_i - e_j}.
-
-    Split z = z+ - z- with z+, z- >= 0, sum z+ <= 1, sum z- <= 1 and
-    sum z+ >= sum z-.  Returns (z_vars, pos_vars, neg_vars).
-    """
-    z, zp, zn = _encode_split(model, m, name)
-    model.add_constraint({v: 1.0 for v in zp}, "<=", 1.0)
-    model.add_constraint({v: 1.0 for v in zn}, "<=", 1.0)
-    row = {v: 1.0 for v in zp}
-    for v in zn:
-        row[v] = -1.0
-    model.add_constraint(row, ">=", 0.0)
     return z, zp, zn
 
 
@@ -388,13 +340,21 @@ def encode_dual_ball(model: MIPModel, m: int, output_norm: str):
         return [model.add_var(-1.0, 1.0, name=f"z{i}") for i in range(m)], [], []
     if output_norm == "linf":
         # dual ball of linf is the l1 ball: sum z+ + sum z- <= 1
-        z, zp, zn = _encode_split(model, m, "z")
+        z, zp, zn = _encode_split(model, m)
         row = {v: 1.0 for v in zp}
         row.update({v: 1.0 for v in zn})
         model.add_constraint(row, "<=", 1.0)
         return z, zp, zn
     if output_norm == "cross":
-        return encode_cross_norm_ball(model, m)
+        # the hull of {e_i} and {e_i - e_j}: sum z+ <= 1, sum z- <= 1 and
+        # sum z+ >= sum z-
+        z, zp, zn = _encode_split(model, m)
+        model.add_constraint({v: 1.0 for v in zp}, "<=", 1.0)
+        model.add_constraint({v: 1.0 for v in zn}, "<=", 1.0)
+        row = {v: 1.0 for v in zp}
+        row.update({v: -1.0 for v in zn})
+        model.add_constraint(row, ">=", 0.0)
+        return z, zp, zn
     raise ModelError(f"unsupported output norm {output_norm!r}")
 
 
@@ -585,18 +545,16 @@ class LipMIPProblem:
         return norms.operator_dual_value(jac, self.alpha, self.output_norm), x
 
     def incumbent_from_point(self, point) -> tuple[float, np.ndarray]:
-        """Exact objective of the chain-rule Jacobian at the LP point's x part.
+        """First primal heuristic: the dual norm of the chain-rule Jacobian
+        at the LP point's x part, clipped into the domain.
 
-        Any input (plus any feasible dual vector in the vector-valued case)
-        yields a genuinely attainable gradient value, hence a certified lower
-        bound for the maximization.
+        That Jacobian is attainable at x, so its value (maximized over the
+        whole dual ball in the vector-valued case) is a certified lower bound
+        for the maximization.
         """
         x = np.minimum(np.maximum(point[self.input_vars], self.domain.l), self.domain.u)
         jac = chain_rule_jacobian(self.net, x, ALWAYS_ZERO)
-        if self.output_norm is None:
-            return norms.dual_vec_norm(jac[0], self.alpha), x
-        z = norms.project_to_dual_ball(point[self.z_ball_vars], self.output_norm)
-        return norms.dual_vec_norm(jac.T @ z, self.alpha), x
+        return norms.operator_dual_value(jac, self.alpha, self.output_norm), x
 
 
 def build_lipmip_model(

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tri-state neuron labels shared by ActivationPattern (and mirrored by the
-# boolean boxes in lipcert.interval).
+# Tri-state neuron labels of ActivationPattern; lipcert.interval's sign
+# states use ON and OFF too, with UNKNOWN for an undecided neuron.
 ON = 1
 OFF = 0
 TIE = -1
@@ -110,9 +110,6 @@ class ActivationPattern:
 
     layers: tuple[np.ndarray, ...]
 
-    def tie_count(self) -> int:
-        return int(sum(np.count_nonzero(lay == TIE) for lay in self.layers))
-
     def tie_positions(self) -> list[tuple[int, int]]:
         return [
             (i, int(j))
@@ -180,11 +177,7 @@ def preactivations(net: ReLUNetwork, x) -> list[np.ndarray]:
 
 def forward(net: ReLUNetwork, x) -> np.ndarray:
     """Evaluate the network; returns the output vector of length m."""
-    x = _check_input(net, x)
-    a = x
-    for w, b in zip(net.weights, net.biases):
-        a = np.maximum(w @ a + b, 0.0)
-    return net.head @ a
+    return net.head @ np.maximum(preactivations(net, x)[-1], 0.0)
 
 
 def pattern_at(net: ReLUNetwork, x, tie_tol: float = DEFAULT_TIE_TOL) -> ActivationPattern:
@@ -363,15 +356,14 @@ def from_json_dict(doc) -> ReLUNetwork:
     for key in ("format_version", "arch", "weights", "biases", "head"):
         if key not in doc:
             raise NetworkFormatError(f"{key}: missing field")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise NetworkFormatError(
-            f"format_version: expected {FORMAT_VERSION}, got {doc['format_version']!r}"
-        )
+    version = doc["format_version"]
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise NetworkFormatError(f"format_version: expected {FORMAT_VERSION}, got {version!r}")
     arch = doc["arch"]
     if (
         not isinstance(arch, list)
         or len(arch) < 3
-        or not all(isinstance(a, int) and a >= 1 for a in arch)
+        or not all(isinstance(a, int) and not isinstance(a, bool) and a >= 1 for a in arch)
     ):
         raise NetworkFormatError("arch: expected a list of >= 3 positive integers")
     widths = arch[:-1]

@@ -82,25 +82,3 @@ def operator_dual_value(jac: np.ndarray, input_norm: str, output_norm: str | Non
         return dual_vec_norm(jac[0], input_norm)
     gens = dual_ball_generators(jac.shape[0], output_norm)
     return max(dual_vec_norm(jac.T @ z, input_norm) for z in gens)
-
-
-def project_to_dual_ball(z, output_norm: str) -> np.ndarray:
-    """Scale z down so it lies in the dual unit ball of the output norm.
-
-    Used by the incumbent heuristic: any feasible z yields a valid lower
-    bound, so shrinking (never reshaping) is enough.
-    """
-    z = np.asarray(z, dtype=float).copy()
-    if output_norm == "l1":
-        return np.clip(z, -1.0, 1.0)
-    if output_norm == "linf":
-        s = np.abs(z).sum()
-        return z / s if s > 1.0 else z
-    if output_norm == "cross":
-        pos = z[z > 0].sum()
-        neg = -z[z < 0].sum()
-        if pos < neg:  # no positive scaling can enter the polytope
-            return np.zeros_like(z)
-        scale = max(pos, neg, 1.0)
-        return z / scale
-    raise ValueError(f"unknown output norm {output_norm!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lp, norms
 from .interval import Hyperbox
-from .network import ReLUNetwork, jacobian_from_multipliers, next_layer_affine, preactivations
+from .network import ReLUNetwork, jacobian_from_multipliers, next_layer_affine
 
 DEFAULT_INTERIOR_EPS = 1e-6
 DEFAULT_NEURON_CAP = 24
@@ -145,18 +145,3 @@ def exact_lipschitz_bruteforce(
     ):
         best = max(best, cert.dual_norm_value)
     return best
-
-
-def region_count(net, domain, interior_eps=DEFAULT_INTERIOR_EPS,
-                 neuron_cap=DEFAULT_NEURON_CAP) -> int:
-    return sum(1 for _ in enumerate_regions(net, domain, interior_eps, neuron_cap))
-
-
-def witness_margin(net: ReLUNetwork, cert: RegionCertificate) -> float:
-    """Smallest pre-activation slack of the certificate's witness w.r.t. its
-    own sign pattern (should be >= interior_eps up to LP tolerance)."""
-    margin = np.inf
-    for z, signs in zip(preactivations(net, cert.witness), cert.pattern):
-        slack = np.where(signs == 1, z, -z)
-        margin = min(margin, float(slack.min()))
-    return margin

@@ -23,8 +23,6 @@ from .interval import Hyperbox
 from .mip import build_lipmip_model
 from .network import ReLUNetwork, forward
 
-cross_norm_value = norms.cross_norm_value
-
 
 def lipmip_vector(
     net: ReLUNetwork,

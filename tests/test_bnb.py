@@ -211,6 +211,21 @@ def test_highs_agrees_with_oracle(arch, seed, alpha, output_norm):
     assert highs_milp_max(model) == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
 
+def assert_three_way(prob) -> float:
+    """Three independent ways to the exact constant agree: branch and bound,
+    the region oracle, and HiGHS on the same exported model.  Returns the
+    oracle's value."""
+    res = solve_mip(prob)
+    ref = exact_lipschitz_bruteforce(prob.net, prob.domain, prob.alpha, prob.output_norm)
+    assert res.status == bnb.EXACT
+    assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
+    # HiGHS accepts a binary 1e-6 off integral, which can lift its optimum
+    # by about that much
+    assert highs_milp_max(prob.model) == pytest.approx(ref, rel=1e-5, abs=1e-6)
+    return ref
+
+
 @st.composite
 def small_lipschitz_problems(draw):
     """A random scalar net with at most 16 hidden neurons, a box and a norm."""
@@ -227,18 +242,39 @@ def small_lipschitz_problems(draw):
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(small_lipschitz_problems())
 def test_bnb_oracle_and_highs_agree(case):
-    # three independent ways to the exact constant: branch and bound, the
-    # region oracle, and HiGHS on the same exported model
     net, box, alpha = case
-    prob = build_lipmip_model(net, box, alpha=alpha)
-    res = solve_mip(prob)
-    ref = exact_lipschitz_bruteforce(net, box, alpha)
-    assert res.status == bnb.EXACT
-    assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
-    assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
-    # HiGHS accepts a binary 1e-6 off integral, which can lift its optimum
-    # by about that much
-    assert highs_milp_max(prob.model) == pytest.approx(ref, rel=1e-5, abs=1e-6)
+    assert_three_way(build_lipmip_model(net, box, alpha=alpha))
+
+
+@st.composite
+def small_vector_problems(draw):
+    """A random net with 2 or 3 outputs and at most 12 hidden neurons, a box,
+    an input norm and an output norm."""
+    depth = draw(st.integers(1, 2))
+    hidden = draw(st.lists(st.integers(2, 12 // depth), min_size=depth, max_size=depth))
+    arch = [draw(st.integers(1, 3)), *hidden, draw(st.integers(2, 3))]
+    net = random_he(arch, seed=draw(st.integers(0, 2**16)))
+    radius = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+    return (net, box, draw(st.sampled_from(["linf", "l1"])),
+            draw(st.sampled_from(["l1", "linf", "cross"])))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(small_vector_problems())
+def test_vector_bnb_oracle_and_highs_agree(case):
+    # the three-way check where the dual-ball vector z is a model variable;
+    # the chain-rule incumbent at any input is attainable, so it never
+    # exceeds the oracle
+    net, box, alpha, output_norm = case
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    ref = assert_three_way(prob)
+    rng = np.random.Generator(np.random.Philox(key=net.total_neurons))
+    point = np.zeros(prob.model.num_vars)
+    for x in rng.uniform(box.l, box.u, size=(20, box.dim)):
+        point[prob.input_vars] = x
+        assert prob.incumbent_from_point(point)[0] <= ref * (1 + 1e-9) + 1e-12
 
 
 def test_node_bounds_are_the_certified_dual_bound(monkeypatch):

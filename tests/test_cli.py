@@ -51,6 +51,22 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_solve_rejects_boolean_arch_without_traceback(tmp_path):
+    # ``true`` in ``arch`` is a usage error, not a crash inside numpy
+    doc = network.to_json_dict(network.random_he([3, 4, 1], seed=0))
+    doc["arch"][0] = True
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "lipcert.cli", "solve", str(path), "--center", "0", "--radius", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert f"cannot read {path}: arch" in run.stderr
+
+
 def test_runs_on_numpy_alone(tmp_path):
     # numpy is the only runtime dependency: with scipy and hypothesis made
     # unimportable, every lipcert module imports and ``solve`` runs

@@ -391,9 +391,6 @@ def test_unusable_snapshot_falls_back_to_cold_start(monkeypatch):
         lp.Basis(np.array([0, 9], dtype=np.int32), np.zeros(n_total, dtype=bool)),  # out of range
         lp.Basis(np.array([0], dtype=np.int32), np.zeros(n_total, dtype=bool)),  # wrong length
         lp.Basis(root.basis.basic, np.zeros(2, dtype=bool)),  # wrong length
-        # slack basis with every column at its lower bound: nonsingular, but the
-        # positive costs make it far from dual feasible
-        lp.Basis(np.array([3, 4], dtype=np.int32), np.zeros(n_total, dtype=bool)),
     ]
     for basis in garbage:
         cold_starts = count_cold_starts(monkeypatch, solver)
@@ -401,6 +398,24 @@ def test_unusable_snapshot_falls_back_to_cold_start(monkeypatch):
         assert cold_starts
         assert sol.status == expected.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
+
+
+def test_dual_infeasible_snapshot_repaired_by_bound_flips(monkeypatch):
+    # the slack basis with every column at its lower bound is nonsingular, but
+    # the positive costs make it far from dual feasible: like any well-formed
+    # start it is repaired by bound flips, not replaced by a cold start
+    p = make_problem([1.0, 2.0, 1.0], [[1.0, 1.0, 1.0], [2.0, -1.0, 2.0]], ["<=", "<="],
+                     [2.0, 1.0], [0, 0, 0], [1, 1, 1])
+    solver = lp.SimplexSolver(p)
+    lo, hi = p.lo.copy(), p.hi.copy()
+    hi[1] = 0.5
+    optimum = vertex_enumeration_max(with_bounds(p, lo, hi))
+    basis = lp.Basis(np.array([3, 4], dtype=np.int32), np.zeros(5, dtype=bool))
+    cold_starts = count_cold_starts(monkeypatch, solver)
+    sol = solver.solve(lo=lo, hi=hi, basis=basis)
+    assert not cold_starts
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(optimum, abs=1e-9)
 
 
 def test_cutoff_only_below_true_optimum():

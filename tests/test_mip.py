@@ -12,7 +12,7 @@ from lipcert.mip import (
     build_lipmip_model,
     encode_abs,
     encode_affine,
-    encode_cross_norm_ball,
+    encode_dual_ball,
     encode_max,
     encode_relu,
     encode_switch,
@@ -303,7 +303,7 @@ def test_max_random_triples_lp_oracle():
 
 def cross_ball_feasible(z):
     model = MIPModel()
-    zv, zp, zn = encode_cross_norm_ball(model, len(z))
+    zv, zp, zn = encode_dual_ball(model, len(z), "cross")
     prob = model.to_lp_problem()
     lo = prob.lo.copy()
     hi = prob.hi.copy()
@@ -354,7 +354,8 @@ def test_feasible_set_contains_chain_rule_points():
                 assert prob.model.check_point(point, tol=1e-7) == []
                 jac = chain_rule_jacobian(net, x, ALWAYS_ZERO)
                 expect = norms.dual_vec_norm(jac[0], alpha)
-                assert prob.model.objective_at(point) == pytest.approx(expect, abs=1e-9)
+                objective = sum(c * point[v] for v, c in prob.model.objective.items())
+                assert objective == pytest.approx(expect, abs=1e-9)
 
 
 def test_feasible_set_tie_rules_at_identity_zero():
@@ -366,7 +367,8 @@ def test_feasible_set_tie_rules_at_identity_zero():
             rule = ZeroRule.per_neuron({(0, 0): a, (0, 1): b})
             point = feasible_assignment(prob, [0.0], rule)
             assert prob.model.check_point(point, tol=1e-9) == []
-            assert prob.model.objective_at(point) == pytest.approx(2.0 - a - b)
+            objective = sum(c * point[v] for v, c in prob.model.objective.items())
+            assert objective == pytest.approx(2.0 - a - b)
 
 
 def test_rounded_pattern_value_treats_failed_lp_as_miss(monkeypatch):
@@ -541,17 +543,6 @@ def test_input_constraints_bound_the_heuristics(seed):
     assert res.status == bnb.EXACT
     assert res.incumbent_point.sum() <= -1.2 + 1e-7
     assert res.incumbent_value == pytest.approx(sampled, rel=1e-9)
-
-
-def test_lp_format_export_deterministic():
-    net = identity_network()
-    prob = build_lipmip_model(net, Hyperbox([-1.0], [1.0]))
-    text1 = prob.model.to_lp_format()
-    text2 = prob.model.to_lp_format()
-    assert text1 == text2
-    assert text1.startswith("Maximize")
-    assert "Binary" in text1
-    assert text1.endswith("End\n")
 
 
 def test_unbounded_domain_rejected():

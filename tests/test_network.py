@@ -101,7 +101,7 @@ def test_pattern_no_ties_at_random_points():
     net = random_he([4, 6, 6, 1], seed=5)
     for _ in range(50):
         x = rng.normal(size=4)
-        assert pattern_at(net, x, tie_tol=0.0).tie_count() == 0
+        assert pattern_at(net, x, tie_tol=0.0).tie_positions() == []
 
 
 def test_jacobian_affine_region_product():
@@ -137,7 +137,7 @@ def test_jacobian_matches_finite_differences():
         net = random_he([4, 7, 6, 2], seed=seed)
         for _ in range(10):
             x = rng.normal(size=4)
-            if pattern_at(net, x, tie_tol=1e-7).tie_count():
+            if pattern_at(net, x, tie_tol=1e-7).tie_positions():
                 continue
             jac = chain_rule_jacobian(net, x)
             fd = finite_difference_jacobian(net, x)
@@ -150,7 +150,7 @@ def test_rule_independence_off_kernels():
     net = random_he([3, 5, 5, 1], seed=9)
     for _ in range(20):
         x = rng.normal(size=3)
-        if pattern_at(net, x, tie_tol=0.0).tie_count():
+        if pattern_at(net, x, tie_tol=0.0).tie_positions():
             continue
         j0 = chain_rule_jacobian(net, x, ALWAYS_ZERO)
         j1 = chain_rule_jacobian(net, x, ALWAYS_ONE)
@@ -185,7 +185,7 @@ def test_jacobian_first_order_expansion():
     checked = 0
     for _ in range(50):
         x = rng.normal(size=4)
-        if pattern_at(net, x, tie_tol=1e-6).tie_count():
+        if pattern_at(net, x, tie_tol=1e-6).tie_positions():
             continue
         jac = chain_rule_jacobian(net, x)
         h = rng.normal(size=4)
@@ -273,6 +273,25 @@ def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "nohead.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(NetworkFormatError, match="head"):
+        load(path)
+
+
+def test_load_rejects_boolean_format_version(tmp_path):
+    # JSON true is a Python bool, which is an int equal to 1
+    doc = network.to_json_dict(identity_network())
+    doc["format_version"] = True
+    path = tmp_path / "bool_version.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFormatError, match="format_version"):
+        load(path)
+
+
+def test_load_rejects_boolean_arch_entry(tmp_path):
+    doc = network.to_json_dict(identity_network())
+    doc["arch"][0] = True
+    path = tmp_path / "bool_arch.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFormatError, match="arch"):
         load(path)
 
 

@@ -9,14 +9,13 @@ from lipcert.network import (
     affine_network,
     identity_network,
     pattern_at,
+    preactivations,
     random_he,
 )
 from lipcert.oracle import (
     NeuronCapExceeded,
     enumerate_regions,
     exact_lipschitz_bruteforce,
-    region_count,
-    witness_margin,
 )
 
 
@@ -28,7 +27,7 @@ def grid_pattern_count(net, domain, n=60):
     seen = set()
     for x in pts:
         pat = pattern_at(net, x, tie_tol=0.0)
-        if pat.tie_count():
+        if pat.tie_positions():
             continue
         seen.add(tuple(tuple(int(v) for v in lay) for lay in pat.layers))
     return len(seen)
@@ -38,7 +37,7 @@ def test_affine_single_region():
     w = np.array([1.0, -2.0])
     net = affine_network(w, b=0.5, bound=2.0)
     box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
-    assert region_count(net, box) == 1
+    assert len(list(enumerate_regions(net, box))) == 1
     assert exact_lipschitz_bruteforce(net, box, "linf") == pytest.approx(3.0, abs=1e-12)
     assert exact_lipschitz_bruteforce(net, box, "l1") == pytest.approx(2.0, abs=1e-12)
 
@@ -50,13 +49,13 @@ def test_two_generic_hyperplanes_four_regions():
         head=np.array([[1.0, 1.0]]),
     )
     box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
-    assert region_count(net, box) == 4
+    assert len(list(enumerate_regions(net, box))) == 4
 
 
 def test_region_count_matches_grid_sampling():
     net = random_he([3, 4, 1], seed=6)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    enumerated = region_count(net, box)
+    enumerated = len(list(enumerate_regions(net, box)))
     sampled = grid_pattern_count(net, box, n=50)
     # the grid can miss slivers thinner than its spacing, never the reverse
     assert sampled <= enumerated
@@ -69,7 +68,7 @@ def test_identity_net_oracle_is_one():
     net = identity_network()
     box = Hyperbox([-1.0], [1.0])
     assert exact_lipschitz_bruteforce(net, box, "linf") == pytest.approx(1.0, abs=1e-9)
-    assert region_count(net, box) == 2
+    assert len(list(enumerate_regions(net, box))) == 2
 
 
 def test_witness_validity():
@@ -80,7 +79,10 @@ def test_witness_validity():
     assert certs
     for cert in certs:
         assert box.contains(cert.witness, tol=1e-9)
-        assert witness_margin(net, cert) >= eps / 2
+        # every pre-activation has slack >= eps on its pattern's side, up to
+        # the LP tolerance
+        for z, signs in zip(preactivations(net, cert.witness), cert.pattern):
+            assert np.where(signs == 1, z, -z).min() >= eps / 2
 
 
 def test_interior_eps_monotone():
@@ -123,7 +125,7 @@ def test_failed_witness_lp_raises_instead_of_pruning(monkeypatch):
     # a failed LP proves nothing: dropping its subtree would under-count regions
     net = random_he([2, 8, 8, 1], seed=1)
     box = Hyperbox.from_center_radius(np.full(2, 0.5), 0.5)
-    assert region_count(net, box) == 10
+    assert len(list(enumerate_regions(net, box))) == 10
     original = lp.SimplexSolver.solve
     calls = []
 
@@ -135,4 +137,4 @@ def test_failed_witness_lp_raises_instead_of_pruning(monkeypatch):
 
     monkeypatch.setattr(lp.SimplexSolver, "solve", every_third_fails)
     with pytest.raises(lp.SolverNumericalError):
-        region_count(net, box)
+        list(enumerate_regions(net, box))

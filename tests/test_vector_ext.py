@@ -3,10 +3,10 @@ import pytest
 
 from lipcert import bnb, lp, norms, oracle
 from lipcert.interval import Hyperbox
-from lipcert.mip import MIPModel, build_lipmip_model, encode_cross_norm_ball
+from lipcert.mip import MIPModel, build_lipmip_model, encode_dual_ball
 from lipcert.network import ReLUNetwork, forward, random_he
+from lipcert.norms import cross_norm_value
 from lipcert.vector_ext import (
-    cross_norm_value,
     difference_network,
     lipmip_vector,
     robustness_radius,
@@ -26,7 +26,7 @@ def affine_vector_network(a, bound=4.0):
 
 def lp_max_over_cross_polytope(v):
     model = MIPModel()
-    z, _, _ = encode_cross_norm_ball(model, len(v))
+    z, _, _ = encode_dual_ball(model, len(v), "cross")
     prob = model.to_lp_problem()
     best = -np.inf
     for sign in (1.0, -1.0):
