@@ -94,8 +94,10 @@ class SolveOptions:
     node_limit: int = 10 ** 9
 
     def __post_init__(self):
-        if self.target_gap < 0:
+        if not self.target_gap >= 0:  # NaN fails too: it would disable the limit
             raise ValueError("target_gap must be >= 0")
+        if not self.timeout_seconds >= 0:
+            raise ValueError("timeout_seconds must be >= 0")
 
 
 @dataclass
@@ -227,17 +229,16 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
     ``SimplexSolver.dual_bound`` of the final basis, never the raw primal
     objective; a failed LP keeps that side's bound, and a rebuild that
     fails (rounding left a box empty) keeps the model it started from.
-    Layer 0's interval boxes are exact over a plain box, so it is tightened
-    only under input constraints.  Past ``deadline`` (a
-    ``time.perf_counter`` value) no further neuron is tightened.
+    Layer 0's interval boxes are exact over the domain box, so it is never
+    tightened.  Past ``deadline`` (a ``time.perf_counter`` value) no further
+    neuron is tightened.
 
     Returns the rebuilt problem and one LayerTightening per hidden layer.
     """
     depth = problem.net.depth
     spent = [[0, 0] for _ in range(depth)]  # LPs and pivots per layer
     current = problem
-    first = 0 if problem.input_constraints else 1
-    for i in range(first, depth):
+    for i in range(1, depth):
         free = np.flatnonzero(current.neuron_bins[i] >= 0)
         if free.size == 0:
             continue

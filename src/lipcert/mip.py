@@ -29,15 +29,19 @@ order: the inputs; per hidden layer, its pre-activations and then, neuron by
 neuron, the neuron's binary (when its sign is undecided) and its
 post-activation; the dual ball (vector-valued networks only); per hidden
 layer from the last down to the first, the backward values and then the
-backward switches; the gradient; per gradient entry, the sign binary (when
-undecided) and the absolute value; and for alpha = "l1" the max folds.  Rows
-follow the same order.  ``LipMIPProblem`` records each block as an int id array, and
-``LipMIPProblem.propagation_bounds`` is the one map from interval boxes onto
-those ids.  The order is load-bearing: branch-and-bound breaks branching
-ties by the lowest variable id and the simplex prices columns in id order,
-so a reordered but otherwise equal model searches differently; and root
-tightening reads the layers below layer i off this order, as the variables
-up to layer i's pre-activations with the rows that mention only them.
+backward switches; the gradient; and last the objective block.  For
+alpha = "linf" that is, per gradient entry, the sign binary (when undecided)
+and the absolute value.  For alpha = "l1" it is one binary per gradient
+entry and sign, in entry order with + before -, and then their maximum t
+(``encode_signed_max``), whose bounds come from the gradient box alone.
+Rows follow the same order.  ``LipMIPProblem`` records each block as an int
+id array, and ``LipMIPProblem.propagation_bounds`` is the one map from
+interval boxes onto those ids.  The order is load-bearing: branch-and-bound
+breaks branching ties by the lowest variable id and the simplex prices
+columns in id order, so a reordered but otherwise equal model searches
+differently; and root tightening reads the layers below layer i off this
+order, as the variables up to layer i's pre-activations with the rows that
+mention only them.
 """
 
 from __future__ import annotations
@@ -292,28 +296,30 @@ def encode_relu(model: MIPModel, coefs: dict[int, float], const: float,
     return p, BinDecision(var=a)
 
 
-def encode_max(model: MIPModel, x_vars, name: str = "mx"):
-    """t = max(x_1..x_k) via pairwise folds max(x, y) = x + relu(y - x).
+def encode_signed_max(model: MIPModel, x_vars, name: str = "gmax") -> tuple[list[int], int]:
+    """A maximized t = max over j and s = +-1 of s * x_j, i.e. max_j |x_j|.
 
-    Returns (t_var, fold_steps) where fold_steps lists
-    (next_var, relu_var, relu_binary, fold_var) per fold for bookkeeping.
+    One binary b_js per variable and sign (in variable order, + before -)
+    chooses the option that bounds t.  With [L_js, U_js] the bounds of
+    s * x_j and U = max U_js, t lies in [0, U] and the rows are sum b = 1,
+    t - s x_j + (U - L_js) b_js <= U - L_js (t <= s x_j when b_js = 1, slack
+    otherwise) and t <= sum U_js b_js.  At an integral b the largest feasible
+    t is the chosen s * x_j, so the maximum over b is max_j |x_j|; t is
+    bounded from above only.  Returns (binaries, t).
     """
-    x_vars = list(x_vars)
-    if not x_vars:
-        raise ModelError("max of zero variables")
-    cur = x_vars[0]
-    steps = []
-    for step, nxt in enumerate(x_vars[1:]):
-        lc, uc = model.lo[cur], model.hi[cur]
-        ln, un = model.lo[nxt], model.hi[nxt]
-        s, dec = encode_relu(
-            model, {nxt: 1.0, cur: -1.0}, 0.0, ln - uc, un - lc, f"{name}_r{step}"
-        )
-        t = model.add_var(max(lc, ln), max(uc, un), name=f"{name}{step}")
-        model.add_constraint({t: 1.0, cur: -1.0, s: -1.0}, "=", 0.0)
-        steps.append((nxt, s, dec.var, t))
-        cur = t
-    return cur, steps
+    options = [(x, s) for x in x_vars for s in (1.0, -1.0)]
+    bounds = [(model.lo[x], model.hi[x]) if s > 0 else (-model.hi[x], -model.lo[x])
+              for x, s in options]
+    bins = [model.add_binary(f"{name}_{model.names[x]}{'+' if s > 0 else '-'}")
+            for x, s in options]
+    top = max(u for _, u in bounds)
+    t = model.add_var(0.0, top, name=name)
+    model.add_constraint({b: 1.0 for b in bins}, "=", 1.0)
+    for (x, s), (l, _), b in zip(options, bounds, bins):
+        model.add_constraint({t: 1.0, x: -s, b: top - l}, "<=", top - l)
+    # implied at an integral b; it keeps the LP relaxation below FastLip's value
+    model.add_constraint({t: 1.0} | {b: -u for b, (_, u) in zip(bins, bounds)}, "<=", 0.0)
+    return bins, t
 
 
 def _encode_split(model: MIPModel, m: int):
@@ -376,20 +382,22 @@ class LipMIPProblem:
     analysis fixed the sign at build time), ``post_vars`` (post-activations),
     ``bwd_value_vars`` (backward values entering the layer's switch; empty
     for the last layer of a scalar network, whose backward seed is the
-    constant head row) and ``bwd_switch_vars``.  ``abs_sign_vars`` also uses
-    -1 for a sign fixed at build time.  Together with the relu, binary and
-    fold ids of ``max_fold_steps`` these blocks partition the model's
-    variables; the order in which they were declared is given in the module
-    docstring and is load-bearing for search determinism.
+    constant head row) and ``bwd_switch_vars``.  ``abs_vars`` and
+    ``abs_sign_vars`` (which also uses -1 for a sign fixed at build time)
+    hold the linf objective and are empty for alpha = "l1".  ``choice_bins``
+    and ``max_var`` hold the l1 objective: a binary per gradient entry and
+    sign (entries 2j and 2j + 1 choose +g_j and -g_j) and the objective
+    variable t; they are empty and -1 for alpha = "linf".  These blocks
+    partition the model's variables; the order in which they were declared
+    is given in the module docstring and is load-bearing for search
+    determinism.
 
     ``pre_boxes[i]`` is the box that bounds layer i's pre-activation
     variables, from which its big-Ms and fixed signs were derived: the
     pre-activation box of the model's interval pass over the domain,
     intersected with the boxes the model was built from (``rebuild``).  Node
     tightening intersects its propagation with them too, so with no fixes it
-    returns the model's bounds unchanged.  ``input_constraints`` keeps the
-    rows that cut the domain box down to a polytope, so that a rebuild keeps
-    them.
+    returns the model's bounds unchanged.
     """
 
     model: MIPModel
@@ -404,21 +412,21 @@ class LipMIPProblem:
     grad_vars: np.ndarray
     abs_vars: np.ndarray
     abs_sign_vars: np.ndarray
-    max_fold_steps: list  # (next_var, relu_var, relu_binary | None, fold_var) per fold
+    choice_bins: np.ndarray
+    max_var: int
     pre_vars: list[np.ndarray]
     neuron_bins: list[np.ndarray]
     post_vars: list[np.ndarray]
     bwd_value_vars: list[np.ndarray]
     bwd_switch_vars: list[np.ndarray]
     pre_boxes: list[interval.Hyperbox]
-    input_constraints: tuple
 
     def rebuild(self, pre_boxes) -> "LipMIPProblem":
         """The same problem built again with each layer's pre-activation box
         intersected with ``pre_boxes`` (boxes that enclose the
         pre-activations of every feasible point)."""
         return build_lipmip_model(self.net, self.domain, self.alpha, self.output_norm,
-                                  self.input_constraints, pre_boxes)
+                                  pre_boxes)
 
     @cached_property
     def binary_map(self) -> dict[int, tuple[int, int]]:
@@ -437,7 +445,7 @@ class LipMIPProblem:
         state excludes; post-activations take their ReLU image box and
         backward values and switches their backward boxes; absolute values
         take the image of the gradient box.  Variables no box describes
-        (inputs, binaries, dual ball, max folds) get -inf/+inf.
+        (inputs, binaries, dual ball and the l1 objective t) get -inf/+inf.
         On a point input the result is the point's own value at every bounded
         variable.
         """
@@ -461,9 +469,10 @@ class LipMIPProblem:
             put(self.bwd_switch_vars[i], prop.backward_switch_boxes[i])
         gbox = prop.gradient_box
         put(self.grad_vars, gbox)
-        gl, gu = np.abs(gbox.l), np.abs(gbox.u)
-        lo[self.abs_vars] = np.where((gbox.l <= 0) & (gbox.u >= 0), 0.0, np.minimum(gl, gu))
-        hi[self.abs_vars] = np.maximum(gl, gu)
+        if self.abs_vars.size:
+            gl, gu = np.abs(gbox.l), np.abs(gbox.u)
+            lo[self.abs_vars] = np.where((gbox.l <= 0) & (gbox.u >= 0), 0.0, np.minimum(gl, gu))
+            hi[self.abs_vars] = np.maximum(gl, gu)
         return lo, hi
 
     def tightened_bounds(self, fixes: dict[int, int]):
@@ -506,8 +515,7 @@ class LipMIPProblem:
 
         Rounding the LP's activation binaries proposes a sign pattern; a tiny
         feasibility LP over the inputs checks whether some x in the domain
-        realizes it (ties allowed on the boundary), within the input
-        constraints when there are any.  If so, the pattern's
+        realizes it (ties allowed on the boundary).  If so, the pattern's
         constant Jacobian is a legitimate chain-rule outcome at that x, so
         its dual norm is an attainable objective value.
         """
@@ -528,13 +536,6 @@ class LipMIPProblem:
             rhs.extend(signs * -v)
             if i + 1 < net.depth:
                 m, v = next_layer_affine(net, i, lam, m, v)
-        for coefs, rel, b in self.input_constraints:
-            row = np.zeros(net.input_dim)
-            for j, c in coefs.items():
-                row[j] = c
-            for sign in {"<=": (-1.0,), ">=": (1.0,), "=": (1.0, -1.0)}[rel]:
-                rows.append(sign * row)
-                rhs.append(sign * b)
         try:
             x = lp.box_witness(rows, rhs, self.domain.l, self.domain.u)
         except lp.SolverNumericalError:
@@ -562,7 +563,6 @@ def build_lipmip_model(
     domain: interval.Hyperbox,
     alpha: str = "linf",
     output_norm: str | None = None,
-    input_constraints=None,
     pre_boxes=None,
 ) -> LipMIPProblem:
     """Assemble the full model whose optimum is L^alpha (or L^(alpha,beta)).
@@ -570,9 +570,8 @@ def build_lipmip_model(
     ``alpha`` is "linf" (objective: l1 norm of the gradient) or "l1"
     (objective: max |gradient coordinate|).  ``output_norm`` switches to the
     vector-valued formulation with the head contracted against a dual-ball
-    variable z.  ``input_constraints`` may add linear rows (coefs, rel, rhs)
-    ``pre_boxes`` (one box per hidden layer, each enclosing the layer's
-    pre-activations at every feasible point) is intersected with the
+    variable z.  ``pre_boxes`` (one box per hidden layer, each enclosing the
+    layer's pre-activations at every feasible point) is intersected with the
     pre-activation boxes of the model's interval pass (module docstring), so
     tighter boxes give smaller big-Ms and more neurons of fixed sign; should
     rounding leave an intersection empty, the build raises ModelError.
@@ -588,11 +587,6 @@ def build_lipmip_model(
     input_vars = [
         model.add_var(domain.l[j], domain.u[j], name=f"x{j}") for j in range(domain.dim)
     ]
-    input_constraints = tuple(
-        (dict(coefs), rel, float(rhs)) for coefs, rel, rhs in input_constraints or ()
-    )
-    for coefs, rel, rhs in input_constraints:
-        model.add_constraint({input_vars[j]: c for j, c in coefs.items()}, rel, rhs)
 
     d = net.depth
     prop = interval.propagate(net, domain, interval.head_seed_box(net, output_norm),
@@ -652,16 +646,17 @@ def build_lipmip_model(
 
     abs_vars: list[int] = []
     abs_signs: list[int] = []
-    for j, g in enumerate(grad_vars):
-        y, sign = encode_abs(model, g, name=f"ag{j}")
-        abs_vars.append(y)
-        abs_signs.append(-1 if sign is None else sign)
-    fold_steps = []
+    choice_bins: list[int] = []
     if alpha == "linf":
+        for j, g in enumerate(grad_vars):
+            y, sign = encode_abs(model, g, name=f"ag{j}")
+            abs_vars.append(y)
+            abs_signs.append(-1 if sign is None else sign)
         model.set_objective({v: 1.0 for v in abs_vars})
+        max_var = -1
     else:
-        t, fold_steps = encode_max(model, abs_vars, name="gmax")
-        model.set_objective({t: 1.0})
+        choice_bins, max_var = encode_signed_max(model, grad_vars)
+        model.set_objective({max_var: 1.0})
 
     return LipMIPProblem(
         model=model,
@@ -676,7 +671,8 @@ def build_lipmip_model(
         grad_vars=_ids(grad_vars),
         abs_vars=_ids(abs_vars),
         abs_sign_vars=_ids(abs_signs),
-        max_fold_steps=fold_steps,
+        choice_bins=_ids(choice_bins),
+        max_var=max_var,
         pre_vars=[_ids(vs) for vs in pre_vars],
         neuron_bins=[
             _ids([-1 if dec.is_fixed else dec.var for dec in layer]) for layer in decisions
@@ -685,7 +681,6 @@ def build_lipmip_model(
         bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
         bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],
         pre_boxes=list(prop.pre_activation_boxes),
-        input_constraints=input_constraints,
     )
 
 
@@ -726,13 +721,10 @@ def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
     g = point[problem.grad_vars]
     signed = problem.abs_sign_vars >= 0
     point[problem.abs_sign_vars[signed]] = (g[signed] < 0).astype(float)
-    cur = abs(g[0]) if len(g) else 0.0
-    for (nxt_var, relu_var, relu_bin, fold_var) in problem.max_fold_steps:
-        nxt = point[nxt_var]
-        srel = max(nxt - cur, 0.0)
-        point[relu_var] = srel
-        if relu_bin is not None:
-            point[relu_bin] = 1.0 if nxt - cur > 0 else 0.0
-        cur = cur + srel
-        point[fold_var] = cur
+    if problem.max_var >= 0:
+        options = np.column_stack([g, -g]).ravel()  # s * g_j in choice_bins order
+        best = int(np.argmax(options))  # the first maximizing option
+        point[problem.choice_bins] = 0.0
+        point[problem.choice_bins[best]] = 1.0
+        point[problem.max_var] = options[best]
     return point

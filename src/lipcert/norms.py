@@ -73,12 +73,15 @@ def operator_dual_value(jac: np.ndarray, input_norm: str, output_norm: str | Non
 
     ``output_norm=None`` treats J as a single row (scalar-valued network) and
     returns the plain dual vector norm.  Otherwise the value is computed by
-    enumerating the dual ball of beta: ||J||_{a,b} = max_z ||J^T z||_{a*}.
+    enumerating the dual ball of beta: ||J||_{a,b} = max_z ||J^T z||_{a*},
+    with the products J^T z of all generators z taken in one matrix product.
     """
     jac = np.atleast_2d(np.asarray(jac, dtype=float))
     if output_norm is None:
         if jac.shape[0] != 1:
             raise ValueError("scalar norm requested for a multi-row Jacobian")
         return dual_vec_norm(jac[0], input_norm)
-    gens = dual_ball_generators(jac.shape[0], output_norm)
-    return max(dual_vec_norm(jac.T @ z, input_norm) for z in gens)
+    products = np.abs(dual_ball_generators(jac.shape[0], output_norm) @ jac)
+    if DUAL[input_norm] == "l1":
+        return float(products.sum(axis=1).max())
+    return float(products.max())

@@ -104,6 +104,17 @@ def test_deterministic_repeat_runs():
     assert search_counters(r1) == search_counters(r2)
 
 
+@pytest.mark.parametrize("kw", [
+    {"target_gap": -0.5}, {"target_gap": float("nan")},
+    {"timeout_seconds": -1.0}, {"timeout_seconds": float("nan")},
+])
+def test_solve_options_reject_negative_and_nan_limits(kw):
+    # a NaN limit compares false against everything, so it would never stop
+    # the search
+    with pytest.raises(ValueError):
+        SolveOptions(**kw)
+
+
 def test_node_limit_and_timeout_statuses():
     net = random_he([4, 8, 8, 1], seed=2)
     box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
@@ -393,6 +404,26 @@ def test_reliability_branching_halves_the_tree():
     assert res.incumbent_value == pytest.approx(exact_lipschitz_bruteforce(net, box, "linf"),
                                                 rel=1e-7)
     assert res.nodes_explored <= 305 // 2
+
+
+def test_l1_choice_binaries_shrink_the_tree():
+    # max folds over absolute values needed 231 nodes here
+    net = random_he([4, 8, 8, 1], seed=12)
+    box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
+    res = lipmip(net, box, alpha="l1")
+    assert res.status == bnb.EXACT
+    assert res.incumbent_value == pytest.approx(exact_lipschitz_bruteforce(net, box, "l1"),
+                                                rel=1e-7)
+    assert res.nodes_explored <= 120
+
+
+def test_liplp_l1_below_fastlip():
+    # the relaxation of the signed-coordinate choice is tighter than the
+    # interval pass; max folds over absolute values gave FastLip's value back
+    net = random_he([3, 8, 8, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    liplp = solve_liplp(build_lipmip_model(net, box, alpha="l1"))
+    assert liplp < 0.95 * fastlip(net, box, "linf")
 
 
 def test_strong_branching_reported(caplog):

@@ -44,6 +44,9 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
         ["solve", str(path), "--center", "0", "0", "--radius", "1"],
         ["solve", str(path), "--center", "0", "--radius", "-1"],
         ["solve", str(path), "--center", "0", "--radius", "1", "--gap", "-0.5"],
+        ["solve", str(path), "--center", "0", "--radius", "1", "--gap", "nan"],
+        ["solve", str(path), "--center", "0", "--radius", "1", "--timeout", "nan"],
+        ["solve", str(path), "--center", "0", "--radius", "1", "--timeout", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

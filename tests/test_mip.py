@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lipcert import bnb, interval, lp, mip, norms
+from lipcert import interval, lp, mip, norms
 from lipcert.bnb import tighten_root
 from lipcert.interval import Hyperbox
 from lipcert.mip import (
@@ -13,8 +13,8 @@ from lipcert.mip import (
     encode_abs,
     encode_affine,
     encode_dual_ball,
-    encode_max,
     encode_relu,
+    encode_signed_max,
     encode_switch,
     feasible_assignment,
 )
@@ -267,35 +267,71 @@ def test_abs_random_graph_check():
             assert not feasible(model, {x: xv, y: -abs(xv), a: 1 - av}, tol=1e-5)
 
 
-# -- max ---------------------------------------------------------------------
+# -- signed max ----------------------------------------------------------------
 
 
-def test_max_single_var_is_identity():
+def test_signed_max_layout_and_rows():
+    # binaries in variable order with + before -, then t in [0, U]
     model = MIPModel()
-    x = model.add_var(0.0, 3.0, name="x")
-    t, steps = encode_max(model, [x])
-    assert t == x and steps == []
+    xs = [model.add_var(-1.0, 3.0, name="a"), model.add_var(-4.0, 2.0, name="b")]
+    bins, t = encode_signed_max(model, xs)
+    assert bins == model.binary_vars == [2, 3, 4, 5] and t == 6
+    assert [model.names[b] for b in bins] == ["gmax_a+", "gmax_a-", "gmax_b+", "gmax_b-"]
+    assert (model.lo[t], model.hi[t]) == (0.0, 4.0)
+    assert model.num_constraints == 1 + 4 + 1
 
 
-def test_max_fixed_pair():
+def test_signed_max_each_choice_bounds_t_by_its_option():
     model = MIPModel()
-    xs = [model.add_var(0.0, 5.0, name=f"x{i}") for i in range(2)]
-    t, _ = encode_max(model, xs)
-    rng = value_range(model, t, {xs[0]: 1.0, xs[1]: 3.0})
-    assert rng[0] == pytest.approx(3.0, abs=1e-8)
-    assert rng[1] == pytest.approx(3.0, abs=1e-8)
+    xs = [model.add_var(-2.0, 3.0, name=f"x{i}") for i in range(2)]
+    bins, t = encode_signed_max(model, xs)
+    vals = (1.5, -2.0)
+    options = [s * v for v in vals for s in (1.0, -1.0)]
+    for b, option in zip(bins, options):
+        rng = value_range(model, t, dict(zip(xs, vals)) | {b: 1.0})
+        if option < 0:
+            assert rng is None  # t >= 0 rules out a negative option
+        else:
+            assert rng[1] == pytest.approx(option, abs=1e-8)
 
 
-def test_max_random_triples_lp_oracle():
+def test_signed_max_random_triples_lp_oracle():
+    # over every choice, the largest t is max_j |x_j|
     rng = np.random.Generator(np.random.Philox(key=11))
     model = MIPModel()
     xs = [model.add_var(-4.0, 4.0, name=f"x{i}") for i in range(3)]
-    t, _ = encode_max(model, xs)
+    _, t = encode_signed_max(model, xs)
     for _ in range(15):
         vals = rng.uniform(-4, 4, size=3)
-        lo, hi = value_range(model, t, dict(zip(xs, vals)))
-        assert lo == pytest.approx(max(vals), abs=1e-7)
-        assert hi == pytest.approx(max(vals), abs=1e-7)
+        _, hi = value_range(model, t, dict(zip(xs, vals)))
+        assert hi == pytest.approx(np.abs(vals).max(), abs=1e-7)
+
+
+@pytest.mark.parametrize("arch,seed,output_norm", [
+    ([3, 5, 4, 1], 0, None),
+    ([4, 6, 6, 1], 7, None),
+    ([3, 6, 5, 3], 4, "cross"),
+    ([2, 5, 4, 2], 3, "linf"),
+])
+def test_signed_max_at_feasible_assignments(arch, seed, output_norm):
+    # t is max_j |g_j| at the model point of an input, and the first
+    # maximizing option is the chosen one
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.zeros(arch[0]), 1.0)
+    prob = build_lipmip_model(net, box, alpha="l1", output_norm=output_norm)
+    assert prob.abs_vars.size == prob.abs_sign_vars.size == 0
+    gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
+    for _ in range(20):
+        x = rng.uniform(box.l, box.u)
+        z = None if gens is None else gens[rng.integers(len(gens))]
+        point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
+        assert prob.model.check_point(point, tol=1e-7) == []
+        g = point[prob.grad_vars]
+        assert point[prob.max_var] == np.abs(g).max()
+        options = np.column_stack([g, -g]).ravel()
+        chosen = np.flatnonzero(point[prob.choice_bins])
+        assert chosen.tolist() == [np.flatnonzero(options == options.max())[0]]
 
 
 # -- cross-norm polytope ----------------------------------------------------
@@ -398,13 +434,13 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
     box = Hyperbox.from_center_radius(np.zeros(arch[0]), 1.0)
     prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
     blocks = [prob.input_vars, prob.z_ball_vars, prob.z_pos_vars, prob.z_neg_vars,
-              prob.grad_vars, prob.abs_vars, prob.abs_sign_vars]
+              prob.grad_vars, prob.abs_vars, prob.abs_sign_vars, prob.choice_bins,
+              [prob.max_var]]
     for name in ("pre_vars", "neuron_bins", "post_vars", "bwd_value_vars",
                  "bwd_switch_vars"):
         layers = getattr(prob, name)
         assert len(layers) == net.depth
         blocks.extend(layers)
-    blocks.append([v for step in prob.max_fold_steps for v in step[1:] if v is not None])
     ids = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
     ids = ids[ids >= 0]
     assert sorted(ids.tolist()) == list(range(prob.model.num_vars))
@@ -495,54 +531,6 @@ def test_model_size_linear_in_neurons():
         prob = build_lipmip_model(net, box, alpha="linf")
         budget = 20 * (net.total_neurons + net.input_dim)
         assert prob.model.num_constraints <= budget
-
-
-def test_input_constraints_shrink_optimum():
-    net = random_he([2, 4, 1], seed=3)
-    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
-    free = build_lipmip_model(net, box, alpha="linf")
-    cut = build_lipmip_model(
-        net, box, alpha="linf",
-        input_constraints=[({0: 1.0, 1: 1.0}, "<=", -1.5)],
-    )
-    v_free = lp.solve_lp(free.model.to_lp_problem()).objective_value
-    v_cut = lp.solve_lp(cut.model.to_lp_problem()).objective_value
-    assert v_cut <= v_free + 1e-9
-
-
-def test_input_constraints_survive_root_tightening():
-    # a rebuild keeps the polytope, and layer 0 is LP-tightened over it
-    net = random_he([2, 4, 1], seed=3)
-    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
-    cons = [({0: 1.0, 1: 1.0}, "<=", -1.5)]
-    plain = build_lipmip_model(net, box, alpha="linf", input_constraints=cons)
-    tight, records = tighten_root(plain)
-    assert tight.input_constraints == plain.input_constraints
-    assert records[0].lps > 0 and records[0].mean_width_after < records[0].mean_width_before
-    values = [bnb.solve_mip(plain), bnb.solve_mip(plain.model)]
-    assert [r.status for r in values] == [bnb.EXACT, bnb.EXACT]
-    assert values[0].incumbent_value == pytest.approx(values[1].incumbent_value, rel=1e-9)
-    inside = feasible_assignment(tight, np.array([-0.9, -0.8]), ALWAYS_ZERO)
-    assert tight.model.check_point(inside, tol=1e-7) == []
-    outside = feasible_assignment(tight, np.array([0.5, 0.5]), ALWAYS_ZERO)
-    assert any(v.startswith("row 0:") for v in tight.model.check_point(outside, tol=1e-7))
-
-
-@pytest.mark.parametrize("seed", [0, 2, 5])
-def test_input_constraints_bound_the_heuristics(seed):
-    # incumbents must come from inside the polytope: the witness LP of the
-    # rounded-pattern heuristic carries the input constraints too
-    net = random_he([2, 6, 6, 1], seed=seed)
-    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
-    prob = build_lipmip_model(net, box, alpha="linf",
-                              input_constraints=[({0: 1.0, 1: 1.0}, "<=", -1.2)])
-    xs = np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, size=(20000, 2))
-    xs = xs[xs.sum(axis=1) <= -1.2]
-    sampled = max(np.abs(chain_rule_jacobian(net, x, ALWAYS_ZERO)[0]).sum() for x in xs)
-    res = bnb.solve_mip(prob)
-    assert res.status == bnb.EXACT
-    assert res.incumbent_point.sum() <= -1.2 + 1e-7
-    assert res.incumbent_value == pytest.approx(sampled, rel=1e-9)
 
 
 def test_unbounded_domain_rejected():

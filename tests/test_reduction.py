@@ -27,7 +27,7 @@ EDGE = Graph.from_edges(2, [(0, 1)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 # Small graphs only: the exact solve grows quickly with the vertex count (the
-# 5-cycle already takes about a thousand nodes, a few seconds).
+# 5-cycle already takes about 170 nodes, close to a second).
 LINF_GRAPHS = [
     EDGE,
     PATH3,
@@ -53,11 +53,10 @@ def test_reduction_linf_matches_mis(g):
     assert report.match, report
 
 
-# The l1 variant needs far more nodes than the linf one on the same graph:
-# about a thousand on 3 vertices with a single edge (a few seconds), so only
-# graphs with at most 3 vertices run here.
-@pytest.mark.parametrize("g", [EDGE, PATH3, Graph.from_edges(3, [(0, 1)])],
-                         ids=["edge", "path3", "edge-isolated"])
+# The l1 variant, up to the 5-cycle (about 30 nodes, a fraction of a second).
+@pytest.mark.parametrize("g", [EDGE, PATH3, Graph.from_edges(3, [(0, 1)]),
+                               Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])],
+                         ids=["edge", "path3", "edge-isolated", "cycle5"])
 def test_reduction_l1_matches_mis(g):
     report = verify_reduction(g, variant="l1")
     assert report.match, report
