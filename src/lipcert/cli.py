@@ -7,6 +7,11 @@ model, and prints the certified sandwich ``incumbent <= L <= upper_bound``
 with the solve's statistics as one JSON object.  ``--gap`` stops at a
 relative gap and ``--timeout`` after a number of seconds; the sandwich then
 stays valid but open.
+
+``lipcert estimate NET.json --center C [C ...] --radius R`` takes the same
+arguments plus ``--methods`` (default: all of ``estimators.METHODS``) and
+prints one CSV row per estimator, as ``estimators.records_to_csv`` writes
+them.  ``--gap`` and ``--timeout`` apply to the ``lipmip`` row.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import bnb, network
+from . import bnb, estimators, network
 from .interval import Hyperbox
 from .mip import build_lipmip_model
 
@@ -31,16 +36,23 @@ def _parser() -> argparse.ArgumentParser:
     solve = commands.add_parser(
         "solve", help="exact Lipschitz constant over a box by branch and bound"
     )
-    solve.add_argument("net", help="network JSON file written by lipcert.network.save")
-    solve.add_argument("--center", type=float, nargs="+", required=True,
-                       help="box centre: one value per input, or one value for all")
-    solve.add_argument("--radius", type=float, required=True, help="box half-width")
-    solve.add_argument("--norm", choices=("linf", "l1"), default="linf",
-                       help="input norm (default: linf)")
-    solve.add_argument("--gap", type=float, default=0.0,
-                       help="stop once (upper - incumbent) / incumbent is at most this")
-    solve.add_argument("--timeout", type=float, default=float("inf"),
-                       help="stop after this many seconds")
+    estimate = commands.add_parser(
+        "estimate", help="compare the Lipschitz estimators over a box as CSV"
+    )
+    for sub in (solve, estimate):
+        sub.add_argument("net", help="network JSON file written by lipcert.network.save")
+        sub.add_argument("--center", type=float, nargs="+", required=True,
+                         help="box centre: one value per input, or one value for all")
+        sub.add_argument("--radius", type=float, required=True, help="box half-width")
+        sub.add_argument("--norm", choices=("linf", "l1"), default="linf",
+                         help="input norm (default: linf)")
+        sub.add_argument("--gap", type=float, default=0.0,
+                         help="stop once (upper - incumbent) / incumbent is at most this")
+        sub.add_argument("--timeout", type=float, default=float("inf"),
+                         help="stop after this many seconds")
+    estimate.add_argument("--methods", choices=estimators.METHODS, nargs="+",
+                          default=list(estimators.METHODS),
+                          help="estimators to run, in this order (default: all)")
     return parser
 
 
@@ -61,9 +73,15 @@ def main(argv=None) -> int:
         domain = Hyperbox.from_center_radius(
             np.broadcast_to(np.asarray(args.center, dtype=float), net.input_dim), args.radius
         )
+        # checks --gap and --timeout for both commands
         opts = bnb.SolveOptions(target_gap=args.gap, timeout_seconds=args.timeout)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.command == "estimate":
+        records = estimators.compare(net, domain, args.norm, args.methods,
+                                     gap=args.gap, timeout=args.timeout)
+        sys.stdout.write(estimators.records_to_csv(records))
+        return 0
     res = bnb.solve_mip(build_lipmip_model(net, domain, alpha=args.norm), opts)
     out = {
         "upper_bound": res.upper_bound,

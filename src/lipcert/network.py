@@ -9,6 +9,12 @@ The chain-rule Jacobian is computed with a configurable rule for the
 derivative taken at exactly-zero pre-activations, where any value in ``{0, 1}``
 is a legitimate choice.  Different choices can disagree (see
 ``identity_network``), which is the whole reason the rule is explicit here.
+
+``preactivations`` and ``chain_rule_jacobian`` take one point of shape
+``(n0,)`` or a stack of ``N`` points of shape ``(N, n0)``.  A point gives
+per-layer ``(n_i,)`` pre-activations and an ``(m, n0)`` Jacobian; a stack
+gives ``(N, n_i)`` and ``(N, m, n0)``, one row per point, from one matrix
+product per layer.
 """
 
 from __future__ import annotations
@@ -157,27 +163,30 @@ ALWAYS_ONE = ZeroRule("one")
 
 
 def _check_input(net: ReLUNetwork, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != net.input_dim:
-        raise ValueError(f"input has length {x.shape[0]}, expected {net.input_dim}")
+    """x as a float array: a stack ``(N, n0)`` if 2-d, else one point ``(n0,)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        x = x.reshape(-1)
+    if x.shape[-1] != net.input_dim:
+        raise ValueError(f"input has length {x.shape[-1]}, expected {net.input_dim}")
     return x
 
 
 def preactivations(net: ReLUNetwork, x) -> list[np.ndarray]:
-    """All pre-activation vectors Z_1(x) .. Z_d(x)."""
-    x = _check_input(net, x)
+    """All pre-activations Z_1(x) .. Z_d(x): one ``(n_i,)`` vector per layer
+    for a point, one ``(N, n_i)`` matrix per layer for a stack of N points."""
+    a = _check_input(net, x).T  # points are columns
     zs = []
-    a = x
     for w, b in zip(net.weights, net.biases):
-        z = w @ a + b
+        z = (w @ a).T + b
         zs.append(z)
-        a = np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0).T
     return zs
 
 
 def forward(net: ReLUNetwork, x) -> np.ndarray:
-    """Evaluate the network; returns the output vector of length m."""
-    return net.head @ np.maximum(preactivations(net, x)[-1], 0.0)
+    """Evaluate the network at one point; returns the output vector of length m."""
+    return net.head @ np.maximum(preactivations(net, np.ravel(x))[-1], 0.0)
 
 
 def pattern_at(net: ReLUNetwork, x, tie_tol: float = DEFAULT_TIE_TOL) -> ActivationPattern:
@@ -186,7 +195,7 @@ def pattern_at(net: ReLUNetwork, x, tie_tol: float = DEFAULT_TIE_TOL) -> Activat
     if tie_tol < 0:
         raise ValueError("tie_tol must be >= 0")
     layers = []
-    for z in preactivations(net, x):
+    for z in preactivations(net, np.ravel(x)):
         lay = np.full(z.shape, TIE, dtype=np.int8)
         lay[z > tie_tol] = ON
         lay[z < -tie_tol] = OFF
@@ -215,23 +224,48 @@ def pattern_multipliers(pattern: ActivationPattern, rule: ZeroRule) -> list[np.n
 
 
 def chain_rule_jacobian(net: ReLUNetwork, x, rule: ZeroRule = ALWAYS_ZERO) -> np.ndarray:
-    """Jacobian (m x n_0) produced by the chain rule at x.
+    """Jacobian produced by the chain rule: ``(m, n0)`` at a point x of shape
+    ``(n0,)``, ``(N, m, n0)`` for a stack x of shape ``(N, n0)``.
 
     Ties are detected with exact-zero comparison and resolved by ``rule``; at
-    differentiable points the result is independent of the rule.  The backward
-    recursion seeds Y with the head transpose and alternates the tie-resolved
-    diagonal mask with the layer transposes.
+    differentiable points the result is independent of the rule.  A
+    ``per_neuron`` rule names the ties of one point, so it rejects a stack of
+    more than one.  The backward recursion seeds Y with the head transpose and
+    alternates the tie-resolved diagonal mask with the layer transposes.
     """
-    pattern = pattern_at(net, x, tie_tol=0.0)
-    return jacobian_from_multipliers(net, pattern_multipliers(pattern, rule))
+    x = _check_input(net, x)
+    if rule.kind == "per_neuron":
+        if x.ndim == 2:
+            if x.shape[0] != 1:
+                raise ValueError(
+                    f"a per-neuron rule names one point's ties; got a stack of {x.shape[0]}"
+                )
+            return chain_rule_jacobian(net, x[0], rule)[None]
+        mults = pattern_multipliers(pattern_at(net, x, tie_tol=0.0), rule)
+    else:
+        # sigma' is 1 where z > 0, and where z == 0 under ALWAYS_ONE
+        on = np.greater_equal if rule.kind == "one" else np.greater
+        mults = [on(z, 0.0).astype(float) for z in preactivations(net, x)]
+    return jacobian_from_multipliers(net, mults)
 
 
 def jacobian_from_multipliers(net: ReLUNetwork, multipliers) -> np.ndarray:
-    """Jacobian for an explicit sigma' assignment (one vector per layer)."""
-    y = net.head.T  # (n_d, m)
-    for w, lam in zip(reversed(net.weights), reversed(list(multipliers))):
-        y = w.T @ (np.asarray(lam).reshape(-1, 1) * y)
-    return y.T
+    """Jacobian for an explicit sigma' assignment: one ``(n_i,)`` vector per
+    layer gives ``(m, n0)``, one ``(N, n_i)`` stack per layer gives
+    ``(N, m, n0)``.
+
+    Y keeps the layout ``(n_i, N, m)`` so that each layer is one product with
+    a weight transpose; for a single point that is the plain recursion
+    ``Y <- W_i^T diag(lam_i) Y``.
+    """
+    lams = [np.asarray(lam, dtype=float) for lam in multipliers]
+    m = net.output_dim
+    y = net.head.T  # (n_d, m), widened to (n_d, N * m) by the first mask
+    for w, lam in zip(reversed(net.weights), reversed(lams)):
+        masked = lam.T.reshape(w.shape[0], -1, 1) * y.reshape(w.shape[0], -1, m)
+        y = w.T @ masked.reshape(w.shape[0], -1)
+    jac = y.reshape(net.input_dim, -1, m).transpose(1, 2, 0)
+    return jac[0] if lams[0].ndim == 1 else np.ascontiguousarray(jac)
 
 
 def next_layer_affine(net: ReLUNetwork, layer: int, lam, m, v):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lipcert import bnb, cli, network
+from lipcert import bnb, cli, estimators, network
 from lipcert.interval import Hyperbox
 from lipcert.mip import build_lipmip_model
 
@@ -47,6 +47,48 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
         ["solve", str(path), "--center", "0", "--radius", "1", "--gap", "nan"],
         ["solve", str(path), "--center", "0", "--radius", "1", "--timeout", "nan"],
         ["solve", str(path), "--center", "0", "--radius", "1", "--timeout", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
+
+def test_estimate_prints_one_csv_row_per_method(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    network.save(network.random_he([3, 6, 6, 1], seed=8), path)
+    argv = ["estimate", str(path), "--center", "0.5", "--radius", "0.5", "--norm", "l1"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0] == estimators.CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == list(estimators.METHODS)
+    value = {row[0]: float(row[1]) for row in rows}
+    assert value["randomlb"] <= value["liplp"] <= value["fastlip"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_estimate_runs_the_chosen_methods(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    network.save(network.random_he([3, 6, 6, 1], seed=8), path)
+    assert cli.main(["estimate", str(path), "--center", "0", "--radius", "1",
+                     "--methods", "fastlip", "randomlb"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["fastlip", "randomlb"]
+
+
+def test_estimate_rejects_bad_arguments(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    network.save(network.random_he([3, 4, 1], seed=0), path)
+    for argv in (
+        ["estimate", str(tmp_path / "missing.json"), "--center", "0", "--radius", "1"],
+        ["estimate", str(path), "--center", "0", "0", "--radius", "1"],
+        ["estimate", str(path), "--center", "0", "--radius", "-1"],
+        ["estimate", str(path), "--center", "0", "--radius", "1", "--gap", "nan"],
+        ["estimate", str(path), "--center", "0", "--radius", "1", "--timeout", "-1"],
+        ["estimate", str(path), "--center", "0", "--radius", "1", "--methods", "clever"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

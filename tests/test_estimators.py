@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipcert import estimators
+from lipcert import estimators, norms
 from lipcert.estimators import (
     CSV_HEADER,
     compare,
@@ -11,7 +11,13 @@ from lipcert.estimators import (
     records_to_csv,
 )
 from lipcert.interval import Hyperbox
-from lipcert.network import ReLUNetwork, affine_network, random_he
+from lipcert.network import (
+    ALWAYS_ZERO,
+    ReLUNetwork,
+    affine_network,
+    chain_rule_jacobian,
+    random_he,
+)
 
 
 def test_random_lb_affine_exact():
@@ -35,6 +41,27 @@ def test_random_lb_monotone_in_samples():
     vals = [random_lb(net, box, "linf", n_samples=n, seed=9).value
             for n in (10, 50, 200)]
     assert vals[0] <= vals[1] <= vals[2]
+
+
+@pytest.mark.parametrize("norm", ["linf", "l1"])
+def test_random_lb_matches_per_point_loop(norm):
+    # one point at a time from the same Philox stream, each gradient through
+    # the single-point chain rule
+    net = random_he([4, 8, 8, 1], seed=12)
+    box = Hyperbox.from_center_radius([0.2, -0.1, 0.0, 0.3], 0.7)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    ref = 0.0
+    for _ in range(300):
+        grad = chain_rule_jacobian(net, rng.uniform(box.l, box.u), ALWAYS_ZERO)[0]
+        ref = max(ref, norms.dual_vec_norm(grad, norm))
+    value = random_lb(net, box, norm, n_samples=300, seed=5).value
+    assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_random_lb_rejects_domain_of_wrong_dimension():
+    net = random_he([3, 6, 6, 1], seed=4)
+    with pytest.raises(ValueError, match="expected 3"):
+        random_lb(net, Hyperbox.from_center_radius(np.zeros(2), 1.0), "linf")
 
 
 def test_naive_ub_never_below_spectral_product():

@@ -131,6 +131,48 @@ def test_per_neuron_rule_must_cover_ties():
         chain_rule_jacobian(net, [0.0], ZeroRule.per_neuron({(0, 0): 1}))
 
 
+def _row_close(a, b, rtol=1e-12):
+    return np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
+
+
+def test_batched_jacobian_rows_match_single_points():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for arch, seed in (([4, 8, 8, 1], 12), ([3, 8, 8, 3], 4), ([10, 20, 20, 1], 3)):
+        net = random_he(arch, seed)
+        xs = rng.uniform(-1.0, 1.0, size=(40, arch[0]))
+        for point_only in (forward, pattern_at):  # a stack is not one point
+            with pytest.raises(ValueError):
+                point_only(net, xs)
+        zs = preactivations(net, xs)
+        assert [z.shape for z in zs] == [(40, n) for n in net.layer_sizes]
+        for k, x in enumerate(xs):
+            assert all(_row_close(z[k], z1) for z, z1 in zip(zs, preactivations(net, x)))
+        for rule in (ALWAYS_ZERO, ALWAYS_ONE):
+            jacs = chain_rule_jacobian(net, xs, rule)
+            assert jacs.shape == (40, net.output_dim, arch[0])
+            for x, jac in zip(xs, jacs):
+                assert _row_close(jac, chain_rule_jacobian(net, x, rule))
+
+
+def test_batched_jacobian_resolves_tie_rows_by_rule():
+    # x = 0 ties both kernels of the identity net; its neighbours do not
+    net = identity_network()
+    xs = np.array([[-0.5], [0.0], [0.25]])
+    for rule, tie_value in ((ALWAYS_ZERO, 2.0), (ALWAYS_ONE, 0.0)):
+        jacs = chain_rule_jacobian(net, xs, rule)
+        assert jacs[:, 0, 0].tolist() == [1.0, tie_value, 1.0]
+        for x, jac in zip(xs, jacs):
+            assert np.array_equal(jac, chain_rule_jacobian(net, x, rule))
+
+
+def test_per_neuron_rule_rejects_a_stack():
+    net = identity_network()
+    rule = ZeroRule.per_neuron({(0, 0): 1, (0, 1): 0})
+    assert chain_rule_jacobian(net, [[0.0]], rule).tolist() == [[[1.0]]]
+    with pytest.raises(ValueError, match="stack of 2"):
+        chain_rule_jacobian(net, [[0.0], [0.0]], rule)
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.Generator(np.random.Philox(key=4))
     for seed in range(5):

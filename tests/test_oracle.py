@@ -8,7 +8,6 @@ from lipcert.network import (
     ReLUNetwork,
     affine_network,
     identity_network,
-    pattern_at,
     preactivations,
     random_he,
 )
@@ -24,13 +23,9 @@ def grid_pattern_count(net, domain, n=60):
     axes = [np.linspace(lo, hi, n) for lo, hi in zip(domain.l, domain.u)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    seen = set()
-    for x in pts:
-        pat = pattern_at(net, x, tie_tol=0.0)
-        if pat.tie_positions():
-            continue
-        seen.add(tuple(tuple(int(v) for v in lay) for lay in pat.layers))
-    return len(seen)
+    zs = np.hstack(preactivations(net, pts))
+    untied = np.all(zs != 0.0, axis=1)  # a point on a kernel has no pattern
+    return len(np.unique(zs[untied] > 0.0, axis=0))
 
 
 def test_affine_single_region():
