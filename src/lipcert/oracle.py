@@ -9,6 +9,31 @@ once the signs of earlier layers are fixed, every pre-activation of the next
 layer is affine in the input, so each partial sign assignment is an LP
 feasibility question and infeasible prefixes prune whole subtrees.
 
+One LP per layer prefix.  When the search enters layer k with the signs of
+layers 0..k-1 fixed, it builds (on first use) one ``lp.SimplexSolver`` over
+the input x and the pre-activations z_0..z_k, with one row
+m_j.x - z_j = -v_j per neuron, where m_j x + v_j is the neuron's affine map
+from ``next_layer_affine``; the solver's equality presolve eliminates the z's.
+Each z box starts as the interval range of m_j x + v_j over the domain, so an
+undecided neuron constrains nothing.  Choosing a sign is a bound change on
+z_j alone (on: [eps, hi], off: [lo, -eps]); an empty box is infeasible
+without a solve.  Every LP of the prefix warm-starts from the basis of the
+nearest ancestor's OPTIMAL answer on the same solver, and a branch that the
+current witness already satisfies needs no LP.
+
+Box refutation.  The search carries an input box that contains every point
+an LP of the subtree could accept.  Such an answer is checked by the solver
+against its bounds and rows: x within FEAS_TOL of the domain, z_j within
+FEAS_TOL of its sign box and each row within FEAS_TOL (1 + |v_j|), so a
+decided neuron's signed pre-activation is at least
+eps - FEAS_TOL (2 + |v_j|) there.  The box starts as the domain widened by
+FEAS_TOL and is cut by each accepted branch's row relaxed by twice that
+amount (the factor two covers the rounding of the box arithmetic); a branch
+whose signed pre-activation stays below eps minus the same margin over the
+whole box has no point any LP could accept and is dropped unsolved.  The box
+refutes only what the LP would reject, so the region set is the one the LPs
+alone would give.
+
 This path shares no interval analysis and no big-M encoding with the MIP
 pipeline (only the LP solver and the per-pattern affine maps), which is what
 makes it a meaningful cross-check.
@@ -48,6 +73,45 @@ class RegionCertificate:
     dual_norm_value: float
 
 
+def _image(m, v, bl, bu):
+    """Interval range of the rows of m x + v over the box [bl, bu]."""
+    mp, mn = np.maximum(m, 0.0), np.minimum(m, 0.0)
+    return mp @ bl + mn @ bu + v, mp @ bu + mn @ bl + v
+
+
+def _cut(bl, bu, a, floor):
+    """The box [bl, bu] cut by the row a.x >= floor, one coordinate at a time:
+    each coordinate must make up what the others can at most contribute."""
+    top = np.maximum(a * bl, a * bu)
+    need = floor - (top.sum() - top)
+    bound = np.divide(need, a, out=np.zeros_like(a), where=a != 0.0)
+    return (np.where(a > 0.0, np.maximum(bl, bound), bl),
+            np.where(a < 0.0, np.minimum(bu, bound), bu))
+
+
+class _Prefix:
+    """The witness LP of one layer prefix over [x, z_0..z_k]: rows
+    ``rows.x - z = rhs`` and the shared bound arrays ``lo``, ``hi`` (views
+    of the columns it spans).  The solver is built on the first solve."""
+
+    def __init__(self, rows, rhs, lo, hi):
+        self.rows, self.rhs, self.lo, self.hi = rows, rhs, lo, hi
+        self._solver = None
+
+    def solve(self, basis):
+        if self._solver is None:
+            r, n0 = self.rows.shape
+            problem = lp.LPProblem(
+                np.zeros(n0 + r), np.hstack([self.rows, -np.eye(r)]), ("=",) * r,
+                self.rhs, self.lo.copy(), self.hi.copy(),
+            )
+            self._solver = lp.SimplexSolver(problem)
+        sol = self._solver.solve(self.lo, self.hi, basis=basis)
+        if sol.status == lp.NUMERICAL_FAILURE:
+            raise lp.SolverNumericalError("witness LP failed")
+        return sol
+
+
 def enumerate_regions(
     net: ReLUNetwork,
     domain: Hyperbox,
@@ -59,10 +123,20 @@ def enumerate_regions(
     """Yield a certificate for every region with an eps-deep point in the box.
 
     Each certificate's witness satisfies all its sign constraints with slack
-    >= interior_eps.  Full-dimensional regions intersecting the domain deeply
-    enough are produced exactly once; thinner slivers are skipped.  A witness
-    LP that fails raises ``lp.SolverNumericalError`` rather than pruning.
+    >= interior_eps, up to the LP's feasibility tolerance.  Full-dimensional
+    regions intersecting the domain deeply enough are produced exactly once;
+    thinner slivers are skipped.  The search starts from the domain's centre
+    as witness.  Per neuron, a sign is accepted without an LP when the
+    witness satisfies it, dropped without one when its z box is empty or the
+    carried input box refutes it (see the module docstring for why that
+    drops nothing an LP would accept), and otherwise decided by the layer
+    prefix's LP, warm-started from the nearest ancestor's optimal basis.  A
+    witness LP that fails raises ``lp.SolverNumericalError`` rather than
+    pruning.  ``interior_eps`` must be a finite number > 0: at 0 or below,
+    neighbouring regions would overlap in the witnessed sets.
     """
+    if not 0.0 < interior_eps < np.inf:
+        raise ValueError(f"interior_eps must be a finite number > 0, got {interior_eps!r}")
     if net.total_neurons > neuron_cap:
         raise NeuronCapExceeded(
             f"network has {net.total_neurons} neurons, cap is {neuron_cap}; "
@@ -70,59 +144,61 @@ def enumerate_regions(
         )
     if domain.dim != net.input_dim:
         raise ValueError("domain dimension does not match the network")
-    # running LP: box bounds plus one >= row per decided neuron
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    eps = float(interior_eps)
+    n0, sizes, depth = net.input_dim, net.layer_sizes, net.depth
+    # column of each layer's first pre-activation in [x, z_0, z_1, ...]
+    starts = np.cumsum((n0,) + sizes)
+    lo = np.concatenate([domain.l, np.zeros(net.total_neurons)])
+    hi = np.concatenate([domain.u, np.zeros(net.total_neurons)])
+    signs = [np.zeros(s, dtype=np.int8) for s in sizes]
 
-    # flattened neuron order: layer by layer
-    sizes = net.layer_sizes
-    d = net.depth
+    def enter(k, m, v, rows, rhs, witness, bl, bu):
+        """Start layer k, whose pre-activations are m x + v."""
+        start, end = starts[k], starts[k + 1]
+        lo[start:end], hi[start:end] = _image(m, v, domain.l, domain.u)
+        prefix = _Prefix(np.vstack([rows, m]), np.concatenate([rhs, -v]), lo[:end], hi[:end])
+        yield from decide(k, 0, m, v, prefix, None, witness, bl, bu)
 
-    def recurse(layer, idx, m, v, signs_so_far, witness):
-        if layer == d:
-            mults = [s.astype(float) for s in signs_so_far]
-            jac = jacobian_from_multipliers(net, mults)
+    def decide(k, idx, m, v, prefix, basis, witness, bl, bu):
+        """Choose the sign of neuron idx of layer k, then of the rest."""
+        if idx == sizes[k]:
+            if k + 1 < depth:
+                nm, nv = next_layer_affine(net, k, signs[k].astype(float), m, v)
+                yield from enter(k + 1, nm, nv, prefix.rows, prefix.rhs, witness, bl, bu)
+                return
+            jac = jacobian_from_multipliers(net, [s.astype(float) for s in signs])
             value = norms.operator_dual_value(jac, alpha, output_norm)
-            pattern = tuple(s.copy() for s in signs_so_far)
+            pattern = tuple(s.copy() for s in signs)
             yield RegionCertificate(pattern, witness.copy(), jac, value)
             return
-        row = m[idx]
-        off = v[idx]
-        for sign in (1, 0):
-            if sign == 1:
-                extra_row, extra_rhs = row, interior_eps - off
-            else:
-                extra_row, extra_rhs = -row, interior_eps + off
-            # cheap test: does the current witness already satisfy the branch?
-            if witness is not None and extra_row @ witness >= extra_rhs:
-                new_witness = witness
-            else:
-                new_witness = lp.box_witness(
-                    rows + [extra_row], rhs + [extra_rhs], domain.l, domain.u
-                )
-                if new_witness is None:
+        row, off = m[idx], v[idx]
+        col = starts[k] + idx
+        zlo, zhi = lo[col], hi[col]
+        at_witness = row @ witness
+        margin = 2.0 * lp.FEAS_TOL * (2.0 + abs(off))
+        for sign, s in ((1, 1.0), (0, -1.0)):
+            lo[col], hi[col] = (eps, zhi) if sign else (zlo, -eps)
+            if lo[col] > hi[col]:
+                continue
+            a, floor = s * row, eps - s * off  # the branch is a.x >= floor
+            child_basis, child_witness = basis, witness
+            if not s * at_witness >= floor:
+                if np.maximum(a * bl, a * bu).sum() < floor - margin:
                     continue
-            rows.append(extra_row)
-            rhs.append(extra_rhs)
-            signs_so_far[layer][idx] = sign
-            if idx + 1 == sizes[layer]:
-                if layer + 1 == d:
-                    yield from recurse(d, 0, None, None, signs_so_far, new_witness)
-                else:
-                    signs = signs_so_far[layer].astype(float)
-                    nm, nv = next_layer_affine(net, layer, signs, m, v)
-                    yield from recurse(layer + 1, 0, nm, nv, signs_so_far, new_witness)
-            else:
-                yield from recurse(layer, idx + 1, m, v, signs_so_far, new_witness)
-            rows.pop()
-            rhs.pop()
-        signs_so_far[layer][idx] = 0
+                sol = prefix.solve(basis)
+                if sol.status != lp.OPTIMAL:
+                    continue
+                child_basis, child_witness = sol.basis, sol.x[:n0]
+            signs[k][idx] = sign
+            cbl, cbu = _cut(bl, bu, a, floor - margin)
+            yield from decide(k, idx + 1, m, v, prefix, child_basis, child_witness, cbl, cbu)
+        lo[col], hi[col] = zlo, zhi
+        signs[k][idx] = 0
 
-    signs0 = [np.zeros(s, dtype=np.int8) for s in sizes]
-    m0 = net.weights[0].copy()
-    v0 = net.biases[0].copy()
-    root_witness = lp.box_witness(rows, rhs, domain.l, domain.u)
-    yield from recurse(0, 0, m0, v0, signs0, root_witness)
+    yield from enter(
+        0, net.weights[0], net.biases[0], np.zeros((0, n0)), np.zeros(0),
+        domain.center, domain.l - lp.FEAS_TOL, domain.u + lp.FEAS_TOL,
+    )
 
 
 def exact_lipschitz_bruteforce(

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from lipcert import bnb, lp, oracle
+from lipcert import bnb, lp, norms, oracle
 from lipcert.interval import Hyperbox, fastlip
 from lipcert.mip import build_lipmip_model
 from lipcert.network import (
     ReLUNetwork,
     affine_network,
     identity_network,
+    jacobian_from_multipliers,
+    next_layer_affine,
     preactivations,
     random_he,
 )
@@ -26,6 +28,47 @@ def grid_pattern_count(net, domain, n=60):
     zs = np.hstack(preactivations(net, pts))
     untied = np.all(zs != 0.0, axis=1)  # a point on a kernel has no pattern
     return len(np.unique(zs[untied] > 0.0, axis=0))
+
+
+def reference_regions(net, box, alpha="linf", output_norm=None,
+                      eps=oracle.DEFAULT_INTERIOR_EPS):
+    """Reference enumeration: a cold ``lp.box_witness`` over the decided
+    neurons' rows for every branch the current witness does not satisfy.
+    Returns {flattened sign pattern: region dual norm}."""
+    regions = {}
+    rows, rhs = [], []
+    signs = [np.zeros(n, dtype=np.int8) for n in net.layer_sizes]
+
+    def recurse(layer, idx, m, v, witness):
+        if layer == net.depth:
+            jac = jacobian_from_multipliers(net, [s.astype(float) for s in signs])
+            regions[tuple(np.concatenate(signs))] = norms.operator_dual_value(
+                jac, alpha, output_norm)
+            return
+        if idx == net.layer_sizes[layer]:
+            if layer + 1 < net.depth:
+                m, v = next_layer_affine(net, layer, signs[layer].astype(float), m, v)
+            recurse(layer + 1, 0, m, v, witness)
+            return
+        for sign, s in ((1, 1.0), (0, -1.0)):
+            row, bound = s * m[idx], eps - s * v[idx]
+            w = witness if row @ witness >= bound else lp.box_witness(
+                rows + [row], rhs + [bound], box.l, box.u)
+            if w is not None:
+                rows.append(row)
+                rhs.append(bound)
+                signs[layer][idx] = sign
+                recurse(layer, idx + 1, m, v, w)
+                rows.pop()
+                rhs.pop()
+        signs[layer][idx] = 0
+
+    recurse(0, 0, net.weights[0], net.biases[0], lp.box_witness([], [], box.l, box.u))
+    return regions
+
+
+def patterns_of(certs):
+    return {tuple(np.concatenate(c.pattern)) for c in certs}
 
 
 def test_affine_single_region():
@@ -133,3 +176,74 @@ def test_failed_witness_lp_raises_instead_of_pruning(monkeypatch):
     monkeypatch.setattr(lp.SimplexSolver, "solve", every_third_fails)
     with pytest.raises(lp.SolverNumericalError):
         list(enumerate_regions(net, box))
+
+
+@pytest.mark.parametrize("arch, seed, radius, alpha, output_norm", [
+    ([2, 8, 8, 1], 1, 0.5, "linf", None),
+    ([3, 6, 5, 1], 4, 0.6, "l1", None),
+    ([2, 5, 4, 4, 1], 0, 1.0, "linf", None),
+    ([3, 4, 4, 4, 1], 5, 1.0, "l1", None),
+    ([2, 6, 5, 4, 1], 0, 1.0, "l1", None),
+    ([3, 5, 5, 5, 1], 0, 0.5, "linf", None),
+    ([3, 6, 6, 3], 4, 0.5, "linf", "cross"),
+])
+def test_regions_match_cold_reference(arch, seed, radius, alpha, output_norm):
+    # the per-prefix warm solver and the box refutation drop exactly the
+    # branches that a cold LP per branch refutes
+    net = random_he(arch, seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+    expected = reference_regions(net, box, alpha, output_norm)
+    certs = list(enumerate_regions(net, box, alpha=alpha, output_norm=output_norm))
+    assert len(expected) > 8
+    assert len(certs) == len(expected)
+    assert patterns_of(certs) == set(expected)
+    assert max(c.dual_norm_value for c in certs) == max(expected.values())
+
+
+def test_failed_warm_solves_fall_back_cold(monkeypatch):
+    net = random_he([2, 5, 4, 4, 1], seed=0)
+    box = Hyperbox.from_center_radius(np.full(2, 0.5), 1.0)
+    expected = patterns_of(enumerate_regions(net, box))
+    original = lp.SimplexSolver._dual
+    warm = []
+
+    def warm_fails(self, basis, *args):
+        if basis is not None:
+            warm.append(1)
+            return lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, 0)
+        return original(self, basis, *args)
+
+    monkeypatch.setattr(lp.SimplexSolver, "_dual", warm_fails)
+    assert patterns_of(enumerate_regions(net, box)) == expected
+    assert warm  # the search did warm-start, and every such start failed
+
+
+def test_one_region_jacobian_per_region(monkeypatch):
+    # the region counter of the benchmark's trace wraps this module attribute
+    net = random_he([3, 5, 4, 1], seed=3)
+    box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return jacobian_from_multipliers(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "jacobian_from_multipliers", counted)
+    certs = list(enumerate_regions(net, box))
+    assert certs and len(calls) == len(certs)
+
+
+@pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan, np.inf])
+def test_interior_eps_must_be_finite_and_positive(monkeypatch, eps):
+    # at eps <= 0 the witnessed sets of neighbouring regions overlap: without
+    # the check, -0.5 counts 50 "regions" on this net (10 at the default eps)
+    # and overstates L as 1.44672 (exact: 1.44371)
+    net = random_he([2, 8, 8, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(2, 0.5), 0.5)
+    solves = []
+    monkeypatch.setattr(lp.SimplexSolver, "solve", lambda *a, **k: solves.append(1))
+    with pytest.raises(ValueError, match="interior_eps"):
+        list(enumerate_regions(net, box, interior_eps=eps))
+    with pytest.raises(ValueError, match="interior_eps"):
+        exact_lipschitz_bruteforce(net, box, interior_eps=eps)
+    assert not solves
