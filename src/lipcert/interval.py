@@ -5,9 +5,10 @@ A forward pass pushes an input box through affine maps, the sign abstraction
 every pre- and post-activation; a backward pass pushes the head row (or a
 dual-ball box, for vector-valued networks) through the gradient recursion,
 whose switches y * a take the neurons' signs, to bound every chain-rule
-Jacobian entry.  Maximizing a norm over the final gradient
-box gives the FastLip upper bound; the intermediate boxes supply the finite
-big-M constants of the LipMIP model (``mip.build_lipmip_model``).
+Jacobian entry.  The dual norm of the final gradient box's corner of largest
+magnitudes is the FastLip upper bound (``fastlip``, which takes the input
+norm as every estimator does); the intermediate boxes supply the finite big-M
+constants of the LipMIP model (``mip.build_lipmip_model``).
 """
 
 from __future__ import annotations
@@ -228,19 +229,10 @@ def propagate(
     )
 
 
-def max_norm_over_box(box: Hyperbox, grad_norm: str) -> float:
-    """Maximum of a vector norm over a box (attained at a corner)."""
-    peak = np.maximum(np.abs(box.l), np.abs(box.u))
-    if grad_norm == "l1":
-        return float(peak.sum())
-    if grad_norm == "linf":
-        return float(peak.max()) if peak.size else 0.0
-    raise ValueError(f"unknown gradient norm {grad_norm!r}")
-
-
-def fastlip(net: ReLUNetwork, domain: Hyperbox, grad_norm: str = "l1") -> float:
-    """Certified Lipschitz upper bound: max gradient norm over the propagated
-    gradient box.  grad_norm="l1" bounds the linf Lipschitz constant,
-    "linf" the l1 one."""
-    result = propagate(net, domain)
-    return max_norm_over_box(result.gradient_box, grad_norm)
+def fastlip(net: ReLUNetwork, domain: Hyperbox, alpha: str = "linf") -> float:
+    """Certified Lipschitz upper bound in the input norm ``alpha``: the dual
+    norm of the gradient box's corner of largest magnitudes, which dominates
+    every gradient in the box coordinate by coordinate."""
+    box = propagate(net, domain).gradient_box
+    corner = np.maximum(np.abs(box.l), np.abs(box.u))
+    return norms.operator_dual_value(corner.reshape(1, -1), alpha, None)

@@ -60,9 +60,9 @@ from .network import (
     ZeroRule,
     chain_rule_jacobian,
     jacobian_from_multipliers,
+    multipliers,
     next_layer_affine,
-    pattern_at,
-    pattern_multipliers,
+    preactivations,
 )
 
 CONTINUOUS = "continuous"
@@ -697,9 +697,12 @@ def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
     """
     net = problem.net
     x = np.asarray(x, dtype=float).reshape(-1)
-    pattern = pattern_at(net, x, tie_tol=0.0)
-    mults = pattern_multipliers(pattern, rule)
-    forced = {(i, j): int(mults[i][j]) for i, j in pattern.tie_positions()}
+    mults = multipliers(net, x, rule)
+    forced = {
+        (i, int(j)): int(mults[i][j])
+        for i, z in enumerate(preactivations(net, x))
+        for j in np.flatnonzero(z == 0.0)
+    }
     seed = None
     if problem.output_norm is not None:
         if z is None:

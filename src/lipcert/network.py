@@ -5,16 +5,16 @@ A network is ``f(x) = H @ relu(Z_d(x))`` with the layer recursion
 is stored as an ``m x n_d`` matrix even for scalar-valued networks (``m = 1``)
 so vector-valued outputs need no second code path.
 
-The chain-rule Jacobian is computed with a configurable rule for the
-derivative taken at exactly-zero pre-activations, where any value in ``{0, 1}``
-is a legitimate choice.  Different choices can disagree (see
-``identity_network``), which is the whole reason the rule is explicit here.
+``chain_rule_jacobian`` is ``jacobian_from_multipliers`` applied to the
+sigma' of ``multipliers``, whose ``ZeroRule`` sets the derivative taken at
+exactly-zero pre-activations, where any value in ``{0, 1}`` is a legitimate
+choice.  Different choices can disagree (see ``identity_network``), which is
+the whole reason the rule is explicit here.
 
-``preactivations`` and ``chain_rule_jacobian`` take one point of shape
-``(n0,)`` or a stack of ``N`` points of shape ``(N, n0)``.  A point gives
-per-layer ``(n_i,)`` pre-activations and an ``(m, n0)`` Jacobian; a stack
-gives ``(N, n_i)`` and ``(N, m, n0)``, one row per point, from one matrix
-product per layer.
+``preactivations``, ``multipliers`` and ``chain_rule_jacobian`` take one point
+``(n0,)`` or a stack of ``N`` points ``(N, n0)``.  A point gives per-layer
+``(n_i,)`` vectors and an ``(m, n0)`` Jacobian; a stack gives ``(N, n_i)``
+and ``(N, m, n0)``, one row per point, from one matrix product per layer.
 """
 
 from __future__ import annotations
@@ -24,16 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tri-state neuron labels of ActivationPattern; lipcert.interval's sign
-# states use ON and OFF too, with UNKNOWN for an undecided neuron.
+# Neuron sign labels; lipcert.interval's sign states add UNKNOWN for an
+# undecided neuron.
 ON = 1
 OFF = 0
-TIE = -1
-
-#: Slack used when *diagnosing* ties in floating point.  Exact-zero comparison
-#: (tie_tol = 0) is used inside the MIP and oracle paths, where the semantics
-#: are exact.
-DEFAULT_TIE_TOL = 1e-9
 
 
 class NetworkFormatError(ValueError):
@@ -111,26 +105,13 @@ class ReLUNetwork:
 
 
 @dataclass(frozen=True)
-class ActivationPattern:
-    """Per-neuron tri-state (ON/OFF/TIE) grouped by layer."""
-
-    layers: tuple[np.ndarray, ...]
-
-    def tie_positions(self) -> list[tuple[int, int]]:
-        return [
-            (i, int(j))
-            for i, lay in enumerate(self.layers)
-            for j in np.flatnonzero(lay == TIE)
-        ]
-
-
-@dataclass(frozen=True)
 class ZeroRule:
     """How the chain rule resolves sigma'(0) at tied neurons.
 
     ``ALWAYS_ZERO`` matches the autodiff convention sigma'(0) = 0,
     ``ALWAYS_ONE`` the opposite extreme; ``per_neuron`` assigns each tied
-    neuron individually (the assignment must cover exactly the TIE set).
+    neuron ``(layer, index)`` individually (the assignment must cover exactly
+    the neurons whose pre-activation is 0 at the point it is used at).
     """
 
     kind: str
@@ -144,38 +125,21 @@ class ZeroRule:
                 raise ValueError("per-neuron assignment values must be 0 or 1")
         return ZeroRule("per_neuron", items)
 
-    def value_at(self, layer: int, idx: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "one":
-            return 1.0
-        table = dict(self.assignment)
-        try:
-            return float(table[(layer, idx)])
-        except KeyError:
-            raise ValueError(
-                f"per-neuron rule has no entry for tied neuron ({layer}, {idx})"
-            ) from None
-
 
 ALWAYS_ZERO = ZeroRule("zero")
 ALWAYS_ONE = ZeroRule("one")
 
 
-def _check_input(net: ReLUNetwork, x) -> np.ndarray:
-    """x as a float array: a stack ``(N, n0)`` if 2-d, else one point ``(n0,)``."""
+def preactivations(net: ReLUNetwork, x) -> list[np.ndarray]:
+    """All pre-activations Z_1(x) .. Z_d(x): one ``(n_i,)`` vector per layer
+    for a point, one ``(N, n_i)`` matrix per layer for a stack of N points.
+    A 2-d x is a stack; any other shape is flattened to one point."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         x = x.reshape(-1)
     if x.shape[-1] != net.input_dim:
         raise ValueError(f"input has length {x.shape[-1]}, expected {net.input_dim}")
-    return x
-
-
-def preactivations(net: ReLUNetwork, x) -> list[np.ndarray]:
-    """All pre-activations Z_1(x) .. Z_d(x): one ``(n_i,)`` vector per layer
-    for a point, one ``(N, n_i)`` matrix per layer for a stack of N points."""
-    a = _check_input(net, x).T  # points are columns
+    a = x.T  # points are columns
     zs = []
     for w, b in zip(net.weights, net.biases):
         z = (w @ a).T + b
@@ -189,37 +153,30 @@ def forward(net: ReLUNetwork, x) -> np.ndarray:
     return net.head @ np.maximum(preactivations(net, np.ravel(x))[-1], 0.0)
 
 
-def pattern_at(net: ReLUNetwork, x, tie_tol: float = DEFAULT_TIE_TOL) -> ActivationPattern:
-    """Discretize the activation state at x: ON if z > tie_tol, OFF if
-    z < -tie_tol, TIE otherwise."""
-    if tie_tol < 0:
-        raise ValueError("tie_tol must be >= 0")
-    layers = []
-    for z in preactivations(net, np.ravel(x)):
-        lay = np.full(z.shape, TIE, dtype=np.int8)
-        lay[z > tie_tol] = ON
-        lay[z < -tie_tol] = OFF
-        lay.flags.writeable = False
-        layers.append(lay)
-    return ActivationPattern(tuple(layers))
+def multipliers(net: ReLUNetwork, x, rule: ZeroRule = ALWAYS_ZERO) -> list[np.ndarray]:
+    """sigma' per layer at x: 1 where z > 0, 0 where z < 0 and the rule's
+    value where z == 0 (exact comparison), as one ``(n_i,)`` vector per layer
+    for a point and one ``(N, n_i)`` matrix per layer for a stack.
 
-
-def pattern_multipliers(pattern: ActivationPattern, rule: ZeroRule) -> list[np.ndarray]:
-    """sigma' per neuron, layer by layer: 1 ON, 0 OFF, ``rule`` at ties."""
-    if rule.kind == "per_neuron":
-        covered = {k for k, _ in rule.assignment}
-        ties = set(pattern.tie_positions())
-        if covered != ties:
-            raise ValueError(
-                "per-neuron rule must cover exactly the tied neurons; "
-                f"got {sorted(covered)} vs ties {sorted(ties)}"
-            )
-    mults = []
-    for i, lay in enumerate(pattern.layers):
-        lam = (lay == ON).astype(float)
-        for j in np.flatnonzero(lay == TIE):
-            lam[j] = rule.value_at(i, int(j))
-        mults.append(lam)
+    A ``per_neuron`` rule names the ties of one point, so it takes a point or
+    a stack of one, and its assignment must cover exactly that point's ties.
+    """
+    zs = preactivations(net, x)
+    on = np.greater_equal if rule.kind == "one" else np.greater
+    mults = [on(z, 0.0).astype(float) for z in zs]
+    if rule.kind != "per_neuron":
+        return mults
+    if zs[0].ndim == 2 and len(zs[0]) != 1:
+        raise ValueError(f"a per-neuron rule names one point's ties; got a stack of {len(zs[0])}")
+    ties = {(i, int(j)) for i, z in enumerate(zs) for j in np.flatnonzero(z == 0.0)}
+    table = dict(rule.assignment)
+    if set(table) != ties:
+        raise ValueError(
+            "per-neuron rule must cover exactly the tied neurons; "
+            f"got {sorted(table)} vs ties {sorted(ties)}"
+        )
+    for (i, j), value in table.items():
+        mults[i][..., j] = value
     return mults
 
 
@@ -227,26 +184,10 @@ def chain_rule_jacobian(net: ReLUNetwork, x, rule: ZeroRule = ALWAYS_ZERO) -> np
     """Jacobian produced by the chain rule: ``(m, n0)`` at a point x of shape
     ``(n0,)``, ``(N, m, n0)`` for a stack x of shape ``(N, n0)``.
 
-    Ties are detected with exact-zero comparison and resolved by ``rule``; at
-    differentiable points the result is independent of the rule.  A
-    ``per_neuron`` rule names the ties of one point, so it rejects a stack of
-    more than one.  The backward recursion seeds Y with the head transpose and
-    alternates the tie-resolved diagonal mask with the layer transposes.
+    sigma' comes from ``multipliers`` under ``rule``; at differentiable
+    points the result is independent of the rule.
     """
-    x = _check_input(net, x)
-    if rule.kind == "per_neuron":
-        if x.ndim == 2:
-            if x.shape[0] != 1:
-                raise ValueError(
-                    f"a per-neuron rule names one point's ties; got a stack of {x.shape[0]}"
-                )
-            return chain_rule_jacobian(net, x[0], rule)[None]
-        mults = pattern_multipliers(pattern_at(net, x, tie_tol=0.0), rule)
-    else:
-        # sigma' is 1 where z > 0, and where z == 0 under ALWAYS_ONE
-        on = np.greater_equal if rule.kind == "one" else np.greater
-        mults = [on(z, 0.0).astype(float) for z in preactivations(net, x)]
-    return jacobian_from_multipliers(net, mults)
+    return jacobian_from_multipliers(net, multipliers(net, x, rule))
 
 
 def jacobian_from_multipliers(net: ReLUNetwork, multipliers) -> np.ndarray:
@@ -362,10 +303,11 @@ def save(net: ReLUNetwork, path) -> None:
 def _expect_matrix(rows, name: str, nrows: int, ncols: int) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != nrows:
         raise NetworkFormatError(f"{name}: expected a list of {nrows} rows")
-    out = np.empty((nrows, ncols), dtype=float)
-    for r, row in enumerate(rows):
+    for r, row in enumerate(rows):  # before allocating: arch may claim any width
         if not isinstance(row, list) or len(row) != ncols:
             raise NetworkFormatError(f"{name} row {r}: expected {ncols} entries")
+    out = np.empty((nrows, ncols), dtype=float)
+    for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise NetworkFormatError(f"{name} row {r} column {c}: not a number")
@@ -425,12 +367,14 @@ def from_json_dict(doc) -> ReLUNetwork:
 def load(path) -> ReLUNetwork:
     """Read a network file written by ``save``; malformed input raises
     NetworkFormatError naming the offending field."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, nested too deep
+        raise NetworkFormatError(f"unreadable JSON: {type(exc).__name__}: {exc}") from exc
     return from_json_dict(doc)

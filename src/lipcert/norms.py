@@ -16,24 +16,15 @@ import numpy as np
 INPUT_NORMS = ("linf", "l1")
 OUTPUT_NORMS = ("l1", "linf", "cross")
 
-#: Dual pairing for the two supported input norms.
+#: Dual pairing for the two supported input norms.  Callers name the input
+#: norm; only ``operator_dual_value``, which scores every Jacobian, pairs it.
 DUAL = {"linf": "l1", "l1": "linf"}
 
 
-def vec_norm(v, which: str) -> float:
-    v = np.asarray(v, dtype=float)
-    if which == "l1":
-        return float(np.abs(v).sum())
-    if which == "linf":
-        return float(np.abs(v).max()) if v.size else 0.0
-    if which == "cross":
-        return cross_norm_value(v)
-    raise ValueError(f"unknown norm {which!r}")
-
-
-def dual_vec_norm(v, input_norm: str) -> float:
-    """|| v ||_{alpha*} for input norm alpha."""
-    return vec_norm(v, DUAL[input_norm])
+def check_input_norm(name: str) -> None:
+    """Raise ValueError naming the valid input norms unless ``name`` is one."""
+    if name not in INPUT_NORMS:
+        raise ValueError(f"unknown input norm {name!r}; valid: {', '.join(INPUT_NORMS)}")
 
 
 def cross_norm_value(v) -> float:
@@ -68,20 +59,25 @@ def dual_ball_generators(m: int, output_norm: str) -> np.ndarray:
     raise ValueError(f"unknown output norm {output_norm!r}")
 
 
-def operator_dual_value(jac: np.ndarray, input_norm: str, output_norm: str | None) -> float:
-    """||J||_{alpha -> beta} of a constant Jacobian.
+def operator_dual_value(jac, input_norm: str, output_norm: str | None) -> float:
+    """||J||_{alpha -> beta} of a constant Jacobian ``(m, n0)``, or the
+    maximum over a stack of them ``(N, m, n0)``.
 
-    ``output_norm=None`` treats J as a single row (scalar-valued network) and
-    returns the plain dual vector norm.  Otherwise the value is computed by
-    enumerating the dual ball of beta: ||J||_{a,b} = max_z ||J^T z||_{a*},
-    with the products J^T z of all generators z taken in one matrix product.
+    The value enumerates the dual ball of beta: ||J||_{a,b} = max_z
+    ||J^T z||_{a*}, with the products J^T z of all generators z taken in one
+    matrix product.  ``output_norm=None`` (scalar network, m = 1) is the
+    same computation with the single generator z = 1, so it is the plain dual
+    norm of the gradient row.
     """
+    check_input_norm(input_norm)
     jac = np.atleast_2d(np.asarray(jac, dtype=float))
     if output_norm is None:
-        if jac.shape[0] != 1:
+        if jac.shape[-2] != 1:
             raise ValueError("scalar norm requested for a multi-row Jacobian")
-        return dual_vec_norm(jac[0], input_norm)
-    products = np.abs(dual_ball_generators(jac.shape[0], output_norm) @ jac)
+        gens = np.ones((1, 1))
+    else:
+        gens = dual_ball_generators(jac.shape[-2], output_norm)
+    products = np.abs(gens @ jac)
     if DUAL[input_norm] == "l1":
-        return float(products.sum(axis=1).max())
+        return float(products.sum(axis=-1).max())
     return float(products.max())

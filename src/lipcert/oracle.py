@@ -133,10 +133,12 @@ def enumerate_regions(
     prefix's LP, warm-started from the nearest ancestor's optimal basis.  A
     witness LP that fails raises ``lp.SolverNumericalError`` rather than
     pruning.  ``interior_eps`` must be a finite number > 0: at 0 or below,
-    neighbouring regions would overlap in the witnessed sets.
+    neighbouring regions would overlap in the witnessed sets.  An unknown
+    ``alpha`` raises ``ValueError`` before any LP.
     """
     if not 0.0 < interior_eps < np.inf:
         raise ValueError(f"interior_eps must be a finite number > 0, got {interior_eps!r}")
+    norms.check_input_norm(alpha)
     if net.total_neurons > neuron_cap:
         raise NeuronCapExceeded(
             f"network has {net.total_neurons} neurons, cap is {neuron_cap}; "

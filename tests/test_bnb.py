@@ -133,7 +133,7 @@ def test_liplp_bounds_lipmip_and_fastlip():
         prob = build_lipmip_model(net, box)
         exact = solve_mip(prob)
         relaxed = solve_liplp(prob)
-        fl = fastlip(net, box, "l1")
+        fl = fastlip(net, box, "linf")
         assert exact.status == bnb.EXACT
         assert relaxed >= exact.incumbent_value - 1e-7
         assert relaxed <= fl + 1e-7
@@ -423,7 +423,7 @@ def test_liplp_l1_below_fastlip():
     net = random_he([3, 8, 8, 1], seed=1)
     box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
     liplp = solve_liplp(build_lipmip_model(net, box, alpha="l1"))
-    assert liplp < 0.95 * fastlip(net, box, "linf")
+    assert liplp < 0.95 * fastlip(net, box, "l1")
 
 
 def test_strong_branching_reported(caplog):

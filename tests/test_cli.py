@@ -112,6 +112,30 @@ def test_solve_rejects_boolean_arch_without_traceback(tmp_path):
     assert f"cannot read {path}: arch" in run.stderr
 
 
+@pytest.mark.parametrize("defect", ["non_utf8", "deep", "width_1e12", "width_2e70"])
+def test_solve_rejects_malformed_file_without_traceback(tmp_path, defect):
+    doc = network.to_json_dict(network.random_he([1, 1, 1], seed=0))
+    if defect == "width_1e12":
+        doc["arch"][0] = 10**12
+    elif defect == "width_2e70":
+        doc["arch"][0] = 2**70
+    data = json.dumps(doc).encode()
+    path = tmp_path / "net.json"
+    if defect == "non_utf8":
+        data += b"\xff"
+    elif defect == "deep":
+        data = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "lipcert.cli", "solve", str(path), "--center", "0", "--radius", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert f"cannot read {path}: " in run.stderr
+
+
 def test_runs_on_numpy_alone(tmp_path):
     # numpy is the only runtime dependency: with scipy and hypothesis made
     # unimportable, every lipcert module imports and ``solve`` runs

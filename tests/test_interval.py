@@ -6,7 +6,6 @@ from lipcert.interval import (
     Hyperbox,
     UNKNOWN,
     fastlip,
-    max_norm_over_box,
     propagate,
     push_affine,
     push_conditional,
@@ -18,11 +17,11 @@ from lipcert.network import (
     ALWAYS_ZERO,
     OFF,
     ON,
+    ReLUNetwork,
     ZeroRule,
     affine_network,
     chain_rule_jacobian,
     identity_network,
-    pattern_at,
     preactivations,
     random_he,
 )
@@ -177,18 +176,25 @@ def test_fastlip_affine_closed_form():
     w = np.array([1.5, -2.0, 0.25])
     net = affine_network(w, b=0.7, bound=2.0)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    assert fastlip(net, box, "l1") == pytest.approx(np.abs(w).sum(), abs=1e-12)
-    assert fastlip(net, box, "linf") == pytest.approx(np.abs(w).max(), abs=1e-12)
+    assert fastlip(net, box, "linf") == pytest.approx(np.abs(w).sum(), abs=1e-12)
+    assert fastlip(net, box, "l1") == pytest.approx(np.abs(w).max(), abs=1e-12)
 
 
 def test_fastlip_identity():
-    assert fastlip(identity_network(), Hyperbox([-1.0], [1.0]), "l1") == pytest.approx(2.0)
+    assert fastlip(identity_network(), Hyperbox([-1.0], [1.0]), "linf") == pytest.approx(2.0)
 
 
-def test_max_norm_over_box():
-    box = Hyperbox([-3.0, 1.0], [2.0, 4.0])
-    assert max_norm_over_box(box, "l1") == pytest.approx(7.0)
-    assert max_norm_over_box(box, "linf") == pytest.approx(4.0)
+def test_fastlip_scores_the_gradient_box_corner():
+    # f = -3 relu(x1) + 4 relu(x2): both neurons are unstable on [-1, 1]^2,
+    # so the gradient box is [-3, 0] x [0, 4] and its largest corner (3, 4)
+    net = ReLUNetwork(weights=(np.eye(2),), biases=(np.zeros(2),), head=np.array([[-3.0, 4.0]]))
+    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
+    grad = propagate(net, box).gradient_box
+    assert grad.l.tolist() == [-3.0, 0.0] and grad.u.tolist() == [0.0, 4.0]
+    assert fastlip(net, box, "linf") == 7.0
+    assert fastlip(net, box, "l1") == 4.0
+    with pytest.raises(ValueError, match="unknown input norm 'l2'; valid: linf, l1"):
+        fastlip(net, box, "l2")
 
 
 def test_forced_neurons_tighten():

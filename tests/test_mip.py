@@ -25,7 +25,6 @@ from lipcert.network import (
     affine_network,
     chain_rule_jacobian,
     identity_network,
-    pattern_at,
     random_he,
 )
 
@@ -389,7 +388,7 @@ def test_feasible_set_contains_chain_rule_points():
                 point = feasible_assignment(prob, x, ALWAYS_ZERO)
                 assert prob.model.check_point(point, tol=1e-7) == []
                 jac = chain_rule_jacobian(net, x, ALWAYS_ZERO)
-                expect = norms.dual_vec_norm(jac[0], alpha)
+                expect = np.abs(jac[0]).sum() if alpha == "linf" else np.abs(jac[0]).max()
                 objective = sum(c * point[v] for v, c in prob.model.objective.items())
                 assert objective == pytest.approx(expect, abs=1e-9)
 

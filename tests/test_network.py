@@ -7,9 +7,6 @@ from lipcert import network
 from lipcert.network import (
     ALWAYS_ONE,
     ALWAYS_ZERO,
-    OFF,
-    ON,
-    TIE,
     NetworkFormatError,
     ReLUNetwork,
     ZeroRule,
@@ -18,7 +15,7 @@ from lipcert.network import (
     forward,
     identity_network,
     load,
-    pattern_at,
+    multipliers,
     preactivations,
     random_he,
     save,
@@ -40,6 +37,11 @@ def straight_line_eval(net, x):
     for r in range(net.head.shape[0]):
         out.append(sum(net.head[r, c] * act[c] for c in range(len(act))))
     return np.array(out)
+
+
+def near_tie(net, x, tol):
+    """Whether some pre-activation at x lies within tol of zero."""
+    return any(np.any(np.abs(z) <= tol) for z in preactivations(net, x))
 
 
 def finite_difference_jacobian(net, x, step=1e-5):
@@ -83,25 +85,31 @@ def test_dimension_mismatch_raises():
         forward(net, [1.0, 2.0])
 
 
-def test_pattern_all_on():
+def test_multipliers_all_on():
     net = affine_network([1.0, 2.0], bound=5.0)
-    pat = pattern_at(net, [0.3, -0.4], tie_tol=1e-9)
-    assert all(np.all(lay == ON) for lay in pat.layers)
+    for rule in (ALWAYS_ZERO, ALWAYS_ONE):
+        assert all(np.all(lam == 1.0) for lam in multipliers(net, [0.3, -0.4], rule))
 
 
-def test_pattern_identity_ties_at_zero():
+def test_multipliers_identity_ties_at_zero():
+    # x = 0 ties the two kernels (0, 0) and (0, 1); the shifted pair is on
     net = identity_network()
-    pat = pattern_at(net, [0.0])
-    assert list(pat.layers[0]) == [TIE, TIE, ON, ON]
-    assert pat.tie_positions() == [(0, 0), (0, 1)]
+    assert [list(np.flatnonzero(z == 0.0)) for z in preactivations(net, [0.0])] == [[0, 1]]
+    assert multipliers(net, [0.0], ALWAYS_ZERO)[0].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert multipliers(net, [0.0], ALWAYS_ONE)[0].tolist() == [1.0, 1.0, 1.0, 1.0]
+    mixed = ZeroRule.per_neuron({(0, 0): 1, (0, 1): 0})
+    assert multipliers(net, [0.0], mixed)[0].tolist() == [1.0, 0.0, 1.0, 1.0]
+    assert multipliers(net, [0.5], ALWAYS_ONE)[0].tolist() == [1.0, 0.0, 1.0, 1.0]
 
 
-def test_pattern_no_ties_at_random_points():
+def test_no_ties_at_random_points():
     rng = np.random.Generator(np.random.Philox(key=3))
     net = random_he([4, 6, 6, 1], seed=5)
     for _ in range(50):
         x = rng.normal(size=4)
-        assert pattern_at(net, x, tie_tol=0.0).tie_positions() == []
+        assert not near_tie(net, x, 0.0)
+        ones = multipliers(net, x, ALWAYS_ONE)
+        assert all(np.array_equal(a, b) for a, b in zip(multipliers(net, x), ones))
 
 
 def test_jacobian_affine_region_product():
@@ -140,17 +148,20 @@ def test_batched_jacobian_rows_match_single_points():
     for arch, seed in (([4, 8, 8, 1], 12), ([3, 8, 8, 3], 4), ([10, 20, 20, 1], 3)):
         net = random_he(arch, seed)
         xs = rng.uniform(-1.0, 1.0, size=(40, arch[0]))
-        for point_only in (forward, pattern_at):  # a stack is not one point
-            with pytest.raises(ValueError):
-                point_only(net, xs)
+        with pytest.raises(ValueError):  # a stack is not one point
+            forward(net, xs)
         zs = preactivations(net, xs)
         assert [z.shape for z in zs] == [(40, n) for n in net.layer_sizes]
         for k, x in enumerate(xs):
             assert all(_row_close(z[k], z1) for z, z1 in zip(zs, preactivations(net, x)))
         for rule in (ALWAYS_ZERO, ALWAYS_ONE):
+            lams = multipliers(net, xs, rule)
+            assert [lam.shape for lam in lams] == [(40, n) for n in net.layer_sizes]
             jacs = chain_rule_jacobian(net, xs, rule)
             assert jacs.shape == (40, net.output_dim, arch[0])
-            for x, jac in zip(xs, jacs):
+            for k, (x, jac) in enumerate(zip(xs, jacs)):
+                single = multipliers(net, x, rule)
+                assert all(np.array_equal(lam[k], lam1) for lam, lam1 in zip(lams, single))
                 assert _row_close(jac, chain_rule_jacobian(net, x, rule))
 
 
@@ -161,7 +172,9 @@ def test_batched_jacobian_resolves_tie_rows_by_rule():
     for rule, tie_value in ((ALWAYS_ZERO, 2.0), (ALWAYS_ONE, 0.0)):
         jacs = chain_rule_jacobian(net, xs, rule)
         assert jacs[:, 0, 0].tolist() == [1.0, tie_value, 1.0]
-        for x, jac in zip(xs, jacs):
+        lams = multipliers(net, xs, rule)[0]
+        for x, lam, jac in zip(xs, lams, jacs):
+            assert np.array_equal(lam, multipliers(net, x, rule)[0])
             assert np.array_equal(jac, chain_rule_jacobian(net, x, rule))
 
 
@@ -169,8 +182,21 @@ def test_per_neuron_rule_rejects_a_stack():
     net = identity_network()
     rule = ZeroRule.per_neuron({(0, 0): 1, (0, 1): 0})
     assert chain_rule_jacobian(net, [[0.0]], rule).tolist() == [[[1.0]]]
-    with pytest.raises(ValueError, match="stack of 2"):
-        chain_rule_jacobian(net, [[0.0], [0.0]], rule)
+    assert multipliers(net, [[0.0]], rule)[0].tolist() == [[1.0, 0.0, 1.0, 1.0]]
+    for f in (multipliers, chain_rule_jacobian):
+        with pytest.raises(ValueError, match="stack of 2"):
+            f(net, [[0.0], [0.0]], rule)
+
+
+def test_per_neuron_rule_names_the_uncovered_tie():
+    net = identity_network()
+    partial = ZeroRule.per_neuron({(0, 0): 1})
+    for x in ([0.0], [[0.0]]):
+        with pytest.raises(ValueError, match=r"ties \[\(0, 0\), \(0, 1\)\]"):
+            multipliers(net, x, partial)
+    # an entry for a neuron that is not tied is as wrong as a missing one
+    with pytest.raises(ValueError, match=r"ties \[\]"):
+        multipliers(net, [0.5], partial)
 
 
 def test_jacobian_matches_finite_differences():
@@ -179,7 +205,7 @@ def test_jacobian_matches_finite_differences():
         net = random_he([4, 7, 6, 2], seed=seed)
         for _ in range(10):
             x = rng.normal(size=4)
-            if pattern_at(net, x, tie_tol=1e-7).tie_positions():
+            if near_tie(net, x, 1e-7):
                 continue
             jac = chain_rule_jacobian(net, x)
             fd = finite_difference_jacobian(net, x)
@@ -192,7 +218,7 @@ def test_rule_independence_off_kernels():
     net = random_he([3, 5, 5, 1], seed=9)
     for _ in range(20):
         x = rng.normal(size=3)
-        if pattern_at(net, x, tie_tol=0.0).tie_positions():
+        if near_tie(net, x, 0.0):
             continue
         j0 = chain_rule_jacobian(net, x, ALWAYS_ZERO)
         j1 = chain_rule_jacobian(net, x, ALWAYS_ONE)
@@ -207,9 +233,10 @@ def test_piecewise_linearity_midpoint_identity():
         x = rng.normal(size=3)
         v = rng.normal(size=3)
         t = 1e-4
-        pats = [pattern_at(net, x + s * v, tie_tol=0.0) for s in (-t, 0.0, t)]
+        # sign(z) is the tri-state on / off / tie at each of the three points
+        pats = [[np.sign(z) for z in preactivations(net, x + s * v)] for s in (-t, 0.0, t)]
         if not all(
-            all(np.array_equal(a, b) for a, b in zip(p.layers, pats[0].layers))
+            all(np.array_equal(a, b) for a, b in zip(p, pats[0]))
             for p in pats
         ):
             continue
@@ -227,7 +254,7 @@ def test_jacobian_first_order_expansion():
     checked = 0
     for _ in range(50):
         x = rng.normal(size=4)
-        if pattern_at(net, x, tie_tol=1e-6).tie_positions():
+        if near_tie(net, x, 1e-6):
             continue
         jac = chain_rule_jacobian(net, x)
         h = rng.normal(size=4)
@@ -334,6 +361,28 @@ def test_load_rejects_boolean_arch_entry(tmp_path):
     path = tmp_path / "bool_arch.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(NetworkFormatError, match="arch"):
+        load(path)
+
+
+def test_load_rejects_non_utf8_and_deep_nesting(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(json.dumps(network.to_json_dict(identity_network())).encode() + b"\xff")
+    with pytest.raises(NetworkFormatError, match="UnicodeDecodeError"):
+        load(path)
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(NetworkFormatError, match="RecursionError"):
+        load(path)
+
+
+@pytest.mark.parametrize("width", [10**12, 2**70])
+def test_load_checks_row_lengths_before_allocating(tmp_path, width):
+    # arch claims a width that numpy cannot allocate (or index); the short
+    # rows must be reported before any matrix of that width is made
+    doc = network.to_json_dict(random_he([1, 1, 1], seed=0))
+    doc["arch"][0] = width
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFormatError, match=rf"weights\[0\] row 0: expected {width} entries"):
         load(path)
 
 

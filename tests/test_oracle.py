@@ -156,7 +156,7 @@ def test_fastlip_dominates_oracle():
         net = random_he([4, 8, 8, 1], seed=seed)
         box = Hyperbox.from_center_radius(np.full(4, 0.5), 0.5)
         exact = exact_lipschitz_bruteforce(net, box, "linf")
-        assert fastlip(net, box, "l1") >= exact - 1e-7 * max(1.0, exact)
+        assert fastlip(net, box, "linf") >= exact - 1e-7 * max(1.0, exact)
 
 
 def test_failed_witness_lp_raises_instead_of_pruning(monkeypatch):
@@ -176,6 +176,17 @@ def test_failed_witness_lp_raises_instead_of_pruning(monkeypatch):
     monkeypatch.setattr(lp.SimplexSolver, "solve", every_third_fails)
     with pytest.raises(lp.SolverNumericalError):
         list(enumerate_regions(net, box))
+
+
+def test_unknown_norm_raises_before_any_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the norm was checked")
+
+    monkeypatch.setattr(lp.SimplexSolver, "solve", no_lp)
+    net = random_he([2, 8, 8, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(2, 0.5), 0.5)
+    with pytest.raises(ValueError, match="unknown input norm 'l2'; valid: linf, l1"):
+        exact_lipschitz_bruteforce(net, box, "l2")
 
 
 @pytest.mark.parametrize("arch, seed, radius, alpha, output_norm", [

@@ -76,6 +76,22 @@ def test_zero_row_head_reduces_to_scalar():
     assert vec.incumbent_value == pytest.approx(scalar.incumbent_value, rel=1e-8, abs=1e-9)
 
 
+@pytest.mark.parametrize("input_norm", ["linf", "l1"])
+def test_operator_dual_value_of_a_stack_is_the_max(input_norm):
+    rng = np.random.Generator(np.random.Philox(key=17))
+    for output_norm, m in ((None, 1), ("l1", 3), ("linf", 3), ("cross", 3)):
+        jacs = rng.normal(size=(7, m, 4))
+        each = [norms.operator_dual_value(jac, input_norm, output_norm) for jac in jacs]
+        assert norms.operator_dual_value(jacs, input_norm, output_norm) == max(each)
+        if output_norm is None:  # the dual norm of the gradient row
+            rows = np.abs(jacs[:, 0])
+            dual = rows.sum(axis=1) if input_norm == "linf" else rows.max(axis=1)
+            assert each == dual.tolist()
+        elif output_norm == "cross" and input_norm == "l1":  # largest column
+            cols = [max(cross_norm_value(col) for col in jac.T) for jac in jacs]
+            assert each == pytest.approx(cols, rel=1e-12)
+
+
 def test_affine_vector_operator_norms():
     rng = np.random.Generator(np.random.Philox(key=21))
     a = rng.normal(size=(3, 2))
