@@ -266,32 +266,27 @@ def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int |
     return y, a
 
 
-def encode_relu(model: MIPModel, coefs: dict[int, float], const: float,
-                l: float, u: float, name: str) -> tuple[int, BinDecision]:
-    """p = relu(expr) for an affine expression with known bounds [l, u].
+def encode_relu(model: MIPModel, z: int, name: str) -> tuple[int, BinDecision]:
+    """p = relu(z) for a pre-activation variable z with model bounds [l, u].
 
     The standard big-M encoding: a binary a (declared before p) with p in
-    [0, u], p >= expr, p <= expr - l(1-a) and p <= u a, whose LP relaxation
-    keeps the triangle p >= max(0, expr).  The sign is fixed outright only
-    when the bounds decide it strictly (l > 0: p = expr; u < 0: p = 0), so an
-    expression whose bounds touch 0 keeps its binary and both choices at 0.
-    Returns p and the decision.
+    [0, u], p >= z, p <= z - l(1-a) and p <= u a, whose LP relaxation keeps
+    the triangle p >= max(0, z).  The sign is fixed outright only when the
+    bounds decide it strictly (l > 0: p = z; u < 0: p = 0), so a variable
+    whose bounds touch 0 keeps its binary and both choices at 0.  Returns p
+    and the decision.
     """
-    if l > u:
-        raise ModelError(f"relu {name}: inverted bounds")
-    row = {}
-    for v, c in coefs.items():
-        row[v] = row.get(v, 0.0) - c
+    l, u = model.lo[z], model.hi[z]
     if l > 0:
         p = model.add_var(l, u, name=name)
-        model.add_constraint({p: 1.0} | row, "=", const)
+        model.add_constraint({p: 1.0, z: -1.0}, "=", 0.0)
         return p, BinDecision(fixed=1)
     if u < 0:
         return model.add_var(0.0, 0.0, name=name), BinDecision(fixed=0)
     a = model.add_binary(f"{name}_on")
     p = model.add_var(0.0, u, name=name)
-    model.add_constraint({p: 1.0} | row, ">=", const)  # p >= expr
-    model.add_constraint({p: 1.0} | row | {a: -l}, "<=", const - l)  # p <= expr - l(1-a)
+    model.add_constraint({p: 1.0, z: -1.0}, ">=", 0.0)  # p >= z
+    model.add_constraint({p: 1.0, z: -1.0, a: -l}, "<=", -l)  # p <= z - l(1-a)
     model.add_constraint({p: 1.0, a: -u}, "<=", 0.0)  # p <= u a
     return p, BinDecision(var=a)
 
@@ -513,37 +508,37 @@ class LipMIPProblem:
     def rounded_pattern_value(self, point) -> tuple[float, np.ndarray] | None:
         """Second primal heuristic: realize the node's rounded binaries.
 
-        Rounding the LP's activation binaries proposes a sign pattern; a tiny
-        feasibility LP over the inputs checks whether some x in the domain
-        realizes it (ties allowed on the boundary).  If so, the pattern's
+        Rounding the LP's activation binaries proposes a sign pattern; an
+        ``lp.SignPatternLP`` with every layer decided and none open checks
+        whether some x in the domain realizes it, each neuron's row with
+        floor -s v (ties allowed on the boundary).  If so, the pattern's
         constant Jacobian is a legitimate chain-rule outcome at that x, so
         its dual norm is an attainable objective value.
         """
         net = self.net
         model_lo = np.asarray(self.model.lo)
-        mults = []
-        for pre, bins in zip(self.pre_vars, self.neuron_bins):
+        mults, rows, floors = [], [], []
+        m, v = net.weights[0], net.biases[0]
+        for i, (pre, bins) in enumerate(zip(self.pre_vars, self.neuron_bins)):
             on = model_lo[pre] > 0  # neurons fixed ON at build time
             free = bins >= 0
             on[free] = point[bins[free]] >= 0.5
-            mults.append(on.astype(float))
-        # witness LP: layer-by-layer affine maps under the proposed pattern
-        rows, rhs = [], []
-        m, v = net.weights[0], net.biases[0]
-        for i, lam in enumerate(mults):
-            signs = 2.0 * lam - 1.0  # +1 on, -1 off
-            rows.extend(signs.reshape(-1, 1) * m)
-            rhs.extend(signs * -v)
+            lam = on.astype(float)
+            mults.append(lam)
+            s = 2.0 * lam - 1.0  # +1 on, -1 off
+            rows.append(s[:, None] * m)
+            floors.append(s * -v)
             if i + 1 < net.depth:
                 m, v = next_layer_affine(net, i, lam, m, v)
         try:
-            x = lp.box_witness(rows, rhs, self.domain.l, self.domain.u)
+            sol = lp.SignPatternLP(np.vstack(rows), np.concatenate(floors),
+                                   self.domain.l, self.domain.u).solve()
         except lp.SolverNumericalError:
-            return None  # a failed witness LP is a heuristic miss
-        if x is None:
+            return None  # a failed LP is a heuristic miss
+        if sol.status != lp.OPTIMAL:
             return None
         jac = jacobian_from_multipliers(net, mults)
-        return norms.operator_dual_value(jac, self.alpha, self.output_norm), x
+        return norms.operator_dual_value(jac, self.alpha, self.output_norm), sol.x
 
     def incumbent_from_point(self, point) -> tuple[float, np.ndarray]:
         """First primal heuristic: the dual norm of the chain-rule Jacobian
@@ -601,8 +596,7 @@ def build_lipmip_model(
         layer_dec = []
         p_vars = []
         for j, zv in enumerate(z_vars):
-            p, dec = encode_relu(model, {zv: 1.0}, 0.0, model.lo[zv], model.hi[zv],
-                                 name=f"p{i}_{j}")
+            p, dec = encode_relu(model, zv, name=f"p{i}_{j}")
             layer_dec.append(dec)
             p_vars.append(p)
         decisions.append(layer_dec)

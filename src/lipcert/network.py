@@ -117,6 +117,10 @@ class ZeroRule:
     kind: str
     assignment: tuple[tuple[tuple[int, int], int], ...] = field(default=())
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "one", "per_neuron"):
+            raise ValueError(f"unknown ZeroRule kind {self.kind!r}; valid: zero, one, per_neuron")
+
     @staticmethod
     def per_neuron(assignment: dict[tuple[int, int], int]) -> "ZeroRule":
         items = tuple(sorted((k, int(v)) for k, v in assignment.items()))

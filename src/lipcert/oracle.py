@@ -10,23 +10,26 @@ layer is affine in the input, so each partial sign assignment is an LP
 feasibility question and infeasible prefixes prune whole subtrees.
 
 One LP per layer prefix.  When the search enters layer k with the signs of
-layers 0..k-1 fixed, it builds (on first use) one ``lp.SimplexSolver`` over
-the input x and the pre-activations z_0..z_k, with one row
-m_j.x - z_j = -v_j per neuron, where m_j x + v_j is the neuron's affine map
-from ``next_layer_affine``; the solver's equality presolve eliminates the z's.
-Each z box starts as the interval range of m_j x + v_j over the domain, so an
-undecided neuron constrains nothing.  Choosing a sign is a bound change on
-z_j alone (on: [eps, hi], off: [lo, -eps]); an empty box is infeasible
-without a solve.  Every LP of the prefix warm-starts from the basis of the
+layers 0..k-1 fixed, it makes one ``lp.SignPatternLP`` over the input x and
+layer k's pre-activations z.  Each decided neuron of layers 0..k-1, with
+affine map m_j x + v_j from ``next_layer_affine`` and sign s (+1 on, -1 off),
+is a row s m_j.x >= eps - s v_j over x alone.  Layer k's neurons are open:
+each keeps a column z_j with the row m_j.x - z_j = -v_j, whose z box starts
+as the interval range of m_j x + v_j over the domain, so an undecided neuron
+constrains nothing.  Choosing a sign is a bound change on z_j alone (on:
+[eps, hi], off: [lo, -eps]); an empty box is infeasible without a solve.
+Every prefix owns its z bounds, which backtracking from a deeper layer finds
+as it left them.  Every LP of the prefix warm-starts from the basis of the
 nearest ancestor's OPTIMAL answer on the same solver, and a branch that the
 current witness already satisfies needs no LP.
 
 Box refutation.  The search carries an input box that contains every point
 an LP of the subtree could accept.  Such an answer is checked by the solver
-against its bounds and rows: x within FEAS_TOL of the domain, z_j within
-FEAS_TOL of its sign box and each row within FEAS_TOL (1 + |v_j|), so a
-decided neuron's signed pre-activation is at least
-eps - FEAS_TOL (2 + |v_j|) there.  The box starts as the domain widened by
+against its bounds and rows: x within FEAS_TOL of the domain, an open z_j
+within FEAS_TOL of its sign box and each row within FEAS_TOL (1 + |rhs|), so
+a decided neuron's signed pre-activation is at least
+eps - FEAS_TOL (2 + eps + |v_j|) there, whether its sign was decided in the
+open layer or in an earlier one.  The box starts as the domain widened by
 FEAS_TOL and is cut by each accepted branch's row relaxed by twice that
 amount (the factor two covers the rounding of the box arithmetic); a branch
 whose signed pre-activation stays below eps minus the same margin over the
@@ -89,29 +92,6 @@ def _cut(bl, bu, a, floor):
             np.where(a < 0.0, np.minimum(bu, bound), bu))
 
 
-class _Prefix:
-    """The witness LP of one layer prefix over [x, z_0..z_k]: rows
-    ``rows.x - z = rhs`` and the shared bound arrays ``lo``, ``hi`` (views
-    of the columns it spans).  The solver is built on the first solve."""
-
-    def __init__(self, rows, rhs, lo, hi):
-        self.rows, self.rhs, self.lo, self.hi = rows, rhs, lo, hi
-        self._solver = None
-
-    def solve(self, basis):
-        if self._solver is None:
-            r, n0 = self.rows.shape
-            problem = lp.LPProblem(
-                np.zeros(n0 + r), np.hstack([self.rows, -np.eye(r)]), ("=",) * r,
-                self.rhs, self.lo.copy(), self.hi.copy(),
-            )
-            self._solver = lp.SimplexSolver(problem)
-        sol = self._solver.solve(self.lo, self.hi, basis=basis)
-        if sol.status == lp.NUMERICAL_FAILURE:
-            raise lp.SolverNumericalError("witness LP failed")
-        return sol
-
-
 def enumerate_regions(
     net: ReLUNetwork,
     domain: Hyperbox,
@@ -131,7 +111,7 @@ def enumerate_regions(
     carried input box refutes it (see the module docstring for why that
     drops nothing an LP would accept), and otherwise decided by the layer
     prefix's LP, warm-started from the nearest ancestor's optimal basis.  A
-    witness LP that fails raises ``lp.SolverNumericalError`` rather than
+    sign-pattern LP that fails raises ``lp.SolverNumericalError`` rather than
     pruning.  ``interior_eps`` must be a finite number > 0: at 0 or below,
     neighbouring regions would overlap in the witnessed sets.  An unknown
     ``alpha`` raises ``ValueError`` before any LP.
@@ -148,25 +128,25 @@ def enumerate_regions(
         raise ValueError("domain dimension does not match the network")
     eps = float(interior_eps)
     n0, sizes, depth = net.input_dim, net.layer_sizes, net.depth
-    # column of each layer's first pre-activation in [x, z_0, z_1, ...]
-    starts = np.cumsum((n0,) + sizes)
-    lo = np.concatenate([domain.l, np.zeros(net.total_neurons)])
-    hi = np.concatenate([domain.u, np.zeros(net.total_neurons)])
     signs = [np.zeros(s, dtype=np.int8) for s in sizes]
 
-    def enter(k, m, v, rows, rhs, witness, bl, bu):
-        """Start layer k, whose pre-activations are m x + v."""
-        start, end = starts[k], starts[k + 1]
-        lo[start:end], hi[start:end] = _image(m, v, domain.l, domain.u)
-        prefix = _Prefix(np.vstack([rows, m]), np.concatenate([rhs, -v]), lo[:end], hi[:end])
+    def enter(k, m, v, rows, floors, witness, bl, bu):
+        """Start layer k, whose pre-activations are m x + v, below the rows
+        ``rows.x >= floors`` of the decided layers."""
+        zlo, zhi = _image(m, v, domain.l, domain.u)
+        prefix = lp.SignPatternLP(rows, floors, np.concatenate([domain.l, zlo]),
+                                  np.concatenate([domain.u, zhi]), m, v)
         yield from decide(k, 0, m, v, prefix, None, witness, bl, bu)
 
     def decide(k, idx, m, v, prefix, basis, witness, bl, bu):
         """Choose the sign of neuron idx of layer k, then of the rest."""
         if idx == sizes[k]:
             if k + 1 < depth:
-                nm, nv = next_layer_affine(net, k, signs[k].astype(float), m, v)
-                yield from enter(k + 1, nm, nv, prefix.rows, prefix.rhs, witness, bl, bu)
+                lam = signs[k].astype(float)
+                s = 2.0 * lam - 1.0
+                nm, nv = next_layer_affine(net, k, lam, m, v)
+                yield from enter(k + 1, nm, nv, np.vstack([prefix.rows, s[:, None] * m]),
+                                 np.concatenate([prefix.floors, eps - s * v]), witness, bl, bu)
                 return
             jac = jacobian_from_multipliers(net, [s.astype(float) for s in signs])
             value = norms.operator_dual_value(jac, alpha, output_norm)
@@ -174,10 +154,10 @@ def enumerate_regions(
             yield RegionCertificate(pattern, witness.copy(), jac, value)
             return
         row, off = m[idx], v[idx]
-        col = starts[k] + idx
+        lo, hi, col = prefix.lo, prefix.hi, n0 + idx
         zlo, zhi = lo[col], hi[col]
         at_witness = row @ witness
-        margin = 2.0 * lp.FEAS_TOL * (2.0 + abs(off))
+        margin = 2.0 * lp.FEAS_TOL * (2.0 + eps + abs(off))
         for sign, s in ((1, 1.0), (0, -1.0)):
             lo[col], hi[col] = (eps, zhi) if sign else (zlo, -eps)
             if lo[col] > hi[col]:

@@ -106,7 +106,7 @@ def relu_model(l, u):
     model = MIPModel()
     z = model.add_var(l, u, name="z")
     before = model.num_constraints
-    p, dec = encode_relu(model, {z: 1.0}, 0.0, l, u, name="p")
+    p, dec = encode_relu(model, z, name="p")
     return model, z, p, dec, model.num_constraints - before
 
 

@@ -133,6 +133,13 @@ def test_identity_network_zero_rules():
     assert values == {0.0, 1.0, 2.0}
 
 
+@pytest.mark.parametrize("kind", ["ones", "zeros", "", "per-neuron"])
+def test_unknown_zero_rule_kind_is_rejected(kind):
+    # an unknown kind once fell through to the sigma'(0) = 0 convention
+    with pytest.raises(ValueError, match="zero, one, per_neuron"):
+        chain_rule_jacobian(identity_network(), [0.0], ZeroRule(kind))
+
+
 def test_per_neuron_rule_must_cover_ties():
     net = identity_network()
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from lipcert import bnb, lp, norms, oracle
 from lipcert.interval import Hyperbox, fastlip
-from lipcert.mip import build_lipmip_model
+from lipcert.mip import build_lipmip_model, feasible_assignment
 from lipcert.network import (
     ReLUNetwork,
     affine_network,
@@ -32,10 +32,19 @@ def grid_pattern_count(net, domain, n=60):
 
 def reference_regions(net, box, alpha="linf", output_norm=None,
                       eps=oracle.DEFAULT_INTERIOR_EPS):
-    """Reference enumeration: a cold ``lp.box_witness`` over the decided
-    neurons' rows for every branch the current witness does not satisfy.
-    Returns {flattened sign pattern: region dual norm}."""
+    """Reference enumeration: one cold LP over the decided neurons' rows
+    for every branch the current witness does not satisfy.  Returns
+    {flattened sign pattern: region dual norm}."""
     regions = {}
+
+    def witness_of(rows, floors):
+        """Some x in the box with rows.x >= floors, or None."""
+        problem = lp.LPProblem(np.zeros(box.dim), rows, (">=",) * len(floors), floors,
+                               box.l, box.u)
+        sol = lp.SimplexSolver(problem).solve()
+        assert sol.status != lp.NUMERICAL_FAILURE
+        return sol.x if sol.status == lp.OPTIMAL else None
+
     rows, rhs = [], []
     signs = [np.zeros(n, dtype=np.int8) for n in net.layer_sizes]
 
@@ -52,8 +61,8 @@ def reference_regions(net, box, alpha="linf", output_norm=None,
             return
         for sign, s in ((1, 1.0), (0, -1.0)):
             row, bound = s * m[idx], eps - s * v[idx]
-            w = witness if row @ witness >= bound else lp.box_witness(
-                rows + [row], rhs + [bound], box.l, box.u)
+            w = witness if row @ witness >= bound else witness_of(
+                rows + [row], rhs + [bound])
             if w is not None:
                 rows.append(row)
                 rhs.append(bound)
@@ -63,7 +72,7 @@ def reference_regions(net, box, alpha="linf", output_norm=None,
                 rhs.pop()
         signs[layer][idx] = 0
 
-    recurse(0, 0, net.weights[0], net.biases[0], lp.box_witness([], [], box.l, box.u))
+    recurse(0, 0, net.weights[0], net.biases[0], witness_of([], []))
     return regions
 
 
@@ -209,6 +218,25 @@ def test_regions_match_cold_reference(arch, seed, radius, alpha, output_norm):
     assert len(certs) == len(expected)
     assert patterns_of(certs) == set(expected)
     assert max(c.dual_norm_value for c in certs) == max(expected.values())
+
+
+@pytest.mark.parametrize("arch, seed, alpha, output_norm", [
+    ([2, 5, 4, 1], 0, "linf", None),
+    ([3, 6, 5, 1], 4, "l1", None),
+    ([3, 6, 6, 3], 4, "linf", "cross"),
+])
+def test_rounded_pattern_realizes_every_region(arch, seed, alpha, output_norm):
+    # the oracle and the B&B heuristic ask one sign-pattern LP: each region
+    # the oracle certifies is a heuristic hit worth the region's value
+    net = random_he(arch, seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    prob = build_lipmip_model(net, box, alpha, output_norm)
+    z = None if output_norm is None else np.zeros(net.output_dim)
+    certs = list(enumerate_regions(net, box, alpha=alpha, output_norm=output_norm))
+    assert len(certs) > 4
+    for cert in certs:
+        hit = prob.rounded_pattern_value(feasible_assignment(prob, cert.witness, z=z))
+        assert hit is not None and hit[0] == cert.dual_norm_value
 
 
 def test_failed_warm_solves_fall_back_cold(monkeypatch):
