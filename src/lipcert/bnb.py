@@ -49,6 +49,7 @@ as it stands: no tightening and no network heuristics.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -98,6 +99,8 @@ class SolveOptions:
             raise ValueError("target_gap must be >= 0")
         if not self.timeout_seconds >= 0:
             raise ValueError("timeout_seconds must be >= 0")
+        if not self.node_limit >= 0:
+            raise ValueError("node_limit must be >= 0")
 
 
 @dataclass
@@ -122,7 +125,9 @@ class LayerTightening:
 
 @dataclass
 class MIPResult:
-    """Certified sandwich around the optimum plus run accounting.
+    """The search's one record: the certified sandwich around the optimum
+    and the run's accounting, created when ``solve_mip`` starts and updated
+    in place by the search.
 
     ``nodes_explored`` counts the root and every child LP solve that became
     a node: both children of each branched binary, solved then or taken
@@ -143,13 +148,13 @@ class MIPResult:
     ``root_tightening`` has one record per hidden layer for a LipMIPProblem,
     and is empty for a bare MIPModel."""
 
-    upper_bound: float
-    incumbent_value: float
-    incumbent_point: np.ndarray | None
-    gap: float
-    status: str
-    nodes_explored: int
-    wall_time: float
+    upper_bound: float = np.inf
+    incumbent_value: float = -np.inf
+    incumbent_point: np.ndarray | None = None
+    gap: float = np.inf
+    status: str = ""
+    nodes_explored: int = 0
+    wall_time: float = 0.0
     lp_solves: int = 0
     lp_pivots: int = 0
     strong_branch_lps: int = 0
@@ -321,32 +326,20 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     solver = lp.SimplexSolver(model.to_lp_problem())
     binaries = np.array(model.binary_vars, dtype=np.intp)
 
-    state = {
-        "incumbent": -np.inf,
-        "point": None,
-        "nodes": 0,
-        "counter": 0,
-        "tightening": tightening,
-        "lps": 0,  # node and candidate LP solves, retries included
-        "pivots": 0,
-        "sb_lps": 0,  # strong-branch LP solves, their pivots, fixed binaries
-        "sb_pivots": 0,
-        "sb_fixes": 0,
-        # LP columns ([A I]) before and after the solver's equality presolve
-        "columns": (solver.problem.num_vars + solver.problem.num_constraints, solver.n_total),
-    }
+    res = MIPResult(root_tightening=tightening)
+    counter = itertools.count()
     pseudocosts = _Pseudocosts(model.num_vars)
     # entries (-bound, counter, _Node): a node keeps its LP point and basis,
     # and its branch binary is chosen only when it is popped
     heap: list = []
 
     def update_incumbent(value, point):
-        if value > state["incumbent"]:
-            state["incumbent"] = value
-            state["point"] = None if point is None else np.array(point)
+        if value > res.incumbent_value:
+            res.incumbent_value = float(value)
+            res.incumbent_point = None if point is None else np.array(point)
 
     def pruned(bound) -> bool:
-        inc = state["incumbent"]
+        inc = res.incumbent_value
         return bool(np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL))
 
     def solve_lp(fixes, lo, hi, depth, basis=None):
@@ -357,15 +350,15 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             hi = np.array(model.hi)
             for v, val in fixes.items():
                 lo[v] = hi[v] = float(val)
-        inc = state["incumbent"]
+        inc = res.incumbent_value
         cutoff = inc * (1.0 + _PRUNE_TOL) - model.objective_const if np.isfinite(inc) else np.inf
         sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff)
-        state["lps"] += 1
-        state["pivots"] += sol.iterations
+        res.lp_solves += 1
+        res.lp_pivots += sol.iterations
         if sol.status == lp.NUMERICAL_FAILURE:
             sol = solver.solve(lo=lo, hi=hi, pivot_tol=1e-11)
-            state["lps"] += 1
-            state["pivots"] += sol.iterations
+            res.lp_solves += 1
+            res.lp_pivots += sol.iterations
             if sol.status == lp.NUMERICAL_FAILURE:
                 raise SolverNumericalError(
                     f"LP failed twice at node depth {depth} ({len(fixes)} fixes)"
@@ -379,7 +372,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     def add_node(fixes, depth, sol, bound):
         """Count a solved node, try its point as an incumbent and push it
         while some binary is fractional and it may beat the incumbent."""
-        state["nodes"] += 1
+        res.nodes_explored += 1
         if bound is None:
             return  # infeasible or cut off
         if context is not None:
@@ -396,8 +389,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             return
         if pruned(bound):
             return
-        state["counter"] += 1
-        heapq.heappush(heap, (-bound, state["counter"], node))
+        heapq.heappush(heap, (-bound, next(counter), node))
 
     def fractional(node) -> np.ndarray:
         """The node's unfixed binaries whose LP value is fractional."""
@@ -448,15 +440,15 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         for k in np.lexsort((cands, -scores)):  # by score, ties to the lowest id
             var, score, children = int(cands[k]), scores[k], None
             if not reliable[k] and tried < _STRONG_MAX and stale < _STRONG_LOOKAHEAD:
-                lps, pivots = state["lps"], state["pivots"]
+                lps, pivots = res.lp_solves, res.lp_pivots
                 children = [child(node, var, val) for val in (1, 0)]
-                state["sb_lps"] += state["lps"] - lps
-                state["sb_pivots"] += state["pivots"] - pivots
+                res.strong_branch_lps += res.lp_solves - lps
+                res.strong_branch_pivots += res.lp_pivots - pivots
                 tried += 1
                 live = [(fixes, sol, bound) for fixes, sol, bound in children
                         if bound is not None and not pruned(bound)]
                 if len(live) < 2:
-                    state["sb_fixes"] += 1
+                    res.strong_branch_fixes += 1
                     return var, live
                 (_, _, up), (_, _, down) = children
                 score = _score(node.bound - down, node.bound - up)
@@ -467,23 +459,22 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
 
     add_node({}, 0, *solve_lp({}, None, None, 0))
 
-    status = EXACT
     while heap:
         _, _, node = heapq.heappop(heap)
         bound = node.bound
-        inc = state["incumbent"]
+        inc = res.incumbent_value
         upper = max(bound, inc) if np.isfinite(inc) else bound
         if pruned(bound):
             continue  # stale: incumbent improved after insertion
         gap = _gap(upper, inc) if np.isfinite(inc) else np.inf
         if gap <= _EXACT_GAP:
-            return _finish(EXACT, upper, state, gap, start)
+            return _finish(res, EXACT, upper, gap, start, solver)
         if opts.target_gap > 0 and gap <= opts.target_gap:
-            return _finish(GAP_REACHED, upper, state, gap, start)
+            return _finish(res, GAP_REACHED, upper, gap, start, solver)
         if time.perf_counter() - start > opts.timeout_seconds:
-            return _finish(TIMEOUT, upper, state, gap, start)
-        if state["nodes"] >= opts.node_limit:
-            return _finish(NODE_LIMIT, upper, state, gap, start)
+            return _finish(res, TIMEOUT, upper, gap, start, solver)
+        if res.nodes_explored >= opts.node_limit:
+            return _finish(res, NODE_LIMIT, upper, gap, start, solver)
 
         var, children = branch(node)
         if children is None:
@@ -492,33 +483,25 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             if sol is not None:
                 add_node(fixes, node.depth + 1, sol, bound)
 
-    if not np.isfinite(state["incumbent"]):
+    if not np.isfinite(res.incumbent_value):
         raise InfeasibleModelError("no feasible integral point")
-    return _finish(status, state["incumbent"], state, 0.0, start)
+    return _finish(res, EXACT, res.incumbent_value, 0.0, start, solver)
 
 
-def _finish(status, upper, state, gap, start) -> MIPResult:
+def _finish(res, status, upper, gap, start, solver) -> MIPResult:
+    """Close the search's record: its status, upper bound, gap and wall time."""
+    res.status = status
+    res.upper_bound = float(upper)
+    res.gap = float(gap)
+    res.wall_time = time.perf_counter() - start
     logger.debug(
         "%s after %d nodes: %d LPs (%d pivots), of which strong branching %d LPs "
         "(%d pivots), %d binaries fixed by a dead side; LP columns %d, %d after presolve",
-        status, state["nodes"], state["lps"], state["pivots"],
-        state["sb_lps"], state["sb_pivots"], state["sb_fixes"], *state["columns"],
+        status, res.nodes_explored, res.lp_solves, res.lp_pivots, res.strong_branch_lps,
+        res.strong_branch_pivots, res.strong_branch_fixes,
+        solver.problem.num_vars + solver.problem.num_constraints, solver.n_total,
     )
-    return MIPResult(
-        upper_bound=float(upper),
-        incumbent_value=float(state["incumbent"]),
-        incumbent_point=state["point"],
-        gap=float(gap),
-        status=status,
-        nodes_explored=state["nodes"],
-        wall_time=time.perf_counter() - start,
-        lp_solves=state["lps"],
-        lp_pivots=state["pivots"],
-        strong_branch_lps=state["sb_lps"],
-        strong_branch_pivots=state["sb_pivots"],
-        strong_branch_fixes=state["sb_fixes"],
-        root_tightening=state["tightening"],
-    )
+    return res
 
 
 def solve_liplp(problem) -> float:

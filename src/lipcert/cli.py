@@ -4,7 +4,8 @@
 computes the local Lipschitz constant of a scalar network, saved by
 ``network.save``, over the box C +- R by branch and bound on the LipMIP
 model, and prints the certified sandwich ``incumbent <= L <= upper_bound``
-with the solve's statistics as one JSON object.  ``--gap`` stops at a
+with the solve's statistics as one JSON object: every field of the search's
+record, ``bnb.MIPResult``, except the incumbent point.  ``--gap`` stops at a
 relative gap and ``--timeout`` after a number of seconds; the sandwich then
 stays valid but open.
 
@@ -26,6 +27,11 @@ import numpy as np
 from . import bnb, estimators, network
 from .interval import Hyperbox
 from .mip import build_lipmip_model
+
+
+#: ``MIPResult`` fields that ``lipcert solve`` prints under another key.
+_JSON_NAMES = {"incumbent_value": "incumbent", "nodes_explored": "nodes",
+               "wall_time": "wall_time_s"}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -83,20 +89,7 @@ def main(argv=None) -> int:
         sys.stdout.write(estimators.records_to_csv(records))
         return 0
     res = bnb.solve_mip(build_lipmip_model(net, domain, alpha=args.norm), opts)
-    out = {
-        "upper_bound": res.upper_bound,
-        "incumbent": res.incumbent_value,
-        "gap": res.gap,
-        "status": res.status,
-        "nodes": res.nodes_explored,
-        "lp_solves": res.lp_solves,
-        "lp_pivots": res.lp_pivots,
-        "strong_branch_lps": res.strong_branch_lps,
-        "strong_branch_pivots": res.strong_branch_pivots,
-        "strong_branch_fixes": res.strong_branch_fixes,
-        "wall_time_s": res.wall_time,
-        "root_tightening": [asdict(r) for r in res.root_tightening],
-    }
+    out = {_JSON_NAMES.get(k, k): v for k, v in asdict(res).items() if k != "incumbent_point"}
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

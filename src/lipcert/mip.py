@@ -16,13 +16,15 @@ Those bounds come from one interval pass, ``interval.propagate`` seeded with
 ``interval.head_seed_box``: every affine block (pre-activations, backward
 values, gradient) is declared with that pass's box, and the ReLU, switch and
 absolute-value encodings derive theirs from it the same way the pass does.
-So a model's own node tightening (``LipMIPProblem.tightened_bounds`` with no
-fixes) reproduces its bounds exactly.  When the model is rebuilt
-(``LipMIPProblem.rebuild``) the pass intersects each layer's pre-activations
-with boxes known to enclose them: branch-and-bound rebuilds it from
-LP-tightened boxes before branching, which shrinks every big-M downstream
-and fixes the neurons, and with them the backward switches, whose sign the
-boxes decide.
+The pass also owns each neuron's sign: ``encode_relu``, ``encode_switch``
+and ``encode_switch_const`` take its state (ON, OFF or UNKNOWN), and only an
+UNKNOWN neuron gets a binary.  So a model's own node tightening
+(``LipMIPProblem.tightened_bounds`` with no fixes) reproduces its bounds
+exactly.  When the model is rebuilt (``LipMIPProblem.rebuild``) the pass
+intersects each layer's pre-activations with boxes known to enclose them:
+branch-and-bound rebuilds it from LP-tightened boxes before branching, which
+shrinks every big-M downstream and fixes the neurons, and with them the
+backward switches, whose sign the boxes decide.
 
 Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
 order: the inputs; per hidden layer, its pre-activations and then, neuron by
@@ -71,18 +73,6 @@ BINARY = "binary"
 
 class ModelError(ValueError):
     """Raised when a model cannot be built (unbounded domain, bad bounds)."""
-
-
-@dataclass
-class BinDecision:
-    """A ReLU's sign: either a model binary or a fixed 0/1."""
-
-    var: int | None = None
-    fixed: int | None = None
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.fixed is not None
 
 
 class MIPModel:
@@ -204,18 +194,18 @@ def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox,
     return out
 
 
-def encode_switch(model: MIPModel, x_var: int, dec: BinDecision, name: str = "s") -> int:
-    """y = x * a for a shared binary; collapses to y=x or y=0 when fixed."""
+def encode_switch(model: MIPModel, x_var: int, state: int, a: int, name: str = "s") -> int:
+    """y = x * a for the shared binary a of an UNKNOWN sign ``state``;
+    collapses to y = x (ON) or y = 0 (OFF)."""
     l, u = model.lo[x_var], model.hi[x_var]
-    if dec.is_fixed:
-        if dec.fixed == 1:
-            y = model.add_var(l, u, name=name)
-            model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
-        else:
-            y = model.add_var(0.0, 0.0, name=name)
-            model.add_constraint({y: 1.0}, "=", 0.0)
+    if state == ON:
+        y = model.add_var(l, u, name=name)
+        model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
         return y
-    a = dec.var
+    if state == OFF:
+        y = model.add_var(0.0, 0.0, name=name)
+        model.add_constraint({y: 1.0}, "=", 0.0)
+        return y
     lhat, uhat = min(l, 0.0), max(u, 0.0)
     y = model.add_var(lhat, uhat, name=name)
     # y >= x - u(1-a)   <=>  y - x - u a >= -u
@@ -228,14 +218,14 @@ def encode_switch(model: MIPModel, x_var: int, dec: BinDecision, name: str = "s"
     return y
 
 
-def encode_switch_const(model: MIPModel, value: float, dec: BinDecision,
+def encode_switch_const(model: MIPModel, value: float, state: int, a: int,
                         name: str = "s") -> int:
-    """Switch applied to a known constant: y = value * a."""
-    if dec.is_fixed:
-        v = value if dec.fixed == 1 else 0.0
+    """Switch applied to a known constant: y = value * a (``encode_switch``)."""
+    if state != interval.UNKNOWN:
+        v = value if state == ON else 0.0
         return model.add_var(v, v, name=name)
     y = model.add_var(min(value, 0.0), max(value, 0.0), name=name)
-    model.add_constraint({y: 1.0, dec.var: -value}, "=", 0.0)
+    model.add_constraint({y: 1.0, a: -value}, "=", 0.0)
     return y
 
 
@@ -266,29 +256,29 @@ def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int |
     return y, a
 
 
-def encode_relu(model: MIPModel, z: int, name: str) -> tuple[int, BinDecision]:
-    """p = relu(z) for a pre-activation variable z with model bounds [l, u].
+def encode_relu(model: MIPModel, z: int, state: int, name: str) -> tuple[int, int]:
+    """p = relu(z) for a pre-activation variable z with model bounds [l, u]
+    and the sign ``state`` that ``interval.push_conditional`` reads from them.
 
-    The standard big-M encoding: a binary a (declared before p) with p in
-    [0, u], p >= z, p <= z - l(1-a) and p <= u a, whose LP relaxation keeps
-    the triangle p >= max(0, z).  The sign is fixed outright only when the
-    bounds decide it strictly (l > 0: p = z; u < 0: p = 0), so a variable
-    whose bounds touch 0 keeps its binary and both choices at 0.  Returns p
-    and the decision.
+    ON gives p = z, OFF gives p = 0, and UNKNOWN the standard big-M encoding:
+    a binary a (declared before p) with p in [0, u], p >= z, p <= z - l(1-a)
+    and p <= u a, whose LP relaxation keeps the triangle p >= max(0, z).  A
+    box touching 0 is UNKNOWN, so it keeps both choices at 0.  Returns p and
+    a, which is -1 when the sign is fixed.
     """
     l, u = model.lo[z], model.hi[z]
-    if l > 0:
+    if state == ON:
         p = model.add_var(l, u, name=name)
         model.add_constraint({p: 1.0, z: -1.0}, "=", 0.0)
-        return p, BinDecision(fixed=1)
-    if u < 0:
-        return model.add_var(0.0, 0.0, name=name), BinDecision(fixed=0)
+        return p, -1
+    if state == OFF:
+        return model.add_var(0.0, 0.0, name=name), -1
     a = model.add_binary(f"{name}_on")
     p = model.add_var(0.0, u, name=name)
     model.add_constraint({p: 1.0, z: -1.0}, ">=", 0.0)  # p >= z
     model.add_constraint({p: 1.0, z: -1.0, a: -l}, "<=", -l)  # p <= z - l(1-a)
     model.add_constraint({p: 1.0, a: -u}, "<=", 0.0)  # p <= u a
-    return p, BinDecision(var=a)
+    return p, a
 
 
 def encode_signed_max(model: MIPModel, x_vars, name: str = "gmax") -> tuple[list[int], int]:
@@ -516,11 +506,10 @@ class LipMIPProblem:
         its dual norm is an attainable objective value.
         """
         net = self.net
-        model_lo = np.asarray(self.model.lo)
         mults, rows, floors = [], [], []
         m, v = net.weights[0], net.biases[0]
-        for i, (pre, bins) in enumerate(zip(self.pre_vars, self.neuron_bins)):
-            on = model_lo[pre] > 0  # neurons fixed ON at build time
+        for i, (box, bins) in enumerate(zip(self.pre_boxes, self.neuron_bins)):
+            on = interval.push_conditional(box) == ON  # neurons fixed ON at build time
             free = bins >= 0
             on[free] = point[bins[free]] >= 0.5
             lam = on.astype(float)
@@ -586,23 +575,20 @@ def build_lipmip_model(
     d = net.depth
     prop = interval.propagate(net, domain, interval.head_seed_box(net, output_norm),
                               pre_boxes=pre_boxes)
-    decisions: list[list[BinDecision]] = []
+    states = prop.activation_states
+    neuron_bins: list[list[int]] = []
     pre_vars: list[list[int]] = []
     post_vars: list[list[int]] = []
     cur = input_vars
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z_vars = encode_affine(model, cur, w, b, prop.pre_activation_boxes[i],
                                prefix=f"z{i}_")
-        layer_dec = []
-        p_vars = []
-        for j, zv in enumerate(z_vars):
-            p, dec = encode_relu(model, zv, name=f"p{i}_{j}")
-            layer_dec.append(dec)
-            p_vars.append(p)
-        decisions.append(layer_dec)
+        relus = [encode_relu(model, zv, states[i][j], name=f"p{i}_{j}")
+                 for j, zv in enumerate(z_vars)]
+        neuron_bins.append([a for _, a in relus])
         pre_vars.append(z_vars)
-        post_vars.append(p_vars)
-        cur = p_vars
+        post_vars.append([p for p, _ in relus])
+        cur = post_vars[-1]
 
     # backward pass; reuses each neuron's binary in its switch
     z_ball_vars: list[int] = []
@@ -613,8 +599,8 @@ def build_lipmip_model(
     if output_norm is None:
         head_row = net.head[0]
         sw = [
-            encode_switch_const(model, float(head_row[j]), decisions[d - 1][j],
-                                name=f"q{d-1}_{j}")
+            encode_switch_const(model, float(head_row[j]), states[d - 1][j],
+                                neuron_bins[d - 1][j], name=f"q{d-1}_{j}")
             for j in range(len(head_row))
         ]
     else:
@@ -623,7 +609,7 @@ def build_lipmip_model(
                                prefix=f"y{d-1}_")
         bwd_value_vars[d - 1] = v_vars
         sw = [
-            encode_switch(model, v, decisions[d - 1][j], name=f"q{d-1}_{j}")
+            encode_switch(model, v, states[d - 1][j], neuron_bins[d - 1][j], name=f"q{d-1}_{j}")
             for j, v in enumerate(v_vars)
         ]
     bwd_switch_vars[d - 1] = sw
@@ -632,7 +618,7 @@ def build_lipmip_model(
                                prefix=f"y{i-1}_")
         bwd_value_vars[i - 1] = v_vars
         sw = [
-            encode_switch(model, v, decisions[i - 1][j], name=f"q{i-1}_{j}")
+            encode_switch(model, v, states[i - 1][j], neuron_bins[i - 1][j], name=f"q{i-1}_{j}")
             for j, v in enumerate(v_vars)
         ]
         bwd_switch_vars[i - 1] = sw
@@ -668,9 +654,7 @@ def build_lipmip_model(
         choice_bins=_ids(choice_bins),
         max_var=max_var,
         pre_vars=[_ids(vs) for vs in pre_vars],
-        neuron_bins=[
-            _ids([-1 if dec.is_fixed else dec.var for dec in layer]) for layer in decisions
-        ],
+        neuron_bins=[_ids(bins) for bins in neuron_bins],
         post_vars=[_ids(vs) for vs in post_vars],
         bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
         bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],

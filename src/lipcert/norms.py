@@ -27,6 +27,14 @@ def check_input_norm(name: str) -> None:
         raise ValueError(f"unknown input norm {name!r}; valid: {', '.join(INPUT_NORMS)}")
 
 
+def check_output_norm(name: str | None, rows: int) -> None:
+    """Raise ValueError unless ``name`` fits a head of ``rows`` rows: None
+    for one row only, else one of OUTPUT_NORMS."""
+    if name not in OUTPUT_NORMS and (name is not None or rows != 1):
+        raise ValueError(f"output norm {name!r} does not fit a head of {rows} rows; "
+                         f"valid: {', '.join(OUTPUT_NORMS)}, or None for one row")
+
+
 def cross_norm_value(v) -> float:
     """max over the generators {e_i} and {e_i - e_j} of |<gen, v>|."""
     v = np.asarray(v, dtype=float)

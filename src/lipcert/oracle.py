@@ -114,11 +114,13 @@ def enumerate_regions(
     sign-pattern LP that fails raises ``lp.SolverNumericalError`` rather than
     pruning.  ``interior_eps`` must be a finite number > 0: at 0 or below,
     neighbouring regions would overlap in the witnessed sets.  An unknown
-    ``alpha`` raises ``ValueError`` before any LP.
+    ``alpha``, or an ``output_norm`` that does not fit the head
+    (``norms.check_output_norm``), raises ``ValueError`` before any LP.
     """
     if not 0.0 < interior_eps < np.inf:
         raise ValueError(f"interior_eps must be a finite number > 0, got {interior_eps!r}")
     norms.check_input_norm(alpha)
+    norms.check_output_norm(output_norm, net.output_dim)
     if net.total_neurons > neuron_cap:
         raise NeuronCapExceeded(
             f"network has {net.total_neurons} neurons, cap is {neuron_cap}; "

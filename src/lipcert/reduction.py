@@ -9,9 +9,9 @@ to the l1 gradient norm, so the maximal gradient norm over the box [-2, 2]^n
 equals the maximum independent set size -- an integer-valued, independently
 checkable target for the exact solver.
 
-A second variant adds one extra input whose partial derivative counts the
-selected vertices, turning the same instance into an linf-gradient (l1
-Lipschitz) test case.
+One builder, ``build_mis_network``, makes both variants: ``variant="l1"``
+adds one extra input whose partial derivative counts the selected vertices,
+turning the same instance into an linf-gradient (l1 Lipschitz) test case.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bnb
+from . import bnb, norms
 from .interval import Hyperbox
 from .mip import build_lipmip_model
 from .network import ReLUNetwork
@@ -95,38 +95,17 @@ def _ramp_layer(n_inputs: int):
     return w1, b1
 
 
-def build_mis_network(g: Graph, eps: float | None = None) -> ReLUNetwork:
-    """Network whose maximal l1 gradient norm over [-2, 2]^n is MIS(g).
+def build_mis_network(g: Graph, eps: float | None = None, variant: str = "linf") -> ReLUNetwork:
+    """Network whose Lipschitz constant in the input norm ``variant`` over
+    the box [-2, 2]^inputs is MIS(g).
 
-    Vertex neuron i reads psi(x_i) - sum_{j ~ i} psi(x_j) - (deg(i)+1-eps)
-    and the head weighs it by 1/(deg(i)+1), so a consistent selection of k
-    vertices yields gradient norm exactly k and nothing can do better.
-    """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    eps = default_eps(g.n) if eps is None else eps
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    n = g.n
-    w1, b1 = _ramp_layer(n)
-    w2 = np.zeros((n, 2 * n))
-    b2 = np.zeros(n)
-    head = np.zeros((1, n))
-    for i in range(n):
-        w2[i, 2 * i] = 1.0       # +relu(x_i + 1)
-        w2[i, 2 * i + 1] = -1.0  # -relu(x_i - 1)
-        for j in g.neighbors(i):
-            w2[i, 2 * j] = -1.0
-            w2[i, 2 * j + 1] = 1.0
-        b2[i] = eps - 2.0  # psi constants fold to -2 + eps
-        head[0, i] = 1.0 / (g.degree(i) + 1)
-    return ReLUNetwork(weights=(w1, w2), biases=(b1, b2), head=head)
+    ``variant="linf"`` (linf input norm, l1 gradient norm): vertex neuron i
+    reads psi(x_i) - sum_{j ~ i} psi(x_j) - (deg(i)+1-eps) and the head
+    weighs it by 1/(deg(i)+1), so a consistent selection of k vertices
+    yields gradient norm exactly k and nothing can do better.
 
-
-def build_mis_network_l1(g: Graph, eps: float | None = None) -> ReLUNetwork:
-    """Variant with an extra counting input for the linf gradient norm.
-
-    Vertex neuron i reads
+    ``variant="l1"`` (l1 input norm, linf gradient norm) adds one counting
+    input x_extra: vertex neuron i reads
     psi(x_i) + (deg(i)+1) psi(x_extra) - sum_{j ~ i} psi(x_j) - 2(deg(i)+1-eps),
     so switching it on requires the extra coordinate near +1 as well, and the
     partial derivative with respect to the extra input counts the selected
@@ -135,27 +114,32 @@ def build_mis_network_l1(g: Graph, eps: float | None = None) -> ReLUNetwork:
     MIS/2 and would break the integer-equality checks, so the halving is
     dropped.
     """
+    norms.check_input_norm(variant)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     eps = default_eps(g.n) if eps is None else eps
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     n = g.n
-    w1, b1 = _ramp_layer(n + 1)
-    w2 = np.zeros((n, 2 * (n + 1)))
+    extra = variant == "l1"
+    w1, b1 = _ramp_layer(n + extra)
+    w2 = np.zeros((n, 2 * (n + extra)))
     b2 = np.zeros(n)
     head = np.zeros((1, n))
     for i in range(n):
         deg1 = g.degree(i) + 1.0
-        w2[i, 2 * i] = 1.0
-        w2[i, 2 * i + 1] = -1.0
-        w2[i, 2 * n] = deg1       # +deg1 * relu(x_extra + 1)
-        w2[i, 2 * n + 1] = -deg1  # -deg1 * relu(x_extra - 1)
+        w2[i, 2 * i] = 1.0       # +relu(x_i + 1)
+        w2[i, 2 * i + 1] = -1.0  # -relu(x_i - 1)
         for j in g.neighbors(i):
             w2[i, 2 * j] = -1.0
             w2[i, 2 * j + 1] = 1.0
-        # psi constants: -1 (own) - deg1 (extra) + deg (neighbors) = -2
-        b2[i] = -2.0 - 2.0 * (deg1 - eps)
+        if extra:
+            w2[i, 2 * n] = deg1       # +deg1 * relu(x_extra + 1)
+            w2[i, 2 * n + 1] = -deg1  # -deg1 * relu(x_extra - 1)
+            # psi constants: -1 (own) - deg1 (extra) + deg (neighbors) = -2
+            b2[i] = -2.0 - 2.0 * (deg1 - eps)
+        else:
+            b2[i] = eps - 2.0  # psi constants fold to -2 + eps
         head[0, i] = 1.0 / deg1
     return ReLUNetwork(weights=(w1, w2), biases=(b1, b2), head=head)
 
@@ -205,19 +189,13 @@ def verify_reduction(g: Graph, opts: bnb.SolveOptions | None = None,
                      variant: str = "linf", tol: float = 1e-6) -> ReductionReport:
     """Solve the gadget network exactly and compare against brute-force MIS.
 
-    ``variant`` picks the network: "linf" (maximal l1 gradient over
-    [-2, 2]^n) or "l1" (maximal linf gradient over [-2, 2]^(n+1))."""
+    ``variant`` picks the network (``build_mis_network``) and the input
+    norm: "linf" (maximal l1 gradient over [-2, 2]^n) or "l1" (maximal linf
+    gradient over [-2, 2]^(n+1))."""
     mis = brute_force_mis(g)
-    if variant == "linf":
-        net = build_mis_network(g)
-        alpha = "linf"
-    elif variant == "l1":
-        net = build_mis_network_l1(g)
-        alpha = "l1"
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    net = build_mis_network(g, variant=variant)
     box = Hyperbox.from_center_radius(np.zeros(net.input_dim), 2.0)
-    res = bnb.solve_mip(build_lipmip_model(net, box, alpha=alpha), opts)
+    res = bnb.solve_mip(build_lipmip_model(net, box, alpha=variant), opts)
     match = (
         res.status == bnb.EXACT
         and abs(res.incumbent_value - mis) <= tol

@@ -34,10 +34,7 @@ def lipmip_vector(
     """Exact L^(alpha,beta) of a multi-output network over a box."""
     if net.output_dim < 2:
         raise ValueError("vector-valued solve needs a head with at least 2 rows")
-    if output_norm not in norms.OUTPUT_NORMS:
-        raise ValueError(
-            f"unsupported output norm {output_norm!r}; valid: l1, linf, cross"
-        )
+    norms.check_output_norm(output_norm, net.output_dim)
     problem = build_lipmip_model(net, domain, alpha=alpha, output_norm=output_norm)
     return bnb.solve_mip(problem, opts)
 
@@ -59,11 +56,21 @@ def robustness_radius(
     """Certified radius around x inside which the predicted label is constant.
 
     Radius = min_j |f_ij(x)| / L^(alpha, cross), using the certified upper
-    bound for L so the radius stays valid even for gap-stopped solves.
-    Degenerate cases: a tied argmax at x returns 0 (with a warning); a
-    constant classifier (L = 0) returns +inf.
+    bound for L so the radius stays valid even for gap-stopped solves, and
+    capped at the distance from x to the boundary of ``domain``, the only
+    set over which L bounds the network.  That distance, min(x - l, u - x),
+    is the same for both input norms, because the extreme points of either
+    ball lie on the axes.  Degenerate cases: a tied argmax at x returns 0
+    (with a warning); a constant classifier (L = 0) returns the distance to
+    the boundary.  An x outside the domain or a one-row head raises
+    ValueError.
     """
+    if net.output_dim < 2:
+        raise ValueError("robustness radius needs a head with at least 2 rows")
     x = np.asarray(x, dtype=float).reshape(-1)
+    if not domain.contains(x):
+        raise ValueError("x lies outside the domain")
+    edge = float(np.min(np.minimum(x - domain.l, domain.u - x)))
     logits = forward(net, x)
     order = np.argsort(logits)[::-1]
     top, second = order[0], order[1]
@@ -73,8 +80,5 @@ def robustness_radius(
     margin = min(
         abs(logits[top] - logits[j]) for j in range(net.output_dim) if j != top
     )
-    res = lipmip_vector(net, domain, alpha=alpha, output_norm="cross", opts=opts)
-    lip = res.upper_bound
-    if lip <= zero_tol:
-        return float("inf")
-    return float(margin / lip)
+    lip = lipmip_vector(net, domain, alpha=alpha, output_norm="cross", opts=opts).upper_bound
+    return edge if lip <= zero_tol else min(float(margin / lip), edge)

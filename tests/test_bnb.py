@@ -107,6 +107,7 @@ def test_deterministic_repeat_runs():
 @pytest.mark.parametrize("kw", [
     {"target_gap": -0.5}, {"target_gap": float("nan")},
     {"timeout_seconds": -1.0}, {"timeout_seconds": float("nan")},
+    {"node_limit": -1}, {"node_limit": float("nan")},
 ])
 def test_solve_options_reject_negative_and_nan_limits(kw):
     # a NaN limit compares false against everything, so it would never stop

@@ -7,7 +7,6 @@ from lipcert import interval, lp, mip, norms
 from lipcert.bnb import tighten_root
 from lipcert.interval import Hyperbox
 from lipcert.mip import (
-    BinDecision,
     MIPModel,
     build_lipmip_model,
     encode_abs,
@@ -21,6 +20,8 @@ from lipcert.mip import (
 from lipcert.network import (
     ALWAYS_ONE,
     ALWAYS_ZERO,
+    OFF,
+    ON,
     ZeroRule,
     affine_network,
     chain_rule_jacobian,
@@ -102,23 +103,28 @@ def test_encode_affine_lp_feasibility_oracle():
 # -- relu -------------------------------------------------------------------
 
 
+def sign_state(l, u):
+    """The interval pass's sign state of a neuron whose box is [l, u]."""
+    return interval.push_conditional(Hyperbox([l], [u]))[0]
+
+
 def relu_model(l, u):
     model = MIPModel()
     z = model.add_var(l, u, name="z")
     before = model.num_constraints
-    p, dec = encode_relu(model, z, name="p")
-    return model, z, p, dec, model.num_constraints - before
+    p, a = encode_relu(model, z, sign_state(l, u), name="p")
+    return model, z, p, a, model.num_constraints - before
 
 
 def test_relu_integral_graph():
     # with the binary fixed, the feasible p at each z is exactly {relu(z)}
-    model, z, p, dec, rows = relu_model(-2.0, 3.0)
-    assert rows == 3 and model.binary_vars == [dec.var] == [p - 1]
+    model, z, p, a, rows = relu_model(-2.0, 3.0)
+    assert rows == 3 and model.binary_vars == [a] == [p - 1]
     assert (model.lo[p], model.hi[p]) == (0.0, 3.0)
     for zv in np.linspace(-2.0, 3.0, 11):
         seen = []
         for av in (0.0, 1.0):
-            rng = value_range(model, p, {z: zv, dec.var: av})
+            rng = value_range(model, p, {z: zv, a: av})
             if rng is None:
                 assert (av == 1.0 and zv < 0) or (av == 0.0 and zv > 0)
                 continue
@@ -130,7 +136,7 @@ def test_relu_integral_graph():
 
 def test_relu_relaxation_keeps_the_triangle():
     # at a fractional binary every LP point has p >= max(0, z)
-    model, z, p, dec, _ = relu_model(-2.0, 3.0)
+    model, z, p, a, _ = relu_model(-2.0, 3.0)
     prob = model.to_lp_problem()
     cmin = np.zeros(model.num_vars)
     cmin[p] = -1.0
@@ -139,7 +145,7 @@ def test_relu_relaxation_keeps_the_triangle():
         for av in (0.1, 0.25, 0.5, 0.75, 0.9):
             lo, hi = np.array(model.lo), np.array(model.hi)
             lo[z] = hi[z] = zv
-            lo[dec.var] = hi[dec.var] = av
+            lo[a] = hi[a] = av
             sol = lp.SimplexSolver(lp.LPProblem(prob.objective, prob.a, prob.relations,
                                                 prob.rhs, lo, hi)).solve(objective=cmin)
             if sol.status == lp.OPTIMAL:
@@ -150,8 +156,8 @@ def test_relu_relaxation_keeps_the_triangle():
 
 def test_conditional_fixed_positive():
     # l > 0 fixes the forward sign ON: p = z without a binary, one row
-    model, z, p, dec, rows = relu_model(1.0, 2.0)
-    assert dec.is_fixed and dec.fixed == 1 and rows == 1 and model.binary_vars == []
+    model, z, p, a, rows = relu_model(1.0, 2.0)
+    assert a == -1 and rows == 1 and model.binary_vars == []
     assert (model.lo[p], model.hi[p]) == (1.0, 2.0)
     assert feasible(model, {z: 1.5, p: 1.5})
     assert not feasible(model, {z: 1.5, p: 0.0})
@@ -159,8 +165,8 @@ def test_conditional_fixed_positive():
 
 def test_conditional_fixed_negative():
     # u < 0 fixes the forward sign OFF: p = 0 without a binary or a row
-    model, z, p, dec, rows = relu_model(-2.0, -1.0)
-    assert dec.is_fixed and dec.fixed == 0 and rows == 0 and model.binary_vars == []
+    model, z, p, a, rows = relu_model(-2.0, -1.0)
+    assert a == -1 and rows == 0 and model.binary_vars == []
     assert (model.lo[p], model.hi[p]) == (0.0, 0.0)
 
 
@@ -168,18 +174,18 @@ def test_conditional_fixed_negative():
 def test_relu_touching_zero_keeps_both_choices(l, u):
     # the sign test is strict: a box touching 0 keeps its binary, and z = 0
     # is feasible under both choices
-    model, z, p, dec, rows = relu_model(l, u)
-    assert not dec.is_fixed and rows == 3
-    assert feasible(model, {z: 0.0, p: 0.0, dec.var: 0})
-    assert feasible(model, {z: 0.0, p: 0.0, dec.var: 1})
+    model, z, p, a, rows = relu_model(l, u)
+    assert a >= 0 and rows == 3
+    assert feasible(model, {z: 0.0, p: 0.0, a: 0})
+    assert feasible(model, {z: 0.0, p: 0.0, a: 1})
     if u > 0:
-        assert feasible(model, {z: u, p: u, dec.var: 1})
-        assert not feasible(model, {z: u, p: u, dec.var: 0})
-        assert not feasible(model, {z: u, p: 0.0, dec.var: 1})
+        assert feasible(model, {z: u, p: u, a: 1})
+        assert not feasible(model, {z: u, p: u, a: 0})
+        assert not feasible(model, {z: u, p: 0.0, a: 1})
     if l < 0:
-        assert feasible(model, {z: l, p: 0.0, dec.var: 0})
-        assert not feasible(model, {z: l, p: 0.0, dec.var: 1})
-        assert not feasible(model, {z: l, p: l, dec.var: 0})
+        assert feasible(model, {z: l, p: 0.0, a: 0})
+        assert not feasible(model, {z: l, p: 0.0, a: 1})
+        assert not feasible(model, {z: l, p: l, a: 0})
 
 
 # -- switch ----------------------------------------------------------------
@@ -189,7 +195,7 @@ def switch_model(l, u):
     model = MIPModel()
     x = model.add_var(l, u, name="x")
     a = model.add_binary("a")
-    y = encode_switch(model, x, BinDecision(var=a), name="y")
+    y = encode_switch(model, x, sign_state(l, u), a, name="y")
     return model, x, a, y
 
 
@@ -207,11 +213,15 @@ def test_switch_fixed_single_equality():
     model = MIPModel()
     x = model.add_var(0.5, 2.0, name="x")
     n0 = model.num_constraints
-    y = encode_switch(model, x, BinDecision(fixed=1), name="y")
+    on = sign_state(0.5, 2.0)
+    assert on == ON
+    y = encode_switch(model, x, on, -1, name="y")
     assert model.num_constraints == n0 + 1
     assert feasible(model, {x: 1.5, y: 1.5})
     assert not feasible(model, {x: 1.5, y: 0.0})
-    y0 = encode_switch(model, x, BinDecision(fixed=0), name="y0")
+    off = sign_state(-2.0, -0.5)
+    assert off == OFF
+    y0 = encode_switch(model, x, off, -1, name="y0")
     assert feasible(model, {x: 1.5, y: 1.5, y0: 0.0})
 
 

@@ -198,6 +198,21 @@ def test_unknown_norm_raises_before_any_lp(monkeypatch):
         exact_lipschitz_bruteforce(net, box, "l2")
 
 
+@pytest.mark.parametrize("output_norm, message", [
+    (None, "output norm None does not fit a head of 3 rows; valid: l1, linf, cross"),
+    ("l7", "output norm 'l7' does not fit a head of 3 rows; valid: l1, linf, cross"),
+], ids=["none_for_three_rows", "unknown_name"])
+def test_bad_output_norm_raises_before_any_lp(monkeypatch, output_norm, message):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the output norm was checked")
+
+    monkeypatch.setattr(lp.SimplexSolver, "solve", no_lp)
+    net = random_he([3, 8, 8, 3], seed=4)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    with pytest.raises(ValueError, match=message):
+        exact_lipschitz_bruteforce(net, box, "linf", output_norm)
+
+
 @pytest.mark.parametrize("arch, seed, radius, alpha, output_norm", [
     ([2, 8, 8, 1], 1, 0.5, "linf", None),
     ([3, 6, 5, 1], 4, 0.6, "l1", None),

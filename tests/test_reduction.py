@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from lipcert.reduction import Graph, brute_force_mis, random_gnp, verify_reduction
+from lipcert.reduction import (
+    Graph,
+    brute_force_mis,
+    build_mis_network,
+    random_gnp,
+    verify_reduction,
+)
 
 
 def mis_by_subsets(g: Graph) -> int:
@@ -60,3 +66,10 @@ def test_reduction_linf_matches_mis(g):
 def test_reduction_l1_matches_mis(g):
     report = verify_reduction(g, variant="l1")
     assert report.match, report
+
+
+def test_unknown_variant_is_rejected():
+    # the variant is the input norm the network is built for
+    for build in (build_mis_network, verify_reduction):
+        with pytest.raises(ValueError, match="unknown input norm 'l2'; valid: linf, l1"):
+            build(EDGE, variant="l2")

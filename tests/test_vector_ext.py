@@ -147,7 +147,33 @@ def test_robustness_radius_constant_classifier():
     )
     box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
     rad = robustness_radius(net, [0.1, 0.2], box)
-    assert rad == np.inf
+    # L = 0 certifies the label only inside the domain: the radius is the
+    # distance from (0.1, 0.2) to the boundary of [-1, 1]^2
+    assert rad == pytest.approx(0.8, rel=1e-12)
+
+
+def test_robustness_radius_stays_inside_the_domain():
+    # at x = 0 the logits are [0, 5] and constant over [-0.1, 0.1] (L = 0),
+    # yet the label flips at x = -1.2 (logits [0, -15]): only the domain
+    # bounds the radius
+    net = ReLUNetwork(
+        weights=(np.array([[1.0], [-1.0], [0.0]]),),
+        biases=(np.array([-0.5, -1.0, 5.0]),),
+        head=np.array([[-100.0, 0.0, 0.0], [0.0, -100.0, 1.0]]),
+    )
+    y = forward(net, np.array([-1.2]))
+    assert y[0] > y[1]
+    box = Hyperbox.from_center_radius(np.zeros(1), 0.1)
+    for alpha in ("linf", "l1"):
+        assert 0.0 < robustness_radius(net, [0.0], box, alpha=alpha) <= 0.1
+
+
+def test_robustness_radius_rejects_outside_point_and_one_row_head():
+    box = Hyperbox.from_center_radius(np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="outside the domain"):
+        robustness_radius(random_he([3, 4, 2], seed=0), [0.0, 0.6, 0.0], box)
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        robustness_radius(random_he([3, 4, 1], seed=0), np.zeros(3), box)
 
 
 def test_robustness_radius_tied_argmax_warns():
