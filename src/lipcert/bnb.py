@@ -225,15 +225,12 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
 
     For each hidden layer i in order, every neuron whose sign is undecided
     has its pre-activation maximized and minimized over the LP relaxation of
-    the layers below i; then the model is rebuilt from the tightened boxes
-    before layer i+1 is tightened.  That LP needs no model of its own: the
-    variables and rows are declared in forward order, so the variables up to
-    layer i's pre-activations, with the rows that mention only them, are the
-    LP relaxation of the layers below i.  Each LP starts from the previous
-    optimal basis of the layer.  Each new bound is the certified
-    ``SimplexSolver.dual_bound`` of the final basis, never the raw primal
-    objective; a failed LP keeps that side's bound, and a rebuild that
-    fails (rounding left a box empty) keeps the model it started from.
+    the layers below i (``LipMIPProblem.layers_below``); then the model is
+    rebuilt from the tightened boxes before layer i+1 is tightened.  Each LP
+    starts from the previous optimal basis of the layer.  Each new bound is
+    the certified ``SimplexSolver.dual_bound`` of the final basis, never the
+    raw primal objective; a failed LP keeps that side's bound, and a rebuild
+    that fails (rounding left a box empty) keeps the model it started from.
     Layer 0's interval boxes are exact over the domain box, so it is never
     tightened.  Past ``deadline`` (a ``time.perf_counter`` value) no further
     neuron is tightened.
@@ -247,16 +244,8 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
         free = np.flatnonzero(current.neuron_bins[i] >= 0)
         if free.size == 0:
             continue
-        full = current.model.to_lp_problem()
+        solver = lp.SimplexSolver(current.layers_below(i))
         pre = current.pre_vars[i]
-        n = int(pre[-1]) + 1
-        rows = ~full.a[:, n:].any(axis=1)
-        solver = lp.SimplexSolver(lp.LPProblem(
-            objective=np.zeros(n), a=full.a[rows, :n],
-            relations=tuple(r for r, keep in zip(full.relations, rows) if keep),
-            rhs=full.rhs[rows],
-            lo=full.lo[:n], hi=full.hi[:n],
-        ))
         box = current.pre_boxes[i]
         lo, hi = box.l.copy(), box.u.copy()
         basis = None
@@ -264,7 +253,7 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
             if time.perf_counter() > deadline:
                 break
             for sign in (1.0, -1.0):
-                c = np.zeros(n)
+                c = np.zeros(solver.problem.num_vars)
                 c[pre[j]] = sign
                 sol = solver.solve(objective=c, basis=basis)
                 spent[i][0] += 1
@@ -351,7 +340,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             for v, val in fixes.items():
                 lo[v] = hi[v] = float(val)
         inc = res.incumbent_value
-        cutoff = inc * (1.0 + _PRUNE_TOL) - model.objective_const if np.isfinite(inc) else np.inf
+        cutoff = inc * (1.0 + _PRUNE_TOL) if np.isfinite(inc) else np.inf
         sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff)
         res.lp_solves += 1
         res.lp_pivots += sol.iterations
@@ -366,7 +355,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if sol.status != lp.OPTIMAL:
             return sol, None
         # the heap keeps the certified bound; an unreadable one weakens to inf
-        bound = solver.dual_bound() + model.objective_const
+        bound = solver.dual_bound()
         return sol, bound if np.isfinite(bound) else np.inf
 
     def add_node(fixes, depth, sol, bound):
@@ -385,7 +374,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if not fractional(node).size:
             # an incumbent must be attainable: the LP's own value at its point
             point = sol.x[context.input_vars] if context is not None else sol.x
-            update_incumbent(sol.objective_value + model.objective_const, point)
+            update_incumbent(sol.objective_value, point)
             return
         if pruned(bound):
             return
@@ -413,9 +402,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             fixes.update(implied)
             # objective bound from the tightened boxes alone: prunes the
             # child without an LP solve when it cannot beat the incumbent
-            ibound = model.objective_const + sum(
-                c * (hi[v] if c > 0 else lo[v]) for v, c in model.objective.items()
-            )
+            ibound = sum(c * (hi[v] if c > 0 else lo[v]) for v, c in model.objective.items())
             if pruned(ibound):
                 return fixes, None, None
         sol, bound = solve_lp(fixes, lo, hi, node.depth + 1, node.basis)
@@ -512,5 +499,5 @@ def solve_liplp(problem) -> float:
     sol = solver.solve()
     if sol.status != lp.OPTIMAL:
         raise SolverNumericalError(f"LP relaxation returned {sol.status}")
-    return solver.dual_bound() + model.objective_const
+    return solver.dual_bound()
 

@@ -201,7 +201,6 @@ class SimplexSolver:
         s_hi = problem.rhs - row_lo
         self._le = np.array([rel == "<=" for rel in problem.relations], dtype=bool)
         self._ge = np.array([rel == ">=" for rel in problem.relations], dtype=bool)
-        self._row_infeasible = bool(np.any(self._le & (s_hi < 0)) or np.any(self._ge & (s_lo > 0)))
         # the original columns' boxes and costs (structurals, then slacks):
         # the data every certificate is checked on
         self._olo = np.zeros(n + m)
@@ -327,12 +326,12 @@ class SimplexSolver:
                 return False
             if m and (basic.min() < 0 or basic.max() >= self.n_total):
                 return False
-            if np.unique(basic).size != m:
-                return False
             self._basis = basic.astype(np.intp)
             nonbasic = np.ones(self.n_total, dtype=bool)
             nonbasic[self._basis] = False
             self._nb = np.flatnonzero(nonbasic)
+            if self._nb.size != self.n_struct:  # a repeated basic column
+                return False
             if not self._refactorize():
                 return False
             self._snap = basis
@@ -417,8 +416,6 @@ class SimplexSolver:
         pivot cap, returns NUMERICAL_FAILURE.
         """
         p = self.problem
-        if self._row_infeasible:
-            return LPSolution(INFEASIBLE, None, np.nan, 0)
         lo = p.lo if lo is None else np.asarray(lo, dtype=float)
         hi = p.hi if hi is None else np.asarray(hi, dtype=float)
         if np.any(lo > hi):

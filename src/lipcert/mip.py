@@ -37,13 +37,13 @@ and the absolute value.  For alpha = "l1" it is one binary per gradient
 entry and sign, in entry order with + before -, and then their maximum t
 (``encode_signed_max``), whose bounds come from the gradient box alone.
 Rows follow the same order.  ``LipMIPProblem`` records each block as an int
-id array, and ``LipMIPProblem.propagation_bounds`` is the one map from
-interval boxes onto those ids.  The order is load-bearing: branch-and-bound
-breaks branching ties by the lowest variable id and the simplex prices
-columns in id order, so a reordered but otherwise equal model searches
-differently; and root tightening reads the layers below layer i off this
-order, as the variables up to layer i's pre-activations with the rows that
-mention only them.
+id array and is the only reader of the order: ``propagation_bounds`` is the
+one map from interval boxes onto those ids, and ``layers_below(i)`` reads
+the LP relaxation of the layers below layer i off it, as the variables up
+to layer i's pre-activations with the rows that mention only them.  The
+order is load-bearing: branch-and-bound breaks branching ties by the lowest
+variable id and the simplex prices columns in id order, so a reordered but
+otherwise equal model searches differently.
 """
 
 from __future__ import annotations
@@ -67,41 +67,39 @@ from .network import (
     preactivations,
 )
 
-CONTINUOUS = "continuous"
-BINARY = "binary"
-
 
 class ModelError(ValueError):
     """Raised when a model cannot be built (unbounded domain, bad bounds)."""
 
 
 class MIPModel:
-    """Linear constraints over continuous + binary variables, maximized."""
+    """A maximization over finitely boxed variables, named by their ids in
+    declaration order: linear rows, a linear objective and ``binary_vars``,
+    the ids of the variables that must end at 0 or 1."""
 
     def __init__(self):
         self.lo: list[float] = []
         self.hi: list[float] = []
-        self.kinds: list[str] = []
-        self.names: list[str] = []
+        self.binary_vars: list[int] = []
         self.constraints: list[tuple[dict[int, float], str, float]] = []
         self.objective: dict[int, float] = {}
-        self.objective_const: float = 0.0
+        self.objective_const: float = 0.0  # always 0; the bench's HiGHS export adds it
 
     # -- variables / constraints --------------------------------------------
 
-    def add_var(self, lo: float, hi: float, kind: str = CONTINUOUS, name: str = "") -> int:
+    def add_var(self, lo: float, hi: float) -> int:
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ModelError(f"variable {name or len(self.lo)}: bounds must be finite")
+            raise ModelError(f"variable {len(self.lo)}: bounds must be finite")
         if lo > hi:
-            raise ModelError(f"variable {name or len(self.lo)}: lo {lo} > hi {hi}")
+            raise ModelError(f"variable {len(self.lo)}: lo {lo} > hi {hi}")
         self.lo.append(float(lo))
         self.hi.append(float(hi))
-        self.kinds.append(kind)
-        self.names.append(name or f"v{len(self.lo) - 1}")
         return len(self.lo) - 1
 
-    def add_binary(self, name: str = "") -> int:
-        return self.add_var(0.0, 1.0, BINARY, name)
+    def add_binary(self) -> int:
+        v = self.add_var(0.0, 1.0)
+        self.binary_vars.append(v)
+        return v
 
     def add_constraint(self, coefs: dict[int, float], rel: str, rhs: float) -> None:
         if rel not in ("<=", "=", ">="):
@@ -111,9 +109,8 @@ class MIPModel:
                 raise ModelError(f"constraint references undeclared variable {v}")
         self.constraints.append(({k: float(c) for k, c in coefs.items()}, rel, float(rhs)))
 
-    def set_objective(self, coefs: dict[int, float], const: float = 0.0) -> None:
+    def set_objective(self, coefs: dict[int, float]) -> None:
         self.objective = {k: float(c) for k, c in coefs.items()}
-        self.objective_const = float(const)
 
     @property
     def num_vars(self) -> int:
@@ -122,10 +119,6 @@ class MIPModel:
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    @property
-    def binary_vars(self) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == BINARY]
 
     # -- conversions ----------------------------------------------------------
 
@@ -154,10 +147,11 @@ class MIPModel:
         out = []
         for i in range(self.num_vars):
             if point[i] < self.lo[i] - tol or point[i] > self.hi[i] + tol:
-                out.append(f"{self.names[i]}: value {point[i]} outside "
+                out.append(f"variable {i}: value {point[i]} outside "
                            f"[{self.lo[i]}, {self.hi[i]}]")
-            if self.kinds[i] == BINARY and min(abs(point[i]), abs(point[i] - 1)) > integrality_tol:
-                out.append(f"{self.names[i]}: not integral ({point[i]})")
+        for i in self.binary_vars:
+            if min(abs(point[i]), abs(point[i] - 1)) > integrality_tol:
+                out.append(f"variable {i}: not integral ({point[i]})")
         for k, (coefs, rel, rhs) in enumerate(self.constraints):
             lhs = sum(c * point[v] for v, c in coefs.items())
             scale = tol * (1.0 + abs(rhs))
@@ -171,10 +165,11 @@ class MIPModel:
 
 
 # -- operator encodings -------------------------------------------------------
+# Each encoder declares its variables and rows on the model and returns the
+# new variables' ids; its binaries also enter ``MIPModel.binary_vars``.
 
 
-def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox,
-                  prefix: str = "aff") -> list[int]:
+def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox) -> list[int]:
     """Fresh out variables constrained to equal W @ in + b (b may be None),
     bounded by ``box``, a box that encloses the outputs."""
     w = np.asarray(w, dtype=float)
@@ -184,7 +179,7 @@ def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox,
     bvec = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=float).reshape(-1)
     out = []
     for r in range(w.shape[0]):
-        y = model.add_var(box.l[r], box.u[r], name=f"{prefix}{r}")
+        y = model.add_var(box.l[r], box.u[r])
         coefs = {y: 1.0}
         for c, v in enumerate(in_vars):
             if w[r, c] != 0.0:
@@ -194,20 +189,20 @@ def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox,
     return out
 
 
-def encode_switch(model: MIPModel, x_var: int, state: int, a: int, name: str = "s") -> int:
+def encode_switch(model: MIPModel, x_var: int, state: int, a: int) -> int:
     """y = x * a for the shared binary a of an UNKNOWN sign ``state``;
     collapses to y = x (ON) or y = 0 (OFF)."""
     l, u = model.lo[x_var], model.hi[x_var]
     if state == ON:
-        y = model.add_var(l, u, name=name)
+        y = model.add_var(l, u)
         model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
         return y
     if state == OFF:
-        y = model.add_var(0.0, 0.0, name=name)
+        y = model.add_var(0.0, 0.0)
         model.add_constraint({y: 1.0}, "=", 0.0)
         return y
     lhat, uhat = min(l, 0.0), max(u, 0.0)
-    y = model.add_var(lhat, uhat, name=name)
+    y = model.add_var(lhat, uhat)
     # y >= x - u(1-a)   <=>  y - x - u a >= -u
     model.add_constraint({y: 1.0, x_var: -1.0, a: -u}, ">=", -u)
     # y <= x - l(1-a)   <=>  y - x - l a <= -l
@@ -218,19 +213,19 @@ def encode_switch(model: MIPModel, x_var: int, state: int, a: int, name: str = "
     return y
 
 
-def encode_switch_const(model: MIPModel, value: float, state: int, a: int,
-                        name: str = "s") -> int:
+def encode_switch_const(model: MIPModel, value: float, state: int, a: int) -> int:
     """Switch applied to a known constant: y = value * a (``encode_switch``)."""
     if state != interval.UNKNOWN:
         v = value if state == ON else 0.0
-        return model.add_var(v, v, name=name)
-    y = model.add_var(min(value, 0.0), max(value, 0.0), name=name)
+        return model.add_var(v, v)
+    y = model.add_var(min(value, 0.0), max(value, 0.0))
     model.add_constraint({y: 1.0, a: -value}, "=", 0.0)
     return y
 
 
-def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int | None]:
-    """y = |x| via the four-inequality piecewise encoding; returns (y, sign).
+def encode_abs(model: MIPModel, x_var: int) -> tuple[int, int | None]:
+    """y = |x| via the four-inequality piecewise encoding; returns y and the
+    sign binary's id, None when the bounds fix the sign.
 
     The two branch systems y = x (a=0) and y = -x (a=1) are glued with
     zeta- = 2l, zeta+ = 2u; the nonnegative variable bounds cut the wrong
@@ -239,15 +234,15 @@ def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int |
     """
     l, u = model.lo[x_var], model.hi[x_var]
     if l >= 0:
-        y = model.add_var(l, u, name=name)
+        y = model.add_var(l, u)
         model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
         return y, None
     if u <= 0:
-        y = model.add_var(-u, -l, name=name)
+        y = model.add_var(-u, -l)
         model.add_constraint({y: 1.0, x_var: 1.0}, "=", 0.0)
         return y, None
-    a = model.add_binary(f"{name}_sign")
-    y = model.add_var(0.0, max(-l, u), name=name)
+    a = model.add_binary()
+    y = model.add_var(0.0, max(-l, u))
     # y >= x - 2u a ; y <= x - 2l a ; y >= -x + 2l(1-a) ; y <= -x + 2u(1-a)
     model.add_constraint({y: 1.0, x_var: -1.0, a: 2 * u}, ">=", 0.0)
     model.add_constraint({y: 1.0, x_var: -1.0, a: 2 * l}, "<=", 0.0)
@@ -256,7 +251,7 @@ def encode_abs(model: MIPModel, x_var: int, name: str = "t") -> tuple[int, int |
     return y, a
 
 
-def encode_relu(model: MIPModel, z: int, state: int, name: str) -> tuple[int, int]:
+def encode_relu(model: MIPModel, z: int, state: int) -> tuple[int, int]:
     """p = relu(z) for a pre-activation variable z with model bounds [l, u]
     and the sign ``state`` that ``interval.push_conditional`` reads from them.
 
@@ -268,20 +263,20 @@ def encode_relu(model: MIPModel, z: int, state: int, name: str) -> tuple[int, in
     """
     l, u = model.lo[z], model.hi[z]
     if state == ON:
-        p = model.add_var(l, u, name=name)
+        p = model.add_var(l, u)
         model.add_constraint({p: 1.0, z: -1.0}, "=", 0.0)
         return p, -1
     if state == OFF:
-        return model.add_var(0.0, 0.0, name=name), -1
-    a = model.add_binary(f"{name}_on")
-    p = model.add_var(0.0, u, name=name)
+        return model.add_var(0.0, 0.0), -1
+    a = model.add_binary()
+    p = model.add_var(0.0, u)
     model.add_constraint({p: 1.0, z: -1.0}, ">=", 0.0)  # p >= z
     model.add_constraint({p: 1.0, z: -1.0, a: -l}, "<=", -l)  # p <= z - l(1-a)
     model.add_constraint({p: 1.0, a: -u}, "<=", 0.0)  # p <= u a
     return p, a
 
 
-def encode_signed_max(model: MIPModel, x_vars, name: str = "gmax") -> tuple[list[int], int]:
+def encode_signed_max(model: MIPModel, x_vars) -> tuple[list[int], int]:
     """A maximized t = max over j and s = +-1 of s * x_j, i.e. max_j |x_j|.
 
     One binary b_js per variable and sign (in variable order, + before -)
@@ -295,10 +290,9 @@ def encode_signed_max(model: MIPModel, x_vars, name: str = "gmax") -> tuple[list
     options = [(x, s) for x in x_vars for s in (1.0, -1.0)]
     bounds = [(model.lo[x], model.hi[x]) if s > 0 else (-model.hi[x], -model.lo[x])
               for x, s in options]
-    bins = [model.add_binary(f"{name}_{model.names[x]}{'+' if s > 0 else '-'}")
-            for x, s in options]
+    bins = [model.add_binary() for _ in options]
     top = max(u for _, u in bounds)
-    t = model.add_var(0.0, top, name=name)
+    t = model.add_var(0.0, top)
     model.add_constraint({b: 1.0 for b in bins}, "=", 1.0)
     for (x, s), (l, _), b in zip(options, bounds, bins):
         model.add_constraint({t: 1.0, x: -s, b: top - l}, "<=", top - l)
@@ -310,11 +304,11 @@ def encode_signed_max(model: MIPModel, x_vars, name: str = "gmax") -> tuple[list
 def _encode_split(model: MIPModel, m: int):
     """Variables z = z+ - z- with z+, z- in [0, 1]^m and z in [-1, 1]^m;
     the caller adds the rows that shape the ball.  Returns (z, z+, z-)."""
-    zp = [model.add_var(0.0, 1.0, name=f"zp{i}") for i in range(m)]
-    zn = [model.add_var(0.0, 1.0, name=f"zn{i}") for i in range(m)]
+    zp = [model.add_var(0.0, 1.0) for _ in range(m)]
+    zn = [model.add_var(0.0, 1.0) for _ in range(m)]
     z = []
     for i in range(m):
-        zi = model.add_var(-1.0, 1.0, name=f"z{i}")
+        zi = model.add_var(-1.0, 1.0)
         model.add_constraint({zi: 1.0, zp[i]: -1.0, zn[i]: 1.0}, "=", 0.0)
         z.append(zi)
     return z, zp, zn
@@ -328,7 +322,7 @@ def encode_dual_ball(model: MIPModel, m: int, output_norm: str):
     """
     if output_norm == "l1":
         # dual ball of l1 is the linf box: plain variable bounds suffice
-        return [model.add_var(-1.0, 1.0, name=f"z{i}") for i in range(m)], [], []
+        return [model.add_var(-1.0, 1.0) for _ in range(m)], [], []
     if output_norm == "linf":
         # dual ball of linf is the l1 ball: sum z+ + sum z- <= 1
         z, zp, zn = _encode_split(model, m)
@@ -375,7 +369,7 @@ class LipMIPProblem:
     variable t; they are empty and -1 for alpha = "linf".  These blocks
     partition the model's variables; the order in which they were declared
     is given in the module docstring and is load-bearing for search
-    determinism.
+    determinism; ``layers_below`` is the one method that relies on it.
 
     ``pre_boxes[i]`` is the box that bounds layer i's pre-activation
     variables, from which its big-Ms and fixed signs were derived: the
@@ -412,6 +406,20 @@ class LipMIPProblem:
         pre-activations of every feasible point)."""
         return build_lipmip_model(self.net, self.domain, self.alpha, self.output_norm,
                                   pre_boxes)
+
+    def layers_below(self, i: int) -> lp.LPProblem:
+        """The LP relaxation of the layers below hidden layer i, with a zero
+        objective: the variables up to layer i's last pre-activation, under
+        their model ids, and the rows that mention only them (module
+        docstring)."""
+        full = self.model.to_lp_problem()
+        n = int(self.pre_vars[i][-1]) + 1
+        rows = ~full.a[:, n:].any(axis=1)
+        return lp.LPProblem(
+            objective=np.zeros(n), a=full.a[rows, :n],
+            relations=tuple(r for r, keep in zip(full.relations, rows) if keep),
+            rhs=full.rhs[rows], lo=full.lo[:n], hi=full.hi[:n],
+        )
 
     @cached_property
     def binary_map(self) -> dict[int, tuple[int, int]]:
@@ -568,9 +576,7 @@ def build_lipmip_model(
         raise ModelError("multi-output network needs an output norm")
     model = MIPModel()
 
-    input_vars = [
-        model.add_var(domain.l[j], domain.u[j], name=f"x{j}") for j in range(domain.dim)
-    ]
+    input_vars = [model.add_var(lo, hi) for lo, hi in zip(domain.l, domain.u)]
 
     d = net.depth
     prop = interval.propagate(net, domain, interval.head_seed_box(net, output_norm),
@@ -581,10 +587,8 @@ def build_lipmip_model(
     post_vars: list[list[int]] = []
     cur = input_vars
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z_vars = encode_affine(model, cur, w, b, prop.pre_activation_boxes[i],
-                               prefix=f"z{i}_")
-        relus = [encode_relu(model, zv, states[i][j], name=f"p{i}_{j}")
-                 for j, zv in enumerate(z_vars)]
+        z_vars = encode_affine(model, cur, w, b, prop.pre_activation_boxes[i])
+        relus = [encode_relu(model, zv, st) for zv, st in zip(z_vars, states[i])]
         neuron_bins.append([a for _, a in relus])
         pre_vars.append(z_vars)
         post_vars.append([p for p, _ in relus])
@@ -597,39 +601,29 @@ def build_lipmip_model(
     bwd_value_vars: list[list[int]] = [[] for _ in range(d)]
     bwd_switch_vars: list[list[int]] = [[] for _ in range(d)]
     if output_norm is None:
-        head_row = net.head[0]
-        sw = [
-            encode_switch_const(model, float(head_row[j]), states[d - 1][j],
-                                neuron_bins[d - 1][j], name=f"q{d-1}_{j}")
-            for j in range(len(head_row))
-        ]
+        sw = [encode_switch_const(model, float(c), st, a)
+              for c, st, a in zip(net.head[0], states[d - 1], neuron_bins[d - 1])]
     else:
         z_ball_vars, z_pos, z_neg = encode_dual_ball(model, net.output_dim, output_norm)
-        v_vars = encode_affine(model, z_ball_vars, net.head.T, None, prop.backward_boxes[0],
-                               prefix=f"y{d-1}_")
+        v_vars = encode_affine(model, z_ball_vars, net.head.T, None, prop.backward_boxes[0])
         bwd_value_vars[d - 1] = v_vars
-        sw = [
-            encode_switch(model, v, states[d - 1][j], neuron_bins[d - 1][j], name=f"q{d-1}_{j}")
-            for j, v in enumerate(v_vars)
-        ]
+        sw = [encode_switch(model, v, st, a)
+              for v, st, a in zip(v_vars, states[d - 1], neuron_bins[d - 1])]
     bwd_switch_vars[d - 1] = sw
     for i in range(d - 1, 0, -1):
-        v_vars = encode_affine(model, sw, net.weights[i].T, None, prop.backward_boxes[d - i],
-                               prefix=f"y{i-1}_")
+        v_vars = encode_affine(model, sw, net.weights[i].T, None, prop.backward_boxes[d - i])
         bwd_value_vars[i - 1] = v_vars
-        sw = [
-            encode_switch(model, v, states[i - 1][j], neuron_bins[i - 1][j], name=f"q{i-1}_{j}")
-            for j, v in enumerate(v_vars)
-        ]
+        sw = [encode_switch(model, v, st, a)
+              for v, st, a in zip(v_vars, states[i - 1], neuron_bins[i - 1])]
         bwd_switch_vars[i - 1] = sw
-    grad_vars = encode_affine(model, sw, net.weights[0].T, None, prop.gradient_box, prefix="g")
+    grad_vars = encode_affine(model, sw, net.weights[0].T, None, prop.gradient_box)
 
     abs_vars: list[int] = []
     abs_signs: list[int] = []
     choice_bins: list[int] = []
     if alpha == "linf":
-        for j, g in enumerate(grad_vars):
-            y, sign = encode_abs(model, g, name=f"ag{j}")
+        for g in grad_vars:
+            y, sign = encode_abs(model, g)
             abs_vars.append(y)
             abs_signs.append(-1 if sign is None else sign)
         model.set_objective({v: 1.0 for v in abs_vars})

@@ -23,6 +23,9 @@ from .interval import Hyperbox
 from .mip import build_lipmip_model
 from .network import ReLUNetwork, forward
 
+#: A logit gap or Lipschitz bound at most this large counts as zero.
+ZERO_TOL = 1e-12
+
 
 def lipmip_vector(
     net: ReLUNetwork,
@@ -51,7 +54,6 @@ def robustness_radius(
     domain: Hyperbox,
     alpha: str = "linf",
     opts: bnb.SolveOptions | None = None,
-    zero_tol: float = 1e-12,
 ) -> float:
     """Certified radius around x inside which the predicted label is constant.
 
@@ -60,10 +62,10 @@ def robustness_radius(
     capped at the distance from x to the boundary of ``domain``, the only
     set over which L bounds the network.  That distance, min(x - l, u - x),
     is the same for both input norms, because the extreme points of either
-    ball lie on the axes.  Degenerate cases: a tied argmax at x returns 0
-    (with a warning); a constant classifier (L = 0) returns the distance to
-    the boundary.  An x outside the domain or a one-row head raises
-    ValueError.
+    ball lie on the axes.  Degenerate cases, each up to ``ZERO_TOL``: a tied
+    argmax at x returns 0 (with a warning); a constant classifier (L = 0)
+    returns the distance to the boundary.  An x outside the domain or a
+    one-row head raises ValueError.
     """
     if net.output_dim < 2:
         raise ValueError("robustness radius needs a head with at least 2 rows")
@@ -74,11 +76,11 @@ def robustness_radius(
     logits = forward(net, x)
     order = np.argsort(logits)[::-1]
     top, second = order[0], order[1]
-    if abs(logits[top] - logits[second]) <= zero_tol:
+    if abs(logits[top] - logits[second]) <= ZERO_TOL:
         warnings.warn("argmax tied at the query point; radius is 0")
         return 0.0
     margin = min(
         abs(logits[top] - logits[j]) for j in range(net.output_dim) if j != top
     )
     lip = lipmip_vector(net, domain, alpha=alpha, output_norm="cross", opts=opts).upper_bound
-    return edge if lip <= zero_tol else min(float(margin / lip), edge)
+    return edge if lip <= ZERO_TOL else min(float(margin / lip), edge)

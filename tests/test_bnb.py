@@ -41,7 +41,7 @@ def test_identity_net_exact_two():
 def test_generic_mip_model_branching():
     # max x1 + x2 + x3 s.t. x1 + x2 <= 1, binaries: knapsack-style
     model = MIPModel()
-    b = [model.add_binary(f"b{i}") for i in range(3)]
+    b = [model.add_binary() for _ in range(3)]
     model.add_constraint({b[0]: 1.0, b[1]: 1.0}, "<=", 1.0)
     model.add_constraint({b[1]: 1.0, b[2]: 1.0}, "<=", 1.0)
     model.set_objective({b[0]: 1.0, b[1]: 1.5, b[2]: 1.0})
@@ -342,8 +342,8 @@ def test_strong_branch_infeasible_side_leaves_one_child(monkeypatch):
     # child a = 1 is infeasible, so a is fixed at 0 and the root gets the
     # single child a = 0 (value 1)
     model = MIPModel()
-    a = model.add_binary("a")
-    y = model.add_var(0.0, 1.0, name="y")
+    a = model.add_binary()
+    y = model.add_var(0.0, 1.0)
     model.add_constraint({a: 2.0}, "<=", 1.0)
     model.set_objective({a: 1.0, y: 1.0})
     statuses = solve_statuses(monkeypatch)
@@ -362,7 +362,7 @@ def test_strong_branch_cut_off_side_leaves_one_child(monkeypatch):
     # is cut off by the incumbent, so a is fixed at 0 and the node gets the
     # single child a = 0, integral with value 10
     model = MIPModel()
-    a, b, c = (model.add_binary(name) for name in "abc")
+    a, b, c = (model.add_binary() for _ in range(3))
     model.add_constraint({a: 2.0, b: 3.0, c: 4.0}, "<=", 7.5)
     model.set_objective({a: 2.0, b: 7.0, c: 3.0})
     statuses = solve_statuses(monkeypatch)

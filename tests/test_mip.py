@@ -67,7 +67,7 @@ def value_range(model, var, fixed, tol=1e-9):
 
 def test_encode_affine_identity():
     model = MIPModel()
-    xs = [model.add_var(-1, 1, name=f"x{i}") for i in range(2)]
+    xs = [model.add_var(-1, 1) for _ in range(2)]
     box = interval.push_affine(Hyperbox([-1, -1], [1, 1]), np.eye(2))
     out = encode_affine(model, xs, np.eye(2), None, box)
     assert feasible(model, {xs[0]: 0.3, xs[1]: -0.7, out[0]: 0.3, out[1]: -0.7})
@@ -76,7 +76,7 @@ def test_encode_affine_identity():
 
 def test_encode_affine_bounds_by_interval():
     model = MIPModel()
-    xs = [model.add_var(0, 1, name=f"x{i}") for i in range(2)]
+    xs = [model.add_var(0, 1) for _ in range(2)]
     w, b = np.array([[1.0, 1.0]]), np.array([-1.0])
     out = encode_affine(model, xs, w, b, interval.push_affine(Hyperbox([0, 0], [1, 1]), w, b))
     assert model.lo[out[0]] == pytest.approx(-1.0)
@@ -86,7 +86,7 @@ def test_encode_affine_bounds_by_interval():
 def test_encode_affine_lp_feasibility_oracle():
     rng = np.random.Generator(np.random.Philox(key=1))
     model = MIPModel()
-    xs = [model.add_var(-2, 2, name=f"x{i}") for i in range(3)]
+    xs = [model.add_var(-2, 2) for _ in range(3)]
     w = rng.normal(size=(2, 3))
     b = rng.normal(size=2)
     out = encode_affine(model, xs, w, b, interval.push_affine(Hyperbox([-2] * 3, [2] * 3), w, b))
@@ -110,9 +110,9 @@ def sign_state(l, u):
 
 def relu_model(l, u):
     model = MIPModel()
-    z = model.add_var(l, u, name="z")
+    z = model.add_var(l, u)
     before = model.num_constraints
-    p, a = encode_relu(model, z, sign_state(l, u), name="p")
+    p, a = encode_relu(model, z, sign_state(l, u))
     return model, z, p, a, model.num_constraints - before
 
 
@@ -193,9 +193,9 @@ def test_relu_touching_zero_keeps_both_choices(l, u):
 
 def switch_model(l, u):
     model = MIPModel()
-    x = model.add_var(l, u, name="x")
-    a = model.add_binary("a")
-    y = encode_switch(model, x, sign_state(l, u), a, name="y")
+    x = model.add_var(l, u)
+    a = model.add_binary()
+    y = encode_switch(model, x, sign_state(l, u), a)
     return model, x, a, y
 
 
@@ -211,17 +211,17 @@ def test_switch_free_semantics():
 
 def test_switch_fixed_single_equality():
     model = MIPModel()
-    x = model.add_var(0.5, 2.0, name="x")
+    x = model.add_var(0.5, 2.0)
     n0 = model.num_constraints
     on = sign_state(0.5, 2.0)
     assert on == ON
-    y = encode_switch(model, x, on, -1, name="y")
+    y = encode_switch(model, x, on, -1)
     assert model.num_constraints == n0 + 1
     assert feasible(model, {x: 1.5, y: 1.5})
     assert not feasible(model, {x: 1.5, y: 0.0})
     off = sign_state(-2.0, -0.5)
     assert off == OFF
-    y0 = encode_switch(model, x, off, -1, name="y0")
+    y0 = encode_switch(model, x, off, -1)
     assert feasible(model, {x: 1.5, y: 1.5, y0: 0.0})
 
 
@@ -230,7 +230,7 @@ def test_switch_fixed_single_equality():
 
 def test_abs_at_zero_both_branches():
     model = MIPModel()
-    x = model.add_var(-1.0, 1.0, name="x")
+    x = model.add_var(-1.0, 1.0)
     y, a = encode_abs(model, x)
     assert feasible(model, {x: 0.0, y: 0.0, a: 0})
     assert feasible(model, {x: 0.0, y: 0.0, a: 1})
@@ -239,7 +239,7 @@ def test_abs_at_zero_both_branches():
 
 def test_abs_unique_value_by_enumeration():
     model = MIPModel()
-    x = model.add_var(-3.0, 2.0, name="x")
+    x = model.add_var(-3.0, 2.0)
     y, a = encode_abs(model, x)
     vals = []
     for av in (0.0, 1.0):
@@ -253,7 +253,7 @@ def test_abs_unique_value_by_enumeration():
 
 def test_abs_sign_fixed_degenerates():
     model = MIPModel()
-    x = model.add_var(0.0, 2.0, name="x")
+    x = model.add_var(0.0, 2.0)
     nbin = len(model.binary_vars)
     y, a = encode_abs(model, x)
     assert a is None
@@ -265,7 +265,7 @@ def test_abs_sign_fixed_degenerates():
 def test_abs_random_graph_check():
     rng = np.random.Generator(np.random.Philox(key=9))
     model = MIPModel()
-    x = model.add_var(-2.0, 5.0, name="x")
+    x = model.add_var(-2.0, 5.0)
     y, a = encode_abs(model, x)
     for _ in range(50):
         xv = float(rng.uniform(-2, 5))
@@ -282,17 +282,19 @@ def test_abs_random_graph_check():
 def test_signed_max_layout_and_rows():
     # binaries in variable order with + before -, then t in [0, U]
     model = MIPModel()
-    xs = [model.add_var(-1.0, 3.0, name="a"), model.add_var(-4.0, 2.0, name="b")]
+    xs = [model.add_var(-1.0, 3.0), model.add_var(-4.0, 2.0)]
     bins, t = encode_signed_max(model, xs)
     assert bins == model.binary_vars == [2, 3, 4, 5] and t == 6
-    assert [model.names[b] for b in bins] == ["gmax_a+", "gmax_a-", "gmax_b+", "gmax_b-"]
+    for b, (x, s), (coefs, _, _) in zip(bins, itertools.product(xs, (1.0, -1.0)),
+                                        model.constraints[1:5]):
+        assert coefs.keys() == {t, x, b} and coefs[x] == -s
     assert (model.lo[t], model.hi[t]) == (0.0, 4.0)
     assert model.num_constraints == 1 + 4 + 1
 
 
 def test_signed_max_each_choice_bounds_t_by_its_option():
     model = MIPModel()
-    xs = [model.add_var(-2.0, 3.0, name=f"x{i}") for i in range(2)]
+    xs = [model.add_var(-2.0, 3.0) for _ in range(2)]
     bins, t = encode_signed_max(model, xs)
     vals = (1.5, -2.0)
     options = [s * v for v in vals for s in (1.0, -1.0)]
@@ -308,7 +310,7 @@ def test_signed_max_random_triples_lp_oracle():
     # over every choice, the largest t is max_j |x_j|
     rng = np.random.Generator(np.random.Philox(key=11))
     model = MIPModel()
-    xs = [model.add_var(-4.0, 4.0, name=f"x{i}") for i in range(3)]
+    xs = [model.add_var(-4.0, 4.0) for _ in range(3)]
     _, t = encode_signed_max(model, xs)
     for _ in range(15):
         vals = rng.uniform(-4, 4, size=3)
@@ -457,6 +459,38 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
         assert prob.neuron_bins[i][j] == v and v in prob.model.binary_vars
 
 
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", [
+    ([3, 8, 8, 1], 1, "linf", None),
+    ([3, 8, 8, 1], 1, "l1", None),
+    ([3, 8, 8, 3], 4, "linf", "cross"),
+])
+def test_layers_below_contains_feasible_prefixes(arch, seed, alpha, output_norm):
+    # every feasible point's prefix satisfies the LP of the layers below each
+    # hidden layer, whose columns end at that layer's pre-activations
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    plain = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
+    for prob in (plain, tighten_root(plain)[0]):
+        below = [prob.layers_below(i) for i in range(net.depth)]
+        for i, sub in enumerate(below):
+            assert sub.num_vars == prob.pre_vars[i][-1] + 1
+            assert np.all(sub.objective == 0.0)
+            assert np.all(np.abs(sub.a[:, prob.pre_vars[i]]).sum(axis=0) > 0)
+        for _ in range(20):
+            x = rng.uniform(box.l, box.u)
+            z = None if gens is None else gens[rng.integers(len(gens))]
+            point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
+            for sub in below:
+                p = point[:sub.num_vars]
+                assert np.all(p >= sub.lo - 1e-9) and np.all(p <= sub.hi + 1e-9)
+                lhs = sub.a @ p
+                for val, rel, rhs in zip(lhs, sub.relations, sub.rhs):
+                    assert {"<=": val <= rhs + 1e-9, ">=": val >= rhs - 1e-9,
+                            "=": abs(val - rhs) <= 1e-9}[rel]
+
+
 # ``refutes``: whether the draws reach a neuron that interval analysis
 # decides beyond the fixes.  On the l1 net every such neuron is already
 # decided at build time by the exact ReLU image.
@@ -477,7 +511,8 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
         first_layer = [v for v in bins if prob.binary_map[v][0] == 0]
         gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
         refuted = narrowed = 0
-        continuous = np.array(prob.model.kinds) != mip.BINARY
+        continuous = np.ones(prob.model.num_vars, dtype=bool)
+        continuous[prob.model.binary_vars] = False
         for _ in range(30):
             x = rng.uniform(box.l, box.u)
             z = None if gens is None else gens[rng.integers(len(gens))]
