@@ -8,11 +8,15 @@ and never enters the heap.  A node's bound is the certified
 ``SimplexSolver.dual_bound`` of its final basis, not the LP's raw value.
 Every node in the heap therefore has a fully solved LP, the heap holds true
 subtree upper bounds, and the best open bound is a certified global upper
-bound.  Lower bounds come from a structure-aware primal heuristic: the x
-part of any node LP solution is a real network input, so its exact
-chain-rule gradient norm is an attainable objective value.  Incumbent and
-upper bound therefore sandwich the true optimum at every moment, which is
-what makes early stopping at a target integrality gap sound.
+bound.  It never drops below ``closed``, the largest bound of a node left
+unbranched (an integral leaf's ``dual_bound``, a failed LP's parent's bound,
++inf at the root), nor, once the heap is empty, below the incumbent widened
+by the prune slack; a failed node that may still beat the incumbent then
+gives the status ``lp_failed``.  Lower bounds come from a structure-aware
+primal heuristic: the x part of any node LP solution is a real network
+input, so its exact chain-rule gradient norm is an attainable objective
+value.  Incumbent and upper bound therefore sandwich the true optimum at
+every moment, which is what makes early stopping at a target gap sound.
 
 The branch binary is chosen when a node is popped, not when it is pushed,
 so a node the incumbent prunes while it waits in the heap costs nothing;
@@ -58,7 +62,6 @@ import numpy as np
 
 from . import lp
 from .interval import Hyperbox
-from .lp import SolverNumericalError
 from .mip import LipMIPProblem, MIPModel, ModelError
 
 logger = logging.getLogger("lipcert")
@@ -67,6 +70,7 @@ EXACT = "exact"
 GAP_REACHED = "gap_reached"
 TIMEOUT = "timeout"
 NODE_LIMIT = "node_limit"
+LP_FAILED = "lp_failed"
 
 _INT_TOL = 1e-6
 _EXACT_GAP = 1e-8
@@ -127,7 +131,8 @@ class LayerTightening:
 class MIPResult:
     """The search's one record: the certified sandwich around the optimum
     and the run's accounting, created when ``solve_mip`` starts and updated
-    in place by the search.
+    in place by the search.  The sandwich holds under every status; with
+    LP_FAILED it stays open (module docstring).
 
     ``nodes_explored`` counts the root and every child LP solve that became
     a node: both children of each branched binary, solved then or taken
@@ -135,15 +140,15 @@ class MIPResult:
     binary strong branching found with a dead side gets its live side only.
     Strong-branch solves of candidates that were not chosen are not nodes.
 
-    ``lp_solves`` and ``lp_pivots`` count every LP solve of the search, node
-    and strong-branch solves and their retries (root tightening's LPs are in
-    ``root_tightening``), and their simplex pivots.
+    ``lp_solves`` and ``lp_pivots`` count every LP solve of the search (node
+    and strong-branch solves; root tightening's are in ``root_tightening``)
+    and their simplex pivots.
 
     ``strong_branch_lps`` and ``strong_branch_pivots`` count every LP solve
-    of strong branching (retries included), the chosen candidate's too, and
-    their simplex pivots.  ``strong_branch_fixes`` counts the nodes where a
-    candidate had a dead side (refuted, infeasible or cut off), which fixed
-    the binary at the node.
+    of strong branching, the chosen candidate's too, and their simplex
+    pivots.  ``strong_branch_fixes`` counts the nodes where a candidate had
+    a dead side (refuted, infeasible or cut off), which fixed the binary at
+    the node.
 
     ``root_tightening`` has one record per hidden layer for a LipMIPProblem,
     and is empty for a bare MIPModel."""
@@ -165,12 +170,11 @@ class MIPResult:
 
 @dataclass
 class _Node:
-    """An open node: its certified bound, binary fixes, depth, and the
-    point and basis of its optimal LP."""
+    """An open node: its certified bound, binary fixes, and the point and
+    basis of its optimal LP."""
 
     bound: float
     fixes: dict
-    depth: int
     x: np.ndarray
     basis: lp.Basis
 
@@ -209,6 +213,8 @@ def _score(down, up):
 def _gap(upper: float, incumbent: float) -> float:
     if upper <= incumbent:
         return 0.0
+    if incumbent == -np.inf:
+        return np.inf
     return (upper - incumbent) / max(abs(incumbent), _EPS_GAP)
 
 
@@ -262,8 +268,6 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
                     continue
                 basis = sol.basis
                 bound = solver.dual_bound()
-                if not np.isfinite(bound):
-                    continue
                 if sign > 0:
                     hi[j] = min(hi[j], bound)
                 else:
@@ -321,6 +325,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     # entries (-bound, counter, _Node): a node keeps its LP point and basis,
     # and its branch binary is chosen only when it is popped
     heap: list = []
+    closed = failed = -np.inf  # largest bound of an unbranched node, of a failed one
 
     def update_incumbent(value, point):
         if value > res.incumbent_value:
@@ -331,50 +336,42 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         inc = res.incumbent_value
         return bool(np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL))
 
-    def solve_lp(fixes, lo, hi, depth, basis=None):
-        """LP of one node, from its parent's basis, with the incumbent as
-        cutoff: the solution and its certified bound (None unless OPTIMAL)."""
-        if lo is None:
-            lo = np.array(model.lo)
-            hi = np.array(model.hi)
-            for v, val in fixes.items():
-                lo[v] = hi[v] = float(val)
+    def solve_lp(lo, hi, basis=None, parent_bound=np.inf):
+        """A node's LP from its parent's basis with the incumbent as cutoff:
+        the solution and dual_bound, the parent's bound if failed, else None."""
         inc = res.incumbent_value
         cutoff = inc * (1.0 + _PRUNE_TOL) if np.isfinite(inc) else np.inf
         sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff)
         res.lp_solves += 1
         res.lp_pivots += sol.iterations
+        if sol.status == lp.OPTIMAL:
+            return sol, solver.dual_bound()
         if sol.status == lp.NUMERICAL_FAILURE:
-            sol = solver.solve(lo=lo, hi=hi, pivot_tol=1e-11)
-            res.lp_solves += 1
-            res.lp_pivots += sol.iterations
-            if sol.status == lp.NUMERICAL_FAILURE:
-                raise SolverNumericalError(
-                    f"LP failed twice at node depth {depth} ({len(fixes)} fixes)"
-                )
-        if sol.status != lp.OPTIMAL:
-            return sol, None
-        # the heap keeps the certified bound; an unreadable one weakens to inf
-        bound = solver.dual_bound()
-        return sol, bound if np.isfinite(bound) else np.inf
+            return sol, parent_bound
+        return sol, None
 
-    def add_node(fixes, depth, sol, bound):
+    def add_node(fixes, sol, bound):
         """Count a solved node, try its point as an incumbent and push it
-        while some binary is fractional and it may beat the incumbent."""
+        while it may beat the incumbent; a leaf or failed one is closed."""
+        nonlocal closed, failed
         res.nodes_explored += 1
         if bound is None:
             return  # infeasible or cut off
+        if sol.status != lp.OPTIMAL:  # failed: no point to branch on
+            closed, failed = max(closed, bound), max(failed, bound)
+            return
         if context is not None:
             val, x = context.incumbent_from_point(sol.x)
             update_incumbent(val, x)
             rounded = context.rounded_pattern_value(sol.x)
             if rounded is not None:
                 update_incumbent(*rounded)
-        node = _Node(bound, fixes, depth, sol.x, sol.basis)
+        node = _Node(bound, fixes, sol.x, sol.basis)
         if not fractional(node).size:
             # an incumbent must be attainable: the LP's own value at its point
             point = sol.x[context.input_vars] if context is not None else sol.x
             update_incumbent(sol.objective_value, point)
+            closed = max(closed, bound)
             return
         if pruned(bound):
             return
@@ -393,8 +390,11 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         adds its bound drop to ``var``'s pseudocost."""
         fixes = dict(node.fixes)
         fixes[var] = val
-        lo = hi = None
-        if context is not None:
+        if context is None:
+            lo, hi = np.array(model.lo), np.array(model.hi)
+            for v, fixed in fixes.items():
+                lo[v] = hi[v] = float(fixed)
+        else:
             tightened = context.tightened_bounds(fixes)
             if tightened is None:
                 return fixes, None, None  # interval analysis refutes this branch
@@ -405,8 +405,8 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             ibound = sum(c * (hi[v] if c > 0 else lo[v]) for v, c in model.objective.items())
             if pruned(ibound):
                 return fixes, None, None
-        sol, bound = solve_lp(fixes, lo, hi, node.depth + 1, node.basis)
-        if bound is not None and np.isfinite(bound) and np.isfinite(node.bound):
+        sol, bound = solve_lp(lo, hi, node.basis, node.bound)
+        if sol.status == lp.OPTIMAL and np.isfinite(bound) and np.isfinite(node.bound):
             frac = 1.0 - node.x[var] if val == 1 else node.x[var]
             pseudocosts.update(var, val, node.bound - bound, frac)
         return fixes, sol, bound
@@ -444,42 +444,44 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
                 best_var, best_score, best_children = var, score, children
         return best_var, best_children
 
-    add_node({}, 0, *solve_lp({}, None, None, 0))
+    add_node({}, *solve_lp(None, None))
 
     while heap:
         _, _, node = heapq.heappop(heap)
         bound = node.bound
         inc = res.incumbent_value
-        upper = max(bound, inc) if np.isfinite(inc) else bound
+        upper = max(bound, inc, closed)
         if pruned(bound):
             continue  # stale: incumbent improved after insertion
-        gap = _gap(upper, inc) if np.isfinite(inc) else np.inf
+        gap = _gap(upper, inc)
         if gap <= _EXACT_GAP:
-            return _finish(res, EXACT, upper, gap, start, solver)
+            return _finish(res, EXACT, upper, start, solver)
         if opts.target_gap > 0 and gap <= opts.target_gap:
-            return _finish(res, GAP_REACHED, upper, gap, start, solver)
+            return _finish(res, GAP_REACHED, upper, start, solver)
         if time.perf_counter() - start > opts.timeout_seconds:
-            return _finish(res, TIMEOUT, upper, gap, start, solver)
+            return _finish(res, TIMEOUT, upper, start, solver)
         if res.nodes_explored >= opts.node_limit:
-            return _finish(res, NODE_LIMIT, upper, gap, start, solver)
+            return _finish(res, NODE_LIMIT, upper, start, solver)
 
         var, children = branch(node)
         if children is None:
             children = [child(node, var, val) for val in (1, 0)]
         for fixes, sol, bound in children:
             if sol is not None:
-                add_node(fixes, node.depth + 1, sol, bound)
+                add_node(fixes, sol, bound)
 
-    if not np.isfinite(res.incumbent_value):
+    inc = res.incumbent_value
+    if inc == failed == -np.inf:
         raise InfeasibleModelError("no feasible integral point")
-    return _finish(res, EXACT, res.incumbent_value, 0.0, start, solver)
+    upper = max(inc, inc * (1.0 + _PRUNE_TOL), closed)
+    return _finish(res, EXACT if pruned(failed) else LP_FAILED, upper, start, solver)
 
 
-def _finish(res, status, upper, gap, start, solver) -> MIPResult:
+def _finish(res, status, upper, start, solver) -> MIPResult:
     """Close the search's record: its status, upper bound, gap and wall time."""
     res.status = status
     res.upper_bound = float(upper)
-    res.gap = float(gap)
+    res.gap = float(_gap(upper, res.incumbent_value))
     res.wall_time = time.perf_counter() - start
     logger.debug(
         "%s after %d nodes: %d LPs (%d pivots), of which strong branching %d LPs "
@@ -493,11 +495,10 @@ def _finish(res, status, upper, gap, start, solver) -> MIPResult:
 
 def solve_liplp(problem) -> float:
     """Certified Lipschitz upper bound from the LP relaxation: the
-    weak-duality bound of its optimal basis (``SimplexSolver.dual_bound``)."""
+    weak-duality bound (``SimplexSolver.dual_bound``) of the basis its solve
+    ended at, which holds for any basis, a failed solve's too."""
     model = problem.model if isinstance(problem, LipMIPProblem) else problem
     solver = lp.SimplexSolver(model.to_lp_problem())
-    sol = solver.solve()
-    if sol.status != lp.OPTIMAL:
-        raise SolverNumericalError(f"LP relaxation returned {sol.status}")
+    solver.solve()
     return solver.dual_bound()
 

@@ -71,9 +71,6 @@ class Hyperbox:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(x >= self.l - tol) and np.all(x <= self.u + tol))
 
-    def contains_box(self, other: "Hyperbox", tol: float = 0.0) -> bool:
-        return bool(np.all(other.l >= self.l - tol) and np.all(other.u <= self.u + tol))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.l, self.u, size=(n, self.dim))
 

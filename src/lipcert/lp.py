@@ -66,9 +66,9 @@ objective of a dual-feasible iterate, which bounds the LP optimum from above,
 falls below it and the weak-duality bound y.b + sum_j max(r_j lo_j, r_j hi_j),
 with y the original-row image of c_B B^-1 and r = c - y.[A I] recomputed from
 the original data, confirms it.  ``SimplexSolver.dual_bound`` is that bound,
-and after an OPTIMAL answer it is the certified value callers report.  Every
-OPTIMAL answer passes a primal feasibility check of the reconstructed x
-against the original rows.  An error in the presolved data can therefore
+valid after any answer and after an OPTIMAL one the value callers report.
+Every OPTIMAL answer passes a primal feasibility check of the reconstructed
+x against the original rows.  An error in the presolved data can therefore
 only loosen a bound or turn an answer into a NUMERICAL_FAILURE.
 
 The tableau is dense; this is deliberate.  Target scale is a few thousand
@@ -89,7 +89,7 @@ CUTOFF = "cutoff"
 NUMERICAL_FAILURE = "numerical_failure"
 
 FEAS_TOL = 1e-7
-DEFAULT_PIVOT_TOL = 1e-9
+PIVOT_TOL = 1e-9
 
 _REFRESH_EVERY = 256  # pivots between full recomputations of costs/values
 #: Relative rounding allowance of the certificate and cutoff checks.
@@ -399,7 +399,6 @@ class SimplexSolver:
         lo=None,
         hi=None,
         objective=None,
-        pivot_tol: float = DEFAULT_PIVOT_TOL,
         basis: Basis | None = None,
         cutoff: float = np.inf,
     ) -> LPSolution:
@@ -412,8 +411,8 @@ class SimplexSolver:
         ``cutoff`` it may stop early with CUTOFF once the LP optimum is
         certified to lie below it.  A malformed or singular snapshot, and a
         warm answer the dual cannot certify, is recomputed by a nested cold
-        solve.  A cold solve that cannot certify infeasibility, or hits the
-        pivot cap, returns NUMERICAL_FAILURE.
+        solve.  A cold solve that cannot certify infeasibility, hits the
+        pivot cap or fails the feasibility check returns NUMERICAL_FAILURE.
         """
         p = self.problem
         lo = p.lo if lo is None else np.asarray(lo, dtype=float)
@@ -438,10 +437,10 @@ class SimplexSolver:
         self._wlo[rows] = np.minimum(s_lo, s_hi)
         self._whi[rows] = np.maximum(s_lo, s_hi)
         self._costs[rows] = cobj[cols] / coef
-        sol = self._dual(basis, lo, hi, cobj, cutoff, pivot_tol)
+        sol = self._dual(basis, lo, hi, cobj, cutoff)
         if sol.status == NUMERICAL_FAILURE and basis is not None:
             # uncertified or failed: a nested cold solve gives the answer
-            return self.solve(lo, hi, cobj, pivot_tol, cutoff=cutoff)
+            return self.solve(lo, hi, cobj, cutoff=cutoff)
         return sol
 
     def _optimal(self, lo, hi, cobj, pivots) -> LPSolution:
@@ -455,7 +454,7 @@ class SimplexSolver:
 
     # -- the dual simplex ------------------------------------------------------
 
-    def _dual(self, basis, lo, hi, cobj, cutoff, pivot_tol) -> LPSolution:
+    def _dual(self, basis, lo, hi, cobj, cutoff) -> LPSolution:
         """Bounded dual simplex from ``basis``, or from the slack basis when it
         is None.  NUMERICAL_FAILURE when the snapshot is malformed or
         singular, an infeasibility is uncertified, the pivot cap is hit, or
@@ -491,7 +490,7 @@ class SimplexSolver:
                     return self._optimal(lo, hi, cobj, pivots)
                 xb = self._basic_values(wlo, whi)
                 continue
-            k = self._dual_ratio_test(r, xb[r] < basic_lo[r], d, free, pivot_tol)
+            k = self._dual_ratio_test(r, xb[r] < basic_lo[r], d, free)
             if k < 0:
                 status = INFEASIBLE if self._certified_infeasible(r) else NUMERICAL_FAILURE
                 return LPSolution(status, None, np.nan, pivots)
@@ -531,11 +530,11 @@ class SimplexSolver:
         feasibility.  Returns whether any column moved."""
         nb = self._nb
         at_upper = self._at_upper[nb]
-        wrong = free[nb] & np.where(at_upper, d < -DEFAULT_PIVOT_TOL, d > DEFAULT_PIVOT_TOL)
+        wrong = free[nb] & np.where(at_upper, d < -PIVOT_TOL, d > PIVOT_TOL)
         self._at_upper[nb[wrong]] = ~at_upper[wrong]
         return bool(wrong.any())
 
-    def _dual_ratio_test(self, r, increase, d, free, pivot_tol) -> int:
+    def _dual_ratio_test(self, r, increase, d, free) -> int:
         """Tableau position of the entering column for leaving row ``r``, or
         -1 if none exists.
 
@@ -549,13 +548,13 @@ class SimplexSolver:
         nb = self._nb
         at_upper = self._at_upper[nb]
         moves = np.where(at_upper ^ increase, -row, row)  # alpha_rj signed by direction
-        idx = (free[nb] & (moves > pivot_tol)).nonzero()[0]
+        idx = (free[nb] & (moves > PIVOT_TOL)).nonzero()[0]
         if idx.size == 0:
             return -1
         dj = d[idx]
         slack = np.maximum(np.where(at_upper[idx], dj, -dj), 0.0)
         mag = np.abs(row[idx])
-        near = slack / mag <= np.min((slack + DEFAULT_PIVOT_TOL) / mag)
+        near = slack / mag <= np.min((slack + PIVOT_TOL) / mag)
         mag = np.where(near, mag, -1.0)
         best = idx[mag == mag.max()]
         return int(best[np.argmin(nb[best])]) if best.size > 1 else int(best[0])
@@ -598,8 +597,7 @@ class SimplexSolver:
         c_B B^-1 at the basis the solve ended at and r = c - y.[A I] is
         recomputed from the original data over that solve's bounds, rounded
         up by a relative allowance.  Every column is boxed, so it holds for
-        any y, however inaccurate.  Read it after an OPTIMAL answer; it is
-        not finite when the tableau is not.
+        any y, however inaccurate, and after any answer; +inf if not finite.
         """
         p = self.problem
         olo, ohi = self._olo, self._ohi
@@ -608,7 +606,8 @@ class SimplexSolver:
         rl, rh = red * olo, red * ohi
         bound = float(y @ p.rhs + np.maximum(rl, rh).sum())
         mag = np.maximum(np.abs(olo), np.abs(ohi))
-        return bound + _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(red) @ mag)
+        bound += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(red) @ mag)
+        return bound if np.isfinite(bound) else np.inf
 
     def _extract(self, wlo, whi):
         """The basic solution in the original variables."""

@@ -422,6 +422,11 @@ class LipMIPProblem:
         )
 
     @cached_property
+    def backward_seed(self) -> interval.Hyperbox:
+        """``interval.head_seed_box``, the seed of every node tightening."""
+        return interval.head_seed_box(self.net, self.output_norm)
+
+    @cached_property
     def binary_map(self) -> dict[int, tuple[int, int]]:
         """Neuron binary variable -> (layer, neuron), in variable order."""
         return {
@@ -480,9 +485,8 @@ class LipMIPProblem:
         forced = {
             self.binary_map[v]: val for v, val in fixes.items() if v in self.binary_map
         }
-        seed = interval.head_seed_box(self.net, self.output_norm)
-        prop = interval.propagate(self.net, self.domain, backward_seed=seed, forced=forced,
-                                  pre_boxes=self.pre_boxes)
+        prop = interval.propagate(self.net, self.domain, backward_seed=self.backward_seed,
+                                  forced=forced, pre_boxes=self.pre_boxes)
         for (layer, idx), val in forced.items():
             zbox = prop.pre_activation_boxes[layer]
             if val == 1 and zbox.u[idx] < 0:
@@ -566,14 +570,13 @@ def build_lipmip_model(
     layer's pre-activations at every feasible point) is intersected with the
     pre-activation boxes of the model's interval pass (module docstring), so
     tighter boxes give smaller big-Ms and more neurons of fixed sign; should
-    rounding leave an intersection empty, the build raises ModelError.
+    rounding leave an intersection empty, the build raises ModelError.  A
+    norm that is unknown or does not fit the head raises ValueError first.
     """
-    if alpha not in ("linf", "l1"):
-        raise ModelError(f"alpha must be 'linf' or 'l1', got {alpha!r}")
+    norms.check_input_norm(alpha)
+    norms.check_output_norm(output_norm, net.output_dim)
     if domain.dim != net.input_dim:
         raise ModelError("domain dimension does not match the network")
-    if output_norm is None and net.output_dim != 1:
-        raise ModelError("multi-output network needs an output norm")
     model = MIPModel()
 
     input_vars = [model.add_var(lo, hi) for lo, hi in zip(domain.l, domain.u)]

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from . import bnb, norms
+from . import bnb
 from .interval import Hyperbox
 from .mip import build_lipmip_model
 from .network import ReLUNetwork, forward
@@ -37,7 +37,6 @@ def lipmip_vector(
     """Exact L^(alpha,beta) of a multi-output network over a box."""
     if net.output_dim < 2:
         raise ValueError("vector-valued solve needs a head with at least 2 rows")
-    norms.check_output_norm(output_norm, net.output_dim)
     problem = build_lipmip_model(net, domain, alpha=alpha, output_norm=output_norm)
     return bnb.solve_mip(problem, opts)
 

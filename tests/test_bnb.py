@@ -462,33 +462,90 @@ def failing_solves(monkeypatch, fails):
 
 
 def test_failed_warm_node_solve_retried_cold(monkeypatch):
+    # every warm start meets a snapshot the solver cannot factorize: the
+    # solver's own nested cold solve answers each node LP, and the search
+    # ends exact at the oracle's value
     net = random_he([3, 6, 6, 1], seed=8)
     box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
     ref = exact_lipschitz_bruteforce(net, box, "linf")
-    calls = failing_solves(monkeypatch, lambda i, kw: kw.get("basis") is not None)
+    restores = []
+
+    def singular(self, basis):
+        restores.append(basis)
+        return False
+
+    monkeypatch.setattr(lp.SimplexSolver, "_restore", singular)
     res = lipmip(net, box)
     assert res.status == bnb.EXACT
-    assert res.nodes_explored > 1
+    assert res.nodes_explored > 1 and restores
     assert res.incumbent_value == pytest.approx(ref, rel=1e-7, abs=1e-9)
     assert res.upper_bound == pytest.approx(ref, rel=1e-7, abs=1e-9)
-    retries = [kw for kw in calls if kw.get("pivot_tol") == 1e-11]
-    assert retries and all(kw.get("basis") is None for kw in retries)
 
 
-def test_node_solve_failing_twice_raises(monkeypatch):
+@pytest.mark.parametrize("first", [0, 1], ids=["root", "below-root"])
+def test_failed_node_lps_keep_the_parent_bound(monkeypatch, first):
+    # from the ``first``-th on, every search LP that reaches an optimum fails
+    # its feasibility check, the cold re-solve too: a failed node keeps its
+    # parent's bound (+inf at the root), is never branched, and the search
+    # ends with an open, valid sandwich instead of an exception
     net = random_he([3, 6, 6, 1], seed=8)
     box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
-    node_solves = []
+    ref = exact_lipschitz_bruteforce(net, box, "linf")
+    original = lp.SimplexSolver._optimal
+    optima = []
 
-    def fails(i, kw):
-        if kw.get("objective") is not None:
-            return False  # a root tightening LP
-        node_solves.append(i)
-        return len(node_solves) > 1  # every solve after the root
+    def optimal(self, lo, hi, cobj, pivots):
+        if self.problem.objective.any():  # not a tightening or sign-pattern LP
+            optima.append(pivots)
+            if len(optima) > first:
+                return lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, pivots)
+        return original(self, lo, hi, cobj, pivots)
 
-    failing_solves(monkeypatch, fails)
-    with pytest.raises(bnb.SolverNumericalError):
-        lipmip(net, box)
+    monkeypatch.setattr(lp.SimplexSolver, "_optimal", optimal)
+    res = lipmip(net, box)
+    assert res.status == bnb.LP_FAILED
+    assert res.incumbent_value <= ref * (1 + 1e-9) and ref <= res.upper_bound
+    if first == 0:
+        assert res.nodes_explored == 1 and res.upper_bound == np.inf
+        assert res.incumbent_value == -np.inf and res.gap == np.inf
+    else:
+        assert res.nodes_explored > 1 and len(optima) > 2
+        assert np.isfinite(res.upper_bound) and res.incumbent_value > 0
+        assert res.gap == pytest.approx(
+            (res.upper_bound - res.incumbent_value) / res.incumbent_value)
+
+
+def test_exhausted_search_keeps_pruned_and_leaf_bounds(monkeypatch):
+    # an exact search that emptied its heap reports at least the incumbent
+    # widened by the prune slack, below which it discarded nodes ...
+    net = random_he([3, 6, 6, 1], seed=8)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.5)
+    res = lipmip(net, box)
+    assert res.status == bnb.EXACT and res.nodes_explored > 1
+    assert res.upper_bound >= res.incumbent_value * (1 + bnb._PRUNE_TOL)
+    assert 0 < res.gap <= 1e-8
+    # ... and at least the certified bound of every integral leaf, not its
+    # LP value: here the root, max b over one binary
+    model = MIPModel()
+    b = model.add_binary()
+    model.set_objective({b: 1.0})
+    original = lp.SimplexSolver.dual_bound
+    monkeypatch.setattr(lp.SimplexSolver, "dual_bound", lambda self: original(self) + 0.25)
+    res = solve_mip(model)
+    assert res.status == bnb.EXACT and res.nodes_explored == 1
+    assert res.incumbent_value == 1.0
+    assert res.upper_bound == pytest.approx(1.25, abs=1e-9)
+
+
+def test_model_without_integral_point_raises():
+    # 2b = 1 has the LP point b = 0.5 but no integral one: both children are
+    # infeasible and the empty heap leaves no incumbent
+    model = MIPModel()
+    b = model.add_binary()
+    model.add_constraint({b: 2.0}, "=", 1.0)
+    model.set_objective({b: 1.0})
+    with pytest.raises(bnb.InfeasibleModelError):
+        solve_mip(model)
 
 
 @pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES)
@@ -606,3 +663,25 @@ def test_liplp_is_certified_and_tight():
             value = raw.objective_value + prob.model.objective_const
             certified = solve_liplp(prob)
             assert value <= certified <= value + 1e-9 * abs(value)
+
+
+@pytest.mark.parametrize("fail_at", [0, 3])
+def test_liplp_of_a_failed_relaxation_is_still_an_upper_bound(monkeypatch, fail_at):
+    # the ratio test finds no entering column from its ``fail_at``-th call
+    # on, an infeasibility the certificate cannot confirm: the solve fails
+    # at an intermediate basis, whose weak-duality bound still holds
+    net = random_he([3, 8, 8, 1], seed=1)
+    prob = build_lipmip_model(net, Hyperbox.from_center_radius(np.full(3, 0.5), 0.5))
+    optimum = lp.solve_lp(prob.model.to_lp_problem()).objective_value
+    original = lp.SimplexSolver._dual_ratio_test
+    tests = []
+
+    def ratio_test(self, *args):
+        tests.append(args)
+        return -1 if len(tests) > fail_at else original(self, *args)
+
+    monkeypatch.setattr(lp.SimplexSolver, "_dual_ratio_test", ratio_test)
+    assert lp.solve_lp(prob.model.to_lp_problem()).status == lp.NUMERICAL_FAILURE
+    assert len(tests) == fail_at + 1
+    certified = solve_liplp(prob)
+    assert optimum <= certified < np.inf

@@ -160,3 +160,14 @@ sys.exit(cli.main(["solve", {str(path)!r}, "--center", "0.5", "--radius", "0.5"]
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["status"] == bnb.EXACT
+
+
+def test_solve_stopped_at_once_prints_an_open_sandwich(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    network.save(network.random_he([3, 8, 8, 1], seed=1), path)
+    assert cli.main(["solve", str(path), "--center", "0.5", "--radius", "0.5",
+                     "--timeout", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == bnb.TIMEOUT
+    assert out["incumbent"] <= out["upper_bound"] and out["gap"] > 0
+    assert all(r["lps"] == 0 for r in out["root_tightening"])

@@ -152,15 +152,15 @@ def test_propagate_monotone_in_domain():
     net = random_he([3, 5, 5, 1], seed=4)
     inner = Hyperbox.from_center_radius([0.1, -0.2, 0.3], 0.4)
     outer = Hyperbox.from_center_radius([0.0, 0.0, 0.2], 1.0)
-    assert outer.contains_box(inner)
+    assert outer.contains(inner.l) and outer.contains(inner.u)
     rin = propagate(net, inner)
     rout = propagate(net, outer)
     for bi, bo in zip(rin.pre_activation_boxes, rout.pre_activation_boxes):
-        assert bo.contains_box(bi, tol=1e-12)
+        assert bo.contains(bi.l, tol=1e-12) and bo.contains(bi.u, tol=1e-12)
     for bi, bo in zip(rin.post_activation_boxes, rout.post_activation_boxes):
-        assert bo.contains_box(bi, tol=1e-12)
+        assert bo.contains(bi.l, tol=1e-12) and bo.contains(bi.u, tol=1e-12)
     for bi, bo in zip(rin.backward_boxes, rout.backward_boxes):
-        assert bo.contains_box(bi, tol=1e-12)
+        assert bo.contains(bi.l, tol=1e-12) and bo.contains(bi.u, tol=1e-12)
     # the forward image is the ReLU's, the backward one the switch's
     for i, (pbox, bbox) in enumerate(zip(rout.post_activation_boxes,
                                          rout.backward_switch_boxes)):

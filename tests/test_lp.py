@@ -458,6 +458,9 @@ def test_dual_bound_certifies_the_optimum():
         bound = solver.dual_bound()
         assert bound >= oracle
         assert bound - oracle <= 1e-9 * max(1.0, abs(oracle))
+    # multipliers that are not finite weaken the bound to +inf, never NaN
+    solver._original_multipliers = lambda w: np.full(p.num_constraints, np.nan)
+    assert solver.dual_bound() == np.inf
 
 
 def test_snapshot_reused_under_another_objective(monkeypatch):

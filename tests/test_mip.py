@@ -583,3 +583,13 @@ def test_unbounded_domain_rejected():
         Hyperbox([-np.inf], [1.0])
     with pytest.raises(mip.ModelError):
         build_lipmip_model(net, Hyperbox([-1.0, -1.0], [1.0, 1.0]))
+
+
+def test_build_rejects_norms_that_do_not_fit_the_network():
+    box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
+    scalar, vector = random_he([3, 4, 1], seed=0), random_he([3, 4, 2], seed=0)
+    with pytest.raises(ValueError, match="unknown input norm 'l2'"):
+        build_lipmip_model(scalar, box, alpha="l2")
+    for net, output_norm in ((vector, None), (vector, "l7"), (scalar, "l7")):
+        with pytest.raises(ValueError, match=f"output norm {output_norm!r} does not fit"):
+            build_lipmip_model(net, box, output_norm=output_norm)
