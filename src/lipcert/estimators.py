@@ -66,7 +66,7 @@ def random_lb(net: ReLUNetwork, domain: Hyperbox, norm: str = "linf",
     )
 
 
-def naive_ub(net: ReLUNetwork, norm: str = "linf") -> EstimateRecord:
+def naive_ub(net: ReLUNetwork) -> EstimateRecord:
     """Product of layer spectral norms scaled by sqrt(input_dim).
 
     The sqrt(d) factor converts the l2 bound to the l1/linf gradient norms
@@ -104,7 +104,7 @@ def estimate(
         raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     norms.check_input_norm(norm)
     if method == "naiveub":
-        return naive_ub(net, norm)
+        return naive_ub(net)
     if domain is None:
         raise ValueError(f"method {method!r} needs a domain")
     if method == "randomlb":

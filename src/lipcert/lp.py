@@ -25,19 +25,19 @@ It needs a dual feasible start: a basis whose nonbasic columns each rest at
 the bound their reduced cost prefers (upper for d_j > 0, lower for d_j < 0).
 Because every column is boxed, any basis can be made dual feasible by moving
 each wrong-signed nonbasic column to its other bound, so the dual needs no
-phase 1.  A cold solve (the branch-and-bound root, ``solve_lp``, a
-sign-pattern LP's first solve) starts from the slack basis, nonbasic columns
-at their bound of smaller magnitude and then repaired that way.  A re-solve
-under changed bounds (a branch-and-bound child) passes the ``Basis`` snapshot
-of an optimal solve (its parent's) instead; changing bounds leaves that basis
-dual feasible, and the dual usually re-optimizes it in a few pivots.  The
-solver keeps the factorized tableau of the last snapshot it restored, so
-sibling re-solves from one snapshot refactorize once.  Every start, cold or
-warm, is made dual feasible by that one rule of bound flips, whatever
-objective its snapshot was solved under, so root bound tightening (one LP,
-many objectives) starts each objective from the previous one's basis.  Only a
-snapshot that is malformed or singular, and a warm answer the dual cannot
-certify, is recomputed by a nested cold solve.
+phase 1.  A cold solve (the branch-and-bound root, ``solve_lp``, the first
+solve of an ``oracle.SignPatternLP``) starts from the slack basis, nonbasic
+columns at their bound of smaller magnitude and then repaired that way.  A
+re-solve under changed bounds (a branch-and-bound child) passes the ``Basis``
+snapshot of an optimal solve (its parent's) instead; changing bounds leaves
+that basis dual feasible, and the dual usually re-optimizes it in a few
+pivots.  The solver keeps the factorized tableau of the last snapshot it
+restored, so sibling re-solves from one snapshot refactorize once.  Every
+start, cold or warm, is made dual feasible by that one rule of bound flips,
+whatever objective its snapshot was solved under, so root bound tightening
+(one LP, many objectives) starts each objective from the previous one's
+basis.  Only a snapshot that is malformed or singular, and a warm answer the
+dual cannot certify, is recomputed by a nested cold solve.
 
 The tableau is condensed: it stores B^-1 N for the nonbasic columns N only,
 one column per tableau position, with an int array mapping each position to
@@ -635,40 +635,3 @@ class SimplexSolver:
 def solve_lp(problem: LPProblem) -> LPSolution:
     """Solve one LP from scratch; deterministic for identical inputs."""
     return SimplexSolver(problem).solve()
-
-
-class SignPatternLP:
-    """Some x in a box that realizes a ReLU sign pattern: an LP over [x, z].
-
-    A decided neuron, with affine map m.x + v in the input and sign s (+1 on,
-    -1 off), is a row ``rows[j].x >= floors[j]``: rows[j] = s m and
-    floors[j] = f - s v, with f the least s (m.x + v) the caller allows.  The
-    neurons of the open layer, whose signs are being chosen, keep a column
-    z_j each with the row ``open_m[j].x - z_j = -open_v[j]``; the equality
-    presolve eliminates z_j, so choosing a sign is a bound change on z_j and
-    sibling LPs share one solver and its bases.  ``lo`` and ``hi`` bound
-    [x, z]; callers may edit them between solves.  The solver is built on
-    the first solve.
-    """
-
-    def __init__(self, rows, floors, lo, hi, open_m=None, open_v=None):
-        self.rows, self.floors, self.lo, self.hi = rows, floors, lo, hi
-        self.open_m = np.zeros((0, len(lo))) if open_m is None else open_m
-        self.open_v = np.zeros(0) if open_v is None else open_v
-        self._solver = None
-
-    def solve(self, basis: Basis | None = None) -> LPSolution:
-        """Solve under the current bounds, warm from ``basis`` (an OPTIMAL
-        answer of this LP) or cold.  Raises SolverNumericalError when the LP
-        fails, so that a failure is never read as proof that no x exists."""
-        if self._solver is None:
-            (r, n0), k = self.rows.shape, self.open_v.size
-            a = np.block([[self.rows, np.zeros((r, k))], [self.open_m, -np.eye(k)]])
-            self._solver = SimplexSolver(LPProblem(
-                np.zeros(n0 + k), a, (">=",) * r + ("=",) * k,
-                np.concatenate([self.floors, -self.open_v]), self.lo.copy(), self.hi.copy(),
-            ))
-        sol = self._solver.solve(self.lo, self.hi, basis=basis)
-        if sol.status == NUMERICAL_FAILURE:
-            raise SolverNumericalError("sign-pattern LP failed")
-        return sol

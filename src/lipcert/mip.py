@@ -44,6 +44,12 @@ to layer i's pre-activations with the rows that mention only them.  The
 order is load-bearing: branch-and-bound breaks branching ties by the lowest
 variable id and the simplex prices columns in id order, so a reordered but
 otherwise equal model searches differently.
+
+Primal heuristics.  ``incumbent_from_point`` scores the chain-rule Jacobian
+at a relaxation point's x.  ``rounded_pattern_value`` hands the sign pattern
+of the rounded binaries to ``oracle.SignPatternLP``, the one builder of
+sign-pattern polytopes, and scores the pattern's Jacobian if some x in the
+domain realizes it.
 """
 
 from __future__ import annotations
@@ -63,9 +69,9 @@ from .network import (
     chain_rule_jacobian,
     jacobian_from_multipliers,
     multipliers,
-    next_layer_affine,
     preactivations,
 )
+from .oracle import SignPatternLP
 
 
 class ModelError(ValueError):
@@ -511,34 +517,25 @@ class LipMIPProblem:
         """Second primal heuristic: realize the node's rounded binaries.
 
         Rounding the LP's activation binaries proposes a sign pattern; an
-        ``lp.SignPatternLP`` with every layer decided and none open checks
-        whether some x in the domain realizes it, each neuron's row with
-        floor -s v (ties allowed on the boundary).  If so, the pattern's
-        constant Jacobian is a legitimate chain-rule outcome at that x, so
-        its dual norm is an attainable objective value.
+        ``oracle.SignPatternLP`` with every layer decided and floor 0 checks
+        whether some x in the domain realizes it (ties allowed on the
+        boundary).  If so, the pattern's constant Jacobian is a legitimate
+        chain-rule outcome at that x, so its dual norm is an attainable
+        objective value.
         """
-        net = self.net
-        mults, rows, floors = [], [], []
-        m, v = net.weights[0], net.biases[0]
-        for i, (box, bins) in enumerate(zip(self.pre_boxes, self.neuron_bins)):
+        mults = []
+        for box, bins in zip(self.pre_boxes, self.neuron_bins):
             on = interval.push_conditional(box) == ON  # neurons fixed ON at build time
             free = bins >= 0
             on[free] = point[bins[free]] >= 0.5
-            lam = on.astype(float)
-            mults.append(lam)
-            s = 2.0 * lam - 1.0  # +1 on, -1 off
-            rows.append(s[:, None] * m)
-            floors.append(s * -v)
-            if i + 1 < net.depth:
-                m, v = next_layer_affine(net, i, lam, m, v)
+            mults.append(on.astype(float))
         try:
-            sol = lp.SignPatternLP(np.vstack(rows), np.concatenate(floors),
-                                   self.domain.l, self.domain.u).solve()
+            sol = SignPatternLP(self.net, self.domain, mults, 0.0).solve()
         except lp.SolverNumericalError:
             return None  # a failed LP is a heuristic miss
         if sol.status != lp.OPTIMAL:
             return None
-        jac = jacobian_from_multipliers(net, mults)
+        jac = jacobian_from_multipliers(self.net, mults)
         return norms.operator_dual_value(jac, self.alpha, self.output_norm), sol.x
 
     def incumbent_from_point(self, point) -> tuple[float, np.ndarray]:

@@ -35,18 +35,6 @@ def check_output_norm(name: str | None, rows: int) -> None:
                          f"valid: {', '.join(OUTPUT_NORMS)}, or None for one row")
 
 
-def cross_norm_value(v) -> float:
-    """max over the generators {e_i} and {e_i - e_j} of |<gen, v>|."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return 0.0
-    best = float(np.abs(v).max())
-    if v.size > 1:
-        spread = float(v.max() - v.min())  # |v_i - v_j| maximized at extremes
-        best = max(best, spread)
-    return best
-
-
 def dual_ball_generators(m: int, output_norm: str) -> np.ndarray:
     """Spanning points of the dual unit ball {z : ||z||_beta* <= 1}.
 

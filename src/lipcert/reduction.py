@@ -79,10 +79,6 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
-def default_eps(n: int) -> float:
-    return 1.0 / (n + 2)
-
-
 def _ramp_layer(n_inputs: int):
     """First layer computing relu(x_i + 1) and relu(x_i - 1) per input."""
     w1 = np.zeros((2 * n_inputs, n_inputs))
@@ -95,14 +91,15 @@ def _ramp_layer(n_inputs: int):
     return w1, b1
 
 
-def build_mis_network(g: Graph, eps: float | None = None, variant: str = "linf") -> ReLUNetwork:
+def build_mis_network(g: Graph, variant: str = "linf") -> ReLUNetwork:
     """Network whose Lipschitz constant in the input norm ``variant`` over
     the box [-2, 2]^inputs is MIS(g).
 
     ``variant="linf"`` (linf input norm, l1 gradient norm): vertex neuron i
     reads psi(x_i) - sum_{j ~ i} psi(x_j) - (deg(i)+1-eps) and the head
     weighs it by 1/(deg(i)+1), so a consistent selection of k vertices
-    yields gradient norm exactly k and nothing can do better.
+    yields gradient norm exactly k and nothing can do better.  The slack is
+    eps = 1/(n+2) for a graph of n vertices.
 
     ``variant="l1"`` (l1 input norm, linf gradient norm) adds one counting
     input x_extra: vertex neuron i reads
@@ -117,10 +114,8 @@ def build_mis_network(g: Graph, eps: float | None = None, variant: str = "linf")
     norms.check_input_norm(variant)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    eps = default_eps(g.n) if eps is None else eps
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
     n = g.n
+    eps = 1.0 / (n + 2)
     extra = variant == "l1"
     w1, b1 = _ramp_layer(n + extra)
     w2 = np.zeros((n, 2 * (n + extra)))
@@ -186,7 +181,7 @@ class ReductionReport:
 
 
 def verify_reduction(g: Graph, opts: bnb.SolveOptions | None = None,
-                     variant: str = "linf", tol: float = 1e-6) -> ReductionReport:
+                     variant: str = "linf") -> ReductionReport:
     """Solve the gadget network exactly and compare against brute-force MIS.
 
     ``variant`` picks the network (``build_mis_network``) and the input
@@ -198,7 +193,7 @@ def verify_reduction(g: Graph, opts: bnb.SolveOptions | None = None,
     res = bnb.solve_mip(build_lipmip_model(net, box, alpha=variant), opts)
     match = (
         res.status == bnb.EXACT
-        and abs(res.incumbent_value - mis) <= tol
+        and abs(res.incumbent_value - mis) <= 1e-6
     )
     return ReductionReport(mis, res.incumbent_value, match, res.status,
                            res.nodes_explored)

@@ -83,7 +83,7 @@ def test_naive_ub_never_below_spectral_product():
     product = np.sqrt(2)
     for m in (w, w.T, head):
         product *= np.linalg.svd(m, compute_uv=False)[0]
-    assert naive_ub(net, "linf").value >= product * (1 - 1e-12)
+    assert naive_ub(net).value >= product * (1 - 1e-12)
 
 
 def test_naive_ub_hand_value():
@@ -93,7 +93,7 @@ def test_naive_ub_hand_value():
         biases=(np.zeros(4),),
         head=np.array([[1.0, 0.0, 0.0, 0.0]]),
     )
-    rec = naive_ub(net, "linf")
+    rec = naive_ub(net)
     assert rec.value == pytest.approx(4.0, rel=1e-9)
     assert rec.guarantee == estimators.UPPER
 
@@ -104,7 +104,7 @@ def test_naive_ub_identity_layers_sqrt_d():
         biases=(np.zeros(9), np.zeros(9)),
         head=np.eye(9)[:1],
     )
-    assert naive_ub(net, "linf").value == pytest.approx(3.0, rel=1e-9)
+    assert naive_ub(net).value == pytest.approx(3.0, rel=1e-9)
 
 
 def test_estimate_unknown_method_lists_names():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lipcert import bnb, lp, norms, oracle
+from lipcert.estimators import random_lb
 from lipcert.interval import Hyperbox, fastlip
 from lipcert.mip import build_lipmip_model, feasible_assignment
 from lipcert.network import (
@@ -31,10 +32,11 @@ def grid_pattern_count(net, domain, n=60):
 
 
 def reference_regions(net, box, alpha="linf", output_norm=None,
-                      eps=oracle.DEFAULT_INTERIOR_EPS):
+                      eps=oracle.DEFAULT_INTERIOR_EPS, leaf_rows=None):
     """Reference enumeration: one cold LP over the decided neurons' rows
     for every branch the current witness does not satisfy.  Returns
-    {flattened sign pattern: region dual norm}."""
+    {flattened sign pattern: region dual norm}; a dict passed as
+    ``leaf_rows`` receives {pattern: (rows, floors)} of every region."""
     regions = {}
 
     def witness_of(rows, floors):
@@ -51,8 +53,10 @@ def reference_regions(net, box, alpha="linf", output_norm=None,
     def recurse(layer, idx, m, v, witness):
         if layer == net.depth:
             jac = jacobian_from_multipliers(net, [s.astype(float) for s in signs])
-            regions[tuple(np.concatenate(signs))] = norms.operator_dual_value(
-                jac, alpha, output_norm)
+            pattern = tuple(np.concatenate(signs))
+            regions[pattern] = norms.operator_dual_value(jac, alpha, output_norm)
+            if leaf_rows is not None:
+                leaf_rows[pattern] = (np.array(rows), np.array(rhs))
             return
         if idx == net.layer_sizes[layer]:
             if layer + 1 < net.depth:
@@ -233,6 +237,59 @@ def test_regions_match_cold_reference(arch, seed, radius, alpha, output_norm):
     assert len(certs) == len(expected)
     assert patterns_of(certs) == set(expected)
     assert max(c.dual_norm_value for c in certs) == max(expected.values())
+
+
+def test_sign_pattern_rows_match_reference():
+    # the builder's rows are the reference's, with the last layer decided or
+    # open; an open neuron's map is its row and floor before the sign
+    net = random_he([2, 5, 4, 4, 1], 0)
+    box = Hyperbox.from_center_radius(np.full(2, 0.5), 1.0)
+    eps = oracle.DEFAULT_INTERIOR_EPS
+    leaf_rows = {}
+    reference_regions(net, box, leaf_rows=leaf_rows)
+    assert len(leaf_rows) > 8
+    ends = np.cumsum(net.layer_sizes)
+    for pattern, (rows, floors) in leaf_rows.items():
+        lams = np.split(np.array(pattern, dtype=float), ends[:-1])
+        closed = oracle.SignPatternLP(net, box, lams, eps)
+        assert np.array_equal(closed.rows, rows) and np.array_equal(closed.floors, floors)
+        assert closed.open_v.size == 0 and np.array_equal(closed.lo, box.l)
+        prefix = oracle.SignPatternLP(net, box, lams[:-1], eps)
+        head, last = slice(0, ends[-2]), slice(ends[-2], None)
+        assert np.array_equal(prefix.rows, rows[head])
+        assert np.array_equal(prefix.floors, floors[head])
+        s = 2.0 * lams[-1] - 1.0
+        assert np.array_equal(s[:, None] * prefix.open_m, rows[last])
+        assert np.array_equal(eps - s * prefix.open_v, floors[last])
+        z = box.sample(np.random.default_rng(0), 50) @ prefix.open_m.T + prefix.open_v
+        assert np.all(prefix.lo[2:] <= z) and np.all(z <= prefix.hi[2:])
+
+
+def test_constant_neurons_keep_their_regions():
+    # a neuron whose map is 0 over the prefix is constant there: asking eps
+    # depth of it dropped every region when its constant was below eps
+    net = ReLUNetwork(
+        weights=(np.array([[1.0, 0.0], [0.0, 0.0]]),),
+        biases=(np.array([0.2, 0.0]),),
+        head=np.array([[2.0, 1.0]]),
+    )
+    box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
+    assert exact_lipschitz_bruteforce(net, box) == 2.0
+    assert len(list(enumerate_regions(net, box))) == 2
+    # a constant neuron gets a row only against its constant's sign
+    shifted = ReLUNetwork(net.weights, (np.array([0.2, -0.5]),), net.head)
+    for lam, rows in ((0.0, 1), (1.0, 2)):
+        pattern = oracle.SignPatternLP(shifted, box, [np.array([1.0, lam])], 0.0)
+        assert len(pattern.rows) == rows
+    assert pattern.solve().status == lp.INFEASIBLE
+    # sparse first layers with zero biases: neurons that are 0 everywhere
+    for seed in range(5):
+        base = random_he([2, 3, 3, 1], seed)
+        rng = np.random.default_rng(seed)
+        weights = tuple(w * (rng.random(w.shape) < 0.5) for w in base.weights)
+        sparse = ReLUNetwork(weights, (np.zeros(3), base.biases[1]), base.head)
+        sampled = random_lb(sparse, box, "linf", n_samples=4000).value
+        assert exact_lipschitz_bruteforce(sparse, box) >= sampled > 0.0
 
 
 @pytest.mark.parametrize("arch, seed, alpha, output_norm", [
