@@ -54,7 +54,7 @@ domain realizes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -405,6 +405,8 @@ class LipMIPProblem:
     bwd_value_vars: list[np.ndarray]
     bwd_switch_vars: list[np.ndarray]
     pre_boxes: list[interval.Hyperbox]
+    #: ``rounded_pattern_value``'s answer per rounded pattern
+    _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rebuild(self, pre_boxes) -> "LipMIPProblem":
         """The same problem built again with each layer's pre-activation box
@@ -521,7 +523,8 @@ class LipMIPProblem:
         whether some x in the domain realizes it (ties allowed on the
         boundary).  If so, the pattern's constant Jacobian is a legitimate
         chain-rule outcome at that x, so its dual norm is an attainable
-        objective value.
+        objective value.  The answer is kept per rounded pattern, so a
+        pattern repeated by another node costs no LP.
         """
         mults = []
         for box, bins in zip(self.pre_boxes, self.neuron_bins):
@@ -529,6 +532,14 @@ class LipMIPProblem:
             free = bins >= 0
             on[free] = point[bins[free]] >= 0.5
             mults.append(on.astype(float))
+        key = np.concatenate(mults).tobytes()
+        if key not in self._rounded:
+            self._rounded[key] = self._realize(mults)
+        return self._rounded[key]
+
+    def _realize(self, mults) -> tuple[float, np.ndarray] | None:
+        """The dual norm of a sign pattern's Jacobian and a point realizing
+        the pattern, or None when no point does or the LP fails."""
         try:
             sol = SignPatternLP(self.net, self.domain, mults, 0.0).solve()
         except lp.SolverNumericalError:

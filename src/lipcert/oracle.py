@@ -9,45 +9,50 @@ once the signs of earlier layers are fixed, every pre-activation of the next
 layer is affine in the input, so each partial sign assignment is an LP
 feasibility question and infeasible prefixes prune whole subtrees.
 
-One LP per layer prefix.  When the search enters layer k with the signs of
-layers 0..k-1 fixed, it makes one ``SignPatternLP`` from those layers' sigma'
-vectors with floor eps.  The class is the one builder of sign-pattern
+One solver per layer prefix.  When the search enters layer k with the signs
+of layers 0..k-1 fixed, it makes one ``SignPatternLP`` from those layers'
+sigma' vectors with floor eps.  The class is the one builder of sign-pattern
 polytopes; B&B's rounded-pattern heuristic
 (``mip.LipMIPProblem.rounded_pattern_value``) asks it too, with every layer
-decided and floor 0.  It computes each decided neuron's affine map
-m_j x + v_j with ``next_layer_affine``; with sign s (+1 on, -1 off) the
-neuron is a row s m_j.x >= eps - s v_j over x alone.  Layer k's neurons are
-open: each keeps a column z_j with the row m_j.x - z_j = -v_j, whose z box
-starts as the interval range of m_j x + v_j over the domain, so an undecided
-neuron constrains nothing.  Choosing a sign is a bound change on z_j alone
-(on: [eps, hi], off: [lo, -eps]); an empty box is infeasible without a
-solve.  Every prefix owns its z bounds, which backtracking from a deeper
-layer finds as it left them.  Every LP of the prefix warm-starts from the
-basis of the nearest ancestor's OPTIMAL answer on the same solver, and a
-branch that the current witness already satisfies needs no LP.
+decided and floor 0.  It computes each neuron's affine map m_j x + v_j with
+``next_layer_affine``.  Every neuron of layers 0..k is a row m_j.x over x
+alone, and its sign is a box on that row's activity: on [eps - v_j, hi],
+off [lo, -eps - v_j], where [lo, hi] is the interval range of m_j.x over the
+domain.  Layer k's neurons are open, with that range as their box, so an
+undecided neuron constrains nothing.  Choosing a sign changes one row box,
+with no rebuild and no presolve; an empty box is infeasible without a solve.
+Every prefix owns its row boxes, which backtracking from a deeper layer finds
+as it left them.  A prefix's rows are its parent's, in the same order,
+followed by layer k's, so its first LP starts from the parent's last basis
+with the new rows' slacks basic; the objective is zero, so that basis is
+dual feasible.  Only layer 0's prefix starts cold, with one solve of its open
+polytope on entry.  Every later LP of a prefix warm-starts from the basis of
+the nearest ancestor's OPTIMAL answer, whose factorized tableau the solver
+keeps, and a branch that the current witness already satisfies needs no LP.
 
 Constant neurons.  A neuron whose map row over the prefix is exactly 0 has
-z_j = v_j on the prefix's whole polytope, so it needs no eps depth: it takes
-its constant's sign, off at v_j = 0, with no LP and no box cut, and the
-builder gives it a row only when its sign disagrees with v_j (which the
-rounded heuristic may propose, and the row then refutes).  At v_j = 0 either
-sign gives the same Jacobian and the same downstream maps.  Asking eps depth
-of such a neuron would refute both signs when |v_j| < eps and drop every
-region below it.
+the pre-activation v_j on the prefix's whole polytope, so it needs no eps
+depth: it takes its constant's sign, off at v_j = 0, with no LP and no box
+cut, and the builder leaves its row's box open ([0, 0]) unless its sign
+disagrees with v_j (which the rounded heuristic may propose, and the box
+then refutes).  At v_j = 0 either sign gives the same Jacobian and the same
+downstream maps.  Asking eps depth of such a neuron would refute both signs
+when |v_j| < eps
+and drop every region below it.
 
 Box refutation.  The search carries an input box that contains every point
 an LP of the subtree could accept.  Such an answer is checked by the solver
-against its bounds and rows: x within FEAS_TOL of the domain, an open z_j
-within FEAS_TOL of its sign box and each row within FEAS_TOL (1 + |rhs|), so
-a decided neuron's signed pre-activation is at least
-eps - FEAS_TOL (2 + eps + |v_j|) there, whether its sign was decided in the
-open layer or in an earlier one.  The box starts as the domain widened by
-FEAS_TOL and is cut by each accepted branch's row relaxed by twice that
-amount (the factor two covers the rounding of the box arithmetic); a branch
-whose signed pre-activation stays below eps minus the same margin over the
-whole box has no point any LP could accept and is dropped unsolved.  The box
-refutes only what the LP would reject, so the region set is the one the LPs
-alone would give.
+against its bounds and rows: x within FEAS_TOL of the domain and each row's
+activity within FEAS_TOL (1 + |v_j|) of its box, so a decided neuron's
+signed pre-activation is at least eps - FEAS_TOL (1 + |v_j|) there, whether
+its sign was decided in the open layer or in an earlier one.  The box starts
+as the domain widened by FEAS_TOL and is cut by each accepted branch's row
+relaxed by 2 FEAS_TOL (2 + eps + |v_j|), more than twice that allowance (the
+factor two covers the rounding of the box arithmetic); a branch whose signed
+pre-activation stays below eps minus the same margin over the whole box has
+no point any LP could accept and is dropped unsolved.  The box refutes only
+what the LP would reject, so the region set is the one the LPs alone would
+give.
 
 This path shares no interval analysis and no big-M encoding with the MIP
 pipeline (only the LP solver and the per-pattern affine maps), which is what
@@ -91,54 +96,64 @@ class RegionCertificate:
 
 
 class SignPatternLP:
-    """Some x in the domain that realizes a ReLU sign pattern: an LP over [x, z].
+    """Some x in the domain that realizes a ReLU sign pattern: an LP over x alone.
 
     ``lams`` holds the sigma' vectors (1.0 on, 0.0 off) of layers 0..k-1, the
-    decided layers.  Each decided neuron, with affine map m_j.x + v_j and
-    sign s (+1 on, -1 off), is a row ``rows[i].x >= floors[i]`` with
-    rows[i] = s m_j and floors[i] = floor - s v_j: its signed pre-activation
-    is at least ``floor``.  A constant neuron (m_j = 0) whose sign is its
-    constant's (off at v_j = 0) has no row.  When k is below the network's
-    depth, layer k is open: its neurons, whose signs are being chosen, keep a
-    column z_j each with the row ``open_m[j].x - z_j = -open_v[j]`` and a z
-    box from the interval range of their map over the domain.  The equality
-    presolve eliminates z_j, so choosing a sign is a bound change on z_j and
-    sibling LPs share one solver and its bases.  ``lo`` and ``hi`` bound
-    [x, z]; callers may edit them between solves.  The solver is built on
-    the first solve.
+    decided layers; when k is below the network's depth, layer k is open.
+    Every neuron of layers 0..k, in layer order, with affine map m_j.x + v_j
+    over the prefix, is a row ``m[j].x`` whose activity box
+    ``[row_lo[j], row_hi[j]]`` holds its sign.  An open neuron's box is the
+    interval range [lo_j, hi_j] of m_j.x over the domain, so it constrains
+    nothing.  A decided neuron's box is [floor - v_j, hi_j] when on and
+    [lo_j, -floor - v_j] when off: its pre-activation is at least ``floor``
+    on its sign's side.  A constant neuron (m_j = 0) whose sign is its
+    constant's (off at v_j = 0) keeps its open box [0, 0].  The LP's
+    right-hand side is -v, so a row's slack is the neuron's negated
+    pre-activation, and its relations, all ``>=``, are never used: every
+    solve passes the row boxes.
+
+    Choosing a sign is a change of one row box, with no presolve, so sibling
+    LPs share one solver and its bases.  A prefix's rows are its parent
+    prefix's, in the same order, followed by the open layer's, so a basis of
+    the parent extends to one of the child (``lp.Basis.with_new_rows``).
+    Callers may edit ``row_lo`` and ``row_hi`` between solves.  The solver is
+    built on the first solve.
     """
 
     def __init__(self, net: ReLUNetwork, domain: Hyperbox, lams, floor: float):
         m, v = net.weights[0], net.biases[0]
-        rows, floors = [np.zeros((0, net.input_dim))], [np.zeros(0)]
-        for k, lam in enumerate(lams):
-            s = 2.0 * lam - 1.0
-            keep = m.any(axis=1) | (lam != (v > 0.0))
-            rows.append(s[keep, None] * m[keep])
-            floors.append(floor - s[keep] * v[keep])
-            if k + 1 < net.depth:
-                m, v = next_layer_affine(net, k, lam, m, v)
-        if len(lams) == net.depth:
-            m, v = m[:0], v[:0]
-        mp, mn = np.maximum(m, 0.0), np.minimum(m, 0.0)
-        self.rows, self.floors = np.vstack(rows), np.concatenate(floors)
-        self.open_m, self.open_v = m, v
-        self.lo = np.concatenate([domain.l, mp @ domain.l + mn @ domain.u + v])
-        self.hi = np.concatenate([domain.u, mp @ domain.u + mn @ domain.l + v])
+        ms, vs, los, his = [], [], [], []
+        for k in range(min(len(lams) + 1, net.depth)):
+            if k:
+                m, v = next_layer_affine(net, k - 1, lams[k - 1], m, v)
+            mp, mn = np.maximum(m, 0.0), np.minimum(m, 0.0)
+            lo, hi = mp @ domain.l + mn @ domain.u, mp @ domain.u + mn @ domain.l
+            if k < len(lams):
+                on = lams[k] == 1.0
+                decided = m.any(axis=1) | (on != (v > 0.0))
+                lo = np.where(decided & on, floor - v, lo)
+                hi = np.where(decided & ~on, -floor - v, hi)
+            ms.append(m)
+            vs.append(v)
+            los.append(lo)
+            his.append(hi)
+        self.m, self.v = np.vstack(ms), np.concatenate(vs)
+        self.row_lo, self.row_hi = np.concatenate(los), np.concatenate(his)
+        self.first_open = self.v.size - (vs[-1].size if len(lams) < net.depth else 0)
+        self._domain = domain
         self._solver = None
 
     def solve(self, basis: lp.Basis | None = None) -> lp.LPSolution:
-        """Solve under the current bounds, warm from ``basis`` (an OPTIMAL
-        answer of this LP) or cold.  Raises SolverNumericalError when the LP
-        fails, so that a failure is never read as proof that no x exists."""
+        """Solve under the current row boxes, warm from ``basis`` (an OPTIMAL
+        answer of this LP, or a parent prefix's extended to it) or cold.
+        Raises SolverNumericalError when the LP fails, so that a failure is
+        never read as proof that no x exists."""
         if self._solver is None:
-            (r, n0), k = self.rows.shape, self.open_v.size
-            a = np.block([[self.rows, np.zeros((r, k))], [self.open_m, -np.eye(k)]])
+            r, n0 = self.m.shape
             self._solver = lp.SimplexSolver(lp.LPProblem(
-                np.zeros(n0 + k), a, (">=",) * r + ("=",) * k,
-                np.concatenate([self.floors, -self.open_v]), self.lo.copy(), self.hi.copy(),
+                np.zeros(n0), self.m, (">=",) * r, -self.v, self._domain.l, self._domain.u,
             ))
-        sol = self._solver.solve(self.lo, self.hi, basis=basis)
+        sol = self._solver.solve(basis=basis, row_lo=self.row_lo, row_hi=self.row_hi)
         if sol.status == lp.NUMERICAL_FAILURE:
             raise lp.SolverNumericalError("sign-pattern LP failed")
         return sol
@@ -168,8 +183,8 @@ def enumerate_regions(
     regions intersecting the domain deeply enough are produced exactly once;
     thinner slivers are skipped.  The search starts from the domain's centre
     as witness.  Per neuron, a sign is accepted without an LP when the
-    witness satisfies it, dropped without one when its z box is empty or the
-    carried input box refutes it (see the module docstring for why that
+    witness satisfies it, dropped without one when its row box is empty or
+    the carried input box refutes it (see the module docstring for why that
     drops nothing an LP would accept), and otherwise decided by the layer
     prefix's LP, warm-started from the nearest ancestor's optimal basis.  A
     sign-pattern LP that fails raises ``lp.SolverNumericalError`` rather than
@@ -192,38 +207,44 @@ def enumerate_regions(
     if domain.dim != net.input_dim:
         raise ValueError("domain dimension does not match the network")
     eps = float(interior_eps)
-    n0, sizes, depth = net.input_dim, net.layer_sizes, net.depth
+    sizes, depth = net.layer_sizes, net.depth
     signs = [np.zeros(s, dtype=np.int8) for s in sizes]
 
-    def enter(k, witness, bl, bu):
-        """Start layer k below the signs of layers 0..k-1."""
+    def enter(k, basis, witness, bl, bu):
+        """Start layer k below the signs of layers 0..k-1, from the parent
+        prefix's basis; layer 0 makes the one cold start."""
         prefix = SignPatternLP(net, domain, [s.astype(float) for s in signs[:k]], eps)
-        yield from decide(k, 0, prefix, None, witness, bl, bu)
+        if basis is None:
+            basis = prefix.solve().basis
+        else:
+            basis = basis.with_new_rows(sizes[k])
+        yield from decide(k, 0, prefix, basis, witness, bl, bu)
 
     def decide(k, idx, prefix, basis, witness, bl, bu):
         """Choose the sign of neuron idx of layer k, then of the rest."""
         if idx == sizes[k]:
             if k + 1 < depth:
-                yield from enter(k + 1, witness, bl, bu)
+                yield from enter(k + 1, basis, witness, bl, bu)
                 return
             jac = jacobian_from_multipliers(net, [s.astype(float) for s in signs])
             value = norms.operator_dual_value(jac, alpha, output_norm)
             pattern = tuple(s.copy() for s in signs)
             yield RegionCertificate(pattern, witness.copy(), jac, value)
             return
-        row, off = prefix.open_m[idx], prefix.open_v[idx]
+        j = prefix.first_open + idx
+        row, off = prefix.m[j], prefix.v[j]
         if not row.any():  # constant: its constant's sign (module docstring)
             signs[k][idx] = off > 0.0
             yield from decide(k, idx + 1, prefix, basis, witness, bl, bu)
             return
-        lo, hi, col = prefix.lo, prefix.hi, n0 + idx
-        zlo, zhi = lo[col], hi[col]
+        rlo, rhi = prefix.row_lo[j], prefix.row_hi[j]
         at_witness = row @ witness
         margin = 2.0 * lp.FEAS_TOL * (2.0 + eps + abs(off))
         for sign, s in ((1, 1.0), (0, -1.0)):
-            lo[col], hi[col] = (eps, zhi) if sign else (zlo, -eps)
-            if lo[col] > hi[col]:
+            lo, hi = (eps - off, rhi) if sign else (rlo, -eps - off)
+            if lo > hi:
                 continue
+            prefix.row_lo[j], prefix.row_hi[j] = lo, hi
             a, floor = s * row, eps - s * off  # the branch is a.x >= floor
             child_basis, child_witness = basis, witness
             if not s * at_witness >= floor:
@@ -232,14 +253,14 @@ def enumerate_regions(
                 sol = prefix.solve(basis)
                 if sol.status != lp.OPTIMAL:
                     continue
-                child_basis, child_witness = sol.basis, sol.x[:n0]
+                child_basis, child_witness = sol.basis, sol.x
             signs[k][idx] = sign
             cbl, cbu = _cut(bl, bu, a, floor - margin)
             yield from decide(k, idx + 1, prefix, child_basis, child_witness, cbl, cbu)
-        lo[col], hi[col] = zlo, zhi
+        prefix.row_lo[j], prefix.row_hi[j] = rlo, rhi
         signs[k][idx] = 0
 
-    yield from enter(0, domain.center, domain.l - lp.FEAS_TOL, domain.u + lp.FEAS_TOL)
+    yield from enter(0, None, domain.center, domain.l - lp.FEAS_TOL, domain.u + lp.FEAS_TOL)
 
 
 def exact_lipschitz_bruteforce(
@@ -253,9 +274,13 @@ def exact_lipschitz_bruteforce(
 
     Scalar networks use the plain dual vector norm of the gradient row;
     vector-valued networks maximize ||J||_{alpha->beta} per region by
-    enumerating the dual ball's spanning points.
+    enumerating the dual ball's spanning points.  Raises ``ValueError`` when
+    no region has ``interior_eps`` of depth in the domain: the maximum over
+    no region is no value of L.
     """
-    best = 0.0
-    for cert in enumerate_regions(net, domain, interior_eps, alpha, output_norm):
-        best = max(best, cert.dual_norm_value)
-    return best
+    values = [cert.dual_norm_value
+              for cert in enumerate_regions(net, domain, interior_eps, alpha, output_norm)]
+    if not values:
+        raise ValueError(f"no region has interior_eps = {interior_eps!r} of depth in the "
+                         "domain; a smaller interior_eps or a wider domain may find one")
+    return max(values)

@@ -655,6 +655,7 @@ def test_perturbed_presolve_never_overstates():
             continue
         for arr in (solver._a, solver._b, solver._rcols):
             arr += 1e-3 * rng.normal(size=arr.shape)
+        solver._live = None  # warm starts factorize the perturbed data
         pinned = np.clip(ref.x, lo, hi)
         for lo, hi in ((lo, hi), (pinned, pinned)):
             opt = vertex_enumeration_max(with_bounds(p, lo, hi))
@@ -671,3 +672,123 @@ def test_perturbed_presolve_never_overstates():
                     assert sol.objective_value >= opt - 1e-8
                     checked += 1
     assert checked > 0
+
+
+# -- kept factorizations and ranged rows -------------------------------------
+
+
+def test_kept_factorization_equals_a_fresh_one():
+    # a snapshot restored once keeps its factorized tableau; the pivots of
+    # later solves leave that copy as a fresh factorization would make it
+    rng = np.random.Generator(np.random.Philox(key=1717))
+    for trial in range(20):
+        p = random_feasible_lp(rng, n_range=(4, 8), m_range=(3, 7))
+        solver = lp.SimplexSolver(p)
+        root = solver.solve()
+        solver.solve()  # the live tableau leaves root's basis
+        for _ in range(3):
+            lo, hi = child_bounds(rng, p)
+            solver.solve(lo=lo, hi=hi, basis=root.basis)
+        count = solver.refactorizations
+        assert solver._restore(root.basis)
+        assert solver.refactorizations == count  # the kept copy, no factorization
+        kept = solver._tab.copy(), solver._beta0.copy()
+        assert solver._refactorize()
+        assert np.array_equal(solver._tab, kept[0]) and np.array_equal(solver._beta0, kept[1])
+
+
+def test_restoring_a_live_basis_refactorizes_nothing(monkeypatch):
+    # each re-solve from the previous answer's basis pivots on in place, and
+    # backtracking to a basis started from before reloads its kept copy
+    rng = np.random.Generator(np.random.Philox(key=2121))
+    for trial in range(20):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        root = solver.solve()
+        path = [root]
+        for _ in range(3):
+            lo, hi = child_bounds(rng, p)
+            sol = solver.solve(lo=lo, hi=hi, basis=path[-1].basis)
+            assert sol.status == lp.solve_lp(with_bounds(p, lo, hi)).status
+            if sol.status == lp.OPTIMAL:
+                path.append(sol)
+        for back in reversed(path[:-1]):
+            lo, hi = child_bounds(rng, p)
+            solver.solve(lo=lo, hi=hi, basis=back.basis)
+        assert (solver.cold_starts, solver.refactorizations) == (1, 0)
+    # a tableau past _REFRESH_EVERY pivots since its factorization is
+    # refactorized when restored, even in place
+    monkeypatch.setattr(lp, "_REFRESH_EVERY", 1)
+    p, solver, root = pinned_pair()
+    assert root.iterations > 0
+    solver.solve(basis=root.basis)
+    assert solver.refactorizations == 1
+
+
+def random_ranged_lp(rng):
+    """A random LP over rows a.x with activity boxes [row_lo, row_hi] around
+    an anchor point's activities, some boxes moved off it (often making the
+    LP infeasible), and the same LP with each row written twice (>= row_lo
+    and <= row_hi)."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    a = rng.normal(size=(m, n))
+    lo, hi = -rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
+    act = a @ rng.uniform(lo, hi)
+    row_lo = act - rng.uniform(0.0, 1.0, size=m)
+    row_hi = act + rng.uniform(0.0, 1.0, size=m)
+    shift = np.where(rng.uniform(size=m) < 0.3, rng.normal(scale=3.0, size=m), 0.0)
+    row_lo, row_hi = row_lo + shift, np.maximum(row_hi + shift, row_lo + shift)
+    c = rng.normal(size=n)
+    ranged = make_problem(c, a, [">="] * m, rng.normal(size=m), lo, hi)
+    two = make_problem(c, np.vstack([a, a]), [">="] * m + ["<="] * m,
+                       np.concatenate([row_lo, row_hi]), lo, hi)
+    return ranged, row_lo, row_hi, two
+
+
+def test_ranged_rows_match_two_inequalities(monkeypatch):
+    # a row box is the pair of inequalities it stands for: same status and
+    # optimum, a tight certified bound, and INFEASIBLE only with a Farkas
+    # certificate checked on the rows and their boxes
+    certified = []
+    original = lp.SimplexSolver._certified_infeasible
+
+    def recorded(self, r):
+        certified.append(original(self, r))
+        return certified[-1]
+
+    monkeypatch.setattr(lp.SimplexSolver, "_certified_infeasible", recorded)
+    rng = np.random.Generator(np.random.Philox(key=3131))
+    statuses = set()
+    for trial in range(60):
+        ranged, row_lo, row_hi, two = random_ranged_lp(rng)
+        oracle = vertex_enumeration_max(two)
+        solver = lp.SimplexSolver(ranged)
+        certified.clear()
+        sol = solver.solve(row_lo=row_lo, row_hi=row_hi)
+        statuses.add(sol.status)
+        if oracle is None:
+            assert sol.status == lp.INFEASIBLE and certified[-1]
+            continue
+        assert_answer(two, two.lo, two.hi, sol, solver, oracle)
+        # a warm re-solve under a moved row box
+        lo2, hi2 = row_lo + rng.normal(scale=0.3, size=row_lo.size), row_hi.copy()
+        hi2 = np.maximum(hi2, lo2)
+        moved = make_problem(two.objective, two.a, two.relations,
+                             np.concatenate([lo2, hi2]), two.lo, two.hi)
+        certified.clear()
+        warm = solver.solve(row_lo=lo2, row_hi=hi2, basis=sol.basis)
+        statuses.add(warm.status)
+        expected = vertex_enumeration_max(moved)
+        if expected is None:
+            assert warm.status == lp.INFEASIBLE and certified[-1]
+        else:
+            assert_answer(moved, moved.lo, moved.hi, warm, solver, expected)
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_row_boxes_need_an_unpresolved_problem():
+    p = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "<="], [1.0, 0.5],
+                     [0, 0], [1, 1])
+    solver = lp.SimplexSolver(p)
+    with pytest.raises(ValueError, match="row boxes"):
+        solver.solve(row_lo=[0.0, 0.0], row_hi=[1.0, 1.0])

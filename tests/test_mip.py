@@ -426,7 +426,29 @@ def test_rounded_pattern_value_treats_failed_lp_as_miss(monkeypatch):
     assert prob.rounded_pattern_value(point) is not None
     monkeypatch.setattr(lp.SimplexSolver, "solve", lambda self, *args, **kwargs:
                         lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, 0))
-    assert prob.rounded_pattern_value(point) is None
+    # answers are kept per problem and pattern: a new problem asks the LP
+    fresh = build_lipmip_model(net, box, alpha="linf")
+    assert fresh.rounded_pattern_value(point) is None
+
+
+def test_rounded_pattern_value_kept_per_pattern(monkeypatch):
+    # a rounded pattern seen before costs no LP and gives the same answer;
+    # another point with the same rounding is the same pattern
+    net = random_he([3, 5, 4, 1], seed=0)
+    box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
+    prob = build_lipmip_model(net, box, alpha="linf")
+    point = feasible_assignment(prob, np.full(3, 0.3), ALWAYS_ZERO)
+    first = prob.rounded_pattern_value(point)
+    assert first is not None
+    solves = []
+    monkeypatch.setattr(lp.SimplexSolver, "solve", lambda *args, **kwargs: solves.append(1))
+    nudged = point.copy()
+    bins = [b for bins in prob.neuron_bins for b in bins[bins >= 0]]
+    nudged[bins] = np.where(point[bins] >= 0.5, 0.9, 0.1)
+    for p in (point, nudged):
+        again = prob.rounded_pattern_value(p)
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
+    assert not solves
 
 
 LAYOUT_CASES = [

@@ -240,8 +240,9 @@ def test_regions_match_cold_reference(arch, seed, radius, alpha, output_norm):
 
 
 def test_sign_pattern_rows_match_reference():
-    # the builder's rows are the reference's, with the last layer decided or
-    # open; an open neuron's map is its row and floor before the sign
+    # the builder's rows are the reference's up to sign, and its boxes hold
+    # the reference's floors; a prefix's rows are its parent's followed by
+    # the open layer's, whose boxes are the ranges of their maps
     net = random_he([2, 5, 4, 4, 1], 0)
     box = Hyperbox.from_center_radius(np.full(2, 0.5), 1.0)
     eps = oracle.DEFAULT_INTERIOR_EPS
@@ -251,18 +252,21 @@ def test_sign_pattern_rows_match_reference():
     ends = np.cumsum(net.layer_sizes)
     for pattern, (rows, floors) in leaf_rows.items():
         lams = np.split(np.array(pattern, dtype=float), ends[:-1])
+        s = 2.0 * np.array(pattern, dtype=float) - 1.0
         closed = oracle.SignPatternLP(net, box, lams, eps)
-        assert np.array_equal(closed.rows, rows) and np.array_equal(closed.floors, floors)
-        assert closed.open_v.size == 0 and np.array_equal(closed.lo, box.l)
+        assert closed.first_open == ends[-1]
+        assert np.array_equal(s[:, None] * closed.m, rows)
+        assert np.array_equal(np.where(s > 0, closed.row_lo, -closed.row_hi), floors)
         prefix = oracle.SignPatternLP(net, box, lams[:-1], eps)
         head, last = slice(0, ends[-2]), slice(ends[-2], None)
-        assert np.array_equal(prefix.rows, rows[head])
-        assert np.array_equal(prefix.floors, floors[head])
-        s = 2.0 * lams[-1] - 1.0
-        assert np.array_equal(s[:, None] * prefix.open_m, rows[last])
-        assert np.array_equal(eps - s * prefix.open_v, floors[last])
-        z = box.sample(np.random.default_rng(0), 50) @ prefix.open_m.T + prefix.open_v
-        assert np.all(prefix.lo[2:] <= z) and np.all(z <= prefix.hi[2:])
+        assert prefix.first_open == ends[-2]
+        assert np.array_equal(prefix.m, closed.m) and np.array_equal(prefix.v, closed.v)
+        assert np.array_equal(prefix.row_lo[head], closed.row_lo[head])
+        assert np.array_equal(prefix.row_hi[head], closed.row_hi[head])
+        parent = oracle.SignPatternLP(net, box, lams[:-2], eps)
+        assert np.array_equal(parent.m, prefix.m[: ends[-2]])
+        mx = box.sample(np.random.default_rng(0), 50) @ prefix.m[last].T
+        assert np.all(prefix.row_lo[last] <= mx) and np.all(mx <= prefix.row_hi[last])
 
 
 def test_constant_neurons_keep_their_regions():
@@ -276,11 +280,11 @@ def test_constant_neurons_keep_their_regions():
     box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
     assert exact_lipschitz_bruteforce(net, box) == 2.0
     assert len(list(enumerate_regions(net, box))) == 2
-    # a constant neuron gets a row only against its constant's sign
+    # a constant neuron's box is cut only against its constant's sign
     shifted = ReLUNetwork(net.weights, (np.array([0.2, -0.5]),), net.head)
-    for lam, rows in ((0.0, 1), (1.0, 2)):
+    for lam, row_box in ((0.0, (0.0, 0.0)), (1.0, (0.5, 0.0))):
         pattern = oracle.SignPatternLP(shifted, box, [np.array([1.0, lam])], 0.0)
-        assert len(pattern.rows) == rows
+        assert (pattern.row_lo[1], pattern.row_hi[1]) == row_box
     assert pattern.solve().status == lp.INFEASIBLE
     # sparse first layers with zero biases: neurons that are 0 everywhere
     for seed in range(5):
@@ -358,3 +362,67 @@ def test_interior_eps_must_be_finite_and_positive(monkeypatch, eps):
     with pytest.raises(ValueError, match="interior_eps"):
         exact_lipschitz_bruteforce(net, box, interior_eps=eps)
     assert not solves
+
+
+def test_no_deep_region_raises():
+    # on [-1e-7, 1e-7] no region of the identity net has 1e-6 of depth: the
+    # maximum over no region read 0.0, below the sampled lower bound 1.0
+    net = identity_network()
+    box = Hyperbox([-1e-7], [1e-7])
+    assert random_lb(net, box, "linf").value == 1.0
+    assert not list(enumerate_regions(net, box))
+    with pytest.raises(ValueError, match="interior_eps"):
+        exact_lipschitz_bruteforce(net, box)
+
+
+def built_solvers(monkeypatch):
+    """Every SimplexSolver built from here on."""
+    solvers = []
+    original = lp.SimplexSolver.__init__
+
+    def recorded(self, problem):
+        original(self, problem)
+        solvers.append(self)
+
+    monkeypatch.setattr(lp.SimplexSolver, "__init__", recorded)
+    return solvers
+
+
+@pytest.mark.parametrize("arch, seed, radius", [
+    ([2, 5, 4, 4, 1], 0, 1.0),
+    ([3, 5, 5, 5, 1], 0, 0.5),
+    ([4, 8, 8, 1], 12, 0.5),
+])
+def test_one_cold_start_and_no_presolve(monkeypatch, arch, seed, radius):
+    # layer 0 starts cold once; every deeper prefix starts from its parent's
+    # basis with its new rows' slacks basic, and a sign is a row box, so no
+    # prefix presolves a column away
+    net = random_he(arch, seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+    solvers = built_solvers(monkeypatch)
+    certs = list(enumerate_regions(net, box))
+    assert len(certs) > 8 and len(solvers) > 2
+    assert sum(s.cold_starts for s in solvers) == 1
+    assert all(s.n_struct == arch[0] for s in solvers)
+    # a prefix factorizes at most its first warm start; backtracking
+    # reloads kept tableaus
+    assert all(s.refactorizations <= 1 for s in solvers)
+
+
+def test_corrupted_parent_basis_falls_back_cold(monkeypatch):
+    net = random_he([2, 5, 4, 4, 1], seed=0)
+    box = Hyperbox.from_center_radius(np.full(2, 0.5), 1.0)
+    expected = {tuple(np.concatenate(c.pattern)): c.dual_norm_value
+                for c in enumerate_regions(net, box)}
+    original = lp.Basis.with_new_rows
+
+    def corrupted(self, count):
+        basis = original(self, count)
+        return lp.Basis(np.zeros_like(basis.basic), basis.at_upper)  # a repeated column
+
+    monkeypatch.setattr(lp.Basis, "with_new_rows", corrupted)
+    solvers = built_solvers(monkeypatch)
+    got = {tuple(np.concatenate(c.pattern)): c.dual_norm_value
+           for c in enumerate_regions(net, box)}
+    assert got == expected
+    assert sum(s.cold_starts for s in solvers) > 1  # the deeper prefixes fell back
