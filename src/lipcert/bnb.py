@@ -12,7 +12,11 @@ bound.  It never drops below ``closed``, the largest bound of a node left
 unbranched (an integral leaf's ``dual_bound``, a failed LP's parent's bound,
 +inf at the root), nor, once the heap is empty, below the incumbent widened
 by the prune slack; a failed node that may still beat the incumbent then
-gives the status ``lp_failed``.  Lower bounds come from a structure-aware
+gives the status ``lp_failed``, or ``timeout`` past the deadline.  Every LP
+gets the search's deadline.  One that the deadline interrupts is left
+unbranched like a failed one, with the smaller of its parent's bound and its
+own ``dual_bound``, which holds for any basis: at the root, the latter.
+Lower bounds come from a structure-aware
 primal heuristic: the x part of any node LP solution is a real network
 input, so its exact chain-rule gradient norm is an attainable objective
 value.  Incumbent and upper bound therefore sandwich the true optimum at
@@ -235,11 +239,11 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
     rebuilt from the tightened boxes before layer i+1 is tightened.  Each LP
     starts from the previous optimal basis of the layer.  Each new bound is
     the certified ``SimplexSolver.dual_bound`` of the final basis, never the
-    raw primal objective; a failed LP keeps that side's bound, and a rebuild
-    that fails (rounding left a box empty) keeps the model it started from.
-    Layer 0's interval boxes are exact over the domain box, so it is never
-    tightened.  Past ``deadline`` (a ``time.perf_counter`` value) no further
-    neuron is tightened.
+    raw primal objective; a failed LP, or one that ``deadline`` (a
+    ``time.perf_counter`` value) interrupts, keeps that side's bound, and a
+    rebuild that fails (rounding left a box empty) keeps the model it started
+    from.  Layer 0's interval boxes are exact over the domain box, so it is
+    never tightened.  Past ``deadline`` no further neuron is tightened.
 
     Returns the rebuilt problem and one LayerTightening per hidden layer.
     """
@@ -261,7 +265,7 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
             for sign in (1.0, -1.0):
                 c = np.zeros(solver.problem.num_vars)
                 c[pre[j]] = sign
-                sol = solver.solve(objective=c, basis=basis)
+                sol = solver.solve(objective=c, basis=basis, deadline=deadline)
                 spent[i][0] += 1
                 spent[i][1] += sol.iterations
                 if sol.status != lp.OPTIMAL:
@@ -299,9 +303,10 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     """
     opts = opts or SolveOptions()
     start = time.perf_counter()
+    deadline = start + opts.timeout_seconds
     tightening: list[LayerTightening] = []
     if isinstance(problem, LipMIPProblem):
-        problem, tightening = tighten_root(problem, start + opts.timeout_seconds)
+        problem, tightening = tighten_root(problem, deadline)
         logger.debug(
             "root tightening in %.3f s: %s", time.perf_counter() - start,
             "; ".join(
@@ -338,16 +343,20 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
 
     def solve_lp(lo, hi, basis=None, parent_bound=np.inf):
         """A node's LP from its parent's basis with the incumbent as cutoff:
-        the solution and dual_bound, the parent's bound if failed, else None."""
+        the solution and dual_bound, the parent's bound if failed, the
+        smaller of it and dual_bound if the deadline interrupted it (the
+        root's dual_bound), else None."""
         inc = res.incumbent_value
         cutoff = inc * (1.0 + _PRUNE_TOL) if np.isfinite(inc) else np.inf
-        sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff)
+        sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff, deadline=deadline)
         res.lp_solves += 1
         res.lp_pivots += sol.iterations
         if sol.status == lp.OPTIMAL:
             return sol, solver.dual_bound()
         if sol.status == lp.NUMERICAL_FAILURE:
             return sol, parent_bound
+        if sol.status == lp.DEADLINE:
+            return sol, min(parent_bound, solver.dual_bound())
         return sol, None
 
     def add_node(fixes, sol, bound):
@@ -363,7 +372,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if context is not None:
             val, x = context.incumbent_from_point(sol.x)
             update_incumbent(val, x)
-            rounded = context.rounded_pattern_value(sol.x)
+            rounded = context.rounded_pattern_value(sol.x, res.incumbent_value)
             if rounded is not None:
                 update_incumbent(*rounded)
         node = _Node(bound, fixes, sol.x, sol.basis)
@@ -458,7 +467,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
             return _finish(res, EXACT, upper, start, solver)
         if opts.target_gap > 0 and gap <= opts.target_gap:
             return _finish(res, GAP_REACHED, upper, start, solver)
-        if time.perf_counter() - start > opts.timeout_seconds:
+        if time.perf_counter() > deadline:
             return _finish(res, TIMEOUT, upper, start, solver)
         if res.nodes_explored >= opts.node_limit:
             return _finish(res, NODE_LIMIT, upper, start, solver)
@@ -474,7 +483,11 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     if inc == failed == -np.inf:
         raise InfeasibleModelError("no feasible integral point")
     upper = max(inc, inc * (1.0 + _PRUNE_TOL), closed)
-    return _finish(res, EXACT if pruned(failed) else LP_FAILED, upper, start, solver)
+    if pruned(failed):
+        status = EXACT
+    else:
+        status = TIMEOUT if time.perf_counter() > deadline else LP_FAILED
+    return _finish(res, status, upper, start, solver)
 
 
 def _finish(res, status, upper, start, solver) -> MIPResult:

@@ -49,22 +49,33 @@ whatever objective its snapshot was solved under, so root bound tightening
 basis.  Only a snapshot that is malformed or singular, and a warm answer the
 dual cannot certify, is recomputed by a nested cold solve.
 
-The tableau is condensed: it stores B^-1 N for the nonbasic columns N only,
-one column per tableau position, with an int array mapping each position to
-its column id.  A pivot puts the leaving variable into the entering column's
-position.  Every slack column is a unit vector, so B^-1 needs no storage of
-its own: its column for a nonbasic slack is that slack's tableau column, and
-for a slack basic in row r it is the unit vector e_r.  The dual steepest-edge
-weights, y = c_B B^-1 and the Farkas rows are assembled from these.  The
-working bounds, costs and flags of the nonbasic columns are kept by tableau
-position and those of the basic variables by row, and a pivot swaps the two
-entries it exchanges.  Each
-pivot takes as leaving variable the basic variable outside its bounds chosen
-by dual steepest edge pricing; it leaves at its violated bound, and a ratio
-test over the reduced costs (Harris tolerance, largest pivot among
-near-ties, then the lowest column id) picks the entering column.  Reference:
-A. Koberstein, *The dual simplex method, techniques for a fast and stable
-implementation*, PhD thesis, Paderborn 2005.
+The tableau is condensed and reduced.  Of B^-1 N, the nonbasic columns N
+only, one column per tableau position with an int array mapping each position
+to its column id, it stores just the rows whose basic variable is structural:
+the block T_K, where K is the set of basic structurals.  Let F be the rows
+whose slack is nonbasic (|F| = |K|) and S the rows whose slack is basic.
+Ordering B's rows F first, B = [[A_FK, 0], [A_SK, I]], so T_K = A_FK^-1 N_F,
+and every row of S follows from T_K and the presolved rows: row i has the
+tableau row N_i - A_iK T_K and the value b_i - a_i.x.  The nonbasic slacks
+hold the last |K| tableau positions, so T_K's columns there, W, form A_FK^-1;
+row i of B^-1 is -A_iK W on F plus a 1 of its own, and a row of T_K has its
+row of W.  These rows are derived when needed, never stored.  So
+``_refactorize`` solves only the square system in A_FK, and a pivot makes one
+rank-1 update of T_K, then appends a row to it (a slack leaves and a
+structural enters), deletes one (a structural leaves and a slack enters) or
+neither.  The entering column's entries in the rows of S, which the basic
+values need, cost one product A_SK alpha_K.  The dual steepest-edge weights
+of the infeasible rows, y = c_B B^-1 and the Farkas rows are assembled from
+these blocks.  The working bounds, costs and flags of the nonbasic columns are
+kept by tableau position and those of the basic variables by row, and a pivot
+swaps the two entries it exchanges.  Each pivot takes as leaving variable the
+basic variable outside its bounds chosen by dual steepest edge pricing; it
+leaves at its violated bound, and a ratio test over the reduced costs (Harris
+tolerance, largest pivot among near-ties, then the lowest column id) picks
+the entering column.  A solve given a ``deadline`` (a ``time.perf_counter``
+value) checks it before every pivot and stops with status DEADLINE once it
+has passed.  Reference: A. Koberstein, *The dual simplex method, techniques
+for a fast and stable implementation*, PhD thesis, Paderborn 2005.
 
 Certification uses the original rows, never the presolved ones.  Presolved
 multipliers y' map back to the original rows as y = y' R.  When no column can
@@ -79,12 +90,13 @@ objective of a dual-feasible iterate, which bounds the LP optimum from above,
 falls below it and the weak-duality bound y.b + sum_j max(r_j lo_j, r_j hi_j),
 with y the original-row image of c_B B^-1 and r = c - y.[A I] recomputed from
 the original data, confirms it.  ``SimplexSolver.dual_bound`` is that bound,
-valid after any answer and after an OPTIMAL one the value callers report.
-Every OPTIMAL answer passes a primal feasibility check of the reconstructed
-x against the original rows and the solve's row boxes.  An error in the presolved data can therefore
-only loosen a bound or turn an answer into a NUMERICAL_FAILURE.
+valid after any answer, DEADLINE included, and after an OPTIMAL one the
+value callers report.  Every OPTIMAL answer passes a primal feasibility check
+of the reconstructed x against the original rows and the solve's row boxes.
+An error in the presolved data or in T_K can therefore only loosen a bound or
+turn an answer into a NUMERICAL_FAILURE.
 
-The tableau is dense; this is deliberate.  Target scale is a few thousand
+T_K is dense; this is deliberate.  Target scale is a few thousand
 variables and the branch-and-bound driver re-solves the same matrix under
 many bound vectors, which the ``SimplexSolver`` class supports without
 rebuilding anything.
@@ -92,6 +104,7 @@ rebuilding anything.
 
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -101,6 +114,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 CUTOFF = "cutoff"
 NUMERICAL_FAILURE = "numerical_failure"
+DEADLINE = "deadline"
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -194,7 +208,8 @@ class Basis:
 class LPSolution:
     """``x`` is indexed by the original variables of the problem.  ``basis``
     is set on OPTIMAL answers; on CUTOFF, ``objective_value`` is the certified
-    upper bound on the LP optimum that fell below the cutoff."""
+    upper bound on the LP optimum that fell below the cutoff.  A DEADLINE
+    answer has no point; ``SimplexSolver.dual_bound`` still bounds the LP."""
 
     status: str
     x: np.ndarray | None
@@ -243,11 +258,23 @@ class SimplexSolver:
         self._ohi = np.zeros(n + m)
         self._ocost = np.zeros(n + m)
         self._presolve(np.flatnonzero(~(le | ge)))
-        self.n_total = self.n_struct + m
+        n = self.n_struct
+        self.n_total = n + m
         self.cold_starts = 0
         self.refactorizations = 0
-        self._tab = np.empty((m, self.n_struct))
-        self._beta0 = np.empty(m)
+        # [T_K | B^-1 b on its rows], and per row of T_K its tableau row.
+        # ``_slot`` maps each tableau row to its constraint when its slack is
+        # basic, else to m + its row of T_K (module docstring).  ``_a_k`` is
+        # [-A_K; I]: row ``_slot[r]`` of it times ``_tab`` is row r of
+        # [B^-1 N | B^-1 b], less [N_i | b_i] for a basic slack's row.  The
+        # nonbasic slacks hold the last k tableau positions, so T_K's slack
+        # columns are ``_tab[:k, n - k:n]``.
+        rows = min(m, n)
+        self._k = 0
+        self._tab = np.empty((rows, n + 1))
+        self._a_k = np.vstack([np.empty((m, rows)), np.eye(rows)])
+        self._krow = np.empty(rows, dtype=np.intp)
+        self._slot = np.arange(m)
         self._basis = None
         self._nb = None
         self._at_upper = None
@@ -261,7 +288,7 @@ class SimplexSolver:
         self._wlo = np.empty(self.n_total)
         self._whi = np.empty(self.n_total)
         self._costs = np.zeros(self.n_total)
-        self._ger_buf = np.empty((m, self.n_struct))
+        self._ger_buf = np.empty((rows, n + 1))
 
     def _presolve(self, eq):
         """Gauss-Jordan elimination over the equality rows ``eq``.
@@ -307,53 +334,61 @@ class SimplexSolver:
 
     def _cold_start(self):
         """The slack basis, nonbasic structurals at their bound of smaller
-        magnitude (``_dual`` then repairs its dual feasibility)."""
+        magnitude (``_dual`` then repairs its dual feasibility).  T_K is
+        empty."""
         n = self.n_struct
         wlo, whi = self._wlo, self._whi
-        np.copyto(self._tab, self._a)
-        np.copyto(self._beta0, self._b)
         self._basis = np.arange(n, self.n_total)
         self._nb = np.arange(n)
+        self._set_rows(np.zeros(0, dtype=np.intp))
         self._at_upper = np.zeros(self.n_total, dtype=bool)
         self._at_upper[:n] = np.abs(whi[:n]) < np.abs(wlo[:n])
         self._live = None
         self._age = 0
         self.cold_starts += 1
 
-    def _refactorize(self) -> bool:
-        """Recompute the tableau's nonbasic columns and B^-1 b from the
-        presolved data.
+    def _set_rows(self, krow, a_k=None):
+        """Make ``krow`` (tableau rows whose basic variable is structural)
+        the rows of T_K, in that order: their columns -A_K, taken from
+        ``a_k`` when given, and every tableau row's slot.  T_K's entries are
+        the caller's."""
+        m, k = self._slot.size, krow.size
+        self._k = k
+        self._krow[:k] = krow
+        if a_k is None:
+            np.negative(self._a[:, self._basis[krow]], out=self._a_k[:m, :k])
+        else:
+            self._a_k[:m, :k] = a_k
+        self._slot = self._basis - self.n_struct
+        self._slot[krow] = m + np.arange(k)
 
-        Basic slacks are unit columns, so only the square block of A in the
-        basic structural columns and the rows whose slack is nonbasic needs a
-        factorization; the rows of basic slacks follow by substitution.
-        Returns False on a (near-)singular basis.
-        """
+    def _refactorize(self) -> bool:
+        """Recompute T_K and its B^-1 b from the presolved data: one solve
+        with the square block of A in the basic structural columns and the
+        rows whose slack is nonbasic.  Returns False on a (near-)singular
+        basis."""
         self.refactorizations += 1
-        n, a, nb = self.n_struct, self._a, self._nb
+        n, a, nb, basis = self.n_struct, self._a, self._nb, self._basis
         m = a.shape[0]
-        is_struct = self._basis < n
-        cols = self._basis[is_struct]
-        slack_rows = self._basis[~is_struct] - n  # rows whose slack is basic
-        free_rows = np.ones(m, dtype=bool)
-        free_rows[slack_rows] = False
-        # right-hand sides: the nonbasic columns of [A I], then b
-        rhs = np.zeros((m, n + 1))
+        krow = np.flatnonzero(basis < n)
+        free = np.ones(m, dtype=bool)
+        free[basis[basis >= n] - n] = False  # F: the rows whose slack is nonbasic
+        # right-hand sides: the nonbasic columns of [A I] and b, on F
+        rhs = np.zeros((krow.size, n + 1))
         slack = nb >= n
-        rhs[:, np.flatnonzero(~slack)] = a[:, nb[~slack]]
-        rhs[nb[slack] - n, np.flatnonzero(slack)] = 1.0
-        rhs[:, n] = self._b
-        try:
-            top = np.linalg.solve(a[np.ix_(free_rows, cols)], rhs[free_rows])
-        except np.linalg.LinAlgError:
-            return False
-        bottom = rhs[slack_rows] - a[np.ix_(slack_rows, cols)] @ top
-        if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
-            return False
-        self._tab[is_struct] = top[:, :n]
-        self._beta0[is_struct] = top[:, n]
-        self._tab[~is_struct] = bottom[:, :n]
-        self._beta0[~is_struct] = bottom[:, n]
+        rhs[:, np.flatnonzero(~slack)] = a[np.ix_(free, nb[~slack])]
+        f_index = np.cumsum(free) - 1
+        rhs[f_index[nb[slack] - n], np.flatnonzero(slack)] = 1.0
+        rhs[:, n] = self._b[free]
+        if krow.size:
+            try:
+                rhs = np.linalg.solve(a[np.ix_(free, basis[krow])], rhs)
+            except np.linalg.LinAlgError:
+                return False
+            if not np.all(np.isfinite(rhs)):
+                return False
+        self._set_rows(krow)
+        self._tab[:krow.size] = rhs
         self._age = 0
         return True
 
@@ -368,11 +403,11 @@ class SimplexSolver:
         live, self._live = self._live, None  # the solve moves the tableau on
         factored = self._factors.get(basis)
         if factored is not None:
-            tab, beta0, nb, self._age = factored
-            np.copyto(self._tab, tab)
-            np.copyto(self._beta0, beta0)
-            self._nb = nb.copy()
+            tab, krow, a_k, nb, self._age = factored
             self._basis = basis.basic.astype(np.intp)
+            self._nb = nb.copy()
+            self._set_rows(krow, a_k)
+            self._tab[:krow.size] = tab
         elif basis is not live:
             m = self.n_total - self.n_struct
             basic = np.asarray(basis.basic)
@@ -394,8 +429,10 @@ class SimplexSolver:
                 return False
             factored = None
         if factored is None:
-            self._factors[basis] = (self._tab.copy(), self._beta0.copy(), self._nb.copy(),
-                                    self._age)
+            k = self._k
+            m = self._slot.size
+            self._factors[basis] = (self._tab[:k].copy(), self._krow[:k].copy(),
+                                    self._a_k[:m, :k].copy(), self._nb.copy(), self._age)
         self._at_upper = np.array(basis.at_upper, dtype=bool)
         return True
 
@@ -403,26 +440,25 @@ class SimplexSolver:
         """Gather the working bounds, costs and flags of the nonbasic
         columns by tableau position and of the basic ones by row; pivots
         then swap them in place (``_exchange``)."""
-        n, nb, basis = self.n_struct, self._nb, self._basis
+        nb, basis = self._nb, self._basis
         wlo, whi, costs = self._wlo, self._whi, self._costs
         self._nb_lo, self._nb_hi, self._nb_cost = wlo[nb], whi[nb], costs[nb]
         self._nb_up = self._at_upper[nb]
-        self._nb_free = whi[nb] > wlo[nb]
-        self._nb_slack = nb >= n
+        # +1 at the upper bound, -1 at the lower one, 0 for a fixed column
+        self._nb_dir = np.where(self._nb_up, 1.0, -1.0)
+        self._nb_dir[self._nb_hi <= self._nb_lo] = 0.0
         self._b_lo, self._b_hi, self._b_cost = wlo[basis], whi[basis], costs[basis]
-        self._b_slack = basis >= n
 
     def _exchange(self, r, k, up):
         """Swap the basic variable of row ``r`` with the nonbasic column at
         position ``k``; the leaving variable rests at its upper bound when
         ``up``."""
         b_lo, b_hi, nb_lo, nb_hi = self._b_lo, self._b_hi, self._nb_lo, self._nb_hi
-        self._nb_free[k] = b_hi[r] > b_lo[r]
+        self._nb_dir[k] = (1.0 if up else -1.0) if b_hi[r] > b_lo[r] else 0.0
         self._nb_up[k] = up
         b_lo[r], nb_lo[k] = nb_lo[k], b_lo[r]
         b_hi[r], nb_hi[k] = nb_hi[k], b_hi[r]
         self._b_cost[r], self._nb_cost[k] = self._nb_cost[k], self._b_cost[r]
-        self._b_slack[r], self._nb_slack[k] = self._nb_slack[k], self._b_slack[r]
         self._basis[r], self._nb[k] = self._nb[k], self._basis[r]
 
     def _nonbasic_values(self):
@@ -430,44 +466,126 @@ class SimplexSolver:
         return np.where(self._nb_up, self._nb_hi, self._nb_lo)
 
     def _basic_values(self):
-        return self._beta0 - self._tab @ self._nonbasic_values()
+        """Values of the basic variables, by row: T_K's rows from the
+        tableau, basic slacks as b - A x."""
+        k, n, nb = self._k, self.n_struct, self._nb
+        xn = self._nonbasic_values()
+        x = np.empty(n)
+        x[nb[:n - k]] = xn[:n - k]
+        xk = self._tab[:k, n] - self._tab[:k, :n] @ xn
+        x[self._basis[self._krow[:k]]] = xk
+        return np.concatenate([self._b - self._a @ x, xk])[self._slot]
 
-    def _pivot(self, row, pos, d):
-        """Exchange the basic variable of ``row`` with the nonbasic column
-        at tableau position ``pos``, which the leaving variable takes."""
-        tab, beta0 = self._tab, self._beta0
-        alpha = tab[:, pos].copy()
-        inv = 1.0 / alpha[row]
-        prow = tab[row] * inv
-        pbeta = beta0[row] * inv
-        alpha[row] = 0.0
-        buf = self._ger_buf
-        np.multiply(alpha[:, None], prow[None, :], out=buf)
+    def _tableau_row(self, r):
+        """Row ``r`` of [B^-1 N | B^-1 b]: a row of ``_tab``, or for a basic
+        slack's row i [N_i | b_i] - A_iK ``_tab``."""
+        k, m, n = self._k, self._slot.size, self.n_struct
+        i = self._slot[r]
+        if i >= m:
+            return self._tab[i - m]
+        row = self._a_k[i, :k] @ self._tab[:k]
+        row[:n - k] += self._a[i, self._nb[:n - k]]  # N_i is 0 at the nonbasic slacks
+        row[n] += self._b[i]
+        return row
+
+    def _column(self, pos):
+        """The column at tableau position ``pos`` of B^-1 N by row, and its
+        entries in T_K's rows: A_SK alpha_K gives the basic slacks' ones."""
+        m, k, j = self._slot.size, self._k, self._nb[pos]
+        alpha_k = self._tab[:k, pos].copy()
+        alpha = self._a_k[:m + k, :k] @ alpha_k
+        if j < self.n_struct:
+            alpha[:m] += self._a[:, j]
+        return alpha[self._slot], alpha_k
+
+    def _pivot(self, r, pos, d, row, alpha_k):
+        """Exchange the basic variable of ``row`` with the nonbasic column at
+        tableau position ``pos``, which the leaving variable takes, after
+        ``_exchange``.  ``row`` is the leaving row's ``_tableau_row`` and
+        ``alpha_k`` the entering column in T_K's rows."""
+        m, k, n = self._slot.size, self._k, self.n_struct
+        tab = self._tab[:k]
+        i = self._slot[r]
+        inv = 1.0 / row[pos]
+        prow = row * inv
+        if i >= m:
+            t = i - m
+            alpha_k[t] = 0.0
+        buf = self._ger_buf[:k]
+        np.einsum("i,j->ij", alpha_k, prow, out=buf)  # faster than a broadcast product
         np.subtract(tab, buf, out=tab)
-        beta0 -= alpha * pbeta
-        tab[row] = prow
-        beta0[row] = pbeta
-        np.multiply(alpha, -inv, out=tab[:, pos])
-        tab[row, pos] = inv
+        np.multiply(alpha_k, -inv, out=tab[:, pos])
         dq = d[pos]
-        d -= dq * prow
+        d -= dq * prow[:n]
         d[pos] = -dq * inv
+        j = self._basis[r]  # the entering column
+        if j < n:  # row r is, or joins, T_K
+            if i < m:
+                t, self._k = k, k + 1
+                self._krow[t] = r
+                self._slot[r] = m + t
+            self._tab[t] = prow
+            self._tab[t, pos] = inv
+            np.negative(self._a[:, j], out=self._a_k[:m, t])
+            if i < m:
+                self._swap(pos, n - self._k, d)  # the leaving slack joins the slacks
+        else:  # row r is a basic slack's: it leaves T_K if it was there
+            self._slot[r] = j - n
+            if i >= m:
+                self._drop(t)
+                self._swap(pos, n - self._k - 1, d)  # the leaving structural leaves them
         self._age += 1
+
+    def _swap(self, p, q, d):
+        """Exchange tableau positions ``p`` and ``q``."""
+        if p != q:
+            for arr in (self._nb, self._nb_lo, self._nb_hi, self._nb_cost, self._nb_up,
+                        self._nb_dir, d):
+                arr[p], arr[q] = arr[q], arr[p]
+            tab = self._tab[:self._k]
+            col = tab[:, p].copy()
+            tab[:, p] = tab[:, q]
+            tab[:, q] = col
+
+    def _drop(self, t):
+        """Delete row ``t`` of T_K; its last row takes the place."""
+        last = self._k - 1
+        if t != last:
+            for arr in (self._tab, self._krow):
+                arr[t] = arr[last]
+            m = self._slot.size
+            self._a_k[:m, t] = self._a_k[:m, last]
+            self._slot[self._krow[t]] = m + t
+        self._k = last
+
+    def _split(self, w):
+        """Weights ``w`` on the tableau rows as ``(w_s, v)``: ``w_s`` by
+        constraint (zero on F) and ``v = w_K - w_s A_K`` on T_K's rows, so
+        that w B^-1 N = w_s N + v T_K."""
+        m, k = self._slot.size, self._k
+        ext = np.zeros(m + k)
+        ext[self._slot] = w
+        w_s = ext[:m]
+        return w_s, ext @ self._a_k[:m + k, :k] if w_s.any() else ext[m:]
 
     def _reduced_costs(self):
         """Reduced costs of the nonbasic columns, by tableau position."""
-        return self._nb_cost - self._b_cost @ self._tab
+        if not self._b_cost.any():
+            return self._nb_cost.copy()
+        k, n = self._k, self.n_struct
+        w_s, v = self._split(self._b_cost)
+        d = self._nb_cost - v @ self._tab[:k, :n]
+        if w_s.any():  # costs on basic slacks: presolved rows
+            d[:n - k] -= (w_s @ self._a)[self._nb[:n - k]]
+        return d
 
     def _original_multipliers(self, w):
-        """The multipliers y = (w B^-1) R of the original rows.  w B^-1 is
-        assembled from the slack columns: a nonbasic slack's column of B^-1
-        is its tableau column, a basic slack's is a unit vector."""
-        n = self.n_struct
-        y = np.zeros(self.n_total - n)
-        slack_pos = np.flatnonzero(self._nb >= n)
-        y[self._nb[slack_pos] - n] = w @ self._tab[:, slack_pos]
-        basic_slack = np.flatnonzero(self._basis >= n)
-        y[self._basis[basic_slack] - n] = w[basic_slack]
+        """The multipliers y = (w B^-1) R of the original rows.  A basic
+        slack's column of B^-1 is a unit vector, and a nonbasic slack's is
+        its tableau column: T_K's entries, and -A_SK times them."""
+        k, n = self._k, self.n_struct
+        y, v = self._split(w)
+        y[self._nb[n - k:] - n] = v @ self._tab[:k, n - k:n]
         y[self._elim_rows] = y @ self._rcols
         return y
 
@@ -482,6 +600,7 @@ class SimplexSolver:
         cutoff: float = np.inf,
         row_lo=None,
         row_hi=None,
+        deadline: float = np.inf,
     ) -> LPSolution:
         """Maximize under the given bounds and objective (default: the problem's).
 
@@ -492,10 +611,12 @@ class SimplexSolver:
         given, else from the slack basis; either start is made dual feasible
         by moving each wrong-signed nonbasic column to its other bound.  With
         a finite ``cutoff`` it may stop early with CUTOFF once the LP optimum
-        is certified to lie below it.  A malformed or singular snapshot, and
-        a warm answer the dual cannot certify, is recomputed by a nested cold
-        solve.  A cold solve that cannot certify infeasibility, hits the
-        pivot cap or fails the feasibility check returns NUMERICAL_FAILURE.
+        is certified to lie below it.  Once ``time.perf_counter()`` passes
+        ``deadline`` it stops with DEADLINE before the next pivot.  A
+        malformed or singular snapshot, and a warm answer the dual cannot
+        certify, is recomputed by a nested cold solve.  A cold solve that
+        cannot certify infeasibility, hits the pivot cap or fails the
+        feasibility check returns NUMERICAL_FAILURE.
         """
         p = self.problem
         lo = p.lo if lo is None else np.asarray(lo, dtype=float)
@@ -509,7 +630,7 @@ class SimplexSolver:
             self._act_lo = np.asarray(row_lo, dtype=float)
             self._act_hi = np.asarray(row_hi, dtype=float)
             s_lo, s_hi = p.rhs - self._act_hi, p.rhs - self._act_lo
-        if np.any(lo > hi) or np.any(self._act_lo > self._act_hi):
+        if (lo > hi).any() or (self._act_lo > self._act_hi).any():
             return LPSolution(INFEASIBLE, None, np.nan, 0)
         cobj = p.objective if objective is None else np.asarray(objective, dtype=float)
         n, n0 = self.n_struct, p.num_vars
@@ -531,17 +652,18 @@ class SimplexSolver:
         self._wlo[rows] = np.minimum(c_lo, c_hi)
         self._whi[rows] = np.maximum(c_lo, c_hi)
         self._costs[rows] = cobj[cols] / coef
-        sol = self._dual(basis, lo, hi, cobj, cutoff)
+        sol = self._dual(basis, lo, hi, cobj, cutoff, deadline)
         if sol.status == NUMERICAL_FAILURE and basis is not None:
             # uncertified or failed: a nested cold solve gives the answer
-            return self.solve(lo, hi, cobj, cutoff=cutoff, row_lo=row_lo, row_hi=row_hi)
+            return self.solve(lo, hi, cobj, cutoff=cutoff, row_lo=row_lo, row_hi=row_hi,
+                              deadline=deadline)
         return sol
 
-    def _optimal(self, lo, hi, cobj, pivots) -> LPSolution:
-        """The OPTIMAL answer at the current basis, or NUMERICAL_FAILURE when
-        its point fails the feasibility check.  The live tableau rests at
-        the answer's snapshot."""
-        x = self._extract()
+    def _optimal(self, lo, hi, cobj, pivots, xb) -> LPSolution:
+        """The OPTIMAL answer at the current basis, whose basic values are
+        ``xb``, or NUMERICAL_FAILURE when its point fails the feasibility
+        check.  The live tableau rests at the answer's snapshot."""
+        x = self._extract(xb)
         if not self._feasible(x, lo, hi):
             return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         at_upper = np.zeros(self.n_total, dtype=bool)
@@ -551,11 +673,11 @@ class SimplexSolver:
 
     # -- the dual simplex ------------------------------------------------------
 
-    def _dual(self, basis, lo, hi, cobj, cutoff) -> LPSolution:
+    def _dual(self, basis, lo, hi, cobj, cutoff, deadline) -> LPSolution:
         """Bounded dual simplex from ``basis``, or from the slack basis when it
         is None.  NUMERICAL_FAILURE when the snapshot is malformed or
         singular, an infeasibility is uncertified, the pivot cap is hit, or
-        an optimum fails the feasibility check."""
+        an optimum fails the feasibility check; DEADLINE past ``deadline``."""
         pivots = 0
         if basis is None:
             self._cold_start()
@@ -566,67 +688,90 @@ class SimplexSolver:
         d = self._reduced_costs()
         self._repair_dual(d)
         xb = self._basic_values()
+        fresh = True  # xb recomputed since the last pivot
+        z = self._objective(xb, cutoff)  # of a dual feasible iterate: above the LP optimum
         max_pivots = 2 * self.n_total + 1000
         while pivots <= max_pivots:
+            if time.perf_counter() > deadline:
+                return LPSolution(DEADLINE, None, np.nan, pivots)
             if cutoff < np.inf:
-                bound = self._cutoff_bound(xb, cutoff)
+                bound = self._cutoff_bound(z, cutoff)
                 if bound is not None:
                     return LPSolution(CUTOFF, None, bound, pivots)
             infeas = np.maximum(basic_lo - xb, xb - basic_hi)
             r = self._leaving_row(infeas)
             if r < 0:
                 # primal feasible: confirm on fresh values and reduced costs
-                xb = self._basic_values()
-                infeas = np.maximum(basic_lo - xb, xb - basic_hi)
-                if (infeas > FEAS_TOL).any():
-                    continue
+                if not fresh:
+                    xb, fresh = self._basic_values(), True
+                    z = self._objective(xb, cutoff)
+                    infeas = np.maximum(basic_lo - xb, xb - basic_hi)
+                    if (infeas > FEAS_TOL).any():
+                        continue
                 d = self._reduced_costs()
                 if not self._repair_dual(d):
-                    return self._optimal(lo, hi, cobj, pivots)
+                    return self._optimal(lo, hi, cobj, pivots, xb)
                 xb = self._basic_values()
+                z = self._objective(xb, cutoff)
                 continue
-            k = self._dual_ratio_test(r, xb[r] < basic_lo[r], d)
+            row = self._tableau_row(r)
+            k = self._dual_ratio_test(row[:self.n_struct], xb[r] < basic_lo[r], d)
             if k < 0:
                 status = INFEASIBLE if self._certified_infeasible(r) else NUMERICAL_FAILURE
                 return LPSolution(status, None, np.nan, pivots)
             target = basic_lo[r] if xb[r] < basic_lo[r] else basic_hi[r]
-            alpha = self._tab[:, k]
+            alpha, alpha_k = self._column(k)
+            alpha[r] = row[k]
             step = (xb[r] - target) / alpha[r]
             xb -= step * alpha
+            z += step * d[k]
             xb[r] = (self._nb_hi[k] if self._nb_up[k] else self._nb_lo[k]) + step
             self._exchange(r, k, target == basic_hi[r])
-            self._pivot(r, k, d)
+            self._pivot(r, k, d, row, alpha_k)
             pivots += 1
+            fresh = False
             if pivots % _REFRESH_EVERY == 0:
                 d = self._reduced_costs()
-                xb = self._basic_values()
+                xb, fresh = self._basic_values(), True
+                z = self._objective(xb, cutoff)
         return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
 
     def _leaving_row(self, infeas) -> int:
         """Dual steepest edge: the row with the largest squared infeasibility
-        per squared norm of its row of B^-1, or -1 when every basic variable
-        is within FEAS_TOL of its bounds.  Row r of B^-1 is row r of the
-        nonbasic slacks' tableau columns, plus a 1 when row r's basic
-        variable is a slack."""
+        per ``_edge_weights``, or -1 when every basic variable is within
+        FEAS_TOL of its bounds."""
         rows = (infeas > FEAS_TOL).nonzero()[0]
         if not rows.size:
             return -1
-        binv = self._tab[rows]
-        norms = (binv * binv) @ self._nb_slack + self._b_slack[rows]
-        return int(rows[np.argmax(infeas[rows] ** 2 / norms)])
+        score = infeas[rows]
+        np.square(score, out=score)
+        score /= self._edge_weights(rows)
+        return int(rows[score.argmax()])
+
+    def _edge_weights(self, rows):
+        """The squared norms of ``rows``' rows of B^-1.  On F, row r of B^-1
+        is row r of T_K's slack columns W, or -A_iK W for the row of basic
+        slack i, which also has a 1 at its own row."""
+        k, slots = self._k, self._slot[rows]
+        n = self.n_struct
+        binv = self._a_k[slots, :k] @ self._tab[:k, n - k:n]
+        np.square(binv, out=binv)
+        norms = binv.sum(axis=1)
+        norms += slots < self._slot.size
+        return norms
 
     def _repair_dual(self, d) -> bool:
         """Move each nonbasic column whose reduced cost has the wrong sign
         (beyond the pivot tolerance) to its other bound, which restores dual
         feasibility.  Returns whether any column moved."""
-        at_upper = self._nb_up
-        wrong = self._nb_free & np.where(at_upper, d < -PIVOT_TOL, d > PIVOT_TOL)
-        at_upper[wrong] = ~at_upper[wrong]
-        return bool(wrong.any())
+        wrong = (self._nb_dir * d < -PIVOT_TOL).nonzero()[0]
+        self._nb_up[wrong] = ~self._nb_up[wrong]
+        self._nb_dir[wrong] = -self._nb_dir[wrong]
+        return bool(wrong.size)
 
-    def _dual_ratio_test(self, r, increase, d) -> int:
-        """Tableau position of the entering column for leaving row ``r``, or
-        -1 if none exists.
+    def _dual_ratio_test(self, row, increase, d) -> int:
+        """Tableau position of the entering column for the leaving row's
+        tableau row ``row``, or -1 if none exists.
 
         The leaving variable must rise (``increase``) or fall to its violated
         bound; a nonbasic column qualifies if moving it off its bound does
@@ -634,19 +779,17 @@ class SimplexSolver:
         the Harris tolerance of the smallest, the largest |alpha_rj| enters,
         ties to the lowest column id.
         """
-        row = self._tab[r]
-        at_upper = self._nb_up
-        moves = np.where(at_upper ^ increase, -row, row)  # alpha_rj signed by direction
-        idx = (self._nb_free & (moves > PIVOT_TOL)).nonzero()[0]
+        moves = row * self._nb_dir if increase else row * -self._nb_dir
+        idx = (moves > PIVOT_TOL).nonzero()[0]  # alpha_rj signed by direction
         if idx.size == 0:
             return -1
-        dj = d[idx]
-        slack = np.maximum(np.where(at_upper[idx], dj, -dj), 0.0)
-        mag = np.abs(row[idx])
-        near = slack / mag <= np.min((slack + PIVOT_TOL) / mag)
-        mag = np.where(near, mag, -1.0)
+        slack = d[idx] * self._nb_dir[idx]
+        np.maximum(slack, 0.0, out=slack)
+        mag = moves[idx]
+        near = slack / mag <= ((slack + PIVOT_TOL) / mag).min()
+        mag[~near] = -1.0
         best = idx[mag == mag.max()]
-        return int(best[np.argmin(self._nb[best])]) if best.size > 1 else int(best[0])
+        return int(best[self._nb[best].argmin()]) if best.size > 1 else int(best[0])
 
     def _certified_infeasible(self, r) -> bool:
         """Whether row r of B^-1 proves the working box infeasible, checked
@@ -666,16 +809,24 @@ class SimplexSolver:
         margin += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(g) @ mag)
         return yb < g_min - margin or yb > g_max + margin
 
-    def _cutoff_bound(self, xb, cutoff) -> float | None:
+    def _cutoff_bound(self, estimate, cutoff) -> float | None:
         """A certified upper bound on the LP optimum below ``cutoff``, or None.
 
-        The current iterate's objective triggers the check; the bound itself
-        is ``dual_bound``, valid whatever the accuracy of the iterate."""
-        estimate = self._b_cost @ xb + self._nb_cost @ self._nonbasic_values()
+        ``estimate``, the objective of the current dual feasible iterate,
+        triggers the check; the bound itself is ``dual_bound``, valid
+        whatever the accuracy of the iterate."""
         if not estimate < cutoff:
             return None
         bound = self.dual_bound()
         return bound if bound < cutoff else None
+
+    def _objective(self, xb, cutoff):
+        """The objective at basic values ``xb`` and the nonbasic columns'
+        values, which each pivot moves by step times the entering column's
+        reduced cost; +inf when there is no finite ``cutoff`` to test it on."""
+        if cutoff == np.inf:
+            return np.inf
+        return float(self._b_cost @ xb + self._nb_cost @ self._nonbasic_values())
 
     def dual_bound(self) -> float:
         """Certified upper bound on the optimum of the last solve's LP.
@@ -697,11 +848,12 @@ class SimplexSolver:
         bound += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(red) @ mag)
         return bound if np.isfinite(bound) else np.inf
 
-    def _extract(self):
-        """The basic solution in the original variables."""
+    def _extract(self, xb):
+        """The basic solution, basic values ``xb``, in the original
+        variables."""
         v = np.empty(self.n_total)
         v[self._nb] = self._nonbasic_values()
-        v[self._basis] = self._basic_values()
+        v[self._basis] = xb
         x = np.empty(self.problem.num_vars)
         x[self._kept] = v[: self.n_struct]
         x[self._elim_cols] = v[self.n_struct + self._elim_rows] / self._elim_coef
@@ -712,11 +864,11 @@ class SimplexSolver:
         box (its relation's, or the solve's), each within FEAS_TOL scaled by
         the row's right-hand side."""
         p = self.problem
-        if np.any(x < lo - FEAS_TOL) or np.any(x > hi + FEAS_TOL):
+        if (x < lo - FEAS_TOL).any() or (x > hi + FEAS_TOL).any():
             return False
         act = p.a @ x
         tol = FEAS_TOL * (1.0 + np.abs(p.rhs))
-        return not np.any((act < self._act_lo - tol) | (act > self._act_hi + tol))
+        return not ((act < self._act_lo - tol) | (act > self._act_hi + tol)).any()
 
 
 def solve_lp(problem: LPProblem) -> LPSolution:

@@ -73,6 +73,9 @@ from .network import (
 )
 from .oracle import SignPatternLP
 
+#: A rounded pattern whose realizability LP has not run yet.
+_UNSOLVED = object()
+
 
 class ModelError(ValueError):
     """Raised when a model cannot be built (unbounded domain, bad bounds)."""
@@ -405,7 +408,7 @@ class LipMIPProblem:
     bwd_value_vars: list[np.ndarray]
     bwd_switch_vars: list[np.ndarray]
     pre_boxes: list[interval.Hyperbox]
-    #: ``rounded_pattern_value``'s answer per rounded pattern
+    #: ``rounded_pattern_value``'s value and point per rounded pattern
     _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rebuild(self, pre_boxes) -> "LipMIPProblem":
@@ -515,16 +518,19 @@ class LipMIPProblem:
         np.minimum(lo, hi, out=lo)
         return lo, hi, fixed_bins
 
-    def rounded_pattern_value(self, point) -> tuple[float, np.ndarray] | None:
+    def rounded_pattern_value(self, point, incumbent: float = -np.inf):
         """Second primal heuristic: realize the node's rounded binaries.
 
-        Rounding the LP's activation binaries proposes a sign pattern; an
-        ``oracle.SignPatternLP`` with every layer decided and floor 0 checks
-        whether some x in the domain realizes it (ties allowed on the
-        boundary).  If so, the pattern's constant Jacobian is a legitimate
-        chain-rule outcome at that x, so its dual norm is an attainable
-        objective value.  The answer is kept per rounded pattern, so a
-        pattern repeated by another node costs no LP.
+        Rounding the LP's activation binaries proposes a sign pattern, whose
+        constant Jacobian has a dual norm.  Only when that value beats
+        ``incumbent`` does an ``oracle.SignPatternLP`` with every layer
+        decided and floor 0 check whether some x in the domain realizes the
+        pattern (ties allowed on the boundary).  If so, the Jacobian is a
+        legitimate chain-rule outcome at that x, so its value is an
+        attainable objective value: the answer is ``(value, x)``.  None when
+        the value cannot beat ``incumbent``, no x realizes the pattern or the
+        LP fails.  The value and, once asked, the LP's point are kept per
+        rounded pattern, so a pattern repeated by another node costs no LP.
         """
         mults = []
         for box, bins in zip(self.pre_boxes, self.neuron_bins):
@@ -533,21 +539,26 @@ class LipMIPProblem:
             on[free] = point[bins[free]] >= 0.5
             mults.append(on.astype(float))
         key = np.concatenate(mults).tobytes()
-        if key not in self._rounded:
-            self._rounded[key] = self._realize(mults)
-        return self._rounded[key]
+        kept = self._rounded.get(key)
+        if kept is None:
+            jac = jacobian_from_multipliers(self.net, mults)
+            kept = self._rounded[key] = [norms.operator_dual_value(jac, self.alpha,
+                                                                   self.output_norm), _UNSOLVED]
+        value, x = kept
+        if not value > incumbent:
+            return None
+        if x is _UNSOLVED:
+            x = kept[1] = self._realize(mults)
+        return None if x is None else (value, x)
 
-    def _realize(self, mults) -> tuple[float, np.ndarray] | None:
-        """The dual norm of a sign pattern's Jacobian and a point realizing
-        the pattern, or None when no point does or the LP fails."""
+    def _realize(self, mults) -> np.ndarray | None:
+        """A point of the domain realizing a sign pattern, or None when no
+        point does or the LP fails."""
         try:
             sol = SignPatternLP(self.net, self.domain, mults, 0.0).solve()
         except lp.SolverNumericalError:
             return None  # a failed LP is a heuristic miss
-        if sol.status != lp.OPTIMAL:
-            return None
-        jac = jacobian_from_multipliers(self.net, mults)
-        return norms.operator_dual_value(jac, self.alpha, self.output_norm), sol.x
+        return sol.x if sol.status == lp.OPTIMAL else None
 
     def incumbent_from_point(self, point) -> tuple[float, np.ndarray]:
         """First primal heuristic: the dual norm of the chain-rule Jacobian

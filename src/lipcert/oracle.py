@@ -188,7 +188,9 @@ def enumerate_regions(
     drops nothing an LP would accept), and otherwise decided by the layer
     prefix's LP, warm-started from the nearest ancestor's optimal basis.  A
     sign-pattern LP that fails raises ``lp.SolverNumericalError`` rather than
-    pruning.  ``interior_eps`` must be a finite number > 0: at 0 or below,
+    pruning.  ``interior_eps`` must be a finite number above the LP
+    feasibility tolerance ``lp.FEAS_TOL``, else ``ValueError``: at or below
+    it, the tolerance lets one LP point witness both signs of a neuron, so
     neighbouring regions would overlap in the witnessed sets.  An unknown
     ``alpha``, or an ``output_norm`` that does not fit the head
     (``norms.check_output_norm``), raises ``ValueError`` before any LP.
@@ -196,8 +198,9 @@ def enumerate_regions(
     takes its constant's sign without an LP (module docstring).  A network
     of more than ``DEFAULT_NEURON_CAP`` neurons raises ``NeuronCapExceeded``.
     """
-    if not 0.0 < interior_eps < np.inf:
-        raise ValueError(f"interior_eps must be a finite number > 0, got {interior_eps!r}")
+    if not lp.FEAS_TOL < interior_eps < np.inf:
+        raise ValueError(f"interior_eps must be a finite number above the LP feasibility "
+                         f"tolerance {lp.FEAS_TOL!r}, got {interior_eps!r}")
     norms.check_input_norm(alpha)
     norms.check_output_norm(output_norm, net.output_dim)
     if net.total_neurons > DEFAULT_NEURON_CAP:
@@ -275,8 +278,9 @@ def exact_lipschitz_bruteforce(
     Scalar networks use the plain dual vector norm of the gradient row;
     vector-valued networks maximize ||J||_{alpha->beta} per region by
     enumerating the dual ball's spanning points.  Raises ``ValueError`` when
-    no region has ``interior_eps`` of depth in the domain: the maximum over
-    no region is no value of L.
+    ``interior_eps`` is not above ``lp.FEAS_TOL`` (``enumerate_regions``),
+    and when no region has ``interior_eps`` of depth in the domain: the
+    maximum over no region is no value of L.
     """
     values = [cert.dual_norm_value
               for cert in enumerate_regions(net, domain, interior_eps, alpha, output_norm)]

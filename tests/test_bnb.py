@@ -1,6 +1,7 @@
 import importlib.util
 import logging
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lipcert import bnb, lp
 from lipcert.bnb import MIPResult, SolveOptions, solve_liplp, solve_mip, tighten_root
+from lipcert.estimators import random_lb
 from lipcert.interval import Hyperbox, fastlip, head_seed_box, propagate
 from lipcert.mip import LipMIPProblem, MIPModel, ModelError, build_lipmip_model
 from lipcert.network import affine_network, identity_network, random_he
@@ -125,6 +127,25 @@ def test_node_limit_and_timeout_statuses():
         assert res.incumbent_value <= res.upper_bound + 1e-9
     res_t = solve_mip(build_lipmip_model(net, box), SolveOptions(timeout_seconds=0.0))
     assert res_t.status in (bnb.TIMEOUT, bnb.EXACT)
+
+
+def test_timeout_interrupts_a_long_root_lp():
+    # 200 inputs: the root LP alone takes far longer than the cap.  The
+    # search stops inside it and reports the dual bound of where it stopped,
+    # which bounds L as any dual bound does, so the sandwich holds
+    net = random_he([200, 20, 20, 1], seed=0)
+    box = Hyperbox.from_center_radius(np.full(200, 0.5), 0.02)
+    problem = build_lipmip_model(net, box)
+    start = time.perf_counter()
+    assert lp.SimplexSolver(problem.model.to_lp_problem()).solve().status == lp.OPTIMAL
+    root_s = time.perf_counter() - start
+    start = time.perf_counter()
+    res = solve_mip(problem, SolveOptions(timeout_seconds=0.05))
+    took = time.perf_counter() - start
+    assert res.status == bnb.TIMEOUT
+    assert res.incumbent_value <= res.upper_bound
+    assert res.upper_bound >= random_lb(net, box, "linf", n_samples=100).value
+    assert took < root_s / 4
 
 
 def test_liplp_bounds_lipmip_and_fastlip():
@@ -494,12 +515,12 @@ def test_failed_node_lps_keep_the_parent_bound(monkeypatch, first):
     original = lp.SimplexSolver._optimal
     optima = []
 
-    def optimal(self, lo, hi, cobj, pivots):
+    def optimal(self, lo, hi, cobj, pivots, xb):
         if self.problem.objective.any():  # not a tightening or sign-pattern LP
             optima.append(pivots)
             if len(optima) > first:
                 return lp.LPSolution(lp.NUMERICAL_FAILURE, None, np.nan, pivots)
-        return original(self, lo, hi, cobj, pivots)
+        return original(self, lo, hi, cobj, pivots, xb)
 
     monkeypatch.setattr(lp.SimplexSolver, "_optimal", optimal)
     res = lipmip(net, box)

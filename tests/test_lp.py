@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -692,9 +693,10 @@ def test_kept_factorization_equals_a_fresh_one():
         count = solver.refactorizations
         assert solver._restore(root.basis)
         assert solver.refactorizations == count  # the kept copy, no factorization
-        kept = solver._tab.copy(), solver._beta0.copy()
+        k = solver._k
+        kept = solver._tab[:k].copy()
         assert solver._refactorize()
-        assert np.array_equal(solver._tab, kept[0]) and np.array_equal(solver._beta0, kept[1])
+        assert solver._k == k and np.array_equal(solver._tab[:k], kept)
 
 
 def test_restoring_a_live_basis_refactorizes_nothing(monkeypatch):
@@ -792,3 +794,189 @@ def test_row_boxes_need_an_unpresolved_problem():
     solver = lp.SimplexSolver(p)
     with pytest.raises(ValueError, match="row boxes"):
         solver.solve(row_lo=[0.0, 0.0], row_hi=[1.0, 1.0])
+
+
+# -- the reduced tableau: T_K and the derived basic-slack rows ------------------
+
+
+def reference_state(solver):
+    """B^-1 N (by tableau position), B^-1 b and B^-1 from the presolved rows
+    at the solver's basis, factorized in full as a revised simplex would."""
+    m = solver.n_total - solver.n_struct
+    full = np.hstack([solver._a, np.eye(m)])
+    binv = np.linalg.inv(full[:, solver._basis])
+    return binv @ full[:, solver._nb], binv @ solver._b, binv
+
+
+def check_reduced_state(solver, rng):
+    """Every row, value and weight the solver derives equals the reference's;
+    T_K holds exactly the rows whose basic variable is structural."""
+    n, m = solver.n_struct, solver.n_total - solver.n_struct
+    tab, beta, binv = reference_state(solver)
+    scale = 1e-8 * max(1.0, np.abs(tab).max(initial=0.0), np.abs(beta).max(initial=0.0))
+    k = solver._k
+    assert k == np.count_nonzero(solver._basis < n)
+    assert np.array_equal(np.sort(solver._krow[:k]), np.flatnonzero(solver._basis < n))
+    assert np.all(solver._nb[n - k:] >= n) and np.all(solver._nb[:n - k] < n)
+    for r in range(m):
+        row = solver._tableau_row(r)
+        assert np.allclose(row[:n], tab[r], atol=scale)
+        assert np.isclose(row[n], beta[r], atol=scale)
+    for pos in range(n):
+        alpha, alpha_k = solver._column(pos)
+        assert np.allclose(alpha, tab[:, pos], atol=scale)
+        assert np.allclose(alpha_k, tab[solver._krow[:k], pos], atol=scale)
+    assert np.allclose(solver._edge_weights(np.arange(m)), (binv * binv).sum(axis=1),
+                       rtol=1e-8, atol=scale)
+    xn = solver._nonbasic_values()
+    assert np.allclose(solver._basic_values(), beta - tab @ xn, atol=scale)
+    assert np.allclose(solver._reduced_costs(), solver._nb_cost - solver._b_cost @ tab,
+                       atol=scale)
+    w = rng.normal(size=m)
+    y = w @ binv
+    y[solver._elim_rows] = y @ solver._rcols
+    assert np.allclose(solver._original_multipliers(w), y, atol=scale)
+
+
+def checked_pivots(monkeypatch, rng):
+    """Checks the reduced state after every pivot from here on; returns the
+    pivot cases seen as (leaving is a slack, entering is a slack) pairs."""
+    cases = []
+    original = lp.SimplexSolver._pivot
+
+    def checked(self, r, pos, d, row, alpha_k):
+        n = self.n_struct
+        cases.append((bool(self._nb[pos] >= n), bool(self._basis[r] >= n)))
+        original(self, r, pos, d, row, alpha_k)
+        check_reduced_state(self, rng)
+
+    monkeypatch.setattr(lp.SimplexSolver, "_pivot", checked)
+    return cases
+
+
+def test_reduced_tableau_matches_a_full_factorization(monkeypatch):
+    # along every pivot of cold and warm solves, with presolved equality rows
+    # and with row boxes, and at random bases: the derived basic-slack rows,
+    # values and steepest-edge weights are the full tableau's, and T_K holds
+    # one row per basic structural
+    rng = np.random.Generator(np.random.Philox(key=4242))
+    cases = checked_pivots(monkeypatch, rng)
+    presolved = 0
+    for trial in range(30):
+        p = random_feasible_lp(rng, n_range=(2, 7), m_range=(1, 7))
+        solver = lp.SimplexSolver(p)
+        presolved += solver._elim_rows.size > 0
+        root = solver.solve()
+        assert root.status == lp.OPTIMAL
+        for _ in range(2):
+            lo, hi = child_bounds(rng, p)
+            sol = solver.solve(lo=lo, hi=hi, basis=root.basis)
+            assert sol.status == lp.solve_lp(with_bounds(p, lo, hi)).status
+        ranged, row_lo, row_hi, _ = random_ranged_lp(rng)
+        ranged_solver = lp.SimplexSolver(ranged)
+        sol = ranged_solver.solve(row_lo=row_lo, row_hi=row_hi)
+        if sol.status == lp.OPTIMAL:
+            ranged_solver.solve(row_lo=row_lo - 0.3, row_hi=row_hi - 0.3, basis=sol.basis)
+        # a random nonsingular basis, factorized afresh
+        m = solver.n_total - solver.n_struct
+        for _ in range(5):
+            basic = rng.choice(solver.n_total, size=m, replace=False).astype(np.int32)
+            full = np.hstack([solver._a, np.eye(m)])
+            if abs(np.linalg.det(full[:, basic])) < 1e-6:
+                continue
+            at_upper = rng.uniform(size=solver.n_total) < 0.5
+            assert solver._restore(lp.Basis(basic, at_upper))
+            solver._load_positions()
+            check_reduced_state(solver, rng)
+    assert presolved > 0
+    # every pivot case: structural or slack, leaving and entering
+    assert set(cases) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_farkas_rows_of_basic_slacks(monkeypatch):
+    # an infeasibility found on a basic slack's row, whose row of B^-1 the
+    # solver derives, is certified with that row's multipliers
+    rng = np.random.Generator(np.random.Philox(key=5353))
+    seen = []
+    original = lp.SimplexSolver._certified_infeasible
+
+    def recorded(self, r):
+        binv = reference_state(self)[2]
+        y = binv[r].copy()
+        y[self._elim_rows] = y @ self._rcols
+        unit = np.zeros(binv.shape[0])
+        unit[r] = 1.0
+        assert np.allclose(self._original_multipliers(unit), y, atol=1e-8)
+        certified = original(self, r)
+        seen.append((bool(self._basis[r] >= self.n_struct), certified))
+        return certified
+
+    monkeypatch.setattr(lp.SimplexSolver, "_certified_infeasible", recorded)
+    for trial in range(60):
+        ranged, row_lo, row_hi, two = random_ranged_lp(rng)
+        sol = lp.SimplexSolver(ranged).solve(row_lo=row_lo, row_hi=row_hi)
+        assert (sol.status == lp.INFEASIBLE) == (vertex_enumeration_max(two) is None)
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        root = solver.solve()
+        lo, hi = child_bounds(rng, p)
+        sol = solver.solve(lo=lo, hi=hi, basis=root.basis)
+        assert (sol.status == lp.INFEASIBLE) == (vertex_enumeration_max(with_bounds(p, lo, hi))
+                                                 is None)
+    assert (True, True) in seen and (False, True) in seen
+
+
+def test_snapshot_with_new_rows_keeps_its_block():
+    # new rows with basic slacks leave F and K as they were: the larger LP's
+    # T_K is the smaller one's, and its warm answer is the cold one's
+    rng = np.random.Generator(np.random.Philox(key=6464))
+    for trial in range(20):
+        ranged, row_lo, row_hi, _ = random_ranged_lp(rng)
+        solver = lp.SimplexSolver(ranged)
+        sol = solver.solve(row_lo=row_lo, row_hi=row_hi)
+        if sol.status != lp.OPTIMAL:
+            continue
+        assert solver._restore(sol.basis) and solver._refactorize()
+        k = solver._k
+        count = int(rng.integers(1, 4))
+        a = np.vstack([ranged.a, rng.normal(size=(count, ranged.num_vars))])
+        act = a[-count:] @ sol.x
+        lo2 = np.concatenate([row_lo, act - rng.uniform(0.0, 1.0, size=count)])
+        hi2 = np.concatenate([row_hi, act + rng.uniform(-0.5, 1.0, size=count)])
+        hi2 = np.maximum(hi2, lo2)
+        bigger = make_problem(ranged.objective, a, [">="] * a.shape[0], np.zeros(a.shape[0]),
+                              ranged.lo, ranged.hi)
+        big = lp.SimplexSolver(bigger)
+        extended = sol.basis.with_new_rows(count)
+        assert big._restore(extended)
+        assert big._k == k
+        by_id = np.argsort(big._nb), np.argsort(solver._nb)
+        assert np.array_equal(big._nb[by_id[0]], solver._nb[by_id[1]])
+        assert np.allclose(big._tab[:k, by_id[0]], solver._tab[:k, by_id[1]], atol=1e-9)
+        warm = big.solve(row_lo=lo2, row_hi=hi2, basis=extended)
+        cold = lp.SimplexSolver(bigger).solve(row_lo=lo2, row_hi=hi2)
+        assert warm.status == cold.status
+        if warm.status == lp.OPTIMAL:
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+
+
+def test_a_past_deadline_stops_the_solve(monkeypatch):
+    # the solve stops before its first pivot, warm or cold, with no nested
+    # cold solve; the dual bound of where it stopped still bounds the optimum
+    rng = np.random.Generator(np.random.Philox(key=7575))
+    for trial in range(30):
+        p = random_feasible_lp(rng)
+        solver = lp.SimplexSolver(p)
+        sol = solver.solve(deadline=time.perf_counter() - 1.0)
+        assert sol.status == lp.DEADLINE and sol.iterations == 0 and sol.x is None
+        assert solver.dual_bound() >= vertex_enumeration_max(p) - 1e-9
+        root = solver.solve()
+        cold_starts = count_cold_starts(monkeypatch, solver)
+        lo, hi = child_bounds(rng, p)
+        sol = solver.solve(lo=lo, hi=hi, basis=root.basis, deadline=0.0)
+        assert sol.status == lp.DEADLINE and not cold_starts
+        optimum = vertex_enumeration_max(with_bounds(p, lo, hi))
+        if optimum is not None:
+            assert solver.dual_bound() >= optimum - 1e-9
+        assert solver.solve(lo=lo, hi=hi, basis=root.basis).status in (lp.OPTIMAL,
+                                                                       lp.INFEASIBLE)

@@ -451,6 +451,31 @@ def test_rounded_pattern_value_kept_per_pattern(monkeypatch):
     assert not solves
 
 
+def test_rounded_pattern_value_solves_no_lp_that_cannot_win(monkeypatch):
+    # the pattern's value comes first; its LP runs only when the value beats
+    # the incumbent, once per pattern
+    net = random_he([3, 5, 4, 1], seed=0)
+    box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
+    prob = build_lipmip_model(net, box, alpha="linf")
+    point = feasible_assignment(prob, np.full(3, 0.3), ALWAYS_ZERO)
+    solves = []
+    original = lp.SimplexSolver.solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp.SimplexSolver, "solve", counted)
+    assert prob.rounded_pattern_value(point, np.inf) is None
+    assert not solves
+    value, x = prob.rounded_pattern_value(point, -np.inf)
+    assert len(solves) == 1
+    assert prob.rounded_pattern_value(point, value) is None
+    again = prob.rounded_pattern_value(point, value - 1e-9)
+    assert again[0] == value and np.array_equal(again[1], x)
+    assert len(solves) == 1
+
+
 LAYOUT_CASES = [
     ([3, 5, 4, 1], 0, "linf", None),
     ([3, 5, 4, 1], 1, "l1", None),

@@ -364,6 +364,22 @@ def test_interior_eps_must_be_finite_and_positive(monkeypatch, eps):
     assert not solves
 
 
+def test_interior_eps_must_exceed_the_feasibility_tolerance():
+    # at eps <= FEAS_TOL one LP point, within the tolerance, witnesses both
+    # signs of a neuron on its kernel: the identity net on [-1, 1] read 2.0
+    # (L = 1) at eps = 1e-8, and eps = 1e-7 on [-1e-7, 1e-7] failed its LP
+    net = identity_network()
+    box = Hyperbox([-1.0], [1.0])
+    for eps in (1e-8, lp.FEAS_TOL):
+        with pytest.raises(ValueError, match="interior_eps"):
+            list(enumerate_regions(net, box, interior_eps=eps))
+        with pytest.raises(ValueError, match="interior_eps"):
+            exact_lipschitz_bruteforce(net, box, interior_eps=eps)
+    with pytest.raises(ValueError, match="interior_eps"):
+        exact_lipschitz_bruteforce(net, Hyperbox([-1e-7], [1e-7]), interior_eps=1e-7)
+    assert exact_lipschitz_bruteforce(net, box, interior_eps=1e-6) == pytest.approx(1.0)
+
+
 def test_no_deep_region_raises():
     # on [-1e-7, 1e-7] no region of the identity net has 1e-6 of depth: the
     # maximum over no region read 0.0, below the sampled lower bound 1.0
