@@ -50,7 +50,13 @@ layer, and rebuilds the model from the tighter boxes: smaller big-Ms, and
 neurons whose sign the boxes decide lose their binary.  During the search,
 fixing a binary re-runs interval propagation with that neuron pinned,
 intersected with those boxes, and tightens every affected variable bound in
-the child.  A bare MIPModel (``LipMIPProblem.model`` included) is searched
+the child (``LipMIPProblem.tightened_bounds``).  The objective's variables
+are bounded there too: a backward model's gradient entries by the
+backward boxes, and a forward model's last tangent switches by the tangent
+boxes pushed from [-1, 1]^n0 under the child's sign states.  So the
+objective over the child's tightened box, ``ibound``, bounds the child
+without an LP, and a child it cannot lift above the incumbent is pruned
+unsolved.  A bare MIPModel (``LipMIPProblem.model`` included) is searched
 as it stands: no tightening and no network heuristics.
 """
 
@@ -155,7 +161,8 @@ class MIPResult:
     the node.
 
     ``root_tightening`` has one record per hidden layer for a LipMIPProblem,
-    and is empty for a bare MIPModel."""
+    and is empty for a bare MIPModel; so is ``encoding``, which is the
+    problem's (``mip.FORWARD`` or ``mip.BACKWARD``) for a LipMIPProblem."""
 
     upper_bound: float = np.inf
     incumbent_value: float = -np.inf
@@ -170,6 +177,7 @@ class MIPResult:
     strong_branch_pivots: int = 0
     strong_branch_fixes: int = 0
     root_tightening: list[LayerTightening] = field(default_factory=list)
+    encoding: str = ""
 
 
 @dataclass
@@ -324,7 +332,8 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     solver = lp.SimplexSolver(model.to_lp_problem())
     binaries = np.array(model.binary_vars, dtype=np.intp)
 
-    res = MIPResult(root_tightening=tightening)
+    res = MIPResult(root_tightening=tightening,
+                    encoding=context.encoding if context is not None else "")
     counter = itertools.count()
     pseudocosts = _Pseudocosts(model.num_vars)
     # entries (-bound, counter, _Node): a node keeps its LP point and basis,
@@ -497,9 +506,10 @@ def _finish(res, status, upper, start, solver) -> MIPResult:
     res.gap = float(_gap(upper, res.incumbent_value))
     res.wall_time = time.perf_counter() - start
     logger.debug(
-        "%s after %d nodes: %d LPs (%d pivots), of which strong branching %d LPs "
+        "%s after %d nodes%s: %d LPs (%d pivots), of which strong branching %d LPs "
         "(%d pivots), %d binaries fixed by a dead side; LP columns %d, %d after presolve",
-        status, res.nodes_explored, res.lp_solves, res.lp_pivots, res.strong_branch_lps,
+        status, res.nodes_explored, f" ({res.encoding} encoding)" if res.encoding else "",
+        res.lp_solves, res.lp_pivots, res.strong_branch_lps,
         res.strong_branch_pivots, res.strong_branch_fixes,
         solver.problem.num_vars + solver.problem.num_constraints, solver.n_total,
     )

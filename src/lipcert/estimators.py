@@ -113,7 +113,8 @@ def estimate(
     if method == "fastlip":
         value = interval.fastlip(net, domain, norm)
         return EstimateRecord("fastlip", value, UPPER, time.perf_counter() - start)
-    problem = build_lipmip_model(net, domain, alpha=norm)
+    # LipLP is the backward encoding's relaxation
+    problem = build_lipmip_model(net, domain, alpha=norm, backward=method == "liplp")
     if method == "liplp":
         value = bnb.solve_liplp(problem)
         return EstimateRecord("liplp", value, UPPER, time.perf_counter() - start)

@@ -5,10 +5,12 @@ A forward pass pushes an input box through affine maps, the sign abstraction
 every pre- and post-activation; a backward pass pushes the head row (or a
 dual-ball box, for vector-valued networks) through the gradient recursion,
 whose switches y * a take the neurons' signs, to bound every chain-rule
-Jacobian entry.  The dual norm of the final gradient box's corner of largest
-magnitudes is the FastLip upper bound (``fastlip``, which takes the input
-norm as every estimator does); the intermediate boxes supply the finite big-M
-constants of the LipMIP model (``mip.build_lipmip_model``).
+Jacobian entry; given a tangent seed (a box of input directions v), a
+forward tangent pass pushes it through the same switches to bound every
+directional derivative J v.  The dual norm of the final gradient box's
+corner of largest magnitudes is the FastLip upper bound (``fastlip``, which
+takes the input norm as every estimator does); the intermediate boxes supply
+the finite big-M constants of the LipMIP model (``mip.build_lipmip_model``).
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ class PropagationResult:
     post_activation_boxes[i] is the ReLU image of layer i (``push_relu``) and
     backward_switch_boxes[i] the image of its backward switch, both indexed
     by hidden layer in forward order.
+    With a tangent seed, tangent_boxes[i] bounds layer i's tangent
+    t_i = W_i s_{i-1} (s_{-1} the seed) and tangent_switch_boxes[i] its
+    switch s_i = lambda_i t_i; both are empty without one.
     """
 
     pre_activation_boxes: tuple[Hyperbox, ...]
@@ -145,6 +150,8 @@ class PropagationResult:
     backward_boxes: tuple[Hyperbox, ...]
     post_activation_boxes: tuple[Hyperbox, ...]
     backward_switch_boxes: tuple[Hyperbox, ...]
+    tangent_boxes: tuple[Hyperbox, ...] = ()
+    tangent_switch_boxes: tuple[Hyperbox, ...] = ()
 
     @property
     def gradient_box(self) -> Hyperbox:
@@ -173,6 +180,7 @@ def propagate(
     backward_seed: Hyperbox | None = None,
     forced: dict[tuple[int, int], int] | None = None,
     pre_boxes=None,
+    tangent_seed: Hyperbox | None = None,
 ) -> PropagationResult:
     """Forward + backward interval sweep over the whole gradient recursion.
 
@@ -186,6 +194,8 @@ def propagate(
     intersected with each pre-activation box before its sign is read; a box
     left empty (l > u) means the forced decisions contradict it, or, with
     nothing forced, that rounding crossed two enclosures of the same set.
+    ``tangent_seed``, a box of input directions, adds the forward tangent
+    pass under the same sign states (``PropagationResult``).
     """
     if domain.dim != net.input_dim:
         raise ValueError(f"domain dim {domain.dim} != input dim {net.input_dim}")
@@ -220,9 +230,18 @@ def propagate(
         back_switch.append(push_switch(y_box, states))
         y_box = push_affine(back_switch[-1], w.T)
         back.append(y_box)
+    tangents: list[Hyperbox] = []
+    tangent_switches: list[Hyperbox] = []
+    if tangent_seed is not None:
+        s_box = tangent_seed
+        for w, states in zip(net.weights, sign_states):
+            tangents.append(push_affine(s_box, w))
+            s_box = push_switch(tangents[-1], states)
+            tangent_switches.append(s_box)
     return PropagationResult(
         tuple(z_boxes), tuple(sign_states), tuple(back),
         tuple(post_boxes), tuple(reversed(back_switch)),
+        tuple(tangents), tuple(tangent_switches),
     )
 
 

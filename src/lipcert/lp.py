@@ -794,18 +794,21 @@ class SimplexSolver:
     def _certified_infeasible(self, r) -> bool:
         """Whether row r of B^-1 proves the working box infeasible, checked
         on the original rows and box with room for the feasibility
-        tolerances."""
+        tolerances: those of ``_feasible``, FEAS_TOL on each variable's
+        bounds and FEAS_TOL (1 + |rhs_i|) on row i's activity, which is its
+        slack's."""
         p = self.problem
         unit = np.zeros(self._basis.size)
         unit[r] = 1.0
         y = self._original_multipliers(unit)
-        g = np.concatenate([y @ p.a, y])
+        gx = y @ p.a
+        g = np.concatenate([gx, y])
         yb = float(y @ p.rhs)
         gl, gh = g * self._olo, g * self._ohi
         g_min = float(np.minimum(gl, gh).sum())
         g_max = float(np.maximum(gl, gh).sum())
         mag = np.maximum(np.abs(self._olo), np.abs(self._ohi))
-        margin = FEAS_TOL * float(np.abs(y) @ (1.0 + np.abs(p.rhs)) + np.abs(g).sum())
+        margin = FEAS_TOL * float(np.abs(y) @ (1.0 + np.abs(p.rhs)) + np.abs(gx).sum())
         margin += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(g) @ mag)
         return yb < g_min - margin or yb > g_max + margin
 

@@ -10,12 +10,40 @@ norm of the gradient variables therefore yields the local Lipschitz constant
 exactly (for the scalar l1/linf cases and for vector-valued networks over
 linear output norms).
 
+Forward encoding.  Wherever f is differentiable, d_v f(x) = grad f(x) . v,
+so for a scalar network under alpha = "linf" the constant is also the
+maximum of head . J(x) v over x in the box and v in [-1, 1]^n0.  The
+forward encoding replaces the backward pass by a tangent pass:
+t_0 = W_0 v, s_i = ``encode_switch``(t_i) on neuron i's shared binary,
+t_{i+1} = W_{i+1} s_i, with objective head . s_last.  The norm of the
+gradient then needs no gadget, and the neuron binaries are the only ones;
+the backward linf objective spends one ``encode_abs`` binary per undecided
+gradient entry, which grows with n0 however few neurons are unstable.
+``choose_encoding`` takes it for scalar linf networks with at least
+``FORWARD_MIN_INPUTS`` = 8 inputs; every other case (alpha = "l1",
+vector-valued networks, fewer inputs) and the LipLP estimator, whose
+relaxation is the backward model's, keep the backward encoding.  The rule
+is measured: the full solver on both encodings of 23 linf ``random_he``
+nets (2 cores, BLAS on one thread; every value agreed).  Forward was
+faster on 8 of the 10 nets with n0 >= 8, and its two losses there were
+narrow: ``he[8,16,16,1]`` s0 r = 0.1, 0.16 s against 0.14 s, and
+``he[12,20,20,1]`` s1 r = 0.1, 0.65 s against 0.62 s.  Its wins were up to
+12x (``he[16,16,16,1]`` s2 r = 0.1, 0.70 s against 8.9 s), and
+``he[50,20,20,1]`` s0 r = 0.05 closed in 0.9 s, where backward was still
+open at 20 s.  Below 8 inputs it was faster on 3 of 13, and lost up to
+6x (``he[2,20,20,1]`` s5 r = 1, 13.7 s against 2.2 s).  An l1 tangent ball
+(``encode_dual_ball``'s split) lost on 7 of 10 nets in a prototype, so l1
+has no forward encoding.
+
 All big-M constants come from the bounds of the encoded quantities, which is
 what keeps each operator encodable with a constant number of inequalities.
 Those bounds come from one interval pass, ``interval.propagate`` seeded with
 ``interval.head_seed_box``: every affine block (pre-activations, backward
 values, gradient) is declared with that pass's box, and the ReLU, switch and
 absolute-value encodings derive theirs from it the same way the pass does.
+A forward model's pass also takes a tangent seed, the box [-1, 1]^n0 of
+directions, and its tangent boxes (``push_affine`` and ``push_switch`` under
+the sign states) bound the tangent blocks, at build and in node tightening.
 The pass also owns each neuron's sign: ``encode_relu``, ``encode_switch``
 and ``encode_switch_const`` take its state (ON, OFF or UNKNOWN), and only an
 UNKNOWN neuron gets a binary.  So a model's own node tightening
@@ -29,13 +57,16 @@ backward switches, whose sign the boxes decide.
 Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
 order: the inputs; per hidden layer, its pre-activations and then, neuron by
 neuron, the neuron's binary (when its sign is undecided) and its
-post-activation; the dual ball (vector-valued networks only); per hidden
-layer from the last down to the first, the backward values and then the
-backward switches; the gradient; and last the objective block.  For
-alpha = "linf" that is, per gradient entry, the sign binary (when undecided)
-and the absolute value.  For alpha = "l1" it is one binary per gradient
-entry and sign, in entry order with + before -, and then their maximum t
-(``encode_signed_max``), whose bounds come from the gradient box alone.
+post-activation.  A forward model then declares the direction v and, per
+hidden layer in forward order, the tangents t_i and their switches s_i,
+and nothing else.  A backward model declares the dual ball (vector-valued
+networks only); per hidden layer from the last down to the first, the
+backward values and then the backward switches; the gradient; and last the
+objective block.  For alpha = "linf" that is, per gradient entry, the sign
+binary (when undecided) and the absolute value.  For alpha = "l1" it is one
+binary per gradient entry and sign, in entry order with + before -, and
+then their maximum t (``encode_signed_max``), whose bounds come from the
+gradient box alone.
 Rows follow the same order.  ``LipMIPProblem`` records each block as an int
 id array and is the only reader of the order: ``propagation_bounds`` is the
 one map from interval boxes onto those ids, and ``layers_below(i)`` reads
@@ -75,6 +106,12 @@ from .oracle import SignPatternLP
 
 #: A rounded pattern whose realizability LP has not run yet.
 _UNSOLVED = object()
+
+FORWARD = "forward"
+BACKWARD = "backward"
+#: Fewest inputs for which a scalar linf net gets the forward encoding
+#: (``choose_encoding``; the module docstring has the measurement).
+FORWARD_MIN_INPUTS = 8
 
 
 class ModelError(ValueError):
@@ -359,6 +396,18 @@ def _ids(vars_) -> np.ndarray:
     return np.array(vars_, dtype=np.intp)
 
 
+def _unit_box(n: int) -> interval.Hyperbox:
+    return interval.Hyperbox(-np.ones(n), np.ones(n))
+
+
+def choose_encoding(input_dim: int, alpha: str, output_norm: str | None) -> str:
+    """FORWARD for a scalar network under alpha = "linf" with at least
+    ``FORWARD_MIN_INPUTS`` inputs, else BACKWARD (module docstring)."""
+    if output_norm is None and alpha == "linf" and input_dim >= FORWARD_MIN_INPUTS:
+        return FORWARD
+    return BACKWARD
+
+
 @dataclass
 class LipMIPProblem:
     """A built model plus the layout of its variables.
@@ -375,7 +424,12 @@ class LipMIPProblem:
     hold the linf objective and are empty for alpha = "l1".  ``choice_bins``
     and ``max_var`` hold the l1 objective: a binary per gradient entry and
     sign (entries 2j and 2j + 1 choose +g_j and -g_j) and the objective
-    variable t; they are empty and -1 for alpha = "linf".  These blocks
+    variable t; they are empty and -1 for alpha = "linf".  A forward model
+    (``encoding`` FORWARD, module docstring) has no backward, gradient or
+    objective blocks: its ``direction_vars`` hold the input direction v,
+    and per hidden layer ``tangent_vars`` the tangents t_i and
+    ``tangent_switch_vars`` their switches s_i, whose head row is the
+    objective; a backward model has these empty.  These blocks
     partition the model's variables; the order in which they were declared
     is given in the module docstring and is load-bearing for search
     determinism; ``layers_below`` is the one method that relies on it.
@@ -393,6 +447,7 @@ class LipMIPProblem:
     domain: interval.Hyperbox
     alpha: str
     output_norm: str | None
+    encoding: str
     input_vars: np.ndarray
     z_ball_vars: np.ndarray
     z_pos_vars: np.ndarray
@@ -407,16 +462,19 @@ class LipMIPProblem:
     post_vars: list[np.ndarray]
     bwd_value_vars: list[np.ndarray]
     bwd_switch_vars: list[np.ndarray]
+    direction_vars: np.ndarray
+    tangent_vars: list[np.ndarray]
+    tangent_switch_vars: list[np.ndarray]
     pre_boxes: list[interval.Hyperbox]
     #: ``rounded_pattern_value``'s value and point per rounded pattern
     _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rebuild(self, pre_boxes) -> "LipMIPProblem":
-        """The same problem built again with each layer's pre-activation box
-        intersected with ``pre_boxes`` (boxes that enclose the
-        pre-activations of every feasible point)."""
+        """The same problem, in the same encoding, built again with each
+        layer's pre-activation box intersected with ``pre_boxes`` (boxes that
+        enclose the pre-activations of every feasible point)."""
         return build_lipmip_model(self.net, self.domain, self.alpha, self.output_norm,
-                                  pre_boxes)
+                                  pre_boxes, backward=self.encoding == BACKWARD)
 
     def layers_below(self, i: int) -> lp.LPProblem:
         """The LP relaxation of the layers below hidden layer i, with a zero
@@ -438,6 +496,14 @@ class LipMIPProblem:
         return interval.head_seed_box(self.net, self.output_norm)
 
     @cached_property
+    def tangent_seed(self) -> interval.Hyperbox | None:
+        """The box [-1, 1]^n0 of input directions v for a forward model, the
+        tangent seed of every node tightening; None for a backward one."""
+        if self.encoding == BACKWARD:
+            return None
+        return _unit_box(self.net.input_dim)
+
+    @cached_property
     def binary_map(self) -> dict[int, tuple[int, int]]:
         """Neuron binary variable -> (layer, neuron), in variable order."""
         return {
@@ -453,8 +519,10 @@ class LipMIPProblem:
         Pre-activations take their box, cut at 0 on the side their ON/OFF
         state excludes; post-activations take their ReLU image box and
         backward values and switches their backward boxes; absolute values
-        take the image of the gradient box.  Variables no box describes
-        (inputs, binaries, dual ball and the l1 objective t) get -inf/+inf.
+        take the image of the gradient box; tangents and their switches take
+        the tangent boxes (``prop`` then needs a tangent seed).  Variables no
+        box describes (inputs, binaries, dual ball, the direction v and the
+        l1 objective t) get -inf/+inf.
         On a point input the result is the point's own value at every bounded
         variable.
         """
@@ -462,8 +530,9 @@ class LipMIPProblem:
         hi = np.full(self.model.num_vars, np.inf)
 
         def put(ids, box):
-            lo[ids] = box.l
-            hi[ids] = box.u
+            if ids.size:  # a block the encoding leaves out
+                lo[ids] = box.l
+                hi[ids] = box.u
 
         d = self.net.depth
         for i in range(d):
@@ -472,10 +541,12 @@ class LipMIPProblem:
             lo[self.pre_vars[i]] = np.where(states == ON, np.maximum(zbox.l, 0.0), zbox.l)
             hi[self.pre_vars[i]] = np.where(states == OFF, np.minimum(zbox.u, 0.0), zbox.u)
             put(self.post_vars[i], prop.post_activation_boxes[i])
-            if self.bwd_value_vars[i].size:
-                # backward_boxes[k] bounds the backward value entering layer d-1-k
-                put(self.bwd_value_vars[i], prop.backward_boxes[d - 1 - i])
+            # backward_boxes[k] bounds the backward value entering layer d-1-k
+            put(self.bwd_value_vars[i], prop.backward_boxes[d - 1 - i])
             put(self.bwd_switch_vars[i], prop.backward_switch_boxes[i])
+            if self.tangent_vars[i].size:
+                put(self.tangent_vars[i], prop.tangent_boxes[i])
+                put(self.tangent_switch_vars[i], prop.tangent_switch_boxes[i])
         gbox = prop.gradient_box
         put(self.grad_vars, gbox)
         if self.abs_vars.size:
@@ -497,7 +568,8 @@ class LipMIPProblem:
             self.binary_map[v]: val for v, val in fixes.items() if v in self.binary_map
         }
         prop = interval.propagate(self.net, self.domain, backward_seed=self.backward_seed,
-                                  forced=forced, pre_boxes=self.pre_boxes)
+                                  forced=forced, pre_boxes=self.pre_boxes,
+                                  tangent_seed=self.tangent_seed)
         for (layer, idx), val in forced.items():
             zbox = prop.pre_activation_boxes[layer]
             if val == 1 and zbox.u[idx] < 0:
@@ -579,6 +651,8 @@ def build_lipmip_model(
     alpha: str = "linf",
     output_norm: str | None = None,
     pre_boxes=None,
+    *,
+    backward: bool = False,
 ) -> LipMIPProblem:
     """Assemble the full model whose optimum is L^alpha (or L^(alpha,beta)).
 
@@ -591,18 +665,22 @@ def build_lipmip_model(
     tighter boxes give smaller big-Ms and more neurons of fixed sign; should
     rounding leave an intersection empty, the build raises ModelError.  A
     norm that is unknown or does not fit the head raises ValueError first.
+    The encoding is ``choose_encoding``'s; ``backward`` asks for the
+    backward one regardless (the LipLP estimator reads its relaxation).
     """
     norms.check_input_norm(alpha)
     norms.check_output_norm(output_norm, net.output_dim)
     if domain.dim != net.input_dim:
         raise ModelError("domain dimension does not match the network")
+    encoding = BACKWARD if backward else choose_encoding(net.input_dim, alpha, output_norm)
     model = MIPModel()
 
     input_vars = [model.add_var(lo, hi) for lo, hi in zip(domain.l, domain.u)]
 
     d = net.depth
+    tangent_seed = _unit_box(net.input_dim) if encoding == FORWARD else None
     prop = interval.propagate(net, domain, interval.head_seed_box(net, output_norm),
-                              pre_boxes=pre_boxes)
+                              pre_boxes=pre_boxes, tangent_seed=tangent_seed)
     states = prop.activation_states
     neuron_bins: list[list[int]] = []
     pre_vars: list[list[int]] = []
@@ -616,43 +694,59 @@ def build_lipmip_model(
         post_vars.append([p for p, _ in relus])
         cur = post_vars[-1]
 
-    # backward pass; reuses each neuron's binary in its switch
     z_ball_vars: list[int] = []
     z_pos: list[int] = []
     z_neg: list[int] = []
     bwd_value_vars: list[list[int]] = [[] for _ in range(d)]
     bwd_switch_vars: list[list[int]] = [[] for _ in range(d)]
-    if output_norm is None:
-        sw = [encode_switch_const(model, float(c), st, a)
-              for c, st, a in zip(net.head[0], states[d - 1], neuron_bins[d - 1])]
-    else:
-        z_ball_vars, z_pos, z_neg = encode_dual_ball(model, net.output_dim, output_norm)
-        v_vars = encode_affine(model, z_ball_vars, net.head.T, None, prop.backward_boxes[0])
-        bwd_value_vars[d - 1] = v_vars
-        sw = [encode_switch(model, v, st, a)
-              for v, st, a in zip(v_vars, states[d - 1], neuron_bins[d - 1])]
-    bwd_switch_vars[d - 1] = sw
-    for i in range(d - 1, 0, -1):
-        v_vars = encode_affine(model, sw, net.weights[i].T, None, prop.backward_boxes[d - i])
-        bwd_value_vars[i - 1] = v_vars
-        sw = [encode_switch(model, v, st, a)
-              for v, st, a in zip(v_vars, states[i - 1], neuron_bins[i - 1])]
-        bwd_switch_vars[i - 1] = sw
-    grad_vars = encode_affine(model, sw, net.weights[0].T, None, prop.gradient_box)
-
+    grad_vars: list[int] = []
     abs_vars: list[int] = []
     abs_signs: list[int] = []
     choice_bins: list[int] = []
-    if alpha == "linf":
-        for g in grad_vars:
-            y, sign = encode_abs(model, g)
-            abs_vars.append(y)
-            abs_signs.append(-1 if sign is None else sign)
-        model.set_objective({v: 1.0 for v in abs_vars})
-        max_var = -1
+    max_var = -1
+    direction_vars: list[int] = []
+    tangent_vars: list[list[int]] = [[] for _ in range(d)]
+    tangent_switch_vars: list[list[int]] = [[] for _ in range(d)]
+    if encoding == FORWARD:
+        # tangent pass from v in [-1, 1]^n0; reuses each neuron's binary
+        direction_vars = [model.add_var(-1.0, 1.0) for _ in range(net.input_dim)]
+        sw = direction_vars
+        for i, w in enumerate(net.weights):
+            t_vars = encode_affine(model, sw, w, None, prop.tangent_boxes[i])
+            sw = [encode_switch(model, t, st, a)
+                  for t, st, a in zip(t_vars, states[i], neuron_bins[i])]
+            tangent_vars[i], tangent_switch_vars[i] = t_vars, sw
+        model.set_objective(dict(zip(sw, net.head[0])))
     else:
-        choice_bins, max_var = encode_signed_max(model, grad_vars)
-        model.set_objective({max_var: 1.0})
+        # backward pass; reuses each neuron's binary in its switch
+        if output_norm is None:
+            sw = [encode_switch_const(model, float(c), st, a)
+                  for c, st, a in zip(net.head[0], states[d - 1], neuron_bins[d - 1])]
+        else:
+            z_ball_vars, z_pos, z_neg = encode_dual_ball(model, net.output_dim, output_norm)
+            v_vars = encode_affine(model, z_ball_vars, net.head.T, None, prop.backward_boxes[0])
+            bwd_value_vars[d - 1] = v_vars
+            sw = [encode_switch(model, v, st, a)
+                  for v, st, a in zip(v_vars, states[d - 1], neuron_bins[d - 1])]
+        bwd_switch_vars[d - 1] = sw
+        for i in range(d - 1, 0, -1):
+            v_vars = encode_affine(model, sw, net.weights[i].T, None,
+                                   prop.backward_boxes[d - i])
+            bwd_value_vars[i - 1] = v_vars
+            sw = [encode_switch(model, v, st, a)
+                  for v, st, a in zip(v_vars, states[i - 1], neuron_bins[i - 1])]
+            bwd_switch_vars[i - 1] = sw
+        grad_vars = encode_affine(model, sw, net.weights[0].T, None, prop.gradient_box)
+
+        if alpha == "linf":
+            for g in grad_vars:
+                y, sign = encode_abs(model, g)
+                abs_vars.append(y)
+                abs_signs.append(-1 if sign is None else sign)
+            model.set_objective({v: 1.0 for v in abs_vars})
+        else:
+            choice_bins, max_var = encode_signed_max(model, grad_vars)
+            model.set_objective({max_var: 1.0})
 
     return LipMIPProblem(
         model=model,
@@ -660,6 +754,7 @@ def build_lipmip_model(
         domain=domain,
         alpha=alpha,
         output_norm=output_norm,
+        encoding=encoding,
         input_vars=_ids(input_vars),
         z_ball_vars=_ids(z_ball_vars),
         z_pos_vars=_ids(z_pos),
@@ -674,19 +769,23 @@ def build_lipmip_model(
         post_vars=[_ids(vs) for vs in post_vars],
         bwd_value_vars=[_ids(vs) for vs in bwd_value_vars],
         bwd_switch_vars=[_ids(vs) for vs in bwd_switch_vars],
+        direction_vars=_ids(direction_vars),
+        tangent_vars=[_ids(vs) for vs in tangent_vars],
+        tangent_switch_vars=[_ids(vs) for vs in tangent_switch_vars],
         pre_boxes=list(prop.pre_activation_boxes),
     )
 
 
 def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
-                        z=None) -> np.ndarray:
+                        z=None, v=None) -> np.ndarray:
     """Full variable assignment realizing input x under a given tie rule.
 
     Used to validate the feasible set: the returned point must satisfy every
     model constraint, and the model objective at it must equal the dual norm
     of the corresponding chain-rule Jacobian (contracted with z when vector
-    valued).  The values come from interval propagation over the point box
-    {x}, with tied neurons forced by ``rule``; they are never clamped to the
+    valued), or for a forward model head . J v at the direction v it needs.
+    The values come from interval propagation over the point boxes {x} (and
+    {v}), with tied neurons forced by ``rule``; they are never clamped to the
     model bounds.
     """
     net = problem.net
@@ -703,10 +802,18 @@ def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
             raise ValueError("vector-valued assignment needs a dual vector z")
         z = np.asarray(z, dtype=float).reshape(-1)
         seed = interval.Hyperbox.point(net.head.T @ z)
+    tangent = None
+    if problem.encoding == FORWARD:
+        if v is None:
+            raise ValueError("forward-mode assignment needs a direction v")
+        v = np.asarray(v, dtype=float).reshape(-1)
+        tangent = interval.Hyperbox.point(v)
     prop = interval.propagate(net, interval.Hyperbox.point(x), backward_seed=seed,
-                              forced=forced)
+                              forced=forced, tangent_seed=tangent)
     point, _ = problem.propagation_bounds(prop)  # lo == hi on a point box
     point[problem.input_vars] = x
+    if tangent is not None:
+        point[problem.direction_vars] = v
     for bins, lam in zip(problem.neuron_bins, mults):
         free = bins >= 0
         point[bins[free]] = lam[free]

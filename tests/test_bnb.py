@@ -130,12 +130,13 @@ def test_node_limit_and_timeout_statuses():
 
 
 def test_timeout_interrupts_a_long_root_lp():
-    # 200 inputs: the root LP alone takes far longer than the cap.  The
-    # search stops inside it and reports the dual bound of where it stopped,
-    # which bounds L as any dual bound does, so the sandwich holds
+    # 200 inputs: the backward encoding's root LP alone takes far longer
+    # than the cap (the forward one takes well under 0.1 s).  The search
+    # stops inside it and reports the dual bound of where it stopped, which
+    # bounds L as any dual bound does, so the sandwich holds
     net = random_he([200, 20, 20, 1], seed=0)
     box = Hyperbox.from_center_radius(np.full(200, 0.5), 0.02)
-    problem = build_lipmip_model(net, box)
+    problem = build_lipmip_model(net, box, backward=True)
     start = time.perf_counter()
     assert lp.SimplexSolver(problem.model.to_lp_problem()).solve().status == lp.OPTIMAL
     root_s = time.perf_counter() - start
@@ -277,6 +278,50 @@ def small_lipschitz_problems(draw):
 def test_bnb_oracle_and_highs_agree(case):
     net, box, alpha = case
     assert_three_way(build_lipmip_model(net, box, alpha=alpha))
+
+
+def test_forward_bnb_matches_oracle_and_highs():
+    # 8 inputs take the forward encoding; its 16 neurons are within the
+    # oracle's cap
+    net = random_he([8, 8, 8, 1], seed=3)
+    prob = build_lipmip_model(net, Hyperbox.from_center_radius(np.full(8, 0.5), 0.3))
+    assert prob.encoding == "forward"
+    assert assert_three_way(prob) == pytest.approx(4.5424326, abs=1e-7)
+    assert solve_mip(prob).encoding == "forward"
+
+
+@pytest.mark.parametrize("arch,seed,radius", [([8, 16, 16, 1], 0, 0.1), ([10, 12, 10, 1], 2, 0.2),
+                                              ([12, 6, 6, 6, 1], 0, 0.25)])
+def test_forward_and_backward_encodings_agree(arch, seed, radius):
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+    fwd = solve_mip(build_lipmip_model(net, box))
+    bwd = solve_mip(build_lipmip_model(net, box, backward=True))
+    assert (fwd.encoding, bwd.encoding) == ("forward", "backward")
+    assert fwd.status == bwd.status == bnb.EXACT
+    assert fwd.incumbent_value == pytest.approx(bwd.incumbent_value, rel=1e-9)
+
+
+@st.composite
+def wide_lipschitz_problems(draw):
+    """A random scalar net with 8 to 10 inputs and at most 12 hidden
+    neurons, and a box: the forward encoding's linf case."""
+    depth = draw(st.integers(1, 2))
+    hidden = draw(st.lists(st.integers(2, 12 // depth), min_size=depth, max_size=depth))
+    arch = [draw(st.integers(8, 10)), *hidden, 1]
+    net = random_he(arch, seed=draw(st.integers(0, 2**16)))
+    radius = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    return net, Hyperbox.from_center_radius(np.full(arch[0], 0.5), radius)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(wide_lipschitz_problems())
+def test_forward_bnb_oracle_and_highs_agree(case):
+    net, box = case
+    prob = build_lipmip_model(net, box)
+    assert prob.encoding == "forward"
+    assert_three_way(prob)
 
 
 @st.composite
@@ -460,6 +505,7 @@ def test_strong_branching_reported(caplog):
     assert f"{res.strong_branch_fixes} binaries fixed" in lines[0]
     # every search LP and pivot, and the presolve's shrinking of the LP
     assert f"{res.lp_solves} LPs ({res.lp_pivots} pivots)" in lines[0]
+    assert res.encoding == "backward" and "(backward encoding)" in lines[0]
     assert res.lp_solves > res.strong_branch_lps and res.lp_pivots > res.strong_branch_pivots
     before, after = map(int, re.search(r"LP columns (\d+), (\d+) after presolve",
                                        lines[0]).groups())
@@ -659,6 +705,7 @@ def test_root_tightening_reported(caplog):
     b = model.add_binary()
     model.set_objective({b: 1.0})
     assert solve_mip(model).root_tightening == []
+    assert solve_mip(model).encoding == ""
 
 
 # bench/workloads.py BOUNDS_SWEEP at seed 0: (arch, net seed, radius), both norms

@@ -34,6 +34,7 @@ def test_solve_prints_the_solve_as_json(tmp_path, capsys):
     assert out["strong_branch_fixes"] == ref.strong_branch_fixes
     assert out["wall_time_s"] > 0
     assert out["root_tightening"] == [asdict(r) for r in ref.root_tightening]
+    assert out["encoding"] == ref.encoding == "backward"
     renamed = {"incumbent_value": "incumbent", "nodes_explored": "nodes",
                "wall_time": "wall_time_s"}
     assert set(out) == {renamed.get(f.name, f.name) for f in fields(bnb.MIPResult)

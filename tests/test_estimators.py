@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipcert import estimators
+from lipcert import bnb, estimators
 from lipcert.estimators import (
     CSV_HEADER,
     compare,
@@ -11,6 +11,7 @@ from lipcert.estimators import (
     records_to_csv,
 )
 from lipcert.interval import Hyperbox
+from lipcert.mip import build_lipmip_model
 from lipcert.network import (
     ALWAYS_ZERO,
     ReLUNetwork,
@@ -120,6 +121,18 @@ def test_estimate_rejects_multi_output_network(method):
     box = Hyperbox.from_center_radius(np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="lipmip_vector"):
         estimate(net, box, "linf", method)
+
+
+def test_liplp_reads_the_backward_relaxation_on_wide_nets():
+    # 10 inputs: lipmip solves the forward encoding, and LipLP stays the
+    # backward model's relaxation, between the exact value and FastLip
+    net = random_he([10, 8, 8, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(10, 0.5), 0.2)
+    liplp = estimate(net, box, "linf", "liplp").value
+    assert liplp == bnb.solve_liplp(build_lipmip_model(net, box, backward=True))
+    exact = estimate(net, box, "linf", "lipmip")
+    assert exact.guarantee == estimators.EXACT
+    assert exact.value <= liplp + 1e-7 <= estimate(net, box, "linf", "fastlip").value + 2e-7
 
 
 def test_estimator_chain_ordering():

@@ -124,6 +124,15 @@ def test_infeasible_by_interval():
     assert sol.status == lp.INFEASIBLE
 
 
+def test_infeasibility_just_past_the_tolerances_is_certified():
+    # x >= d and x <= -d: once d > FEAS_TOL no x lies within FEAS_TOL of both
+    # rows, and the certificate allows each row's tolerance once (counting
+    # a row's slack bounds as well read NUMERICAL_FAILURE up to d = 2e-7)
+    for d in (1.01 * lp.FEAS_TOL, 2 * lp.FEAS_TOL):
+        p = make_problem([0.0], [[1.0], [1.0]], [">=", "<="], [d, -d], [-1.0], [1.0])
+        assert lp.solve_lp(p).status == lp.INFEASIBLE
+
+
 def test_negative_lower_bounds():
     p = make_problem([-1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], ["<=", ">="],
                      [1.0, -3.0], [-4, -4], [4, 4])

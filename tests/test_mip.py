@@ -418,6 +418,72 @@ def test_feasible_set_tie_rules_at_identity_zero():
             assert objective == pytest.approx(2.0 - a - b)
 
 
+def forward_assignments_match(prob, rng, draws=40) -> bool:
+    """Whether sampled (x, v) assignments of a forward model are feasible
+    and reach head . J(x) v."""
+    box = prob.domain
+    for _ in range(draws):
+        x = rng.uniform(box.l, box.u)
+        v = rng.uniform(-1.0, 1.0, box.dim)
+        point = feasible_assignment(prob, x, ALWAYS_ZERO, v=v)
+        if prob.model.check_point(point, tol=1e-7):
+            return False
+        objective = sum(c * point[k] for k, c in prob.model.objective.items())
+        if objective != pytest.approx(chain_rule_jacobian(prob.net, x)[0] @ v, abs=1e-9):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("arch,seed", [([8, 8, 8, 1], 3), ([9, 6, 5, 4, 1], 1)])
+def test_forward_assignments_reach_the_directional_derivative(arch, seed):
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.3)
+    prob = build_lipmip_model(net, box)
+    assert prob.encoding == mip.FORWARD
+    assert prob.grad_vars.size == prob.abs_vars.size == 0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for p in (prob, tighten_root(prob)[0]):
+        assert forward_assignments_match(p, rng)
+    with pytest.raises(ValueError, match="direction v"):
+        feasible_assignment(prob, box.center)
+
+
+def test_forward_switch_row_flipped_fails_the_assignments():
+    # a mutant whose first tangent switch row (y >= t - u(1 - a)) points the
+    # other way cuts off points the network attains
+    net = random_he([8, 8, 8, 1], seed=3)
+    box = Hyperbox.from_center_radius(np.full(8, 0.5), 0.3)
+    prob = build_lipmip_model(net, box)
+    switches = {int(v) for vs in prob.tangent_switch_vars for v in vs}
+    k = next(k for k, (coefs, rel, _) in enumerate(prob.model.constraints)
+             if rel == ">=" and switches & coefs.keys() and len(coefs) == 3)
+    coefs, _, rhs = prob.model.constraints[k]
+    prob.model.constraints[k] = (coefs, "<=", rhs)
+    assert not forward_assignments_match(prob, np.random.Generator(np.random.Philox(key=3)))
+
+
+@pytest.mark.parametrize("n0,alpha,output_norm,encoding", [
+    (7, "linf", None, mip.BACKWARD),
+    (8, "linf", None, mip.FORWARD),
+    (12, "linf", None, mip.FORWARD),
+    (8, "l1", None, mip.BACKWARD),
+    (8, "linf", "l1", mip.BACKWARD),
+    (8, "l1", "cross", mip.BACKWARD),
+    (2, "l1", "linf", mip.BACKWARD),
+])
+def test_encoding_rule(n0, alpha, output_norm, encoding):
+    assert mip.FORWARD_MIN_INPUTS == 8
+    assert mip.choose_encoding(n0, alpha, output_norm) == encoding
+    net = random_he([n0, 4, 1 if output_norm is None else 2], seed=0)
+    box = Hyperbox.from_center_radius(np.zeros(n0), 1.0)
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    assert prob.encoding == encoding
+    assert prob.rebuild(prob.pre_boxes).encoding == encoding
+    # the LipLP keyword keeps the backward encoding, through rebuilds too
+    back = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm, backward=True)
+    assert back.encoding == back.rebuild(back.pre_boxes).encoding == mip.BACKWARD
+
+
 def test_rounded_pattern_value_treats_failed_lp_as_miss(monkeypatch):
     net = random_he([3, 5, 4, 1], seed=0)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
@@ -476,6 +542,14 @@ def test_rounded_pattern_value_solves_no_lp_that_cannot_win(monkeypatch):
     assert len(solves) == 1
 
 
+def random_direction(prob, rng):
+    """A direction v in [-1, 1]^n0 for a forward model's assignment, None
+    (and no draw) for a backward one."""
+    if prob.encoding == mip.BACKWARD:
+        return None
+    return rng.uniform(-1.0, 1.0, prob.net.input_dim)
+
+
 LAYOUT_CASES = [
     ([3, 5, 4, 1], 0, "linf", None),
     ([3, 5, 4, 1], 1, "l1", None),
@@ -483,6 +557,8 @@ LAYOUT_CASES = [
     ([3, 6, 5, 3], 4, "linf", "cross"),
     ([2, 5, 4, 2], 3, "l1", "linf"),
     ([2, 5, 4, 2], 5, "linf", "l1"),
+    ([8, 5, 4, 1], 1, "linf", None),
+    ([9, 4, 4, 3, 1], 2, "linf", None),
 ]
 
 
@@ -493,9 +569,9 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
     prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
     blocks = [prob.input_vars, prob.z_ball_vars, prob.z_pos_vars, prob.z_neg_vars,
               prob.grad_vars, prob.abs_vars, prob.abs_sign_vars, prob.choice_bins,
-              [prob.max_var]]
+              [prob.max_var], prob.direction_vars]
     for name in ("pre_vars", "neuron_bins", "post_vars", "bwd_value_vars",
-                 "bwd_switch_vars"):
+                 "bwd_switch_vars", "tangent_vars", "tangent_switch_vars"):
         layers = getattr(prob, name)
         assert len(layers) == net.depth
         blocks.extend(layers)
@@ -510,6 +586,7 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
     ([3, 8, 8, 1], 1, "linf", None),
     ([3, 8, 8, 1], 1, "l1", None),
     ([3, 8, 8, 3], 4, "linf", "cross"),
+    ([8, 8, 8, 1], 3, "linf", None),
 ])
 def test_layers_below_contains_feasible_prefixes(arch, seed, alpha, output_norm):
     # every feasible point's prefix satisfies the LP of the layers below each
@@ -528,7 +605,7 @@ def test_layers_below_contains_feasible_prefixes(arch, seed, alpha, output_norm)
         for _ in range(20):
             x = rng.uniform(box.l, box.u)
             z = None if gens is None else gens[rng.integers(len(gens))]
-            point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
+            point = feasible_assignment(prob, x, ALWAYS_ZERO, z, random_direction(prob, rng))
             for sub in below:
                 p = point[:sub.num_vars]
                 assert np.all(p >= sub.lo - 1e-9) and np.all(p <= sub.hi + 1e-9)
@@ -545,7 +622,8 @@ def test_layers_below_contains_feasible_prefixes(arch, seed, alpha, output_norm)
     ([3, 5, 4, 1], 2, "linf", None, True),
     ([3, 5, 4, 1], 1, "l1", None, False),
     ([3, 6, 5, 3], 3, "linf", "cross", True),
-], ids=["arch0-2-linf-None", "arch1-1-l1-None", "arch2-3-linf-cross"])
+    ([8, 6, 5, 1], 0, "linf", None, True),
+], ids=["arch0-2-linf-None", "arch1-1-l1-None", "arch2-3-linf-cross", "arch3-0-linf-forward"])
 def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_norm,
                                                     refutes):
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -563,7 +641,7 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
         for _ in range(30):
             x = rng.uniform(box.l, box.u)
             z = None if gens is None else gens[rng.integers(len(gens))]
-            point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
+            point = feasible_assignment(prob, x, ALWAYS_ZERO, z, random_direction(prob, rng))
             chosen = rng.choice(bins, size=int(rng.integers(1, len(bins) + 1)), replace=False)
             for subset in (chosen, first_layer):
                 fixes = {int(v): int(round(point[v])) for v in subset}
@@ -593,6 +671,7 @@ def test_tightened_bounds_contain_consistent_points(arch, seed, alpha, output_no
     ([3, 6, 5, 3], "linf", "l1"),
     ([3, 6, 5, 3], "linf", "linf"),
     ([3, 6, 5, 3], "l1", "cross"),
+    ([8, 6, 5, 1], "linf", None),
 ])
 def test_own_root_tightening_changes_nothing(arch, alpha, output_norm):
     net = random_he(arch, seed=4)

@@ -380,6 +380,18 @@ def test_interior_eps_must_exceed_the_feasibility_tolerance():
     assert exact_lipschitz_bruteforce(net, box, interior_eps=1e-6) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("eps", [1.01e-7, 2e-7, 1e-6])
+def test_interior_eps_just_above_the_tolerance_reads_the_value(eps):
+    # the kernel pattern with both neurons on is infeasible by 2 eps; its
+    # Farkas check once needed about 4e-7 and raised SolverNumericalError
+    net = identity_network()
+    try:
+        value = exact_lipschitz_bruteforce(net, Hyperbox([-1.0], [1.0]), interior_eps=eps)
+    except ValueError:
+        return
+    assert value == pytest.approx(1.0)
+
+
 def test_no_deep_region_raises():
     # on [-1e-7, 1e-7] no region of the identity net has 1e-6 of depth: the
     # maximum over no region read 0.0, below the sampled lower bound 1.0

@@ -1,11 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from lipcert.interval import Hyperbox
+from lipcert.mip import build_lipmip_model
 from lipcert.reduction import (
     Graph,
     brute_force_mis,
     build_mis_network,
+    petersen_graph,
     random_gnp,
     verify_reduction,
 )
@@ -73,3 +77,13 @@ def test_unknown_variant_is_rejected():
     for build in (build_mis_network, verify_reduction):
         with pytest.raises(ValueError, match="unknown input norm 'l2'; valid: linf, l1"):
             build(EDGE, variant="l2")
+
+
+def test_reduction_petersen_takes_the_forward_encoding():
+    # ten inputs: the linf gadget of the Petersen graph is solved forward
+    g = petersen_graph()
+    net = build_mis_network(g)
+    box = Hyperbox.from_center_radius(np.zeros(net.input_dim), 2.0)
+    assert build_lipmip_model(net, box).encoding == "forward"
+    report = verify_reduction(g)
+    assert report.match and report.mis == 4, report
