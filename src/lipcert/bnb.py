@@ -49,15 +49,22 @@ pre-activation over the LP relaxation of the layers below it, layer by
 layer, and rebuilds the model from the tighter boxes: smaller big-Ms, and
 neurons whose sign the boxes decide lose their binary.  During the search,
 fixing a binary re-runs interval propagation with that neuron pinned,
-intersected with those boxes, and tightens every affected variable bound in
-the child (``LipMIPProblem.tightened_bounds``).  The objective's variables
-are bounded there too: a backward model's gradient entries by the
-backward boxes, and a forward model's last tangent switches by the tangent
-boxes pushed from [-1, 1]^n0 under the child's sign states.  So the
-objective over the child's tightened box, ``ibound``, bounds the child
-without an LP, and a child it cannot lift above the incumbent is pruned
-unsolved.  A bare MIPModel (``LipMIPProblem.model`` included) is searched
-as it stands: no tightening and no network heuristics.
+intersected with those boxes, and tightens the box of every affected id in
+the child (``LipMIPProblem.tightened_bounds``), the objective's too: a
+backward model's gradient entries, a forward model's last tangent switches.
+So the objective over the child's tightened boxes, ``ibound``, bounds the
+child without an LP, and a child it cannot lift above the incumbent is
+pruned unsolved.  A bare MIPModel (``LipMIPProblem.model`` included) is
+searched as it stands: no tightening and no network heuristics.
+
+Row boxes at each node.  Every LP of the search is the model's relaxation
+(``MIPModel.relaxation``): its columns alone, and a row per affine
+quantity.  ``MIPModel.lp_boxes`` maps a node's per-id boxes onto the LP's
+column and row boxes, which each solve is given, so a tightened
+pre-activation is a row box.  The LP point is mapped back to id values
+(``MIPModel.values``) before branching and the heuristics read it, and every
+bound and value read off the LP adds the objective's constant, which an
+objective over an alias or a constant carries.
 """
 
 from __future__ import annotations
@@ -243,11 +250,12 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
 
     For each hidden layer i in order, every neuron whose sign is undecided
     has its pre-activation maximized and minimized over the LP relaxation of
-    the layers below i (``LipMIPProblem.layers_below``); then the model is
-    rebuilt from the tightened boxes before layer i+1 is tightened.  Each LP
-    starts from the previous optimal basis of the layer.  Each new bound is
-    the certified ``SimplexSolver.dual_bound`` of the final basis, never the
-    raw primal objective; a failed LP, or one that ``deadline`` (a
+    the layers below i (``LipMIPProblem.layers_below``, under the model's row
+    boxes); then the model is rebuilt from the tightened boxes before layer
+    i+1 is tightened.  Each LP starts from the previous optimal basis of the
+    layer.  Each new bound is the certified ``SimplexSolver.dual_bound`` of
+    the final basis plus the pre-activation's constant, never the raw
+    primal objective; a failed LP, or one that ``deadline`` (a
     ``time.perf_counter`` value) interrupts, keeps that side's bound, and a
     rebuild that fails (rounding left a box empty) keeps the model it started
     from.  Layer 0's interval boxes are exact over the domain box, so it is
@@ -262,7 +270,10 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
         free = np.flatnonzero(current.neuron_bins[i] >= 0)
         if free.size == 0:
             continue
-        solver = lp.SimplexSolver(current.layers_below(i))
+        model, below = current.model, current.layers_below(i)
+        solver = lp.SimplexSolver(below)  # boxed by the model's own column boxes
+        n, m = below.num_vars, below.num_constraints
+        row_lo, row_hi = model.lp_boxes(model.lo, model.hi)[2:]
         pre = current.pre_vars[i]
         box = current.pre_boxes[i]
         lo, hi = box.l.copy(), box.u.copy()
@@ -271,15 +282,15 @@ def tighten_root(problem: LipMIPProblem, deadline: float = np.inf):
             if time.perf_counter() > deadline:
                 break
             for sign in (1.0, -1.0):
-                c = np.zeros(solver.problem.num_vars)
-                c[pre[j]] = sign
-                sol = solver.solve(objective=c, basis=basis, deadline=deadline)
+                c, const = model.linear({int(pre[j]): sign})
+                sol = solver.solve(objective=c[:n], basis=basis, row_lo=row_lo[:m],
+                                   row_hi=row_hi[:m], deadline=deadline)
                 spent[i][0] += 1
                 spent[i][1] += sol.iterations
                 if sol.status != lp.OPTIMAL:
                     continue
                 basis = sol.basis
-                bound = solver.dual_bound()
+                bound = solver.dual_bound() + const
                 if sign > 0:
                     hi[j] = min(hi[j], bound)
                 else:
@@ -329,7 +340,8 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
     else:
         model = problem
         context = None
-    solver = lp.SimplexSolver(model.to_lp_problem())
+    solver = lp.SimplexSolver(model.relaxation())
+    offset = model.linear(model.objective)[1]  # the objective's constant
     binaries = np.array(model.binary_vars, dtype=np.intp)
 
     res = MIPResult(root_tightening=tightening,
@@ -351,21 +363,23 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         return bool(np.isfinite(inc) and bound <= inc * (1.0 + _PRUNE_TOL))
 
     def solve_lp(lo, hi, basis=None, parent_bound=np.inf):
-        """A node's LP from its parent's basis with the incumbent as cutoff:
-        the solution and dual_bound, the parent's bound if failed, the
-        smaller of it and dual_bound if the deadline interrupted it (the
-        root's dual_bound), else None."""
+        """A node's LP over per-id boxes from its parent's basis with the
+        incumbent as cutoff: the solution and dual_bound (bounds add the
+        objective's constant), the parent's bound if failed, the smaller of
+        the two if the deadline interrupted it, else None."""
         inc = res.incumbent_value
-        cutoff = inc * (1.0 + _PRUNE_TOL) if np.isfinite(inc) else np.inf
-        sol = solver.solve(lo=lo, hi=hi, basis=basis, cutoff=cutoff, deadline=deadline)
+        cutoff = inc * (1.0 + _PRUNE_TOL) - offset if np.isfinite(inc) else np.inf
+        col_lo, col_hi, row_lo, row_hi = model.lp_boxes(lo, hi)
+        sol = solver.solve(lo=col_lo, hi=col_hi, basis=basis, cutoff=cutoff, row_lo=row_lo,
+                           row_hi=row_hi, deadline=deadline)
         res.lp_solves += 1
         res.lp_pivots += sol.iterations
         if sol.status == lp.OPTIMAL:
-            return sol, solver.dual_bound()
+            return sol, solver.dual_bound() + offset
         if sol.status == lp.NUMERICAL_FAILURE:
             return sol, parent_bound
         if sol.status == lp.DEADLINE:
-            return sol, min(parent_bound, solver.dual_bound())
+            return sol, min(parent_bound, solver.dual_bound() + offset)
         return sol, None
 
     def add_node(fixes, sol, bound):
@@ -378,17 +392,18 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
         if sol.status != lp.OPTIMAL:  # failed: no point to branch on
             closed, failed = max(closed, bound), max(failed, bound)
             return
+        values = model.values(sol.x)  # every id's value at the LP point
         if context is not None:
-            val, x = context.incumbent_from_point(sol.x)
+            val, x = context.incumbent_from_point(values)
             update_incumbent(val, x)
-            rounded = context.rounded_pattern_value(sol.x, res.incumbent_value)
+            rounded = context.rounded_pattern_value(values, res.incumbent_value)
             if rounded is not None:
                 update_incumbent(*rounded)
-        node = _Node(bound, fixes, sol.x, sol.basis)
+        node = _Node(bound, fixes, values, sol.basis)
         if not fractional(node).size:
             # an incumbent must be attainable: the LP's own value at its point
-            point = sol.x[context.input_vars] if context is not None else sol.x
-            update_incumbent(sol.objective_value, point)
+            point = values[context.input_vars] if context is not None else values
+            update_incumbent(sol.objective_value + offset, point)
             closed = max(closed, bound)
             return
         if pruned(bound):
@@ -462,7 +477,7 @@ def solve_mip(problem, opts: SolveOptions | None = None) -> MIPResult:
                 best_var, best_score, best_children = var, score, children
         return best_var, best_children
 
-    add_node({}, *solve_lp(None, None))
+    add_node({}, *solve_lp(model.lo, model.hi))
 
     while heap:
         _, _, node = heapq.heappop(heap)
@@ -507,11 +522,11 @@ def _finish(res, status, upper, start, solver) -> MIPResult:
     res.wall_time = time.perf_counter() - start
     logger.debug(
         "%s after %d nodes%s: %d LPs (%d pivots), of which strong branching %d LPs "
-        "(%d pivots), %d binaries fixed by a dead side; LP columns %d, %d after presolve",
+        "(%d pivots), %d binaries fixed by a dead side; LP columns %d, rows %d",
         status, res.nodes_explored, f" ({res.encoding} encoding)" if res.encoding else "",
         res.lp_solves, res.lp_pivots, res.strong_branch_lps,
         res.strong_branch_pivots, res.strong_branch_fixes,
-        solver.problem.num_vars + solver.problem.num_constraints, solver.n_total,
+        solver.problem.num_vars, solver.problem.num_constraints,
     )
     return res
 
@@ -519,9 +534,11 @@ def _finish(res, status, upper, start, solver) -> MIPResult:
 def solve_liplp(problem) -> float:
     """Certified Lipschitz upper bound from the LP relaxation: the
     weak-duality bound (``SimplexSolver.dual_bound``) of the basis its solve
-    ended at, which holds for any basis, a failed solve's too."""
+    ended at, which holds for any basis, a failed solve's too, plus the
+    objective's constant."""
     model = problem.model if isinstance(problem, LipMIPProblem) else problem
-    solver = lp.SimplexSolver(model.to_lp_problem())
-    solver.solve()
-    return solver.dual_bound()
+    solver = lp.SimplexSolver(model.relaxation())
+    col_lo, col_hi, row_lo, row_hi = model.lp_boxes(model.lo, model.hi)
+    solver.solve(col_lo, col_hi, row_lo=row_lo, row_hi=row_hi)
+    return solver.dual_bound() + model.linear(model.objective)[1]
 

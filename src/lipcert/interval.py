@@ -2,8 +2,9 @@
 
 A forward pass pushes an input box through affine maps, the sign abstraction
 (an int8 state per neuron: ON, OFF or UNKNOWN) and the ReLU image to bound
-every pre- and post-activation; a backward pass pushes the head row (or a
-dual-ball box, for vector-valued networks) through the gradient recursion,
+every pre- and post-activation; given a backward seed, a backward pass
+pushes it (the head row, or a dual-ball box for vector-valued networks)
+through the gradient recursion,
 whose switches y * a take the neurons' signs, to bound every chain-rule
 Jacobian entry; given a tangent seed (a box of input directions v), a
 forward tangent pass pushes it through the same switches to bound every
@@ -134,12 +135,13 @@ class PropagationResult:
     """All boxes produced by one forward/backward sweep.
 
     pre_activation_boxes[i] bounds Z_{i+1}; activation_states[i] holds the
-    layer's sign states (ON, OFF or UNKNOWN per neuron); backward_boxes runs
-    from the head seed down to the input, so backward_boxes[-1] bounds the
-    chain-rule gradient rows.
+    layer's sign states (ON, OFF or UNKNOWN per neuron); with a backward
+    seed, backward_boxes runs from the seed down to the input, so
+    backward_boxes[-1] (``gradient_box``) bounds the chain-rule gradient
+    rows, and without one it is empty.
     post_activation_boxes[i] is the ReLU image of layer i (``push_relu``) and
-    backward_switch_boxes[i] the image of its backward switch, both indexed
-    by hidden layer in forward order.
+    backward_switch_boxes[i] the image of its backward switch (empty without
+    a backward seed), both indexed by hidden layer in forward order.
     With a tangent seed, tangent_boxes[i] bounds layer i's tangent
     t_i = W_i s_{i-1} (s_{-1} the seed) and tangent_switch_boxes[i] its
     switch s_i = lambda_i t_i; both are empty without one.
@@ -182,13 +184,15 @@ def propagate(
     pre_boxes=None,
     tangent_seed: Hyperbox | None = None,
 ) -> PropagationResult:
-    """Forward + backward interval sweep over the whole gradient recursion.
+    """Forward interval sweep, and the backward one through the gradient
+    recursion when a ``backward_seed`` is given.
 
-    ``backward_seed`` overrides the scalar head seed (used for dual-ball
-    objectives).  ``forced`` pins individual neurons to 0/1 before the ReLU
-    and switch pushforwards; the result is then only sound for inputs
-    consistent with those branch decisions (used for bound tightening during
-    search).
+    ``backward_seed`` bounds the backward values entering the last layer
+    (``head_seed_box``, or a point); without it the backward pass does not
+    run and the result's backward boxes are empty.  ``forced`` pins
+    individual neurons to 0/1 before the ReLU and switch pushforwards; the
+    result is then only sound for inputs consistent with those branch
+    decisions (used for bound tightening during search).
     ``pre_boxes``, one box per hidden layer known to enclose its
     pre-activations over the whole domain (say, boxes tightened by LP), is
     intersected with each pre-activation box before its sign is read; a box
@@ -217,19 +221,14 @@ def propagate(
         cur = push_relu(z_box, states)
         post_boxes.append(cur)
 
-    if backward_seed is None:
-        seed = head_seed_box(net, None)
-    else:
-        seed = backward_seed
-        if seed.dim != net.layer_sizes[-1]:
-            raise ValueError("backward seed dimension must match the last layer")
-    back: list[Hyperbox] = [seed]
+    back: list[Hyperbox] = [] if backward_seed is None else [backward_seed]
     back_switch: list[Hyperbox] = []
-    y_box = seed
-    for w, states in zip(reversed(net.weights), reversed(sign_states)):
-        back_switch.append(push_switch(y_box, states))
-        y_box = push_affine(back_switch[-1], w.T)
-        back.append(y_box)
+    if back:
+        if backward_seed.dim != net.layer_sizes[-1]:
+            raise ValueError("backward seed dimension must match the last layer")
+        for w, states in zip(reversed(net.weights), reversed(sign_states)):
+            back_switch.append(push_switch(back[-1], states))
+            back.append(push_affine(back_switch[-1], w.T))
     tangents: list[Hyperbox] = []
     tangent_switches: list[Hyperbox] = []
     if tangent_seed is not None:
@@ -249,6 +248,6 @@ def fastlip(net: ReLUNetwork, domain: Hyperbox, alpha: str = "linf") -> float:
     """Certified Lipschitz upper bound in the input norm ``alpha``: the dual
     norm of the gradient box's corner of largest magnitudes, which dominates
     every gradient in the box coordinate by coordinate."""
-    box = propagate(net, domain).gradient_box
+    box = propagate(net, domain, head_seed_box(net, None)).gradient_box
     corner = np.maximum(np.abs(box.l), np.abs(box.u))
     return norms.operator_dual_value(corner.reshape(1, -1), alpha, None)

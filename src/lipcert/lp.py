@@ -1,53 +1,39 @@
 """Bounded-variable dual simplex over a condensed tableau.
 
-Solves  max c.x  s.t.  A x (<=,=,>=) b,  lo <= x <= hi  with finite bounds on
-every variable.  Each row gets a slack s = b - a.x with bounds derived from
-interval arithmetic, so the original problem is an equality system
-[A I] v = b over an all-finite box (an equality row's slack is fixed at 0)
-and genuine unboundedness cannot occur.  A solve may instead give every row a
-finite box on its activity, row_lo <= a.x <= row_hi, which becomes the
-slack's box [b - row_hi, b - row_lo]: a ranged row, changed from solve to
-solve as column boxes are.
+Solves  max c.x  s.t.  row_lo <= A x <= row_hi,  lo <= x <= hi  with finite
+bounds on every variable.  Each row gets a slack s = b - a.x with the box
+[b - row_hi, b - row_lo], so the problem is an equality system [A I] v = b
+over an all-finite box and genuine unboundedness cannot occur.  A row's box
+is its relation (``<=``, ``=`` or ``>=`` against b) unless the solve gives
+one (``row_lo``, ``row_hi``), changed from solve to solve as column boxes
+are; an infinite side stands for the row's interval range over the
+problem's box, so a ``<=`` row's slack lies in [0, max(b - min a.x, 0)].
+One row form serves every caller and nothing is eliminated: an ``=`` row
+has a point box, the branch-and-bound LP (``mip.MIPModel.relaxation``) a
+row per affine quantity boxed by its box, the region oracle a row per
+neuron.
 
-Construction presolves the equality rows (E. D. Andersen and K. D. Andersen,
-"Presolving in linear programming", *Math. Programming* 71, 1995).
-Gauss-Jordan elimination runs over the ``=`` rows in order; each pivots on
-its largest-magnitude coefficient among the columns not yet eliminated, and
-that column is eliminated from every other row.  Afterwards an eliminated
-variable z appears in its own row only, with coefficient a, and takes the
-place of the row's fixed slack: the presolved row's slack is s = a z, with box
-a.[lo_z, hi_z] set from each solve's bounds (so a node's bound change on z
-is a slack bound change) and cost c_z / a.  The presolved system is
-R [A I] v = R b, where R, the product of the row operations, is the identity
-except in its columns at the eliminated rows.  An equality row with no usable
-pivot keeps its fixed slack.  ``LPSolution.x`` is mapped back to the original
-variables (x_z = s / a); a ``Basis`` holds presolved column ids.
-
-Every solve runs one method, a bounded dual simplex on the presolved system.
-It needs a dual feasible start: a basis whose nonbasic columns each rest at
-the bound their reduced cost prefers (upper for d_j > 0, lower for d_j < 0).
-Because every column is boxed, any basis can be made dual feasible by moving
-each wrong-signed nonbasic column to its other bound, so the dual needs no
-phase 1.  A cold solve (the branch-and-bound root, ``solve_lp``, the region
-oracle's first layer) starts from the slack basis, nonbasic columns at their
-bound of smaller magnitude and then repaired that way.  A re-solve under
-changed bounds or row boxes (a branch-and-bound child, a sign choice of the
-oracle) passes the ``Basis`` snapshot of an optimal solve (its parent's)
-instead; changing bounds leaves that basis dual feasible, and the dual
-usually re-optimizes it in a few pivots.  A snapshot is rarely
-refactorized.  When a solve starts from the snapshot the previous solve
-ended at, the live tableau is already there.  Every snapshot a solve starts
-from keeps a factorized copy of its tableau for as long as the caller holds
-the snapshot (a weak reference keys it), so siblings and backtracking
-restore it by a copy.  Only a snapshot never started from, and a tableau
-that has taken ``_REFRESH_EVERY`` pivots since it was last factorized, are
-refactorized.  ``Basis.with_new_rows`` carries a snapshot to an LP with more
-rows, their slacks basic.  Every
-start, cold or warm, is made dual feasible by that one rule of bound flips,
-whatever objective its snapshot was solved under, so root bound tightening
-(one LP, many objectives) starts each objective from the previous one's
-basis.  Only a snapshot that is malformed or singular, and a warm answer the
-dual cannot certify, is recomputed by a nested cold solve.
+Every solve runs one method, a bounded dual simplex.  It needs a dual
+feasible start: a basis whose nonbasic columns each rest at the bound their
+reduced cost prefers (upper for d_j > 0, lower for d_j < 0).  Every column
+is boxed, so any basis is made dual feasible by moving each wrong-signed
+nonbasic column to its other bound, and the dual needs no phase 1.  A cold
+solve (the branch-and-bound root, ``solve_lp``, the region oracle's first
+layer) starts from the slack basis, nonbasic columns at their bound of
+smaller magnitude.  A re-solve under changed bounds or row boxes (a
+branch-and-bound child, a sign choice of the oracle) passes the ``Basis``
+snapshot of an optimal solve (its parent's) instead, whatever objective it
+was solved under, so root bound tightening (one LP, many objectives) starts
+each objective from the previous one's basis; the dual usually
+re-optimizes it in a few pivots.  A solve from the snapshot the previous
+solve ended at finds the live tableau there, and every snapshot a solve
+starts from keeps a factorized copy of its tableau while the caller holds
+it (a weak reference keys it), so siblings and backtracking restore it by a
+copy.  Only a snapshot never started from, and a tableau ``_REFRESH_EVERY``
+pivots past its factorization, are refactorized.  ``Basis.with_new_rows``
+carries a snapshot to an LP with more rows, their slacks basic.  Only a
+snapshot that is malformed or singular, and a warm answer the dual cannot
+certify, is recomputed by a nested cold solve.
 
 The tableau is condensed and reduced.  Of B^-1 N, the nonbasic columns N
 only, one column per tableau position with an int array mapping each position
@@ -55,7 +41,7 @@ to its column id, it stores just the rows whose basic variable is structural:
 the block T_K, where K is the set of basic structurals.  Let F be the rows
 whose slack is nonbasic (|F| = |K|) and S the rows whose slack is basic.
 Ordering B's rows F first, B = [[A_FK, 0], [A_SK, I]], so T_K = A_FK^-1 N_F,
-and every row of S follows from T_K and the presolved rows: row i has the
+and every row of S follows from T_K and the rows: row i has the
 tableau row N_i - A_iK T_K and the value b_i - a_i.x.  The nonbasic slacks
 hold the last |K| tableau positions, so T_K's columns there, W, form A_FK^-1;
 row i of B^-1 is -A_iK W on F plus a 1 of its own, and a row of T_K has its
@@ -77,24 +63,23 @@ value) checks it before every pivot and stops with status DEADLINE once it
 has passed.  Reference: A. Koberstein, *The dual simplex method, techniques
 for a fast and stable implementation*, PhD thesis, Paderborn 2005.
 
-Certification uses the original rows, never the presolved ones.  Presolved
-multipliers y' map back to the original rows as y = y' R.  When no column can
-enter, row r of B^-1 gives such a y, a Farkas certificate: every point of the
-box satisfying the rows has y.[A I] v = y.b.  The solve recomputes
-g = y.[A I] and y.b from the original data and returns INFEASIBLE only if y.b
-lies outside the range of g.v over the box by more than the feasibility
-tolerances could explain.  An infeasibility the certificate cannot confirm is
-a NUMERICAL_FAILURE, never INFEASIBLE, as is a solve that hits the pivot cap.
-With a finite ``cutoff``, the solve stops with status CUTOFF once the
-objective of a dual-feasible iterate, which bounds the LP optimum from above,
-falls below it and the weak-duality bound y.b + sum_j max(r_j lo_j, r_j hi_j),
-with y the original-row image of c_B B^-1 and r = c - y.[A I] recomputed from
-the original data, confirms it.  ``SimplexSolver.dual_bound`` is that bound,
-valid after any answer, DEADLINE included, and after an OPTIMAL one the
-value callers report.  Every OPTIMAL answer passes a primal feasibility check
-of the reconstructed x against the original rows and the solve's row boxes.
-An error in the presolved data or in T_K can therefore only loosen a bound or
-turn an answer into a NUMERICAL_FAILURE.
+Every certificate is computed on the rows and boxes the solver is given,
+never read off the tableau, by one weak-duality bound y.b + sum_j
+max(r_j lo_j, r_j hi_j), r = c - y.[A I] over the column and slack boxes.
+With y = c_B B^-1 it is ``SimplexSolver.dual_bound``, valid after any
+answer (DEADLINE too) and after an OPTIMAL one the value callers report; a
+finite ``cutoff`` stops the solve with CUTOFF once the objective of a dual
+feasible iterate falls below it and that bound confirms it.  When no column
+can enter, row r of B^-1 is a Farkas certificate y: every point of the box
+satisfying the rows has y.[A I] v = y.b, so the bound at zero cost is at
+least 0 for y and for -y, and INFEASIBLE needs one of them below zero by
+more than the feasibility tolerances explain.  An uncertified infeasibility
+is a NUMERICAL_FAILURE, as is the pivot cap, and every OPTIMAL x passes a
+feasibility check against the rows.  An error in T_K can only loosen a
+bound or turn an answer into a NUMERICAL_FAILURE.  The rows are the
+caller's floating-point data: where a branch-and-bound row composes
+W_{i+1} W_i (``mip``: an ON neuron's alias feeding the next layer), the
+certificate holds for those composed rows, because they are the LP.
 
 T_K is dense; this is deliberate.  Target scale is a few thousand
 variables and the branch-and-bound driver re-solves the same matrix under
@@ -124,10 +109,6 @@ PIVOT_TOL = 1e-9
 _REFRESH_EVERY = 256
 #: Relative rounding allowance of the certificate and cutoff checks.
 _CERT_REL = 1e-12
-#: An equality row whose coefficients on the columns not yet eliminated are
-#: all below this, relative to its largest original coefficient, has no
-#: usable presolve pivot and keeps its fixed slack.
-_PRESOLVE_PIVOT_REL = 1e-9
 
 
 class SolverNumericalError(RuntimeError):
@@ -184,21 +165,20 @@ class LPProblem:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Snapshot of an optimal basis in the solver's presolved column ids
-    (structurals left after the presolve, then one slack per row): the basic
-    column of each row (int32) and, per column, whether it rests at its upper
-    bound when nonbasic.  Only the solver that produced it can read it.
-    Snapshots compare by identity: the solver keys their factorized
-    tableaus on them."""
+    """Snapshot of an optimal basis in the solver's column ids (the
+    structurals, then one slack per row): the basic column of each row
+    (int32) and, per column, whether it rests at its upper bound when
+    nonbasic.  Only the solver that produced it can read it.  Snapshots
+    compare by identity: the solver keys their factorized tableaus on
+    them."""
 
     basic: np.ndarray
     at_upper: np.ndarray
 
     def with_new_rows(self, count: int) -> "Basis":
         """This basis for an LP over the same columns whose rows are this
-        LP's followed by ``count`` more, the new rows' slacks basic.  It
-        needs both LPs free of presolved rows, so that their column ids
-        agree; it is nonsingular whenever this basis is."""
+        LP's followed by ``count`` more, the new rows' slacks basic; it is
+        nonsingular whenever this basis is."""
         n_total = self.at_upper.size
         basic = np.concatenate([self.basic, np.arange(n_total, n_total + count, dtype=np.int32)])
         return Basis(basic, np.concatenate([self.at_upper, np.zeros(count, dtype=bool)]))
@@ -206,7 +186,7 @@ class Basis:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """``x`` is indexed by the original variables of the problem.  ``basis``
+    """``x`` is indexed by the variables of the problem.  ``basis``
     is set on OPTIMAL answers; on CUTOFF, ``objective_value`` is the certified
     upper bound on the LP optimum that fell below the cutoff.  A DEADLINE
     answer has no point; ``SimplexSolver.dual_bound`` still bounds the LP."""
@@ -221,44 +201,31 @@ class LPSolution:
 class SimplexSolver:
     """Reusable dual simplex over one constraint matrix and varying bounds.
 
-    The constraint matrix, relations and right-hand side are fixed, and their
-    equality rows presolved, at construction; ``solve`` may override variable
-    bounds, row boxes and objective, which is exactly what branch-and-bound
-    and the region oracle need.  A solve given the ``basis`` of an earlier
-    optimal answer re-optimizes it, usually in a few pivots; a solve without
-    one starts cold from the slack basis.  ``n_struct`` and ``n_total`` count
-    the presolved system's structural columns and all its columns
-    (structurals, then slacks).  ``cold_starts`` and ``refactorizations``
-    count the solver's cold starts and tableau factorizations so far.
+    The constraint matrix, relations and right-hand side are fixed at
+    construction; ``solve`` may override variable bounds, row boxes and
+    objective, which is exactly what branch-and-bound and the region oracle
+    need.  A solve given the ``basis`` of an earlier optimal answer
+    re-optimizes it, usually in a few pivots; a solve without one starts
+    cold from the slack basis.  ``n_struct`` and ``n_total`` count the
+    structural columns and all columns (structurals, then slacks).
+    ``cold_starts`` and ``refactorizations`` count the solver's cold starts
+    and tableau factorizations so far.
     """
 
     def __init__(self, problem: LPProblem):
         self.problem = problem
         m, n = problem.num_constraints, problem.num_vars
-        # slack bounds: s = rhs - a.x ranges over an interval; intersecting it
-        # with the relation's sign constraint keeps every bound finite.
+        self._a, self._b = np.asfortranarray(problem.a), problem.rhs  # pivots read columns
+        # each row's interval range over the problem's box, which stands in
+        # for an infinite side of its box, and the relations' boxes
         apos = np.maximum(problem.a, 0.0)
         aneg = np.minimum(problem.a, 0.0)
-        row_hi = apos @ problem.hi + aneg @ problem.lo
-        row_lo = apos @ problem.lo + aneg @ problem.hi
-        s_lo = problem.rhs - row_hi
-        s_hi = problem.rhs - row_lo
-        le = np.array([rel == "<=" for rel in problem.relations], dtype=bool)
-        ge = np.array([rel == ">=" for rel in problem.relations], dtype=bool)
-        # the relations' box: on the slacks, and on the activities for the
-        # feasibility check
-        self._slack_lo = np.where(ge, np.minimum(s_lo, 0.0), 0.0)
-        self._slack_hi = np.where(le, np.maximum(s_hi, 0.0), 0.0)
-        self._rel_lo = np.where(le, -np.inf, problem.rhs)
-        self._rel_hi = np.where(ge, np.inf, problem.rhs)
-        self._act_lo, self._act_hi = self._rel_lo, self._rel_hi
-        # the original columns' boxes and costs (structurals, then slacks):
-        # the data every certificate is checked on
-        self._olo = np.zeros(n + m)
-        self._ohi = np.zeros(n + m)
-        self._ocost = np.zeros(n + m)
-        self._presolve(np.flatnonzero(~(le | ge)))
-        n = self.n_struct
+        self._range_lo = apos @ problem.lo + aneg @ problem.hi
+        self._range_hi = apos @ problem.hi + aneg @ problem.lo
+        rels = np.array(problem.relations)
+        self._rel_lo = np.where(rels == "<=", -np.inf, problem.rhs)
+        self._rel_hi = np.where(rels == ">=", np.inf, problem.rhs)
+        self.n_struct = n
         self.n_total = n + m
         self.cold_starts = 0
         self.refactorizations = 0
@@ -290,46 +257,6 @@ class SimplexSolver:
         self._costs = np.zeros(self.n_total)
         self._ger_buf = np.empty((rows, n + 1))
 
-    def _presolve(self, eq):
-        """Gauss-Jordan elimination over the equality rows ``eq``.
-
-        Sets the presolved matrix ``_a`` (kept structural columns only) and
-        right-hand side ``_b``, the kept columns' original ids ``_kept``, and
-        per eliminated row its index, its variable's original id and
-        coefficient, and its column of R (``_rcols``, m x k)."""
-        p = self.problem
-        m, n = p.a.shape
-        # [A | b | R at the equality rows], row-reduced in place
-        work = np.zeros((m, n + 1 + eq.size))
-        work[:, :n] = p.a
-        work[:, n] = p.rhs
-        work[eq, n + 1 + np.arange(eq.size)] = 1.0
-        active = np.ones(n, dtype=bool)
-        rows, cols, rcols = [], [], []
-        for t, i in enumerate(eq):
-            coefs = np.where(active, np.abs(work[i, :n]), 0.0)
-            z = int(np.argmax(coefs))
-            if not coefs[z] > _PRESOLVE_PIVOT_REL * np.abs(p.a[i]).max():
-                work[i, :n] = 0.0  # only rounding left: 0 = b' or a redundant row
-                continue
-            f = work[:, z] / work[i, z]
-            f[i] = 0.0
-            hit = np.flatnonzero(f)
-            work[hit] -= f[hit, None] * work[i]
-            work[hit, z] = 0.0
-            active[z] = False
-            rows.append(i)
-            cols.append(z)
-            rcols.append(n + 1 + t)
-        self._kept = np.flatnonzero(active)
-        self.n_struct = self._kept.size
-        self._a = work[:, self._kept]
-        self._b = work[:, n].copy()
-        self._elim_rows = np.array(rows, dtype=np.intp)
-        self._elim_cols = np.array(cols, dtype=np.intp)
-        self._elim_coef = work[self._elim_rows, self._elim_cols]
-        self._rcols = work[:, rcols]
-
     # -- state management ---------------------------------------------------
 
     def _cold_start(self):
@@ -356,14 +283,14 @@ class SimplexSolver:
         self._k = k
         self._krow[:k] = krow
         if a_k is None:
-            np.negative(self._a[:, self._basis[krow]], out=self._a_k[:m, :k])
+            self._a_k[:m, :k] = -self._a[:, self._basis[krow]]
         else:
             self._a_k[:m, :k] = a_k
         self._slot = self._basis - self.n_struct
         self._slot[krow] = m + np.arange(k)
 
     def _refactorize(self) -> bool:
-        """Recompute T_K and its B^-1 b from the presolved data: one solve
+        """Recompute T_K and its B^-1 b from the rows: one solve
         with the square block of A in the basic structural columns and the
         rows whose slack is nonbasic.  Returns False on a (near-)singular
         basis."""
@@ -526,7 +453,8 @@ class SimplexSolver:
                 self._slot[r] = m + t
             self._tab[t] = prow
             self._tab[t, pos] = inv
-            np.negative(self._a[:, j], out=self._a_k[:m, t])
+            # an assignment: numpy 2.4's np.negative(out=) misreads some column views
+            self._a_k[:m, t] = -self._a[:, j]
             if i < m:
                 self._swap(pos, n - self._k, d)  # the leaving slack joins the slacks
         else:  # row r is a basic slack's: it leaves T_K if it was there
@@ -558,35 +486,26 @@ class SimplexSolver:
             self._slot[self._krow[t]] = m + t
         self._k = last
 
-    def _split(self, w):
-        """Weights ``w`` on the tableau rows as ``(w_s, v)``: ``w_s`` by
-        constraint (zero on F) and ``v = w_K - w_s A_K`` on T_K's rows, so
-        that w B^-1 N = w_s N + v T_K."""
-        m, k = self._slot.size, self._k
-        ext = np.zeros(m + k)
-        ext[self._slot] = w
-        w_s = ext[:m]
-        return w_s, ext @ self._a_k[:m + k, :k] if w_s.any() else ext[m:]
-
     def _reduced_costs(self):
-        """Reduced costs of the nonbasic columns, by tableau position."""
+        """Reduced costs of the nonbasic columns, by tableau position.  A
+        slack costs nothing, so only T_K's rows carry basic costs."""
         if not self._b_cost.any():
             return self._nb_cost.copy()
         k, n = self._k, self.n_struct
-        w_s, v = self._split(self._b_cost)
-        d = self._nb_cost - v @ self._tab[:k, :n]
-        if w_s.any():  # costs on basic slacks: presolved rows
-            d[:n - k] -= (w_s @ self._a)[self._nb[:n - k]]
-        return d
+        return self._nb_cost - self._b_cost[self._krow[:k]] @ self._tab[:k, :n]
 
-    def _original_multipliers(self, w):
-        """The multipliers y = (w B^-1) R of the original rows.  A basic
-        slack's column of B^-1 is a unit vector, and a nonbasic slack's is
-        its tableau column: T_K's entries, and -A_SK times them."""
-        k, n = self._k, self.n_struct
-        y, v = self._split(w)
+    def _multipliers(self, w):
+        """The row multipliers y = w B^-1 of weights ``w`` on the tableau
+        rows.  A basic slack's column of B^-1 is a unit vector, and a
+        nonbasic slack's is its tableau column: T_K's entries, and -A_SK
+        times them.  So y is w on the basic slacks' rows (``w_s``) and on F
+        v W, with v = w_K - w_s A_K on T_K's rows."""
+        m, k, n = self._slot.size, self._k, self.n_struct
+        ext = np.zeros(m + k)
+        ext[self._slot] = w
+        y = ext[:m]
+        v = ext @ self._a_k[:m + k, :k] if y.any() else ext[m:]
         y[self._nb[n - k:] - n] = v @ self._tab[:k, n - k:n]
-        y[self._elim_rows] = y @ self._rcols
         return y
 
     # -- public solve ---------------------------------------------------------
@@ -604,54 +523,38 @@ class SimplexSolver:
     ) -> LPSolution:
         """Maximize under the given bounds and objective (default: the problem's).
 
-        ``row_lo`` and ``row_hi``, given together and finite, box each row's
-        activity a.x in place of its relation; they need a problem with no
-        presolved ``=`` row.  The dual simplex starts from ``basis`` (from an
-        earlier OPTIMAL answer, under this objective or another) when one is
-        given, else from the slack basis; either start is made dual feasible
-        by moving each wrong-signed nonbasic column to its other bound.  With
-        a finite ``cutoff`` it may stop early with CUTOFF once the LP optimum
-        is certified to lie below it.  Once ``time.perf_counter()`` passes
-        ``deadline`` it stops with DEADLINE before the next pivot.  A
-        malformed or singular snapshot, and a warm answer the dual cannot
-        certify, is recomputed by a nested cold solve.  A cold solve that
-        cannot certify infeasibility, hits the pivot cap or fails the
-        feasibility check returns NUMERICAL_FAILURE.
+        ``row_lo`` and ``row_hi`` box each row's activity a.x in place of its
+        relation (either may be left out); an infinite side stands for the
+        row's interval range over the problem's box.  The dual simplex
+        starts from ``basis`` (of an earlier OPTIMAL answer, under any
+        objective) when given, else from the slack basis, either made dual
+        feasible by bound flips.  A finite ``cutoff`` may stop it with CUTOFF
+        once the optimum is certified below it, and once
+        ``time.perf_counter()`` passes ``deadline`` it stops with DEADLINE
+        before the next pivot.  A malformed or singular snapshot, and a warm
+        answer the dual cannot certify, is recomputed by a nested cold solve;
+        a cold solve that cannot certify infeasibility, hits the pivot cap or
+        fails the feasibility check returns NUMERICAL_FAILURE.
         """
         p = self.problem
         lo = p.lo if lo is None else np.asarray(lo, dtype=float)
         hi = p.hi if hi is None else np.asarray(hi, dtype=float)
-        if row_lo is None and row_hi is None:
-            self._act_lo, self._act_hi = self._rel_lo, self._rel_hi
-            s_lo, s_hi = self._slack_lo, self._slack_hi
-        else:
-            if row_lo is None or row_hi is None or self._elim_rows.size:
-                raise ValueError("row boxes need both sides and no presolved row")
-            self._act_lo = np.asarray(row_lo, dtype=float)
-            self._act_hi = np.asarray(row_hi, dtype=float)
-            s_lo, s_hi = p.rhs - self._act_hi, p.rhs - self._act_lo
-        if (lo > hi).any() or (self._act_lo > self._act_hi).any():
+        act_lo = self._rel_lo if row_lo is None else np.asarray(row_lo, dtype=float)
+        act_hi = self._rel_hi if row_hi is None else np.asarray(row_hi, dtype=float)
+        self._act_lo, self._act_hi = act_lo, act_hi
+        if (lo > hi).any() or (act_lo > act_hi).any():
             return LPSolution(INFEASIBLE, None, np.nan, 0)
         cobj = p.objective if objective is None else np.asarray(objective, dtype=float)
-        n, n0 = self.n_struct, p.num_vars
-        self._olo[:n0] = lo
-        self._ohi[:n0] = hi
-        self._olo[n0:] = s_lo
-        self._ohi[n0:] = s_hi
-        self._ocost[:n0] = cobj
-        kept = self._kept
-        self._wlo[:n] = lo[kept]
-        self._whi[:n] = hi[kept]
-        self._costs[:n] = cobj[kept]
-        self._wlo[n:] = s_lo
-        self._whi[n:] = s_hi
-        self._costs[n:] = 0.0
-        # an eliminated variable's box and cost, moved onto its row's slack
-        rows, cols, coef = n + self._elim_rows, self._elim_cols, self._elim_coef
-        c_lo, c_hi = coef * lo[cols], coef * hi[cols]
-        self._wlo[rows] = np.minimum(c_lo, c_hi)
-        self._whi[rows] = np.maximum(c_lo, c_hi)
-        self._costs[rows] = cobj[cols] / coef
+        n = self.n_struct
+        self._wlo[:n] = lo
+        self._whi[:n] = hi
+        self._costs[:n] = cobj  # a slack costs nothing
+        # a slack's box is its row's box turned round, each infinite side
+        # replaced by the row's interval range
+        np.subtract(p.rhs, np.where(act_hi < np.inf, act_hi,
+                                    np.maximum(self._range_hi, act_lo)), out=self._wlo[n:])
+        np.subtract(p.rhs, np.where(act_lo > -np.inf, act_lo,
+                                    np.minimum(self._range_lo, act_hi)), out=self._whi[n:])
         sol = self._dual(basis, lo, hi, cobj, cutoff, deadline)
         if sol.status == NUMERICAL_FAILURE and basis is not None:
             # uncertified or failed: a nested cold solve gives the answer
@@ -663,7 +566,10 @@ class SimplexSolver:
         """The OPTIMAL answer at the current basis, whose basic values are
         ``xb``, or NUMERICAL_FAILURE when its point fails the feasibility
         check.  The live tableau rests at the answer's snapshot."""
-        x = self._extract(xb)
+        v = np.empty(self.n_total)
+        v[self._nb] = self._nonbasic_values()
+        v[self._basis] = xb
+        x = v[:self.n_struct]
         if not self._feasible(x, lo, hi):
             return LPSolution(NUMERICAL_FAILURE, None, np.nan, pivots)
         at_upper = np.zeros(self.n_total, dtype=bool)
@@ -792,25 +698,18 @@ class SimplexSolver:
         return int(best[self._nb[best].argmin()]) if best.size > 1 else int(best[0])
 
     def _certified_infeasible(self, r) -> bool:
-        """Whether row r of B^-1 proves the working box infeasible, checked
-        on the original rows and box with room for the feasibility
-        tolerances: those of ``_feasible``, FEAS_TOL on each variable's
-        bounds and FEAS_TOL (1 + |rhs_i|) on row i's activity, which is its
-        slack's."""
+        """Whether row r of B^-1, y, proves the working box infeasible: the
+        weak-duality bound at zero cost, for y or for -y, falls below zero by
+        more than the feasibility tolerances allow, those of ``_feasible``:
+        FEAS_TOL on each variable's bounds and FEAS_TOL (1 + |rhs_i|) on row
+        i's activity, which is its slack's."""
         p = self.problem
         unit = np.zeros(self._basis.size)
         unit[r] = 1.0
-        y = self._original_multipliers(unit)
-        gx = y @ p.a
-        g = np.concatenate([gx, y])
-        yb = float(y @ p.rhs)
-        gl, gh = g * self._olo, g * self._ohi
-        g_min = float(np.minimum(gl, gh).sum())
-        g_max = float(np.maximum(gl, gh).sum())
-        mag = np.maximum(np.abs(self._olo), np.abs(self._ohi))
-        margin = FEAS_TOL * float(np.abs(y) @ (1.0 + np.abs(p.rhs)) + np.abs(gx).sum())
-        margin += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(g) @ mag)
-        return yb < g_min - margin or yb > g_max + margin
+        y = self._multipliers(unit)
+        zero = np.zeros(self.n_total)
+        margin = FEAS_TOL * float(np.abs(y) @ (1.0 + np.abs(p.rhs)) + np.abs(y @ p.a).sum())
+        return min(self._weak_bound(y, zero), self._weak_bound(-y, zero)) < -margin
 
     def _cutoff_bound(self, estimate, cutoff) -> float | None:
         """A certified upper bound on the LP optimum below ``cutoff``, or None.
@@ -832,35 +731,23 @@ class SimplexSolver:
         return float(self._b_cost @ xb + self._nb_cost @ self._nonbasic_values())
 
     def dual_bound(self) -> float:
-        """Certified upper bound on the optimum of the last solve's LP.
+        """Certified upper bound on the optimum of the last solve's LP, after
+        any answer: ``_weak_bound`` of y = c_B B^-1 at the basis it ended at."""
+        return self._weak_bound(self._multipliers(self._costs[self._basis]), self._costs)
 
-        The weak-duality bound y.b + sum_j max(r_j lo_j, r_j hi_j) over the
-        original rows and columns, where y is the original-row image of
-        c_B B^-1 at the basis the solve ended at and r = c - y.[A I] is
-        recomputed from the original data over that solve's bounds, rounded
-        up by a relative allowance.  Every column is boxed, so it holds for
-        any y, however inaccurate, and after any answer; +inf if not finite.
-        """
+    def _weak_bound(self, y, cost) -> float:
+        """The weak-duality bound y.b + sum_j max(r_j lo_j, r_j hi_j) on
+        max cost.v over the last solve's box, r = cost - y.[A I], rounded up
+        by a relative allowance.  Every column and slack is boxed, so it
+        holds for any multipliers y; +inf if not finite."""
         p = self.problem
-        olo, ohi = self._olo, self._ohi
-        y = self._original_multipliers(self._costs[self._basis])
-        red = self._ocost - np.concatenate([y @ p.a, y])
-        rl, rh = red * olo, red * ohi
+        lo, hi = self._wlo, self._whi
+        red = cost - np.concatenate([y @ p.a, y])
+        rl, rh = red * lo, red * hi
         bound = float(y @ p.rhs + np.maximum(rl, rh).sum())
-        mag = np.maximum(np.abs(olo), np.abs(ohi))
+        mag = np.maximum(np.abs(lo), np.abs(hi))
         bound += _CERT_REL * float(np.abs(y) @ np.abs(p.rhs) + np.abs(red) @ mag)
         return bound if np.isfinite(bound) else np.inf
-
-    def _extract(self, xb):
-        """The basic solution, basic values ``xb``, in the original
-        variables."""
-        v = np.empty(self.n_total)
-        v[self._nb] = self._nonbasic_values()
-        v[self._basis] = xb
-        x = np.empty(self.problem.num_vars)
-        x[self._kept] = v[: self.n_struct]
-        x[self._elim_cols] = v[self.n_struct + self._elim_rows] / self._elim_coef
-        return x
 
     def _feasible(self, x, lo, hi) -> bool:
         """Whether x lies in its box and every row's activity in the row's

@@ -1,45 +1,56 @@
 """Mixed-integer encoding of the gradient-norm maximization.
 
 The model unrolls both passes of a ReLU network over a box domain: forward
-variables reproduce every pre-activation and post-activation, backward
-variables reproduce the gradient recursion, and one binary per neuron is
+quantities reproduce every pre-activation and post-activation, backward
+quantities reproduce the gradient recursion, and one binary per neuron is
 shared between its ReLU encoding (``encode_relu``, the standard big-M rows)
 and its backward switch, so every feasible point corresponds to an input x
 together with a legitimate chain-rule choice at ties.  Maximizing the dual
-norm of the gradient variables therefore yields the local Lipschitz constant
-exactly (for the scalar l1/linf cases and for vector-valued networks over
-linear output norms).
+norm of the gradient therefore yields the local Lipschitz constant exactly
+(for the scalar l1/linf cases and for vector-valued networks over linear
+output norms).
 
 Forward encoding.  Wherever f is differentiable, d_v f(x) = grad f(x) . v,
 so for a scalar network under alpha = "linf" the constant is also the
 maximum of head . J(x) v over x in the box and v in [-1, 1]^n0.  The
 forward encoding replaces the backward pass by a tangent pass:
 t_0 = W_0 v, s_i = ``encode_switch``(t_i) on neuron i's shared binary,
-t_{i+1} = W_{i+1} s_i, with objective head . s_last.  The norm of the
-gradient then needs no gadget, and the neuron binaries are the only ones;
-the backward linf objective spends one ``encode_abs`` binary per undecided
-gradient entry, which grows with n0 however few neurons are unstable.
-``choose_encoding`` takes it for scalar linf networks with at least
-``FORWARD_MIN_INPUTS`` = 8 inputs; every other case (alpha = "l1",
-vector-valued networks, fewer inputs) and the LipLP estimator, whose
-relaxation is the backward model's, keep the backward encoding.  The rule
-is measured: the full solver on both encodings of 23 linf ``random_he``
-nets (2 cores, BLAS on one thread; every value agreed).  Forward was
-faster on 8 of the 10 nets with n0 >= 8, and its two losses there were
-narrow: ``he[8,16,16,1]`` s0 r = 0.1, 0.16 s against 0.14 s, and
-``he[12,20,20,1]`` s1 r = 0.1, 0.65 s against 0.62 s.  Its wins were up to
-12x (``he[16,16,16,1]`` s2 r = 0.1, 0.70 s against 8.9 s), and
-``he[50,20,20,1]`` s0 r = 0.05 closed in 0.9 s, where backward was still
-open at 20 s.  Below 8 inputs it was faster on 3 of 13, and lost up to
-6x (``he[2,20,20,1]`` s5 r = 1, 13.7 s against 2.2 s).  An l1 tangent ball
-(``encode_dual_ball``'s split) lost on 7 of 10 nets in a prototype, so l1
-has no forward encoding.
+t_{i+1} = W_{i+1} s_i, with objective head . s_last.  Its only binaries
+are the neurons'; the backward linf objective spends one ``encode_abs``
+binary per undecided gradient entry.  ``choose_encoding`` takes it for
+scalar linf networks with at least ``FORWARD_MIN_INPUTS`` = 8 inputs;
+every other case and the LipLP estimator keep the backward encoding.  The
+rule is measured on both encodings of 23 linf ``random_he`` nets (full
+solver, 2 cores, BLAS on one thread; every value agreed).  With n0 >= 8
+forward won 8 of 10, up to 12x (``he[16,16,16,1]`` s2 r = 0.1, 0.70 s
+against 8.9 s; ``he[50,20,20,1]`` s0 r = 0.05 closed in 0.9 s, where
+backward was open at 20 s), and lost two narrowly (``he[8,16,16,1]`` s0
+r = 0.1, 0.16 s against 0.14 s; ``he[12,20,20,1]`` s1 r = 0.1, 0.65 s
+against 0.62 s).  Below 8 inputs it won 3 of 13 and lost up to 6x
+(``he[2,20,20,1]`` s5 r = 1, 13.7 s against 2.2 s).  An l1 tangent ball
+(``encode_dual_ball``'s split) lost on 7 of 10 nets in a prototype.
+
+Three kinds of quantity.  Every pre-activation, backward value, tangent
+and gradient entry is affine in a few free quantities, so a ``MIPModel``
+id names a column (``add_var``, ``add_binary``: inputs, directions,
+binaries, undecided neurons' outputs), an affine quantity (``add_affine``:
+``encode_affine``'s outputs, ``encode_switch_const``'s y = v a, the
+dual-ball split z = z+ - z- and a sign-fixed |g| = -g), expanded over the
+columns when declared, or a constant (``add_constant``: an OFF ReLU or
+switch).  An ON ReLU or switch returns its input's id, an alias, as |g|
+does for g >= 0.  The LP the solver is given (``MIPModel.relaxation``)
+has the columns alone, a row per affine quantity boxed by its box
+(``MIPModel.lp_boxes``) and none per constant.  A +-1 reference expands
+exactly; an ON alias feeding the next affine map composes W_{i+1} W_i in
+floating point.  The export (``MIPModel.to_lp_problem``) makes every id a
+column and each affine quantity an ``=`` row over its declared terms.
 
 All big-M constants come from the bounds of the encoded quantities, which is
 what keeps each operator encodable with a constant number of inequalities.
 Those bounds come from one interval pass, ``interval.propagate`` seeded with
-``interval.head_seed_box``: every affine block (pre-activations, backward
-values, gradient) is declared with that pass's box, and the ReLU, switch and
+``interval.head_seed_box`` (a forward model runs no backward pass): every
+affine block (pre-activations, backward values, gradient) is declared with
+that pass's box, and the ReLU, switch and
 absolute-value encodings derive theirs from it the same way the pass does.
 A forward model's pass also takes a tangent seed, the box [-1, 1]^n0 of
 directions, and its tangent boxes (``push_affine`` and ``push_switch`` under
@@ -54,26 +65,24 @@ branch-and-bound rebuilds it from LP-tightened boxes before branching, which
 shrinks every big-M downstream and fixes the neurons, and with them the
 backward switches, whose sign the boxes decide.
 
-Variable layout.  ``build_lipmip_model`` declares the variables in one fixed
+Variable layout.  ``build_lipmip_model`` declares the ids in one fixed
 order: the inputs; per hidden layer, its pre-activations and then, neuron by
 neuron, the neuron's binary (when its sign is undecided) and its
-post-activation.  A forward model then declares the direction v and, per
-hidden layer in forward order, the tangents t_i and their switches s_i,
-and nothing else.  A backward model declares the dual ball (vector-valued
+post-activation (none when ON).  A forward model then declares the
+direction v and, per hidden layer in forward order, the tangents t_i and
+their switches s_i.  A backward model declares the dual ball (vector-valued
 networks only); per hidden layer from the last down to the first, the
 backward values and then the backward switches; the gradient; and last the
-objective block.  For alpha = "linf" that is, per gradient entry, the sign
-binary (when undecided) and the absolute value.  For alpha = "l1" it is one
-binary per gradient entry and sign, in entry order with + before -, and
-then their maximum t (``encode_signed_max``), whose bounds come from the
-gradient box alone.
-Rows follow the same order.  ``LipMIPProblem`` records each block as an int
-id array and is the only reader of the order: ``propagation_bounds`` is the
-one map from interval boxes onto those ids, and ``layers_below(i)`` reads
-the LP relaxation of the layers below layer i off it, as the variables up
-to layer i's pre-activations with the rows that mention only them.  The
-order is load-bearing: branch-and-bound breaks branching ties by the lowest
-variable id and the simplex prices columns in id order, so a reordered but
+objective block: for alpha = "linf", per gradient entry, the sign binary
+(when undecided) and the absolute value; for alpha = "l1", one binary per
+gradient entry and sign, in entry order with + before -, and then their
+maximum t (``encode_signed_max``).  Rows follow the same order.
+``LipMIPProblem`` records each block as an int id array and is the only
+reader of the order: ``propagation_bounds`` is the one map from interval
+boxes onto those ids, and ``layers_below(i)`` is the relaxation of the ids
+up to layer i's last pre-activation, their columns and the rows declared up
+to it.  The order is load-bearing: branch-and-bound breaks branching ties by
+the lowest id and the simplex prices columns in id order, so a reordered but
 otherwise equal model searches differently.
 
 Primal heuristics.  ``incumbent_from_point`` scores the chain-rule Jacobian
@@ -119,9 +128,11 @@ class ModelError(ValueError):
 
 
 class MIPModel:
-    """A maximization over finitely boxed variables, named by their ids in
-    declaration order: linear rows, a linear objective and ``binary_vars``,
-    the ids of the variables that must end at 0 or 1."""
+    """A maximization over finitely boxed quantities named by their ids in
+    declaration order: a column (``add_var``, ``add_binary``), an affine
+    quantity (``add_affine``) or a constant (``add_constant``), with ``lo``
+    and ``hi`` every id's box (module docstring).  Linear rows, a linear
+    objective, and ``binary_vars``, the columns that must end at 0 or 1."""
 
     def __init__(self):
         self.lo: list[float] = []
@@ -130,29 +141,78 @@ class MIPModel:
         self.constraints: list[tuple[dict[int, float], str, float]] = []
         self.objective: dict[int, float] = {}
         self.objective_const: float = 0.0  # always 0; the bench's HiGHS export adds it
+        self.num_columns = 0
+        # per id: whether it is a column, and its expansion (LP columns,
+        # coefficients, constant); per affine id: its exported = row
+        self._is_column: list[bool] = []
+        self._expansion: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self._equations: dict[int, tuple[dict[int, float], str, float]] = {}
+        # the rows in declaration order: (an affine id or ~k for constraint
+        # k, how many ids were declared then)
+        self._rows: list[tuple[int, int]] = []
+        self._layout_cache = None
 
-    # -- variables / constraints --------------------------------------------
+    # -- quantities / constraints --------------------------------------------
 
-    def add_var(self, lo: float, hi: float) -> int:
+    def _declare(self, lo: float, hi: float, expansion) -> int:
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ModelError(f"variable {len(self.lo)}: bounds must be finite")
         if lo > hi:
             raise ModelError(f"variable {len(self.lo)}: lo {lo} > hi {hi}")
         self.lo.append(float(lo))
         self.hi.append(float(hi))
+        self._is_column.append(expansion is None)
+        if expansion is None:  # a column: itself
+            expansion = (np.array([self.num_columns]), np.ones(1), 0.0)
+            self.num_columns += 1
+        self._expansion.append(expansion)
         return len(self.lo) - 1
+
+    def add_var(self, lo: float, hi: float) -> int:
+        return self._declare(lo, hi, None)
 
     def add_binary(self) -> int:
         v = self.add_var(0.0, 1.0)
         self.binary_vars.append(v)
         return v
 
+    def add_constant(self, value: float) -> int:
+        """A quantity fixed at ``value``: no column and no row."""
+        return self._declare(value, value, (np.zeros(0, dtype=np.intp), np.zeros(0), value))
+
+    def add_affine(self, in_vars, w, b, lo, hi) -> list[int]:
+        """Quantities y = W @ in + b (b may be None), one per row of W, with
+        boxes [lo, hi].  Each is expanded over the columns at once: an input
+        that is itself affine contributes W times its expansion, composed in
+        floating point.  One whose expansion has no column is a constant."""
+        w = np.asarray(w, dtype=float)
+        in_vars = [int(v) for v in in_vars]
+        if w.ndim != 2 or w.shape[1] != len(in_vars):
+            raise ModelError(f"affine: matrix {w.shape} does not accept {len(in_vars)} inputs")
+        if not all(0 <= v < self.num_vars for v in in_vars):
+            raise ModelError("affine quantity references an undeclared variable")
+        bvec = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=float).reshape(-1)
+        expand, consts = np.zeros((len(in_vars), self.num_columns)), np.zeros(len(in_vars))
+        for t, v in enumerate(in_vars):
+            cols, coefs, consts[t] = self._expansion[v]
+            expand[t, cols] = coefs
+        rows, offsets = w @ expand, w @ consts + bvec
+        for r in range(w.shape[0]):
+            cols = np.flatnonzero(rows[r])
+            y = self._declare(lo[r], hi[r], (cols, rows[r, cols], float(offsets[r])))
+            coefs = {y: 1.0}
+            for c in np.flatnonzero(w[r]):
+                coefs[in_vars[c]] = coefs.get(in_vars[c], 0.0) - w[r, c]
+            self._equations[y] = (coefs, "=", float(bvec[r]))
+            self._rows.append((y, y + 1))
+        return list(range(self.num_vars - w.shape[0], self.num_vars))
+
     def add_constraint(self, coefs: dict[int, float], rel: str, rhs: float) -> None:
         if rel not in ("<=", "=", ">="):
             raise ModelError(f"bad relation {rel!r}")
-        for v in coefs:
-            if not 0 <= v < len(self.lo):
-                raise ModelError(f"constraint references undeclared variable {v}")
+        if not all(0 <= v < self.num_vars for v in coefs):
+            raise ModelError("constraint references an undeclared variable")
+        self._rows.append((~len(self.constraints), self.num_vars))
         self.constraints.append(({k: float(c) for k, c in coefs.items()}, rel, float(rhs)))
 
     def set_objective(self, coefs: dict[int, float]) -> None:
@@ -164,89 +224,132 @@ class MIPModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        """The export's rows: one per affine quantity and per constraint."""
+        return len(self._rows)
 
-    # -- conversions ----------------------------------------------------------
+    # -- the exported model ------------------------------------------------------
 
     def to_lp_problem(self) -> lp.LPProblem:
-        n = self.num_vars
-        c = np.zeros(n)
-        for v, coef in self.objective.items():
-            c[v] = coef
-        m = self.num_constraints
-        a = np.zeros((m, n))
-        rhs = np.zeros(m)
-        rels = []
-        for i, (coefs, rel, b) in enumerate(self.constraints):
-            for v, coef in coefs.items():
-                a[i, v] = coef
-            rhs[i] = b
-            rels.append(rel)
-        return lp.LPProblem(
-            objective=c, a=a, relations=tuple(rels), rhs=rhs,
-            lo=np.array(self.lo), hi=np.array(self.hi),
-        )
+        """The model with every id a column, and its rows in declaration
+        order: each affine quantity an ``=`` row over its declared terms."""
+        rows = [self.constraints[~e] if e < 0 else self._equations[e] for e, _ in self._rows]
+        c, a = np.zeros(self.num_vars), np.zeros((len(rows), self.num_vars))
+        c[list(self.objective)] = list(self.objective.values())
+        for i, (coefs, _, _) in enumerate(rows):
+            a[i, list(coefs)] = list(coefs.values())
+        return lp.LPProblem(objective=c, a=a, relations=tuple(r for _, r, _ in rows),
+                            rhs=np.array([b for *_, b in rows]), lo=self.lo, hi=self.hi)
 
-    def check_point(self, point, tol: float = 1e-6, integrality_tol: float = 1e-6):
-        """All violations of a full assignment (empty list = feasible)."""
-        point = np.asarray(point, dtype=float)
-        out = []
-        for i in range(self.num_vars):
-            if point[i] < self.lo[i] - tol or point[i] > self.hi[i] + tol:
-                out.append(f"variable {i}: value {point[i]} outside "
-                           f"[{self.lo[i]}, {self.hi[i]}]")
-        for i in self.binary_vars:
-            if min(abs(point[i]), abs(point[i] - 1)) > integrality_tol:
-                out.append(f"variable {i}: not integral ({point[i]})")
-        for k, (coefs, rel, rhs) in enumerate(self.constraints):
-            lhs = sum(c * point[v] for v, c in coefs.items())
-            scale = tol * (1.0 + abs(rhs))
-            if rel == "<=" and lhs > rhs + scale:
-                out.append(f"row {k}: {lhs} </= {rhs}")
-            elif rel == ">=" and lhs < rhs - scale:
-                out.append(f"row {k}: {lhs} >/= {rhs}")
-            elif rel == "=" and abs(lhs - rhs) > scale:
-                out.append(f"row {k}: {lhs} != {rhs}")
-        return out
+    # -- the LP the solver is given ----------------------------------------------
+
+    def _layout(self) -> _LPLayout:
+        """The relaxation's data, kept until the model grows."""
+        key = (self.num_vars, len(self.constraints))
+        if self._layout_cache is None or self._layout_cache.key != key:
+            self._layout_cache = _LPLayout(self, key)
+        return self._layout_cache
+
+    def linear(self, coefs: dict[int, float]) -> tuple[np.ndarray, float]:
+        """A linear form over ids as (coefficients over the LP columns,
+        constant)."""
+        lay, k = self._layout(), np.zeros(self.num_vars)
+        k[list(coefs)] = list(coefs.values())
+        return k @ lay.expand, float(k @ lay.offset)
+
+    def values(self, x) -> np.ndarray:
+        """Every id's value at a point ``x`` of the LP columns."""
+        lay = self._layout()
+        return lay.expand @ np.asarray(x, dtype=float) + lay.offset
+
+    def relaxation(self, upto: int | None = None) -> lp.LPProblem:
+        """The LP the solver is given, over the column ids in id order, with
+        ``linear``'s objective (constant left out) and rows in declaration
+        order.  An affine quantity with a column in its expansion is a row
+        whose rhs is minus its constant (the slack is the negated quantity)
+        and whose relation is never read: every solve passes ``lp_boxes``.
+        With ``upto``, the LP of the ids below ``upto``: their columns, the
+        rows declared before id ``upto`` and a zero objective."""
+        lay = self._layout()
+        cols, rows, c = lay.columns, lay.a.shape[0], self.linear(self.objective)[0]
+        if upto is not None:
+            rows = int(np.searchsorted(lay.row_ids, upto, side="right"))
+            cols = cols[:int(np.searchsorted(cols, upto))]
+            c = np.zeros(cols.size)
+        lo, hi = np.array(self.lo)[cols], np.array(self.hi)[cols]
+        return lp.LPProblem(objective=c, a=lay.a[:rows, :cols.size],
+                            relations=lay.relations[:rows], rhs=lay.rhs[:rows], lo=lo, hi=hi)
+
+    def lp_boxes(self, lo, hi):
+        """Per-id boxes (the model's own, or node tightening's) as the
+        relaxation's (col_lo, col_hi, row_lo, row_hi): an affine quantity's
+        row box is its box less its constant, and a constraint row keeps its
+        relation's box, closed by the row's range over the model's boxes."""
+        lay = self._layout()
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        row_lo, row_hi = lay.rel_lo.copy(), lay.rel_hi.copy()
+        q, ids = lay.quantity_rows, lay.quantity_ids
+        row_lo[q] = lo[ids] + lay.rhs[q]
+        row_hi[q] = hi[ids] + lay.rhs[q]
+        return lo[lay.columns], hi[lay.columns], row_lo, row_hi
+
+
+class _LPLayout:
+    """``MIPModel.relaxation``'s data: each id's expansion over the columns
+    (``expand``, ``offset``), the expanded rows with their relations' boxes,
+    the rows of affine quantities, and per row the ids declared before it."""
+
+    def __init__(self, model: MIPModel, key):
+        self.key = key
+        n = model.num_vars
+        self.columns = np.flatnonzero(model._is_column)
+        self.expand, self.offset = np.zeros((n, self.columns.size)), np.zeros(n)
+        for v, (cols, coefs, self.offset[v]) in enumerate(model._expansion):
+            self.expand[v, cols] = coefs
+        kept = [(e, ids) for e, ids in model._rows  # a constant has no row
+                if e < 0 or model._expansion[e][0].size]
+        rows = [e for e, _ in kept]
+        coef, rhs = np.zeros((len(rows), n)), np.zeros(len(rows))
+        for r, e in enumerate(rows):
+            if e >= 0:
+                coef[r, e] = 1.0
+            else:
+                coefs, _, rhs[r] = model.constraints[~e]
+                coef[r, list(coefs)] = list(coefs.values())
+        below = coef @ self.offset  # the rows' constants
+        self.a, self.rhs = coef @ self.expand, rhs - below
+        self.relations = tuple(">=" if e >= 0 else model.constraints[~e][1] for e in rows)
+        self.row_ids = np.array([ids for _, ids in kept], dtype=np.intp)
+        self.quantity_rows = np.flatnonzero(np.array(rows) >= 0)
+        self.quantity_ids = np.array(rows, dtype=np.intp)[self.quantity_rows]
+        # a constraint row's open side is its range over the model's id boxes,
+        # the slack box it would have as a row over every id
+        rels, lo, hi = np.array(self.relations), model.lo, model.hi
+        act_lo = np.maximum(coef, 0.0) @ lo + np.minimum(coef, 0.0) @ hi - below
+        act_hi = np.maximum(coef, 0.0) @ hi + np.minimum(coef, 0.0) @ lo - below
+        self.rel_lo = np.where(rels == "<=", np.minimum(act_lo, self.rhs), self.rhs)
+        self.rel_hi = np.where(rels == ">=", np.maximum(act_hi, self.rhs), self.rhs)
 
 
 # -- operator encodings -------------------------------------------------------
-# Each encoder declares its variables and rows on the model and returns the
-# new variables' ids; its binaries also enter ``MIPModel.binary_vars``.
+# Each encoder declares its quantities and rows on the model and returns
+# their ids; its binaries also enter ``MIPModel.binary_vars``.  An output
+# that equals an input returns the input's id.
 
 
 def encode_affine(model: MIPModel, in_vars, w, b, box: interval.Hyperbox) -> list[int]:
-    """Fresh out variables constrained to equal W @ in + b (b may be None),
-    bounded by ``box``, a box that encloses the outputs."""
-    w = np.asarray(w, dtype=float)
-    in_vars = list(in_vars)
-    if w.ndim != 2 or w.shape[1] != len(in_vars):
-        raise ModelError(f"affine: matrix {w.shape} does not accept {len(in_vars)} inputs")
-    bvec = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=float).reshape(-1)
-    out = []
-    for r in range(w.shape[0]):
-        y = model.add_var(box.l[r], box.u[r])
-        coefs = {y: 1.0}
-        for c, v in enumerate(in_vars):
-            if w[r, c] != 0.0:
-                coefs[v] = coefs.get(v, 0.0) - w[r, c]
-        model.add_constraint(coefs, "=", bvec[r])
-        out.append(y)
-    return out
+    """Affine quantities W @ in + b (b may be None), bounded by ``box``, a
+    box that encloses them."""
+    return model.add_affine(in_vars, w, b, box.l, box.u)
 
 
 def encode_switch(model: MIPModel, x_var: int, state: int, a: int) -> int:
     """y = x * a for the shared binary a of an UNKNOWN sign ``state``;
-    collapses to y = x (ON) or y = 0 (OFF)."""
+    collapses to x itself (ON) or the constant 0 (OFF)."""
     l, u = model.lo[x_var], model.hi[x_var]
     if state == ON:
-        y = model.add_var(l, u)
-        model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
-        return y
+        return x_var
     if state == OFF:
-        y = model.add_var(0.0, 0.0)
-        model.add_constraint({y: 1.0}, "=", 0.0)
-        return y
+        return model.add_constant(0.0)
     lhat, uhat = min(l, 0.0), max(u, 0.0)
     y = model.add_var(lhat, uhat)
     # y >= x - u(1-a)   <=>  y - x - u a >= -u
@@ -260,13 +363,11 @@ def encode_switch(model: MIPModel, x_var: int, state: int, a: int) -> int:
 
 
 def encode_switch_const(model: MIPModel, value: float, state: int, a: int) -> int:
-    """Switch applied to a known constant: y = value * a (``encode_switch``)."""
+    """Switch applied to a known constant: the affine quantity value * a
+    (``encode_switch``), a constant when the sign is known."""
     if state != interval.UNKNOWN:
-        v = value if state == ON else 0.0
-        return model.add_var(v, v)
-    y = model.add_var(min(value, 0.0), max(value, 0.0))
-    model.add_constraint({y: 1.0, a: -value}, "=", 0.0)
-    return y
+        return model.add_constant(value if state == ON else 0.0)
+    return model.add_affine([a], [[value]], None, [min(value, 0.0)], [max(value, 0.0)])[0]
 
 
 def encode_abs(model: MIPModel, x_var: int) -> tuple[int, int | None]:
@@ -276,17 +377,14 @@ def encode_abs(model: MIPModel, x_var: int) -> tuple[int, int | None]:
     The two branch systems y = x (a=0) and y = -x (a=1) are glued with
     zeta- = 2l, zeta+ = 2u; the nonnegative variable bounds cut the wrong
     branch, so the feasible set is exactly the graph of |.| (a free at 0).
-    A sign fixed by the bounds degenerates to a single equality, no binary.
+    A sign fixed by the bounds needs no binary: |x| is x itself (l >= 0) or
+    the affine quantity -x.
     """
     l, u = model.lo[x_var], model.hi[x_var]
     if l >= 0:
-        y = model.add_var(l, u)
-        model.add_constraint({y: 1.0, x_var: -1.0}, "=", 0.0)
-        return y, None
+        return x_var, None
     if u <= 0:
-        y = model.add_var(-u, -l)
-        model.add_constraint({y: 1.0, x_var: 1.0}, "=", 0.0)
-        return y, None
+        return model.add_affine([x_var], [[-1.0]], None, [-u], [-l])[0], None
     a = model.add_binary()
     y = model.add_var(0.0, max(-l, u))
     # y >= x - 2u a ; y <= x - 2l a ; y >= -x + 2l(1-a) ; y <= -x + 2u(1-a)
@@ -301,7 +399,7 @@ def encode_relu(model: MIPModel, z: int, state: int) -> tuple[int, int]:
     """p = relu(z) for a pre-activation variable z with model bounds [l, u]
     and the sign ``state`` that ``interval.push_conditional`` reads from them.
 
-    ON gives p = z, OFF gives p = 0, and UNKNOWN the standard big-M encoding:
+    ON gives z itself, OFF the constant 0, and UNKNOWN the standard big-M encoding:
     a binary a (declared before p) with p in [0, u], p >= z, p <= z - l(1-a)
     and p <= u a, whose LP relaxation keeps the triangle p >= max(0, z).  A
     box touching 0 is UNKNOWN, so it keeps both choices at 0.  Returns p and
@@ -309,11 +407,9 @@ def encode_relu(model: MIPModel, z: int, state: int) -> tuple[int, int]:
     """
     l, u = model.lo[z], model.hi[z]
     if state == ON:
-        p = model.add_var(l, u)
-        model.add_constraint({p: 1.0, z: -1.0}, "=", 0.0)
-        return p, -1
+        return z, -1
     if state == OFF:
-        return model.add_var(0.0, 0.0), -1
+        return model.add_constant(0.0), -1
     a = model.add_binary()
     p = model.add_var(0.0, u)
     model.add_constraint({p: 1.0, z: -1.0}, ">=", 0.0)  # p >= z
@@ -348,15 +444,13 @@ def encode_signed_max(model: MIPModel, x_vars) -> tuple[list[int], int]:
 
 
 def _encode_split(model: MIPModel, m: int):
-    """Variables z = z+ - z- with z+, z- in [0, 1]^m and z in [-1, 1]^m;
-    the caller adds the rows that shape the ball.  Returns (z, z+, z-)."""
+    """Columns z+, z- in [0, 1]^m and the affine quantities z = z+ - z- in
+    [-1, 1]^m; the caller adds the rows that shape the ball.  Returns (z,
+    z+, z-)."""
     zp = [model.add_var(0.0, 1.0) for _ in range(m)]
     zn = [model.add_var(0.0, 1.0) for _ in range(m)]
-    z = []
-    for i in range(m):
-        zi = model.add_var(-1.0, 1.0)
-        model.add_constraint({zi: 1.0, zp[i]: -1.0, zn[i]: 1.0}, "=", 0.0)
-        z.append(zi)
+    z = [model.add_affine([p, n], [[1.0, -1.0]], None, [-1.0], [1.0])[0]
+         for p, n in zip(zp, zn)]
     return z, zp, zn
 
 
@@ -410,28 +504,28 @@ def choose_encoding(input_dim: int, alpha: str, output_norm: str | None) -> str:
 
 @dataclass
 class LipMIPProblem:
-    """A built model plus the layout of its variables.
+    """A built model plus the layout of its ids.
 
-    Every id field holds model variable ids.  The per-neuron blocks are lists
-    indexed by hidden layer i, each an int array with one entry per neuron:
-    ``pre_vars`` (pre-activations), ``neuron_bins`` (the binary shared by the
-    neuron's ReLU encoding and its backward switch, -1 where interval
-    analysis fixed the sign at build time), ``post_vars`` (post-activations),
+    The per-neuron blocks are lists indexed by hidden layer i, each an int
+    array of model ids with one entry per neuron: ``pre_vars``
+    (pre-activations), ``neuron_bins`` (the binary shared by the neuron's
+    ReLU encoding and its backward switch, -1 where interval analysis fixed
+    the sign at build time), ``post_vars`` (post-activations),
     ``bwd_value_vars`` (backward values entering the layer's switch; empty
     for the last layer of a scalar network, whose backward seed is the
     constant head row) and ``bwd_switch_vars``.  ``abs_vars`` and
-    ``abs_sign_vars`` (which also uses -1 for a sign fixed at build time)
-    hold the linf objective and are empty for alpha = "l1".  ``choice_bins``
-    and ``max_var`` hold the l1 objective: a binary per gradient entry and
-    sign (entries 2j and 2j + 1 choose +g_j and -g_j) and the objective
-    variable t; they are empty and -1 for alpha = "linf".  A forward model
-    (``encoding`` FORWARD, module docstring) has no backward, gradient or
-    objective blocks: its ``direction_vars`` hold the input direction v,
-    and per hidden layer ``tangent_vars`` the tangents t_i and
-    ``tangent_switch_vars`` their switches s_i, whose head row is the
-    objective; a backward model has these empty.  These blocks
-    partition the model's variables; the order in which they were declared
-    is given in the module docstring and is load-bearing for search
+    ``abs_sign_vars`` (-1 for a sign fixed at build time) hold the linf
+    objective, and ``choice_bins`` and ``max_var`` the l1 one: a binary per
+    gradient entry and sign (entries 2j and 2j + 1 choose +g_j and -g_j) and
+    the objective t; each pair is empty (and -1) for the other norm.  A
+    forward model (module docstring) has no backward, gradient or objective
+    blocks: ``direction_vars`` hold v, and per hidden layer ``tangent_vars``
+    the tangents t_i and ``tangent_switch_vars`` their switches s_i, whose
+    head row is the objective.  The blocks cover the model's ids, and two
+    share an id where it is an alias: an ON neuron's pre- and
+    post-activation (backward value and switch, tangent and switch), and a
+    gradient entry of fixed sign >= 0 and its absolute value.  Their
+    declaration order (module docstring) is load-bearing for search
     determinism; ``layers_below`` is the one method that relies on it.
 
     ``pre_boxes[i]`` is the box that bounds layer i's pre-activation
@@ -477,22 +571,17 @@ class LipMIPProblem:
                                   pre_boxes, backward=self.encoding == BACKWARD)
 
     def layers_below(self, i: int) -> lp.LPProblem:
-        """The LP relaxation of the layers below hidden layer i, with a zero
-        objective: the variables up to layer i's last pre-activation, under
-        their model ids, and the rows that mention only them (module
-        docstring)."""
-        full = self.model.to_lp_problem()
-        n = int(self.pre_vars[i][-1]) + 1
-        rows = ~full.a[:, n:].any(axis=1)
-        return lp.LPProblem(
-            objective=np.zeros(n), a=full.a[rows, :n],
-            relations=tuple(r for r, keep in zip(full.relations, rows) if keep),
-            rhs=full.rhs[rows], lo=full.lo[:n], hi=full.hi[:n],
-        )
+        """The LP relaxation of the layers below hidden layer i (module
+        docstring): ``MIPModel.relaxation`` of the ids up to layer i's last
+        pre-activation, whose boxes are the first of ``MIPModel.lp_boxes``."""
+        return self.model.relaxation(int(self.pre_vars[i][-1]) + 1)
 
     @cached_property
-    def backward_seed(self) -> interval.Hyperbox:
-        """``interval.head_seed_box``, the seed of every node tightening."""
+    def backward_seed(self) -> interval.Hyperbox | None:
+        """``interval.head_seed_box``, the backward seed of every node
+        tightening; None for a forward model, which needs no backward pass."""
+        if self.encoding == FORWARD:
+            return None
         return interval.head_seed_box(self.net, self.output_norm)
 
     @cached_property
@@ -514,17 +603,19 @@ class LipMIPProblem:
         }
 
     def propagation_bounds(self, prop: interval.PropagationResult):
-        """Per-variable (lo, hi) arrays bounding each network quantity by its box.
+        """Per-id (lo, hi) arrays bounding each network quantity by its box.
 
         Pre-activations take their box, cut at 0 on the side their ON/OFF
         state excludes; post-activations take their ReLU image box and
-        backward values and switches their backward boxes; absolute values
-        take the image of the gradient box; tangents and their switches take
-        the tangent boxes (``prop`` then needs a tangent seed).  Variables no
-        box describes (inputs, binaries, dual ball, the direction v and the
-        l1 objective t) get -inf/+inf.
+        backward values and switches their backward boxes (``prop`` then
+        needs a backward seed); absolute values take the image of the
+        gradient box; tangents and their switches take the tangent boxes
+        (``prop`` then needs a tangent seed).  An id two blocks share (an ON
+        neuron's post-activation is its pre-activation) gets equal boxes from
+        both.  Ids no box describes (inputs, binaries, dual ball, the
+        direction v and the l1 objective t) get -inf/+inf.
         On a point input the result is the point's own value at every bounded
-        variable.
+        id.
         """
         lo = np.full(self.model.num_vars, -np.inf)
         hi = np.full(self.model.num_vars, np.inf)
@@ -534,19 +625,21 @@ class LipMIPProblem:
                 lo[ids] = box.l
                 hi[ids] = box.u
 
-        d = self.net.depth
+        d, forward = self.net.depth, self.encoding == FORWARD
         for i in range(d):
             zbox = prop.pre_activation_boxes[i]
             states = prop.activation_states[i]
             lo[self.pre_vars[i]] = np.where(states == ON, np.maximum(zbox.l, 0.0), zbox.l)
             hi[self.pre_vars[i]] = np.where(states == OFF, np.minimum(zbox.u, 0.0), zbox.u)
             put(self.post_vars[i], prop.post_activation_boxes[i])
-            # backward_boxes[k] bounds the backward value entering layer d-1-k
-            put(self.bwd_value_vars[i], prop.backward_boxes[d - 1 - i])
-            put(self.bwd_switch_vars[i], prop.backward_switch_boxes[i])
-            if self.tangent_vars[i].size:
+            if forward:
                 put(self.tangent_vars[i], prop.tangent_boxes[i])
                 put(self.tangent_switch_vars[i], prop.tangent_switch_boxes[i])
+            else:  # backward_boxes[k] bounds the backward value entering layer d-1-k
+                put(self.bwd_value_vars[i], prop.backward_boxes[d - 1 - i])
+                put(self.bwd_switch_vars[i], prop.backward_switch_boxes[i])
+        if forward:
+            return lo, hi
         gbox = prop.gradient_box
         put(self.grad_vars, gbox)
         if self.abs_vars.size:
@@ -678,9 +771,11 @@ def build_lipmip_model(
     input_vars = [model.add_var(lo, hi) for lo, hi in zip(domain.l, domain.u)]
 
     d = net.depth
-    tangent_seed = _unit_box(net.input_dim) if encoding == FORWARD else None
-    prop = interval.propagate(net, domain, interval.head_seed_box(net, output_norm),
-                              pre_boxes=pre_boxes, tangent_seed=tangent_seed)
+    forward = encoding == FORWARD
+    tangent_seed = _unit_box(net.input_dim) if forward else None
+    backward_seed = None if forward else interval.head_seed_box(net, output_norm)
+    prop = interval.propagate(net, domain, backward_seed, pre_boxes=pre_boxes,
+                              tangent_seed=tangent_seed)
     states = prop.activation_states
     neuron_bins: list[list[int]] = []
     pre_vars: list[list[int]] = []
@@ -796,13 +891,14 @@ def feasible_assignment(problem: LipMIPProblem, x, rule: ZeroRule = ALWAYS_ZERO,
         for i, z in enumerate(preactivations(net, x))
         for j in np.flatnonzero(z == 0.0)
     }
-    seed = None
+    seed = tangent = None
     if problem.output_norm is not None:
         if z is None:
             raise ValueError("vector-valued assignment needs a dual vector z")
         z = np.asarray(z, dtype=float).reshape(-1)
         seed = interval.Hyperbox.point(net.head.T @ z)
-    tangent = None
+    elif problem.encoding == BACKWARD:
+        seed = interval.head_seed_box(net, None)
     if problem.encoding == FORWARD:
         if v is None:
             raise ValueError("forward-mode assignment needs a direction v")

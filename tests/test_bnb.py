@@ -137,8 +137,12 @@ def test_timeout_interrupts_a_long_root_lp():
     net = random_he([200, 20, 20, 1], seed=0)
     box = Hyperbox.from_center_radius(np.full(200, 0.5), 0.02)
     problem = build_lipmip_model(net, box, backward=True)
+    model = problem.model
+    col_lo, col_hi, row_lo, row_hi = model.lp_boxes(model.lo, model.hi)
     start = time.perf_counter()
-    assert lp.SimplexSolver(problem.model.to_lp_problem()).solve().status == lp.OPTIMAL
+    root = lp.SimplexSolver(model.relaxation()).solve(col_lo, col_hi, row_lo=row_lo,
+                                                      row_hi=row_hi)
+    assert root.status == lp.OPTIMAL
     root_s = time.perf_counter() - start
     start = time.perf_counter()
     res = solve_mip(problem, SolveOptions(timeout_seconds=0.05))
@@ -503,13 +507,14 @@ def test_strong_branching_reported(caplog):
     assert len(lines) == 1
     assert f"strong branching {res.strong_branch_lps} LPs" in lines[0]
     assert f"{res.strong_branch_fixes} binaries fixed" in lines[0]
-    # every search LP and pivot, and the presolve's shrinking of the LP
+    # every search LP and pivot, and the size of the LP the search solved
     assert f"{res.lp_solves} LPs ({res.lp_pivots} pivots)" in lines[0]
     assert res.encoding == "backward" and "(backward encoding)" in lines[0]
     assert res.lp_solves > res.strong_branch_lps and res.lp_pivots > res.strong_branch_pivots
-    before, after = map(int, re.search(r"LP columns (\d+), (\d+) after presolve",
-                                       lines[0]).groups())
-    assert 0 < after < before
+    columns, rows = map(int, re.search(r"LP columns (\d+), rows (\d+)", lines[0]).groups())
+    model = tighten_root(build_lipmip_model(net, box))[0].model
+    assert (columns, rows) == (model.num_columns, model.relaxation().num_constraints)
+    assert 0 < columns < model.num_vars  # affine quantities are rows, not columns
 
 
 def failing_solves(monkeypatch, fails):
@@ -753,3 +758,57 @@ def test_liplp_of_a_failed_relaxation_is_still_an_upper_bound(monkeypatch, fail_
     assert len(tests) == fail_at + 1
     certified = solve_liplp(prob)
     assert optimum <= certified < np.inf
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", [
+    ([3, 6, 6, 1], 8, "linf", None),
+    ([3, 6, 6, 6, 1], 1, "l1", None),
+    ([3, 6, 5, 3], 1, "linf", "cross"),
+    ([8, 8, 8, 1], 3, "linf", None),
+])
+def test_root_lp_takes_new_rows_warm(arch, seed, alpha, output_norm):
+    # a B&B LP with one of its rows appended again (a pre-activation's row,
+    # then a constraint row) re-optimizes from the root basis extended by
+    # ``Basis.with_new_rows``, with no cold start, to the same optimum
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    prob = tighten_root(build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm))[0]
+    model = prob.model
+    root_lp = model.relaxation()
+    col_lo, col_hi, row_lo, row_hi = model.lp_boxes(model.lo, model.hi)
+    root = lp.SimplexSolver(root_lp).solve(col_lo, col_hi, row_lo=row_lo, row_hi=row_hi)
+    assert root.status == lp.OPTIMAL
+    pre = model.linear({int(prob.pre_vars[1][0]): 1.0})[0]
+    quantity = next(r for r, row in enumerate(root_lp.a) if np.array_equal(row, pre))
+    for r in (quantity, root_lp.relations.index("<=")):
+        bigger = lp.LPProblem(root_lp.objective, np.vstack([root_lp.a, root_lp.a[r]]),
+                              root_lp.relations + (root_lp.relations[r],),
+                              np.append(root_lp.rhs, root_lp.rhs[r]), root_lp.lo, root_lp.hi)
+        solver = lp.SimplexSolver(bigger)
+        sol = solver.solve(col_lo, col_hi, basis=root.basis.with_new_rows(1),
+                           row_lo=np.append(row_lo, row_lo[r]), row_hi=np.append(row_hi, row_hi[r]))
+        assert sol.status == lp.OPTIMAL and solver.cold_starts == 0
+        assert sol.objective_value == pytest.approx(root.objective_value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", EXACT_CASES[:2] + EXACT_CASES[-2:])
+def test_exported_model_serves_the_benchmark(arch, seed, alpha, output_norm):
+    # what the benchmark reads: the export's relations, binaries that index
+    # its columns, the pre-activation boxes at their ids, and an optimum
+    # (HiGHS, with scipy) equal to branch and bound's
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    model = prob.model
+    export = model.to_lp_problem()
+    assert set(export.relations) <= {"<=", "=", ">="}
+    assert export.num_vars == model.num_vars and model.objective_const == 0.0
+    assert np.array_equal(export.lo[model.binary_vars], np.zeros(len(model.binary_vars)))
+    assert np.array_equal(export.hi[model.binary_vars], np.ones(len(model.binary_vars)))
+    for ids, pre in zip(prob.pre_vars, prob.pre_boxes):
+        assert np.array_equal(np.array(model.lo)[ids], pre.l)
+        assert np.array_equal(np.array(model.hi)[ids], pre.u)
+    res = solve_mip(prob)
+    assert res.status == bnb.EXACT
+    if importlib.util.find_spec("scipy") is not None:
+        assert highs_milp_max(model) == pytest.approx(res.incumbent_value, rel=1e-6, abs=1e-6)

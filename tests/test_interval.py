@@ -6,6 +6,7 @@ from lipcert.interval import (
     Hyperbox,
     UNKNOWN,
     fastlip,
+    head_seed_box,
     propagate,
     push_affine,
     push_conditional,
@@ -104,7 +105,7 @@ def test_push_relu_cases():
 
 def test_propagate_all_on_degenerates_to_jacobian():
     net = affine_network([2.0, -1.0], b=0.5, bound=3.0)
-    res = propagate(net, Hyperbox([-1, -1], [1, 1]))
+    res = propagate(net, Hyperbox([-1, -1], [1, 1]), head_seed_box(net, None))
     assert all(np.all(v == ON) for v in res.activation_states)
     g = res.gradient_box
     assert g.l == pytest.approx([2.0, -1.0], abs=1e-12)
@@ -113,7 +114,7 @@ def test_propagate_all_on_degenerates_to_jacobian():
 
 def test_propagate_identity_gradient_box():
     net = identity_network()
-    res = propagate(net, Hyperbox([-1.0], [1.0]))
+    res = propagate(net, Hyperbox([-1.0], [1.0]), head_seed_box(net, None))
     assert res.gradient_box.l == pytest.approx([0.0])
     assert res.gradient_box.u == pytest.approx([2.0])
 
@@ -123,7 +124,7 @@ def test_propagate_sampling_soundness_all_rules():
     for seed in (0, 1, 2):
         net = random_he([3, 6, 5, 1], seed=seed)
         box = Hyperbox.from_center_radius(rng.normal(size=3), 0.8)
-        res = propagate(net, box)
+        res = propagate(net, box, head_seed_box(net, None))
         xs = box.sample(rng, 1000)
         for z, zbox, sbox in zip(preactivations(net, xs), res.pre_activation_boxes,
                                  res.post_activation_boxes):
@@ -140,7 +141,7 @@ def test_propagate_soundness_at_tie_points():
     # the identity net at 0 ties both kernels; every per-neuron rule must
     # stay inside the gradient box
     net = identity_network()
-    res = propagate(net, Hyperbox([-1.0], [1.0]))
+    res = propagate(net, Hyperbox([-1.0], [1.0]), head_seed_box(net, None))
     for a in (0, 1):
         for b in (0, 1):
             rule = ZeroRule.per_neuron({(0, 0): a, (0, 1): b})
@@ -148,13 +149,31 @@ def test_propagate_soundness_at_tie_points():
             assert res.gradient_box.contains(jac, tol=1e-12)
 
 
+def test_backward_pass_runs_only_with_a_seed():
+    # without a backward seed the forward boxes are the same and the backward
+    # ones are empty; the tangent pass does not need them
+    net = random_he([3, 5, 5, 1], seed=4)
+    box = Hyperbox.from_center_radius([0.1, -0.2, 0.3], 0.4)
+    tangent = Hyperbox(-np.ones(3), np.ones(3))
+    seeded = propagate(net, box, head_seed_box(net, None), tangent_seed=tangent)
+    bare = propagate(net, box, tangent_seed=tangent)
+    assert bare.backward_boxes == bare.backward_switch_boxes == ()
+    assert len(seeded.backward_boxes) == net.depth + 1
+    for name in ("pre_activation_boxes", "post_activation_boxes", "tangent_boxes",
+                 "tangent_switch_boxes"):
+        for a, b in zip(getattr(seeded, name), getattr(bare, name), strict=True):
+            assert np.array_equal(a.l, b.l) and np.array_equal(a.u, b.u)
+    with pytest.raises(IndexError):
+        bare.gradient_box
+
+
 def test_propagate_monotone_in_domain():
     net = random_he([3, 5, 5, 1], seed=4)
     inner = Hyperbox.from_center_radius([0.1, -0.2, 0.3], 0.4)
     outer = Hyperbox.from_center_radius([0.0, 0.0, 0.2], 1.0)
     assert outer.contains(inner.l) and outer.contains(inner.u)
-    rin = propagate(net, inner)
-    rout = propagate(net, outer)
+    rin = propagate(net, inner, head_seed_box(net, None))
+    rout = propagate(net, outer, head_seed_box(net, None))
     for bi, bo in zip(rin.pre_activation_boxes, rout.pre_activation_boxes):
         assert bo.contains(bi.l, tol=1e-12) and bo.contains(bi.u, tol=1e-12)
     for bi, bo in zip(rin.post_activation_boxes, rout.post_activation_boxes):
@@ -189,7 +208,7 @@ def test_fastlip_scores_the_gradient_box_corner():
     # so the gradient box is [-3, 0] x [0, 4] and its largest corner (3, 4)
     net = ReLUNetwork(weights=(np.eye(2),), biases=(np.zeros(2),), head=np.array([[-3.0, 4.0]]))
     box = Hyperbox.from_center_radius(np.zeros(2), 1.0)
-    grad = propagate(net, box).gradient_box
+    grad = propagate(net, box, head_seed_box(net, None)).gradient_box
     assert grad.l.tolist() == [-3.0, 0.0] and grad.u.tolist() == [0.0, 4.0]
     assert fastlip(net, box, "linf") == 7.0
     assert fastlip(net, box, "l1") == 4.0
@@ -200,13 +219,13 @@ def test_fastlip_scores_the_gradient_box_corner():
 def test_forced_neurons_tighten():
     net = random_he([3, 5, 1], seed=2)
     box = Hyperbox.from_center_radius(np.zeros(3), 1.0)
-    base = propagate(net, box)
+    base = propagate(net, box, head_seed_box(net, None))
     free = [
         (0, int(j))
         for j in np.flatnonzero(base.activation_states[0] == UNKNOWN)
     ]
     assert free
-    forced = propagate(net, box, forced={free[0]: 0})
+    forced = propagate(net, box, head_seed_box(net, None), forced={free[0]: 0})
     gb_base = base.gradient_box
     gb_forced = forced.gradient_box
     assert np.all(gb_forced.l >= gb_base.l - 1e-12)

@@ -469,7 +469,7 @@ def test_dual_bound_certifies_the_optimum():
         assert bound >= oracle
         assert bound - oracle <= 1e-9 * max(1.0, abs(oracle))
     # multipliers that are not finite weaken the bound to +inf, never NaN
-    solver._original_multipliers = lambda w: np.full(p.num_constraints, np.nan)
+    solver._multipliers = lambda w: np.full(p.num_constraints, np.nan)
     assert solver.dual_bound() == np.inf
 
 
@@ -493,7 +493,7 @@ def test_snapshot_reused_under_another_objective(monkeypatch):
         assert not cold_starts
 
 
-# -- equality presolve and condensed tableau ---------------------------------
+# -- equality rows and condensed tableau -------------------------------------
 
 
 def assert_answer(p, lo, hi, sol, solver, oracle):
@@ -516,12 +516,12 @@ def assert_answer(p, lo, hi, sol, solver, oracle):
     assert oracle - 1e-9 <= bound <= oracle + 1e-8
 
 
-def check_cold_and_warm(p, boxes, eliminated):
+def check_cold_and_warm(p, boxes):
     """Solves p, then each (lo, hi) of ``boxes`` cold and warm from p's
-    optimal basis; every answer must match the oracle, and the presolve must
-    have eliminated ``eliminated`` variables.  Returns the statuses seen."""
+    optimal basis; every answer must match the oracle, and every variable
+    stays a column.  Returns the statuses seen."""
     solver = lp.SimplexSolver(p)
-    assert solver.n_struct == p.num_vars - eliminated
+    assert solver.n_struct == p.num_vars
     root = solver.solve()
     assert_answer(p, p.lo, p.hi, root, solver, vertex_enumeration_max(p))
     statuses = {root.status}
@@ -535,8 +535,8 @@ def check_cold_and_warm(p, boxes, eliminated):
 
 
 def test_presolve_chained_equalities():
-    # row 1 eliminates x0; row 2 mentions x0, so it is rewritten in x1, x2
-    # and eliminates x1; row 3 mentions both
+    # chained = rows: row 2 shares x0 with row 1, row 3 mentions x0 and x1;
+    # each is a row with a point box
     p = make_problem(
         [0.5, -1.0, 2.0, 1.0, -0.5],
         [[1.0, -1.0, -1.0, 0.0, 0.0],
@@ -549,9 +549,9 @@ def test_presolve_chained_equalities():
     )
     rng = np.random.Generator(np.random.Philox(key=808))
     boxes = [child_bounds(rng, p) for _ in range(6)]
-    assert check_cold_and_warm(p, boxes, eliminated=3) == {lp.OPTIMAL, lp.INFEASIBLE}
+    assert check_cold_and_warm(p, boxes) == {lp.OPTIMAL, lp.INFEASIBLE}
     # random bands of overlapping equalities, each row sharing variables
-    # with the rows eliminated before it
+    # with the rows before it
     for trial in range(6):
         n, k = 5, 3
         a = np.zeros((k + 1, n))
@@ -562,22 +562,22 @@ def test_presolve_chained_equalities():
         x0 = rng.uniform(lo, hi)
         b = a @ x0 + np.r_[np.zeros(k), rng.uniform(0.0, 1.0)]
         q = make_problem(rng.normal(size=n), a, ["="] * k + ["<="], b, lo, hi)
-        check_cold_and_warm(q, [child_bounds(rng, q) for _ in range(3)], eliminated=k)
+        check_cold_and_warm(q, [child_bounds(rng, q) for _ in range(3)])
 
 
 def test_presolve_redundant_equality():
-    # the second row is twice the first: it has no usable pivot left and
-    # stays an equality row with a fixed slack
+    # the second row is twice the first: a redundant equality row, whose
+    # fixed slack the basis may hold at 0
     p = make_problem([1.0, 2.0, -1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 0.0, -1.0]],
                      ["=", "=", "<="], [1.0, 2.0, 0.5], [0, 0, 0], [1, 1, 1])
     boxes = [([0.0, 0.0, 0.0], [0.3, 1.0, 1.0]), ([0.6, 0.0, 0.0], [1.0, 1.0, 0.05]),
              ([0.0, 0.0, 0.0], [0.4, 0.5, 1.0])]
-    assert check_cold_and_warm(p, boxes, eliminated=1) == {lp.OPTIMAL, lp.INFEASIBLE}
+    assert check_cold_and_warm(p, boxes) == {lp.OPTIMAL, lp.INFEASIBLE}
 
 
 def test_presolve_inconsistent_equality(monkeypatch):
     # the second row contradicts the first: INFEASIBLE, and only with a
-    # certificate checked on the original rows
+    # certificate checked on the rows
     p = make_problem([1.0, 2.0, -1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 0.0, -1.0]],
                      ["=", "=", "<="], [1.0, 2.5, 0.5], [0, 0, 0], [1, 1, 1])
     assert vertex_enumeration_max(p) is None
@@ -605,32 +605,29 @@ def test_presolve_single_variable_rows():
         ([-1, -1, -1, 0, -1], [0.5, 1, 0.0, 1, 1]),
         ([0.3, -1, -1, 0, 0.3], [1, 0.2, 1, 2, 1]),
     ]
-    assert check_cold_and_warm(p, boxes, eliminated=3) == {lp.OPTIMAL, lp.INFEASIBLE}
+    assert check_cold_and_warm(p, boxes) == {lp.OPTIMAL, lp.INFEASIBLE}
 
 
 @pytest.mark.parametrize("coef", [3.0, -3.0])
 def test_presolve_objective_on_an_eliminated_variable(coef):
-    # only x0 carries the objective, and the presolve eliminates x0 (its
-    # coefficient is the row's largest), so its cost c / a sits on a slack;
-    # a negative coefficient flips the slack's box
+    # only x0 carries the objective, and x0 has the largest coefficient of
+    # its = row, of either sign
     p = make_problem([1.0, 0.0, 0.0], [[coef, 1.0, -2.0], [0.0, 1.0, 1.0]],
                      ["=", "<="], [0.5, 1.0], [-1, 0, 0], [1, 1, 1])
     boxes = [([-1, 0, 0], [0.2, 1, 1]), ([-1, 0.5, 0], [1, 1, 0.1]), ([0.9, 0, 0], [1, 1, 1])]
-    solver = lp.SimplexSolver(p)
-    assert solver.n_struct == 2 and 0 not in solver._kept
-    assert check_cold_and_warm(p, boxes, eliminated=1) == {lp.OPTIMAL, lp.INFEASIBLE}
+    assert check_cold_and_warm(p, boxes) == {lp.OPTIMAL, lp.INFEASIBLE}
 
 
 def test_warm_resolve_changes_eliminated_bounds(monkeypatch):
-    # node tightening of a pre-activation: bounds of eliminated variables
-    # change, which the solver turns into slack bound changes of the warm
-    # basis without a cold start
+    # bounds of the variables that = rows mention change, and the warm
+    # basis re-optimizes without a cold start
     rng = np.random.Generator(np.random.Philox(key=909))
     statuses = set()
     for trial in range(30):
         p = random_feasible_lp(rng)
         solver = lp.SimplexSolver(p)
-        eliminated = np.setdiff1d(np.arange(p.num_vars), solver._kept)
+        equality = np.array(p.relations) == "="
+        eliminated = np.flatnonzero(np.abs(p.a[equality]).sum(axis=0))
         if eliminated.size == 0:
             continue
         root = solver.solve()
@@ -648,9 +645,9 @@ def test_warm_resolve_changes_eliminated_bounds(monkeypatch):
 
 
 def test_perturbed_presolve_never_overstates():
-    # an error in the presolved data may cost a bound its tightness or an
+    # an error in the tableau's data may cost a bound its tightness or an
     # answer its status, never its validity: bounds and infeasibility are
-    # checked on the original rows.  Each child is solved over its box and
+    # checked on the problem's rows.  Each child is solved over its box and
     # pinned at a feasible point, which the perturbed rows miss
     rng = np.random.Generator(np.random.Philox(key=1212))
     checked = 0
@@ -663,8 +660,8 @@ def test_perturbed_presolve_never_overstates():
         ref = lp.solve_lp(with_bounds(p, lo, hi))
         if ref.status != lp.OPTIMAL:
             continue
-        for arr in (solver._a, solver._b, solver._rcols):
-            arr += 1e-3 * rng.normal(size=arr.shape)
+        solver._a = p.a + 1e-3 * rng.normal(size=p.a.shape)
+        solver._b = p.rhs + 1e-3 * rng.normal(size=p.rhs.shape)
         solver._live = None  # warm starts factorize the perturbed data
         pinned = np.clip(ref.x, lo, hi)
         for lo, hi in ((lo, hi), (pinned, pinned)):
@@ -797,20 +794,48 @@ def test_ranged_rows_match_two_inequalities(monkeypatch):
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}
 
 
-def test_row_boxes_need_an_unpresolved_problem():
+def test_row_boxes_on_an_lp_with_equality_rows():
+    # row boxes replace the relations of an LP with = rows, warm or cold; an
+    # infinite side stands for the row's interval range, and a point box is
+    # an = row
     p = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "<="], [1.0, 0.5],
                      [0, 0], [1, 1])
     solver = lp.SimplexSolver(p)
-    with pytest.raises(ValueError, match="row boxes"):
-        solver.solve(row_lo=[0.0, 0.0], row_hi=[1.0, 1.0])
+    root = solver.solve()
+    assert root.status == lp.OPTIMAL and root.objective_value == pytest.approx(1.0)
+    cases = [
+        (([0.2, -np.inf], [1.6, 0.5]), 1.6),
+        (([0.0, -0.2], [1.0, 0.2]), 1.0),
+        (([-np.inf, 0.4], [np.inf, np.inf]), 1.6),
+        (([1.5, 0.5], [1.5, 0.5]), 1.5),
+        (([0.0, 0.6], [0.5, 1.0]), None),
+    ]
+    for (row_lo, row_hi), expected in cases:
+        finite_lo = np.where(np.isfinite(row_lo), row_lo, -10.0)
+        finite_hi = np.where(np.isfinite(row_hi), row_hi, 10.0)
+        two = make_problem(p.objective, np.vstack([p.a, p.a]), [">="] * 2 + ["<="] * 2,
+                           np.concatenate([finite_lo, finite_hi]), p.lo, p.hi)
+        assert vertex_enumeration_max(two) == (None if expected is None
+                                              else pytest.approx(expected))
+        for start in (None, root.basis):
+            sol = solver.solve(row_lo=row_lo, row_hi=row_hi, basis=start)
+            if expected is None:
+                assert sol.status == lp.INFEASIBLE
+            else:
+                assert_answer(two, two.lo, two.hi, sol, solver, expected)
+    # one side alone keeps the other side's relation
+    sol = solver.solve(row_lo=[0.5, 0.3])
+    assert sol.status == lp.OPTIMAL and sol.objective_value == pytest.approx(1.0)
+    assert 0.3 - 1e-9 <= sol.x[0] - sol.x[1] <= 0.5 + 1e-9
+    assert solver.solve(row_hi=[0.8, 0.5]).status == lp.INFEASIBLE  # = row at 1
 
 
 # -- the reduced tableau: T_K and the derived basic-slack rows ------------------
 
 
 def reference_state(solver):
-    """B^-1 N (by tableau position), B^-1 b and B^-1 from the presolved rows
-    at the solver's basis, factorized in full as a revised simplex would."""
+    """B^-1 N (by tableau position), B^-1 b and B^-1 from the rows at the
+    solver's basis, factorized in full as a revised simplex would."""
     m = solver.n_total - solver.n_struct
     full = np.hstack([solver._a, np.eye(m)])
     binv = np.linalg.inv(full[:, solver._basis])
@@ -842,9 +867,7 @@ def check_reduced_state(solver, rng):
     assert np.allclose(solver._reduced_costs(), solver._nb_cost - solver._b_cost @ tab,
                        atol=scale)
     w = rng.normal(size=m)
-    y = w @ binv
-    y[solver._elim_rows] = y @ solver._rcols
-    assert np.allclose(solver._original_multipliers(w), y, atol=scale)
+    assert np.allclose(solver._multipliers(w), w @ binv, atol=scale)
 
 
 def checked_pivots(monkeypatch, rng):
@@ -864,17 +887,17 @@ def checked_pivots(monkeypatch, rng):
 
 
 def test_reduced_tableau_matches_a_full_factorization(monkeypatch):
-    # along every pivot of cold and warm solves, with presolved equality rows
+    # along every pivot of cold and warm solves, with equality rows
     # and with row boxes, and at random bases: the derived basic-slack rows,
     # values and steepest-edge weights are the full tableau's, and T_K holds
     # one row per basic structural
     rng = np.random.Generator(np.random.Philox(key=4242))
     cases = checked_pivots(monkeypatch, rng)
-    presolved = 0
+    equalities = 0
     for trial in range(30):
         p = random_feasible_lp(rng, n_range=(2, 7), m_range=(1, 7))
         solver = lp.SimplexSolver(p)
-        presolved += solver._elim_rows.size > 0
+        equalities += "=" in p.relations
         root = solver.solve()
         assert root.status == lp.OPTIMAL
         for _ in range(2):
@@ -897,7 +920,7 @@ def test_reduced_tableau_matches_a_full_factorization(monkeypatch):
             assert solver._restore(lp.Basis(basic, at_upper))
             solver._load_positions()
             check_reduced_state(solver, rng)
-    assert presolved > 0
+    assert equalities > 0
     # every pivot case: structural or slack, leaving and entering
     assert set(cases) == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -911,11 +934,9 @@ def test_farkas_rows_of_basic_slacks(monkeypatch):
 
     def recorded(self, r):
         binv = reference_state(self)[2]
-        y = binv[r].copy()
-        y[self._elim_rows] = y @ self._rcols
         unit = np.zeros(binv.shape[0])
         unit[r] = 1.0
-        assert np.allclose(self._original_multipliers(unit), y, atol=1e-8)
+        assert np.allclose(self._multipliers(unit), binv[r], atol=1e-8)
         certified = original(self, r)
         seen.append((bool(self._basis[r] >= self.n_struct), certified))
         return certified

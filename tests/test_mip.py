@@ -30,11 +30,31 @@ from lipcert.network import (
 )
 
 
+def violations(model, point, tol=1e-6):
+    """The ids and rows of the exported model that a full assignment of the
+    ids violates, each row within tol (1 + |rhs|)."""
+    point = np.asarray(point, dtype=float)
+    p = model.to_lp_problem()
+    out = [f"id {i}" for i in np.flatnonzero((point < p.lo - tol) | (point > p.hi + tol))]
+    out += [f"binary {i}" for i in model.binary_vars if min(point[i], 1 - point[i]) > tol]
+    act, scale = p.a @ point, tol * (1.0 + np.abs(p.rhs))
+    rel = np.array(p.relations)
+    bad = np.where(rel == "<=", act > p.rhs + scale, np.where(
+        rel == ">=", act < p.rhs - scale, np.abs(act - p.rhs) > scale))
+    return out + [f"row {k}" for k in np.flatnonzero(bad)]
+
+
+def columns(model):
+    """The ids of the model's LP columns: ``lp_boxes`` of the ids themselves."""
+    ids = np.arange(model.num_vars, dtype=float)
+    return model.lp_boxes(ids, ids)[0].astype(int)
+
+
 def feasible(model, assignment, tol=1e-7):
     point = np.zeros(model.num_vars)
     for var, val in assignment.items():
         point[var] = val
-    return model.check_point(point, tol=tol) == []
+    return violations(model, point, tol) == []
 
 
 def value_range(model, var, fixed, tol=1e-9):
@@ -155,19 +175,19 @@ def test_relu_relaxation_keeps_the_triangle():
 
 
 def test_conditional_fixed_positive():
-    # l > 0 fixes the forward sign ON: p = z without a binary, one row
+    # l > 0 fixes the forward sign ON: p is z itself, without a binary or a row
     model, z, p, a, rows = relu_model(1.0, 2.0)
-    assert a == -1 and rows == 1 and model.binary_vars == []
-    assert (model.lo[p], model.hi[p]) == (1.0, 2.0)
-    assert feasible(model, {z: 1.5, p: 1.5})
-    assert not feasible(model, {z: 1.5, p: 0.0})
+    assert a == -1 and rows == 0 and model.binary_vars == []
+    assert p == z and (model.lo[p], model.hi[p]) == (1.0, 2.0)
 
 
 def test_conditional_fixed_negative():
-    # u < 0 fixes the forward sign OFF: p = 0 without a binary or a row
+    # u < 0 fixes the forward sign OFF: p is the constant 0, without a
+    # binary, a row or an LP column
     model, z, p, a, rows = relu_model(-2.0, -1.0)
     assert a == -1 and rows == 0 and model.binary_vars == []
     assert (model.lo[p], model.hi[p]) == (0.0, 0.0)
+    assert model.num_columns == 1 and model.values([1.0])[p] == 0.0
 
 
 @pytest.mark.parametrize("l,u", [(0.0, 2.0), (-2.0, 0.0), (0.0, 0.0)])
@@ -209,20 +229,20 @@ def test_switch_free_semantics():
     assert feasible(model, {x: -1.0, a: 1, y: -1.0})
 
 
-def test_switch_fixed_single_equality():
+def test_switch_fixed_is_an_alias_or_a_constant():
+    # a fixed sign needs no row: ON returns x itself, OFF the constant 0
     model = MIPModel()
     x = model.add_var(0.5, 2.0)
-    n0 = model.num_constraints
     on = sign_state(0.5, 2.0)
     assert on == ON
-    y = encode_switch(model, x, on, -1)
-    assert model.num_constraints == n0 + 1
-    assert feasible(model, {x: 1.5, y: 1.5})
-    assert not feasible(model, {x: 1.5, y: 0.0})
+    assert encode_switch(model, x, on, -1) == x
     off = sign_state(-2.0, -0.5)
     assert off == OFF
     y0 = encode_switch(model, x, off, -1)
-    assert feasible(model, {x: 1.5, y: 1.5, y0: 0.0})
+    assert model.num_constraints == 0 and model.num_columns == 1
+    assert (model.lo[y0], model.hi[y0]) == (0.0, 0.0)
+    assert feasible(model, {x: 1.5, y0: 0.0})
+    assert not feasible(model, {x: 1.5, y0: 0.5})
 
 
 # -- abs --------------------------------------------------------------------
@@ -252,14 +272,20 @@ def test_abs_unique_value_by_enumeration():
 
 
 def test_abs_sign_fixed_degenerates():
+    # a sign fixed by the bounds needs no binary: |x| is x itself, or the
+    # affine quantity -x
     model = MIPModel()
     x = model.add_var(0.0, 2.0)
     nbin = len(model.binary_vars)
     y, a = encode_abs(model, x)
-    assert a is None
+    assert a is None and y == x
     assert len(model.binary_vars) == nbin
-    assert feasible(model, {x: 1.2, y: 1.2})
-    assert not feasible(model, {x: 1.2, y: -1.2})
+    neg = model.add_var(-3.0, -1.0)
+    y, a = encode_abs(model, neg)
+    assert a is None and (model.lo[y], model.hi[y]) == (1.0, 3.0)
+    assert len(model.binary_vars) == nbin and model.num_columns == 2
+    assert feasible(model, {x: 1.2, neg: -1.5, y: 1.5})
+    assert not feasible(model, {x: 1.2, neg: -1.5, y: 1.2})
 
 
 def test_abs_random_graph_check():
@@ -337,7 +363,7 @@ def test_signed_max_at_feasible_assignments(arch, seed, output_norm):
         x = rng.uniform(box.l, box.u)
         z = None if gens is None else gens[rng.integers(len(gens))]
         point = feasible_assignment(prob, x, ALWAYS_ZERO, z)
-        assert prob.model.check_point(point, tol=1e-7) == []
+        assert violations(prob.model, point, 1e-7) == []
         g = point[prob.grad_vars]
         assert point[prob.max_var] == np.abs(g).max()
         options = np.column_stack([g, -g]).ravel()
@@ -398,7 +424,7 @@ def test_feasible_set_contains_chain_rule_points():
             for _ in range(25):
                 x = rng.uniform(box.l, box.u)
                 point = feasible_assignment(prob, x, ALWAYS_ZERO)
-                assert prob.model.check_point(point, tol=1e-7) == []
+                assert violations(prob.model, point, 1e-7) == []
                 jac = chain_rule_jacobian(net, x, ALWAYS_ZERO)
                 expect = np.abs(jac[0]).sum() if alpha == "linf" else np.abs(jac[0]).max()
                 objective = sum(c * point[v] for v, c in prob.model.objective.items())
@@ -413,7 +439,7 @@ def test_feasible_set_tie_rules_at_identity_zero():
         for b in (0, 1):
             rule = ZeroRule.per_neuron({(0, 0): a, (0, 1): b})
             point = feasible_assignment(prob, [0.0], rule)
-            assert prob.model.check_point(point, tol=1e-9) == []
+            assert violations(prob.model, point, 1e-9) == []
             objective = sum(c * point[v] for v, c in prob.model.objective.items())
             assert objective == pytest.approx(2.0 - a - b)
 
@@ -426,7 +452,7 @@ def forward_assignments_match(prob, rng, draws=40) -> bool:
         x = rng.uniform(box.l, box.u)
         v = rng.uniform(-1.0, 1.0, box.dim)
         point = feasible_assignment(prob, x, ALWAYS_ZERO, v=v)
-        if prob.model.check_point(point, tol=1e-7):
+        if violations(prob.model, point, 1e-7):
             return False
         objective = sum(c * point[k] for k, c in prob.model.objective.items())
         if objective != pytest.approx(chain_rule_jacobian(prob.net, x)[0] @ v, abs=1e-9):
@@ -564,8 +590,12 @@ LAYOUT_CASES = [
 
 @pytest.mark.parametrize("arch,seed,alpha,output_norm", LAYOUT_CASES)
 def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
+    # the blocks cover every id; two blocks share an id exactly where it is
+    # an alias: an ON neuron's pre- and post-activation, backward value and
+    # switch, or tangent and switch, and a gradient entry of fixed sign >= 0
+    # and its absolute value
     net = random_he(arch, seed=seed)
-    box = Hyperbox.from_center_radius(np.zeros(arch[0]), 1.0)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.25)
     prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
     blocks = [prob.input_vars, prob.z_ball_vars, prob.z_pos_vars, prob.z_neg_vars,
               prob.grad_vars, prob.abs_vars, prob.abs_sign_vars, prob.choice_bins,
@@ -576,8 +606,23 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
         assert len(layers) == net.depth
         blocks.extend(layers)
     ids = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
-    ids = ids[ids >= 0]
-    assert sorted(ids.tolist()) == list(range(prob.model.num_vars))
+    counts = np.bincount(ids[ids >= 0], minlength=prob.model.num_vars)
+    aliases = []
+    for i in range(net.depth):
+        on = prob.pre_boxes[i].l > 0.0
+        pairs = [(prob.pre_vars[i], prob.post_vars[i]), (prob.bwd_value_vars[i],
+                 prob.bwd_switch_vars[i]), (prob.tangent_vars[i], prob.tangent_switch_vars[i])]
+        for a, b in pairs:
+            if a.size:
+                assert np.array_equal(a == b, on)
+                aliases.extend(a[on])
+    if prob.abs_vars.size:
+        same = prob.abs_vars == prob.grad_vars
+        assert np.array_equal(same, np.array(prob.model.lo)[prob.grad_vars] >= 0.0)
+        aliases.extend(prob.grad_vars[same])
+    assert aliases  # the cases exercise them
+    counts -= np.bincount(np.array(aliases, dtype=int), minlength=counts.size)
+    assert np.all(counts == 1)
     for v, (i, j) in prob.binary_map.items():
         assert prob.neuron_bins[i][j] == v and v in prob.model.binary_vars
 
@@ -589,30 +634,39 @@ def test_layout_ids_partition_variables(arch, seed, alpha, output_norm):
     ([8, 8, 8, 1], 3, "linf", None),
 ])
 def test_layers_below_contains_feasible_prefixes(arch, seed, alpha, output_norm):
-    # every feasible point's prefix satisfies the LP of the layers below each
-    # hidden layer, whose columns end at that layer's pre-activations
+    # the LP of the layers below each hidden layer is a prefix of the
+    # relaxation: its first columns and the rows declared up to the layer's
+    # last pre-activation, which it expresses; every feasible point's
+    # columns satisfy it under the model's boxes
     rng = np.random.Generator(np.random.Philox(key=seed))
     net = random_he(arch, seed=seed)
     box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.5)
     plain = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
     gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
     for prob in (plain, tighten_root(plain)[0]):
+        model = prob.model
+        full = model.relaxation()
+        col_lo, col_hi, row_lo, row_hi = model.lp_boxes(model.lo, model.hi)
         below = [prob.layers_below(i) for i in range(net.depth)]
         for i, sub in enumerate(below):
-            assert sub.num_vars == prob.pre_vars[i][-1] + 1
+            n, m = sub.num_vars, sub.num_constraints
+            assert n == np.count_nonzero(columns(model) <= prob.pre_vars[i][-1])
             assert np.all(sub.objective == 0.0)
-            assert np.all(np.abs(sub.a[:, prob.pre_vars[i]]).sum(axis=0) > 0)
+            assert np.array_equal(sub.a, full.a[:m, :n]) and not full.a[:m, n:].any()
+            assert sub.relations == full.relations[:m]
+            for v in prob.pre_vars[i]:
+                assert not model.linear({int(v): 1.0})[0][n:].any()
         for _ in range(20):
             x = rng.uniform(box.l, box.u)
             z = None if gens is None else gens[rng.integers(len(gens))]
             point = feasible_assignment(prob, x, ALWAYS_ZERO, z, random_direction(prob, rng))
+            cols = model.lp_boxes(point, point)[0]
             for sub in below:
-                p = point[:sub.num_vars]
-                assert np.all(p >= sub.lo - 1e-9) and np.all(p <= sub.hi + 1e-9)
-                lhs = sub.a @ p
-                for val, rel, rhs in zip(lhs, sub.relations, sub.rhs):
-                    assert {"<=": val <= rhs + 1e-9, ">=": val >= rhs - 1e-9,
-                            "=": abs(val - rhs) <= 1e-9}[rel]
+                n, m = sub.num_vars, sub.num_constraints
+                assert np.all(cols[:n] >= col_lo[:n] - 1e-9)
+                assert np.all(cols[:n] <= col_hi[:n] + 1e-9)
+                act = sub.a @ cols[:n]
+                assert np.all(act >= row_lo[:m] - 1e-9) and np.all(act <= row_hi[:m] + 1e-9)
 
 
 # ``refutes``: whether the draws reach a neuron that interval analysis
@@ -719,3 +773,80 @@ def test_build_rejects_norms_that_do_not_fit_the_network():
     for net, output_norm in ((vector, None), (vector, "l7"), (scalar, "l7")):
         with pytest.raises(ValueError, match=f"output norm {output_norm!r} does not fit"):
             build_lipmip_model(net, box, output_norm=output_norm)
+
+
+# -- the LP the solver is given -------------------------------------------------
+
+
+def lp_violation(model, point, a=None) -> float:
+    """The largest violation, by the point's columns, of the relaxation's
+    rows (``a`` in place of its matrix when given) under the point's own
+    boxes: every affine quantity's row is then an equation fixing it at its
+    value, and every constraint row keeps its relation."""
+    col_lo, _, row_lo, row_hi = model.lp_boxes(point, point)
+    act = (model.relaxation().a if a is None else a) @ col_lo
+    return float(np.max(np.maximum(row_lo - act, act - row_hi), initial=0.0))
+
+
+@pytest.mark.parametrize("arch,seed,alpha,output_norm", [
+    ([3, 8, 8, 1], 1, "linf", None),
+    ([3, 8, 8, 1], 1, "l1", None),
+    ([3, 8, 8, 3], 4, "linf", "cross"),
+    ([8, 8, 8, 1], 3, "linf", None),
+])
+def test_feasible_points_satisfy_the_expanded_rows(arch, seed, alpha, output_norm):
+    # a feasible assignment, mapped onto the LP's columns, satisfies every
+    # row of the solver's LP: each affine quantity's expansion reproduces its
+    # value, which also lies in the row box of the model's own boxes.  A copy
+    # with one composed coefficient (a second-layer pre-activation's input
+    # coefficient through an ON neuron) perturbed fails
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    net = random_he(arch, seed=seed)
+    box = Hyperbox.from_center_radius(np.full(arch[0], 0.5), 0.3)
+    prob = build_lipmip_model(net, box, alpha=alpha, output_norm=output_norm)
+    assert prob.encoding == (mip.FORWARD if arch[0] == 8 else mip.BACKWARD)
+    model = prob.model
+    relaxed = model.relaxation()
+    col_lo, col_hi, row_lo, row_hi = model.lp_boxes(model.lo, model.hi)
+    assert relaxed.num_vars == model.num_columns < model.num_vars
+    # a composed coefficient: layer 0 has ON neurons, whose aliases feed layer 1
+    on = np.flatnonzero(prob.pre_boxes[0].l > 0.0)
+    assert on.size and np.array_equal(prob.post_vars[0][on], prob.pre_vars[0][on])
+    target = model.linear({int(prob.pre_vars[1][0]): 1.0})[0]
+    r = next(r for r in range(relaxed.num_constraints) if np.array_equal(relaxed.a[r], target))
+    j = int(np.flatnonzero(relaxed.a[r, :arch[0]])[0])  # an input column
+    perturbed = relaxed.a.copy()
+    perturbed[r, j] *= 1.0 + 1e-6
+    gens = norms.dual_ball_generators(net.output_dim, output_norm) if output_norm else None
+    worst = caught = 0.0
+    for _ in range(20):
+        x = rng.uniform(box.l, box.u)
+        z = None if gens is None else gens[rng.integers(len(gens))]
+        point = feasible_assignment(prob, x, ALWAYS_ZERO, z, random_direction(prob, rng))
+        cols = model.lp_boxes(point, point)[0]
+        np.testing.assert_allclose(model.values(cols), point, atol=1e-9)
+        worst = max(worst, lp_violation(model, point))
+        act = relaxed.a @ cols
+        assert np.all(cols >= col_lo - 1e-9) and np.all(cols <= col_hi + 1e-9)
+        assert np.all(act >= row_lo - 1e-9) and np.all(act <= row_hi + 1e-9)
+        caught = max(caught, lp_violation(model, point, perturbed))
+    assert worst <= 1e-9 < caught
+
+
+def test_export_keeps_every_id_a_column():
+    # the export has a column per id and an = row per affine quantity over its
+    # declared terms beside the constraint rows, and no row for an alias or a
+    # constant
+    net = random_he([3, 8, 8, 1], seed=1)
+    box = Hyperbox.from_center_radius(np.full(3, 0.5), 0.3)
+    prob = build_lipmip_model(net, box)
+    model = prob.model
+    export = model.to_lp_problem()
+    assert export.num_vars == model.num_vars and export.num_constraints == model.num_constraints
+    equalities = [i for i, rel in enumerate(export.relations) if rel == "="]
+    assert len(equalities) == model.num_constraints - len(model.constraints)
+    # a layer-1 pre-activation's row holds the network's own coefficients
+    k = int(prob.pre_vars[1][0])
+    i = next(i for i in equalities if export.a[i, k] == 1.0)
+    assert np.array_equal(-export.a[i, prob.post_vars[0]], net.weights[1][0])
+    assert export.rhs[i] == net.biases[1][0]
